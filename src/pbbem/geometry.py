@@ -22,15 +22,42 @@ from .mesh import FlatMesh
 
 
 class DegenerateArcError(ValueError):
-    """An edge arc could not be fitted (normal nearly parallel to the chord)."""
+    """An edge arc could not be fitted; `index` locates it in a batch."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateElementError(ValueError):
     """An element's surface Jacobian vanished."""
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, summed in a fixed order."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _check(failures, pending: list | None) -> None:
+    """Queue (mask, cause) failures on `pending`, or raise now if it is None.
+
+    A batch raises as its first failing member would alone: the first
+    leading index where any mask is set, with the first cause set there.
+    """
+    if pending is not None:
+        pending.extend(failures)
+        return
+    bad = np.stack(np.broadcast_arrays(*(mask for mask, _ in failures)))
+    hit = bad.reshape(len(failures), -1)
+    if hit.any():
+        first = int(np.argmax(hit.any(axis=0)))
+        cause = failures[int(np.argmax(hit[:, first]))][1]
+        index = tuple(int(i) for i in np.unravel_index(first, bad.shape[1:]))
+        raise DegenerateArcError(cause, index)
+
+
 # ---------------------------------------------------------------------------
-# edge arcs
+# edge arcs; every helper broadcasts over leading axes of (..., 3) inputs
 
 
 @dataclass(frozen=True)
@@ -43,7 +70,7 @@ class CubicArc:
     c3: np.ndarray
 
 
-def fit_arc(p0, n0, p1, n1) -> CubicArc:
+def fit_arc(p0, n0, p1, n1, pending: list | None = None) -> CubicArc:
     """Fit a cubic arc between two surface points with outward unit normals.
 
     Endpoint tangents are the chord projected orthogonally to each endpoint
@@ -51,29 +78,26 @@ def fit_arc(p0, n0, p1, n1) -> CubicArc:
     turning angle between the projected directions; this reproduces straight
     segments exactly (theta = 0 gives chord length) and keeps circular arcs
     accurate to fourth order, where plain chord-length tangents would leave
-    an O(theta^2) bulge error.
+    an O(theta^2) bulge error. Degenerate arcs raise DegenerateArcError, or
+    are queued on `pending` (see `_check`) and their coefficients are void.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    n0 = np.asarray(n0, dtype=float)
-    n1 = np.asarray(n1, dtype=float)
+    p0, n0, p1, n1 = (np.asarray(x, dtype=float) for x in (p0, n0, p1, n1))
     chord = p1 - p0
-    clen = float(np.linalg.norm(chord))
-    if clen < 1e-300:
-        raise DegenerateArcError("arc endpoints coincide")
-    t0 = chord - np.dot(chord, n0) * n0
-    t1 = chord - np.dot(chord, n1) * n1
-    l0 = float(np.linalg.norm(t0))
-    l1 = float(np.linalg.norm(t1))
-    if l0 < 1e-12 * clen or l1 < 1e-12 * clen:
-        raise DegenerateArcError(
-            "endpoint normal is nearly parallel to the chord"
-        )
-    t0 /= l0
-    t1 /= l1
-    cos2t = float(np.clip(np.dot(t0, t1), -1.0, 1.0))
+    clen = np.sqrt(_dot(chord, chord))
+    t0 = chord - _dot(chord, n0)[..., None] * n0
+    t1 = chord - _dot(chord, n1)[..., None] * n1
+    l0 = np.sqrt(_dot(t0, t0))
+    l1 = np.sqrt(_dot(t1, t1))
+    coincide = clen < 1e-300
+    parallel = (l0 < 1e-12 * clen) | (l1 < 1e-12 * clen)
+    _check([(coincide, "arc endpoints coincide"),
+            (parallel, "endpoint normal is nearly parallel to the chord")], pending)
+    bad = coincide | parallel
+    t0 = t0 / np.where(bad, 1.0, l0)[..., None]
+    t1 = t1 / np.where(bad, 1.0, l1)[..., None]
+    cos2t = np.clip(_dot(t0, t1), -1.0, 1.0)
     cost = np.sqrt(0.5 * (1.0 + cos2t))
-    mag = 2.0 * clen / (1.0 + cost)
+    mag = (2.0 * clen / (1.0 + cost))[..., None]
     m0 = mag * t0
     m1 = mag * t1
     return CubicArc(
@@ -96,29 +120,27 @@ def arc_acceleration(arc: CubicArc, t: float) -> np.ndarray:
     return 2.0 * arc.c2 + 6.0 * t * arc.c3
 
 
-def arc_normal(arc: CubicArc, t: float, reference) -> tuple[np.ndarray, bool]:
+def arc_normal(arc: CubicArc, t: float, reference) -> tuple[np.ndarray, np.ndarray]:
     """Unit surface normal along an arc, from the curvature direction.
 
     The curvature vector is the acceleration with its tangential component
     removed, scaled by 1/|velocity|; only its direction matters here. The
     sign is fixed to give a positive dot product with `reference`. Where the
     arc is locally straight (|curvature| < 1e-12) the reference itself is
-    returned and the second element of the result is True.
+    returned and the second element of the result is True there.
     """
     reference = np.asarray(reference, dtype=float)
     v = arc_velocity(arc, t)
     a = arc_acceleration(arc, t)
-    v2 = float(np.dot(v, v))
-    if v2 < 1e-300:
-        return reference.copy(), True
-    kappa = (a - (np.dot(v, a) / v2) * v) / np.sqrt(v2)
-    klen = float(np.linalg.norm(kappa))
-    if klen < 1e-12:
-        return reference.copy(), True
-    n = kappa / klen
-    if float(np.dot(n, reference)) < 0.0:
-        n = -n
-    return n, False
+    v2 = _dot(v, v)
+    moving = v2 >= 1e-300
+    v2 = np.where(moving, v2, 1.0)
+    kappa = (a - (_dot(v, a) / v2)[..., None] * v) / np.sqrt(v2)[..., None]
+    klen = np.sqrt(_dot(kappa, kappa))
+    straight = ~moving | (klen < 1e-12)
+    n = kappa / np.where(straight, 1.0, klen)[..., None]
+    n = np.where((_dot(n, reference) < 0.0)[..., None], -n, n)
+    return np.where(straight[..., None], reference, n), straight
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +271,13 @@ def rs_to_uv(r: float, s: float) -> tuple[float, float]:
     return u, s / u
 
 
-def _blend_reference(n0: np.ndarray, n1: np.ndarray, t: float) -> np.ndarray:
+def _blend_reference(n0, n1, t: float, pending: list | None = None) -> np.ndarray:
     """Unit interpolant of two endpoint normals, used as a sign reference."""
-    ref = (1.0 - t) * n0 + t * n1
-    length = float(np.linalg.norm(ref))
-    if length < 1e-12:
-        raise DegenerateArcError("endpoint normals are antiparallel")
-    return ref / length
+    ref = (1.0 - t) * np.asarray(n0, dtype=float) + t * np.asarray(n1, dtype=float)
+    length = np.sqrt(_dot(ref, ref))
+    antiparallel = length < 1e-12
+    _check([(antiparallel, "endpoint normals are antiparallel")], pending)
+    return ref / np.where(antiparallel, 1.0, length)[..., None]
 
 
 def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
@@ -265,40 +287,52 @@ def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
     cross arc swept between those two at fixed u. The u = 1 cross arc joins
     vertices 2 and 3, the u = 2/3 one passes through edge nodes 5 and 6 and
     carries the interior node at its parameter midpoint. Vertex nodes keep
-    the input positions and normals bitwise.
+    the input positions and normals bitwise. Inputs are (..., 3) and the
+    result is a pair of (..., 10, 3) arrays; a degenerate member raises
+    DegenerateArcError carrying its leading index.
     """
-    nodes = np.empty((10, 3))
-    normals = np.empty((10, 3))
-    nodes[0], normals[0] = x1, n1
-    nodes[3], normals[3] = x2, n2
-    nodes[8], normals[8] = x3, n3
+    x1, n1, x2, n2, x3, n3 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (x1, n1, x2, n2, x3, n3))
+    )
+    nodes = np.empty(x1.shape[:-1] + (10, 3))
+    normals = np.empty_like(nodes)
+    nodes[..., 0, :], normals[..., 0, :] = x1, n1
+    nodes[..., 3, :], normals[..., 3, :] = x2, n2
+    nodes[..., 8, :], normals[..., 8, :] = x3, n3
 
-    arc12 = fit_arc(x1, n1, x2, n2)
-    arc13 = fit_arc(x1, n1, x3, n3)
+    # checks queue in the order a lone element would meet them
+    pending = []
+    arc12 = fit_arc(x1, n1, x2, n2, pending)
+    arc13 = fit_arc(x1, n1, x3, n3, pending)
     third = 1.0 / 3.0
-    for local, u in ((1, third), (4, 2 * third)):
-        nodes[local] = arc_point(arc12, u)
-        normals[local], _ = arc_normal(arc12, u, _blend_reference(n1, n2, u))
-    for local, u in ((2, third), (5, 2 * third)):
-        nodes[local] = arc_point(arc13, u)
-        normals[local], _ = arc_normal(arc13, u, _blend_reference(n1, n3, u))
+    for arc, n_end, edge in ((arc12, n2, (1, 4)), (arc13, n3, (2, 5))):
+        for local, u in zip(edge, (third, 2 * third)):
+            nodes[..., local, :] = arc_point(arc, u)
+            normals[..., local, :], _ = arc_normal(
+                arc, u, _blend_reference(n1, n_end, u, pending)
+            )
 
     # cross arc at u = 1: edge between vertices 2 and 3, nodes 7 and 8
     y1 = arc_point(arc12, 1.0)
     y2 = arc_point(arc13, 1.0)
     ny1, _ = arc_normal(arc12, 1.0, n2)
     ny2, _ = arc_normal(arc13, 1.0, n3)
-    cross = fit_arc(y1, ny1, y2, ny2)
+    cross = fit_arc(y1, ny1, y2, ny2, pending)
     for local, v in ((6, third), (7, 2 * third)):
-        nodes[local] = arc_point(cross, v)
-        normals[local], _ = arc_normal(cross, v, _blend_reference(ny1, ny2, v))
+        nodes[..., local, :] = arc_point(cross, v)
+        normals[..., local, :], _ = arc_normal(
+            cross, v, _blend_reference(ny1, ny2, v, pending)
+        )
 
     # cross arc at u = 2/3 through edge nodes 5 and 6: interior node 10
-    cross = fit_arc(nodes[4], normals[4], nodes[5], normals[5])
-    nodes[9] = arc_point(cross, 0.5)
-    normals[9], _ = arc_normal(
-        cross, 0.5, _blend_reference(normals[4], normals[5], 0.5)
+    e5, e6 = nodes[..., 4, :], nodes[..., 5, :]
+    m5, m6 = normals[..., 4, :], normals[..., 5, :]
+    cross = fit_arc(e5, m5, e6, m6, pending)
+    nodes[..., 9, :] = arc_point(cross, 0.5)
+    normals[..., 9, :], _ = arc_normal(
+        cross, 0.5, _blend_reference(m5, m6, 0.5, pending)
     )
+    _check(pending, None)
     return nodes, normals
 
 

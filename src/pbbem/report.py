@@ -23,6 +23,10 @@ import json
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
+from .solver import TARGET_BLOCK
+
 REPORT_COLUMNS = (
     "mesh_source",
     "n_vertices",
@@ -207,46 +211,21 @@ def scaling_to_csv(rows: list[ScalingRow]) -> str:
 def memory_lower_bound_mb(problem) -> float:
     """Deterministic lower bound on solver peak memory, in Mbytes.
 
-    Sums the discretization caches (quadrature frames, pair tables, mesh,
-    element nodes) plus the largest transient block a matvec materializes.
-    Actual OS-level peak is necessarily higher; this bound is reproducible.
+    Sums the discretization caches (every array field of the problem: the
+    quadrature frames and pair tables) and the mesh arrays, plus the largest
+    transient block a matvec materializes. Actual OS-level peak is
+    necessarily higher; this bound is reproducible.
     """
-    import numpy as np
-
-    from .solver import _TARGET_BLOCK
-
-    total = 0
-    for name in (
-        "colloc_pos",
-        "colloc_nrm",
-        "reg_pos",
-        "reg_nrm",
-        "reg_w",
-        "reg_bary",
-        "pair_vertex",
-        "pair_face",
-        "pair_gverts",
-        "pair_starts",
-        "duf_pos",
-        "duf_nrm",
-        "duf_w",
-        "duf_bary",
-        "area",
-    ):
-        arr = getattr(problem, name)
-        if arr is not None:
-            total += arr.nbytes
-    total += problem.mesh.vertices.nbytes
-    total += problem.mesh.normals.nbytes
-    total += problem.mesh.faces.nbytes
-    for element in problem.elements:
-        total += element.nodes.nbytes + element.node_normals.nbytes
+    mesh = problem.mesh
+    arrays = [getattr(problem, f.name) for f in fields(problem)]
+    arrays += [mesh.vertices, mesh.normals, mesh.faces]
+    total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
     if problem.scheme == "hobi":
         n_src = problem.reg_pos.shape[0] * problem.reg_pos.shape[1]
     else:
         n_src = problem.n_collocation
     # displacement block (3 floats) plus the four kernel arrays
-    block = min(_TARGET_BLOCK, max(problem.n_collocation, 1))
+    block = min(TARGET_BLOCK, max(problem.n_collocation, 1))
     total += block * n_src * 8 * 7
     total += 4 * problem.n_unknowns * 8  # vectors in flight during a matvec
     return total / 1.0e6

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    CurvedElement,
-    DegenerateArcError,
-    frames_at,
-    nodes_from_vertex_data,
-)
+from .geometry import DegenerateArcError, frames_at, nodes_from_vertex_data
 from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
@@ -42,7 +37,7 @@ from .kernels import (
 from .mesh import ChargeSystem, FlatMesh
 from .quadrature import TriangleRule, duffy_rule, gauss_radau_rule
 
-_TARGET_BLOCK = 48  # rows of kernel evaluations materialized at once
+TARGET_BLOCK = 48  # rows of kernel evaluations materialized at once
 
 SCHEMES = ("hobi", "lobi")
 
@@ -63,7 +58,7 @@ class SolverConfig:
     tolerance: float = 1e-6
     restart: int = 100
     max_iterations: int = 1000
-    workers: int | None = None  # None: every available core
+    workers: int | None = None  # None: every CPU this process may run on
     regular_rule: TriangleRule = field(default_factory=gauss_radau_rule)
     duffy_points: int = 4
 
@@ -84,6 +79,8 @@ class SolverConfig:
     def worker_count(self) -> int:
         if self.workers is not None:
             return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 
@@ -123,7 +120,6 @@ class DiscretizedProblem:
     colloc_pos: np.ndarray  # (T, 3)
     colloc_nrm: np.ndarray  # (T, 3)
     # hobi caches
-    elements: tuple[CurvedElement, ...] = ()
     reg_pos: np.ndarray | None = None  # (N_f, Q, 3)
     reg_nrm: np.ndarray | None = None  # (N_f, Q, 3)
     reg_w: np.ndarray | None = None  # (N_f, Q) rule weight x Jacobian
@@ -170,11 +166,10 @@ def discretize(
 ) -> DiscretizedProblem:
     """Build every geometric and quadrature cache a matvec will read."""
     mesh.validate()
-    corners = mesh.vertices[mesh.faces]  # (N_f, 3, 3)
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    two_area = np.linalg.norm(cross, axis=1)
-
     if config.scheme == "lobi":
+        corners = mesh.vertices[mesh.faces]  # (N_f, 3, 3)
+        cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        two_area = np.linalg.norm(cross, axis=1)
         return DiscretizedProblem(
             mesh=mesh,
             params=params,
@@ -186,33 +181,21 @@ def discretize(
         )
 
     nf = mesh.n_faces
-    nv = mesh.n_vertices
-    verts = mesh.vertices
-    nrms = mesh.normals
     faces = mesh.faces
 
     # curved nodes for all three vertex rotations of every face; rotation k
     # puts local vertex k of the face at reference node 1
-    node_pos = np.empty((nf, 3, 10, 3))
-    node_nrm = np.empty((nf, 3, 10, 3))
-    for f in range(nf):
-        a, b, c = faces[f]
-        for k, (i, j, l) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-            try:
-                node_pos[f, k], node_nrm[f, k] = nodes_from_vertex_data(
-                    verts[i], nrms[i], verts[j], nrms[j], verts[l], nrms[l]
-                )
-            except DegenerateArcError as exc:
-                raise DegenerateArcError(f"face {f}: {exc}") from None
-
-    elements = tuple(
-        CurvedElement(
-            nodes=node_pos[f, 0],
-            node_normals=node_nrm[f, 0],
-            vertex_ids=tuple(int(v) for v in faces[f]),
+    rotations = np.stack(
+        [faces, np.roll(faces, -1, axis=1), np.roll(faces, -2, axis=1)], axis=1
+    )  # (N_f, 3, 3)
+    x, n = mesh.vertices[rotations], mesh.normals[rotations]
+    try:
+        node_pos, node_nrm = nodes_from_vertex_data(
+            x[..., 0, :], n[..., 0, :], x[..., 1, :], n[..., 1, :],
+            x[..., 2, :], n[..., 2, :],
         )
-        for f in range(nf)
-    )
+    except DegenerateArcError as exc:
+        raise DegenerateArcError(f"face {exc.index[0]}: {exc}") from None
 
     rule = config.regular_rule
     reg_pos, reg_nrm, reg_jac = frames_at(node_pos[:, 0], node_nrm[:, 0], rule.points)
@@ -229,9 +212,7 @@ def discretize(
     # pair p = (face f, rotation k) couples vertex faces[f, k] with face f
     pair_vertex = faces.reshape(-1).copy()
     pair_face = np.repeat(np.arange(nf, dtype=np.int64), 3)
-    pair_gverts = np.stack(
-        [faces, np.roll(faces, -1, axis=1), np.roll(faces, -2, axis=1)], axis=1
-    ).reshape(3 * nf, 3)
+    pair_gverts = rotations.reshape(3 * nf, 3)
 
     order = np.lexsort((pair_face, pair_vertex))
     pair_vertex = pair_vertex[order]
@@ -240,16 +221,15 @@ def discretize(
     duf_pos = duf_pos[order]
     duf_nrm = duf_nrm[order]
     duf_w = duf_w[order]
-    pair_starts = np.searchsorted(pair_vertex, np.arange(nv + 1))
+    pair_starts = np.searchsorted(pair_vertex, np.arange(mesh.n_vertices + 1))
 
     return DiscretizedProblem(
         mesh=mesh,
         params=params,
         charges=charges,
         scheme="hobi",
-        colloc_pos=verts,
-        colloc_nrm=nrms,
-        elements=elements,
+        colloc_pos=mesh.vertices,
+        colloc_nrm=mesh.normals,
         reg_pos=reg_pos,
         reg_nrm=reg_nrm,
         reg_w=reg_w,
@@ -262,7 +242,6 @@ def discretize(
         duf_nrm=duf_nrm,
         duf_w=duf_w,
         duf_bary=_barycentric(duffy.points),
-        area=0.5 * two_area,
     )
 
 
@@ -298,8 +277,8 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
         wdphi = problem.area * dphi
         src = problem.colloc_pos
         snrm = problem.colloc_nrm
-        for s in range(0, t, _TARGET_BLOCK):
-            e = min(s + _TARGET_BLOCK, t)
+        for s in range(0, t, TARGET_BLOCK):
+            e = min(s + TARGET_BLOCK, t)
             d = xt[s:e, None, :] - src[None, :, :]
             rows = np.arange(s, e)
             d[rows - s, lo + rows] = (1.0, 0.0, 0.0)  # mask the self pair
@@ -322,8 +301,8 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     wdphi = (problem.reg_w * dphi_q).reshape(-1)
     src = problem.reg_pos.reshape(-1, 3)
     snrm = problem.reg_nrm.reshape(-1, 3)
-    for s in range(0, t, _TARGET_BLOCK):
-        e = min(s + _TARGET_BLOCK, t)
+    for s in range(0, t, TARGET_BLOCK):
+        e = min(s + TARGET_BLOCK, t)
         k1, k2, k3, k4 = kernel_values_d(
             xt[s:e, None, :] - src[None, :, :],
             nt[s:e, None, :],

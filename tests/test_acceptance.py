@@ -13,7 +13,6 @@ once.
 """
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -110,13 +109,6 @@ def _criterion(number: int, passed: bool, detail: str,
     assert passed, f"criterion {number}: {detail}"
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the host count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _solve_seconds(problem, workers: int) -> float:
     """Wall time of one operator setup plus GMRES solve, as in ``_solve_run``."""
     b = assemble_rhs(problem)
@@ -147,7 +139,7 @@ def test_criterion_02_surface_potential_accuracy():
     _criterion(
         2,
         passed,
-        f"Born hobi relative L2 trace error: level 3 {e3:.3e} (need <=3e-4), "
+        f"Born hobi relative max-norm trace error: level 3 {e3:.3e} (need <=3e-4), "
         f"level 4 {e4:.3e} (need <=1.2e-4)",
     )
 
@@ -396,7 +388,7 @@ def test_criterion_10_msms_property_and_speedup():
     # strong-scaling substitute: 4-worker speedup on the level-4 sphere.
     # Four processes cannot beat the serial run by 2.5x on fewer than four
     # CPUs, so elsewhere only the property half is asserted.
-    cpus = _usable_cpus()
+    cpus = SolverConfig().worker_count()  # usable CPUs: the affinity mask
     if cpus < 4:
         reason = f"speedup needs >= 4 usable CPUs, host has {cpus}"
         _criterion(10, property_ok, property_detail, skip_reason=reason)

@@ -301,6 +301,41 @@ def test_degenerate_vertex_normal_names_face(octahedron_arrays):
         build_curved_element(mesh, 0)
 
 
+def test_batched_nodes_equal_stacked_single_calls():
+    mesh = icosahedral_sphere(1)
+    rng = np.random.default_rng(11)
+    nrm = mesh.normals + 0.1 * rng.standard_normal(mesh.normals.shape)
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+    rotations = np.stack([np.roll(mesh.faces, -k, axis=1) for k in range(3)], axis=1)
+    x, n = mesh.vertices[rotations], nrm[rotations]  # (N_f, 3, 3, 3)
+    args = [a[..., k, :] for k in range(3) for a in (x, n)]
+    nodes, normals = nodes_from_vertex_data(*args)
+    assert nodes.shape == normals.shape == (mesh.n_faces, 3, 10, 3)
+    for f in range(mesh.n_faces):
+        for k in range(3):
+            one_nodes, one_normals = nodes_from_vertex_data(*(a[f, k] for a in args))
+            assert np.array_equal(nodes[f, k], one_nodes)
+            assert np.array_equal(normals[f, k], one_normals)
+
+
+def test_batched_error_names_first_failing_member():
+    x1, x2, x3 = np.eye(3)
+    n1, n2, n3 = np.eye(3)
+    good = (x1, n1, x2, n2, x3, n3)
+    # vertices 2 and 3 coincide: only the late u = 1 cross arc fails
+    late = (x1, n1, x2, n2, x2, n2)
+    # vertex 1's normal along the 1-2 chord: the first arc fails
+    early = (x1, (x2 - x1) / np.sqrt(2.0), x2, n2, x3, n3)
+    for batch, cause in (
+        ((good, late, early), "coincide"),
+        ((good, early, late), "parallel"),
+    ):
+        args = [np.stack(column) for column in zip(*batch)]
+        with pytest.raises(DegenerateArcError, match=cause) as info:
+            nodes_from_vertex_data(*args)
+        assert info.value.index == (1,)
+
+
 def test_curved_element_rejects_non_unit_normals():
     nodes = np.tile(np.arange(10, dtype=float)[:, None], (1, 3))
     normals = np.zeros((10, 3))

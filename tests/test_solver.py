@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -77,6 +78,11 @@ def test_solver_config_validation():
     assert SolverConfig().worker_count() >= 1
 
 
+def test_default_worker_count_follows_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert SolverConfig().worker_count() == 1
+
+
 def test_discretize_counts_and_collocation():
     mesh = icosahedral_sphere(1, radius=2.0)
     hobi = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
@@ -84,7 +90,8 @@ def test_discretize_counts_and_collocation():
     assert hobi.n_unknowns == 2 * mesh.n_vertices
     assert np.array_equal(hobi.colloc_pos, mesh.vertices)
     assert np.array_equal(hobi.colloc_nrm, mesh.normals)
-    assert len(hobi.elements) == mesh.n_faces
+    assert hobi.reg_pos.shape[0] == mesh.n_faces
+    assert hobi.duf_pos.shape[0] == 3 * mesh.n_faces
 
     lobi = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
     assert lobi.n_collocation == mesh.n_faces
@@ -112,6 +119,20 @@ def test_discretize_reports_degenerate_face(octahedron_arrays):
     mesh = FlatMesh(vertices=verts, normals=normals, faces=faces)
     with pytest.raises(DegenerateArcError, match="face"):
         discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+
+
+def test_discretize_names_lowest_degenerate_face(octahedron_arrays):
+    verts, faces = octahedron_arrays
+    normals = verts.copy()
+    # vertex 5 lies on faces 4..7; a normal along its chord to vertex 3
+    # breaks only faces holding that edge, 6 and 7, so 6 must be named
+    normals[5] = (verts[3] - verts[5]) / np.sqrt(2.0)
+    mesh = FlatMesh(vertices=verts, normals=normals, faces=faces)
+    with pytest.raises(DegenerateArcError) as info:
+        discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    assert str(info.value) == (
+        "face 6: endpoint normal is nearly parallel to the chord"
+    )
 
 
 def test_singular_faces_cover_incident_elements():
