@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime failure (bad file, solver breakdown),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -292,8 +293,6 @@ def cmd_convergence(parser, args) -> int:
                 order = convergence_order(
                     previous[0], mesh.n_faces, previous[1], report.phi_error
                 )
-                import dataclasses
-
                 report = dataclasses.replace(report, observed_order=order)
             previous = (mesh.n_faces, report.phi_error)
             reports.append(report)

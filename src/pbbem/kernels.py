@@ -32,6 +32,10 @@ FOUR_PI = 4.0 * np.pi
 # unit-free.
 KCAL_MOL_PER_E2_ANG = 332.0716
 
+# target rows whose (rows x sources) kernel values are materialized at once;
+# every sum runs along the full source axis, so no result depends on it
+TARGET_BLOCK = 8
+
 
 class SingularityError(ValueError):
     """Evaluation point coincides with a source point."""
@@ -85,17 +89,6 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def kernel_values(x, nx, y, ny, params: PhysicalParams):
-    """Vectorized K1..K4 over broadcastable (..., 3) arrays.
-
-    Assumes the caller has excluded coincident pairs; see kernel_block for
-    the checked scalar form.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return kernel_values_d(x - y, nx, ny, params)
-
-
 def kernel_values_d(d, nx, ny, params: PhysicalParams):
     """K1..K4 from precomputed displacements d = x - y, all (..., 3).
 
@@ -137,7 +130,7 @@ def kernel_block(x, nx, y, ny, params: PhysicalParams):
     d = x - y
     if float(np.dot(d, d)) < 1e-300:
         raise SingularityError("kernel_block evaluated at coincident points")
-    k1, k2, k3, k4 = kernel_values(x, nx, y, ny, params)
+    k1, k2, k3, k4 = kernel_values_d(d, nx, ny, params)
     return float(k1), float(k2), float(k3), float(k4)
 
 
@@ -161,18 +154,21 @@ def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSyst
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
     m = points.shape[0]
-    if len(charges) == 0:
-        return np.zeros(m), np.zeros(m)
-    d = points[:, None, :] - charges.positions[None, :, :]  # (m, nc, 3)
-    r2 = _dot3(d, d)
-    bad = np.nonzero(r2 < 1e-300)
-    if bad[0].size:
-        raise SingularityError(
-            f"surface point {bad[0][0]} coincides with charge {bad[1][0]}"
-        )
-    r = np.sqrt(r2)
+    s1, s2 = np.empty(m), np.empty(m)
     q = charges.charges
-    s1 = (q / (FOUR_PI * r)).sum(axis=1)
-    dnx = _dot3(d, normals[:, None, :])
-    s2 = (-q * dnx / (FOUR_PI * r2 * r)).sum(axis=1)
+    # no more (point, charge) pairs per block than a matvec sweep block holds
+    rows = max(TARGET_BLOCK, TARGET_BLOCK * m // max(q.size, 1))
+    for s in range(0, m, rows):
+        e = min(s + rows, m)
+        d = points[s:e, None, :] - charges.positions[None, :, :]  # (rows, nc, 3)
+        r2 = _dot3(d, d)
+        bad = np.nonzero(r2 < 1e-300)
+        if bad[0].size:
+            raise SingularityError(
+                f"surface point {s + bad[0][0]} coincides with charge {bad[1][0]}"
+            )
+        r = np.sqrt(r2)
+        s1[s:e] = (q / (FOUR_PI * r)).sum(axis=1)
+        dnx = _dot3(d, normals[s:e, None, :])
+        s2[s:e] = (-q * dnx / (FOUR_PI * r2 * r)).sum(axis=1)
     return s1, s2

@@ -48,7 +48,11 @@ class FlatMesh:
         return self.faces.shape[0]
 
     def validate(self) -> None:
-        """Check unit normals, index range, orientation, and closedness."""
+        """Check finite data, unit normals, index range, orientation, closedness."""
+        for name, data in (("position", self.vertices), ("normal", self.normals)):
+            bad = np.nonzero(~np.isfinite(data).all(axis=1))[0]
+            if bad.size:
+                raise MeshValidationError(f"vertex {bad[0]} has a non-finite {name}")
         lengths = np.linalg.norm(self.normals, axis=1)
         bad = np.nonzero(np.abs(lengths - 1.0) > 1e-12)[0]
         if bad.size:

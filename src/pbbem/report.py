@@ -21,11 +21,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .solver import TARGET_BLOCK
+from .kernels import TARGET_BLOCK
 
 REPORT_COLUMNS = (
     "mesh_source",
@@ -169,9 +169,7 @@ def reports_from_csv(text: str) -> list[RunReport]:
 
 def strip_timings(report: RunReport) -> RunReport:
     """Copy with wall-time fields zeroed: the byte-stable remainder."""
-    import dataclasses
-
-    return dataclasses.replace(report, **{name: 0.0 for name in _TIMING_FIELDS})
+    return replace(report, **{name: 0.0 for name in _TIMING_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -212,14 +210,16 @@ def memory_lower_bound_mb(problem) -> float:
     """Deterministic lower bound on solver peak memory, in Mbytes.
 
     Sums the discretization caches (every array field of the problem: the
-    quadrature frames and pair tables) and the mesh arrays, plus the largest
+    quadrature frames and pair tables) and the mesh arrays, each array once
+    (hobi collocates at the mesh's own vertex arrays), plus the largest
     transient block a matvec materializes. Actual OS-level peak is
     necessarily higher; this bound is reproducible.
     """
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]
     arrays += [mesh.vertices, mesh.normals, mesh.faces]
-    total = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    unique = {id(a): a for a in arrays if isinstance(a, np.ndarray)}
+    total = sum(a.nbytes for a in unique.values())
     if problem.scheme == "hobi":
         n_src = problem.reg_pos.shape[0] * problem.reg_pos.shape[1]
     else:

@@ -9,17 +9,18 @@ Two discretizations of the same well-conditioned second-kind system:
 * low-order (scheme "lobi"): unknowns at the N_f flat centroids, one-point
   quadrature, the self term dropped.
 
-Nothing is ever assembled into a matrix. A matvec evaluates, for every
-target row, the full regular-rule sum over all elements, then swaps the
-incident-element contributions for their Duffy-regularized versions. The
-summation order inside a row is fixed by element index and never depends on
-how target rows are partitioned across workers, which is what makes the
-parallel matvec reproduce the serial one bitwise.
+Nothing is ever assembled into a matrix. One blocked sweep (_sweep)
+evaluates, for every target row, the full regular-rule sum over all
+elements; both schemes' matvecs and the solvation energy call it. The hobi
+matvec then swaps the incident-element contributions for their
+Duffy-regularized versions. The summation order inside a row is fixed by
+element index and never depends on how target rows are blocked or
+partitioned across workers, which is what makes the parallel matvec
+reproduce the serial one bitwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -30,14 +31,13 @@ from .geometry import DegenerateArcError, frames_at, nodes_from_vertex_data
 from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
+    TARGET_BLOCK,
     PhysicalParams,
     kernel_values_d,
     source_terms_at,
 )
 from .mesh import ChargeSystem, FlatMesh
 from .quadrature import TriangleRule, duffy_rule, gauss_radau_rule
-
-TARGET_BLOCK = 48  # rows of kernel evaluations materialized at once
 
 SCHEMES = ("hobi", "lobi")
 
@@ -254,6 +254,45 @@ def _interp(values: np.ndarray, bary: np.ndarray) -> np.ndarray:
     )
 
 
+def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
+    """(src, snrm, wphi, wdphi): the regular rule's flat source axis."""
+    if problem.scheme == "lobi":
+        area = problem.area
+        return problem.colloc_pos, problem.colloc_nrm, area * phi, area * dphi
+    faces = problem.mesh.faces
+    return (
+        problem.reg_pos.reshape(-1, 3),
+        problem.reg_nrm.reshape(-1, 3),
+        (problem.reg_w * _interp(phi[faces], problem.reg_bary)).reshape(-1),
+        (problem.reg_w * _interp(dphi[faces], problem.reg_bary)).reshape(-1),
+    )
+
+
+def _sweep(xt, nt, sources, params: PhysicalParams, skip=None):
+    """Row sums (K1 wdphi + K2 wphi, K3 wdphi + K4 wphi) at targets (xt, nt).
+
+    Targets go TARGET_BLOCK rows at a time, but each row sums over the whole
+    fixed source axis, so no result depends on the blocking. skip[i], if
+    given, is the source coinciding with target i; that pair is masked.
+    """
+    src, snrm, wphi, wdphi = sources
+    t = xt.shape[0]
+    acc1, acc2 = np.empty(t), np.empty(t)
+    for s in range(0, t, TARGET_BLOCK):
+        e = min(s + TARGET_BLOCK, t)
+        d = xt[s:e, None, :] - src[None, :, :]
+        if skip is not None:
+            pair = (np.arange(e - s), skip[s:e])
+            d[pair] = (1.0, 0.0, 0.0)
+        k1, k2, k3, k4 = kernel_values_d(d, nt[s:e, None, :], snrm[None], params)
+        if skip is not None:
+            for k in (k1, k2, k3, k4):
+                k[pair] = 0.0
+        acc1[s:e] = (k1 * wdphi + k2 * wphi).sum(axis=1)
+        acc2[s:e] = (k3 * wdphi + k4 * wphi).sum(axis=1)
+    return acc1, acc2
+
+
 def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     """Rows [lo, hi) of both equation blocks: the deterministic core.
 
@@ -261,85 +300,49 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     a fixed full source axis or over pair slices sorted by (vertex, face),
     so the result is independent of how [0, T) was split into ranges.
     """
-    t = hi - lo
     T = problem.n_collocation
     params = problem.params
     er = params.eps2 / params.eps1
-    phi = u[:T]
-    dphi = u[T:]
-    acc1 = np.zeros(t)
-    acc2 = np.zeros(t)
+    phi, dphi = u[:T], u[T:]
+    sources = _sources(problem, phi, dphi)
     xt = problem.colloc_pos[lo:hi]
     nt = problem.colloc_nrm[lo:hi]
 
     if problem.scheme == "lobi":
-        wphi = problem.area * phi
-        wdphi = problem.area * dphi
-        src = problem.colloc_pos
-        snrm = problem.colloc_nrm
-        for s in range(0, t, TARGET_BLOCK):
-            e = min(s + TARGET_BLOCK, t)
-            d = xt[s:e, None, :] - src[None, :, :]
-            rows = np.arange(s, e)
-            d[rows - s, lo + rows] = (1.0, 0.0, 0.0)  # mask the self pair
+        # lobi drops the self term: target i is centroid i
+        acc1, acc2 = _sweep(xt, nt, sources, params, skip=np.arange(lo, hi))
+    else:
+        # hobi: full regular sweep over every element ...
+        acc1, acc2 = _sweep(xt, nt, sources, params)
+        # ... then swap each incident element's regular contribution for Duffy
+        p0 = int(problem.pair_starts[lo])
+        p1 = int(problem.pair_starts[hi])
+        if p1 > p0:
+            pv = problem.pair_vertex[p0:p1]
+            pf = problem.pair_face[p0:p1]
+            px = problem.colloc_pos[pv][:, None, :]
+            pn = problem.colloc_nrm[pv][:, None, :]
+            _, _, wphi, wdphi = sources
+
             k1, k2, k3, k4 = kernel_values_d(
-                d, nt[s:e, None, :], snrm[None, :, :], params
+                px - problem.reg_pos[pf], pn, problem.reg_nrm[pf], params
             )
-            for k in (k1, k2, k3, k4):
-                k[rows - s, lo + rows] = 0.0
-            acc1[s:e] = (k1 * wdphi + k2 * wphi).sum(axis=1)
-            acc2[s:e] = (k3 * wdphi + k4 * wphi).sum(axis=1)
-        out1 = 0.5 * (1.0 + er) * phi[lo:hi] - acc1
-        out2 = 0.5 * (1.0 + 1.0 / er) * dphi[lo:hi] - acc2
-        return out1, out2
+            wp = wphi.reshape(problem.reg_w.shape)[pf]
+            wd = wdphi.reshape(problem.reg_w.shape)[pf]
+            reg1 = (k1 * wd + k2 * wp).sum(axis=1)
+            reg2 = (k3 * wd + k4 * wp).sum(axis=1)
 
-    # hobi: full regular sweep over every element ...
-    faces = problem.mesh.faces
-    phi_q = _interp(phi[faces], problem.reg_bary)  # (N_f, Q)
-    dphi_q = _interp(dphi[faces], problem.reg_bary)
-    wphi = (problem.reg_w * phi_q).reshape(-1)
-    wdphi = (problem.reg_w * dphi_q).reshape(-1)
-    src = problem.reg_pos.reshape(-1, 3)
-    snrm = problem.reg_nrm.reshape(-1, 3)
-    for s in range(0, t, TARGET_BLOCK):
-        e = min(s + TARGET_BLOCK, t)
-        k1, k2, k3, k4 = kernel_values_d(
-            xt[s:e, None, :] - src[None, :, :],
-            nt[s:e, None, :],
-            snrm[None, :, :],
-            params,
-        )
-        acc1[s:e] = (k1 * wdphi + k2 * wphi).sum(axis=1)
-        acc2[s:e] = (k3 * wdphi + k4 * wphi).sum(axis=1)
+            gv = problem.pair_gverts[p0:p1]
+            k1, k2, k3, k4 = kernel_values_d(
+                px - problem.duf_pos[p0:p1], pn, problem.duf_nrm[p0:p1], params
+            )
+            wp = problem.duf_w[p0:p1] * _interp(phi[gv], problem.duf_bary)
+            wd = problem.duf_w[p0:p1] * _interp(dphi[gv], problem.duf_bary)
+            duf1 = (k1 * wd + k2 * wp).sum(axis=1)
+            duf2 = (k3 * wd + k4 * wp).sum(axis=1)
 
-    # ... then swap each incident element's regular contribution for Duffy
-    p0 = int(problem.pair_starts[lo])
-    p1 = int(problem.pair_starts[hi])
-    if p1 > p0:
-        pv = problem.pair_vertex[p0:p1]
-        pf = problem.pair_face[p0:p1]
-        px = problem.colloc_pos[pv][:, None, :]
-        pn = problem.colloc_nrm[pv][:, None, :]
-
-        k1, k2, k3, k4 = kernel_values_d(
-            px - problem.reg_pos[pf], pn, problem.reg_nrm[pf], params
-        )
-        wp = problem.reg_w[pf] * phi_q[pf]
-        wd = problem.reg_w[pf] * dphi_q[pf]
-        reg1 = (k1 * wd + k2 * wp).sum(axis=1)
-        reg2 = (k3 * wd + k4 * wp).sum(axis=1)
-
-        gv = problem.pair_gverts[p0:p1]
-        k1, k2, k3, k4 = kernel_values_d(
-            px - problem.duf_pos[p0:p1], pn, problem.duf_nrm[p0:p1], params
-        )
-        wp = problem.duf_w[p0:p1] * _interp(phi[gv], problem.duf_bary)
-        wd = problem.duf_w[p0:p1] * _interp(dphi[gv], problem.duf_bary)
-        duf1 = (k1 * wd + k2 * wp).sum(axis=1)
-        duf2 = (k3 * wd + k4 * wp).sum(axis=1)
-
-        acc1 += np.bincount(pv - lo, weights=duf1 - reg1, minlength=t)
-        acc2 += np.bincount(pv - lo, weights=duf2 - reg2, minlength=t)
+            acc1 += np.bincount(pv - lo, weights=duf1 - reg1, minlength=hi - lo)
+            acc2 += np.bincount(pv - lo, weights=duf2 - reg2, minlength=hi - lo)
 
     out1 = 0.5 * (1.0 + er) * phi[lo:hi] - acc1
     out2 = 0.5 * (1.0 + 1.0 / er) * dphi[lo:hi] - acc2
@@ -398,14 +401,19 @@ def partition_targets(n_targets: int, n_workers: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# parallel operator: fork workers read a registry snapshot, write disjoint rows
+# parallel operator: fork workers inherit the problem, write disjoint rows
 
-_PROBLEM_REGISTRY: dict[int, DiscretizedProblem] = {}
-_registry_counter = itertools.count()
+_worker_problem: DiscretizedProblem | None = None
 
 
-def _range_task(token: int, u: np.ndarray, lo: int, hi: int):
-    return _apply_range(_PROBLEM_REGISTRY[token], u, lo, hi)
+def _adopt(problem: DiscretizedProblem):
+    """Pool initializer: a fork child inherits its argument unpickled."""
+    global _worker_problem
+    _worker_problem = problem
+
+
+def _range_task(u: np.ndarray, lo: int, hi: int):
+    return _apply_range(_worker_problem, u, lo, hi)
 
 
 class _Operator:
@@ -414,14 +422,13 @@ class _Operator:
     def __init__(self, problem: DiscretizedProblem, workers: int):
         self._problem = problem
         self._pool = None
-        self._token = None
         self._ranges = None
         can_fork = "fork" in multiprocessing.get_all_start_methods()
         if workers > 1 and can_fork and problem.n_collocation > 0:
-            self._token = next(_registry_counter)
-            _PROBLEM_REGISTRY[self._token] = problem
             self._ranges = partition_targets(problem.n_collocation, workers)
-            self._pool = multiprocessing.get_context("fork").Pool(workers)
+            self._pool = multiprocessing.get_context("fork").Pool(
+                workers, initializer=_adopt, initargs=(problem,)
+            )
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if self._pool is None:
@@ -429,7 +436,7 @@ class _Operator:
         T = self._problem.n_collocation
         parts = self._pool.starmap(
             _range_task,
-            [(self._token, u, lo, hi) for lo, hi in self._ranges],
+            [(u, lo, hi) for lo, hi in self._ranges],
         )
         out = np.empty(2 * T)
         for (lo, hi), (row1, row2) in zip(self._ranges, parts):
@@ -442,7 +449,6 @@ class _Operator:
             self._pool.close()
             self._pool.join()
             self._pool = None
-            _PROBLEM_REGISTRY.pop(self._token, None)
 
     def __enter__(self):
         return self
@@ -464,8 +470,9 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     """Restarted GMRES with a true-residual stopping test.
 
     Arnoldi with modified Gram-Schmidt and Givens rotations; iteration count
-    is the total number of inner steps. Raises GmresNonConvergence with the
-    best relative residual if max_iterations is exhausted.
+    is the total number of inner steps; x starts at 0, so r = b costs no
+    matvec and c cycles cost iterations + c. Raises GmresNonConvergence with
+    the best relative residual if max_iterations is exhausted.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -488,11 +495,11 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
         return _solution(np.zeros(n), 0, 0.0)
 
     x = np.zeros(n)
+    r = b  # b - A x with x = 0, without spending a matvec on A 0
     total = 0
     best = np.inf
     m = config.restart
     while True:
-        r = b - apply(x)
         rel = float(np.linalg.norm(r)) / norm_b
         best = min(best, rel)
         if rel <= tol:
@@ -537,6 +544,7 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
                 break
         y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j]) if j else np.zeros(0)
         x = x + basis[:j].T @ y
+        r = b - apply(x)
 
 
 def solve(
@@ -563,33 +571,18 @@ def solvation_energy(
     """Reaction-field energy in kcal/mol from the solved surface traces.
 
     E = (1/2) sum_k q_k * Int_Gamma [K1(x_k, y) dphi/dn + K2(x_k, y) phi] dS,
-    integrated with the same regular rule as the matvec (hobi) or the
-    centroid rule (lobi); charges are strictly interior so no pair is
-    singular.
+    integrated with the matvec's regular sweep, the charges as targets;
+    charges are strictly interior so no pair is singular.
     """
-    if len(problem.charges) == 0:
-        return 0.0
-    if problem.scheme == "hobi":
-        faces = problem.mesh.faces
-        wphi = (
-            problem.reg_w * _interp(solution.phi[faces], problem.reg_bary)
-        ).reshape(-1)
-        wdphi = (
-            problem.reg_w * _interp(solution.dphi_dn[faces], problem.reg_bary)
-        ).reshape(-1)
-        src = problem.reg_pos.reshape(-1, 3)
-        snrm = problem.reg_nrm.reshape(-1, 3)
-    else:
-        wphi = problem.area * solution.phi
-        wdphi = problem.area * solution.dphi_dn
-        src = problem.colloc_pos
-        snrm = problem.colloc_nrm
+    charges = problem.charges
+    sources = _sources(problem, solution.phi, solution.dphi_dn)
+    # K1 and K2 ignore the target normal, so any finite normals will do
+    rows, _ = _sweep(
+        charges.positions, np.zeros_like(charges.positions), sources, problem.params
+    )
     total = 0.0
-    for pos, q in zip(problem.charges.positions, problem.charges.charges):
-        k1, k2, _, _ = kernel_values_d(
-            pos[None, :] - src, snrm, snrm, problem.params
-        )
-        total += q * float((k1 * wdphi + k2 * wphi).sum())
+    for q, row in zip(charges.charges, rows):
+        total += q * row
     return 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
 
 

@@ -22,7 +22,7 @@ import pytest
 from conftest import record_criterion
 
 from pbbem.geometry import REFERENCE_NODES, shape_matrix
-from pbbem.kernels import PhysicalParams, g0, g_kappa, kernel_values
+from pbbem.kernels import PhysicalParams, g0, g_kappa, kernel_values_d
 from pbbem.kirkwood import SphereProblem, kirkwood_series
 from pbbem.mesh import ChargeSystem, icosahedral_sphere, parse_msms, write_msms
 from pbbem.quadrature import duffy_rule, gauss_radau_rule, monomial_integral
@@ -290,7 +290,7 @@ def _fd_kernel_deviations(n_configs: int, h: float = 1e-5) -> np.ndarray:
             kappa=rng.uniform(0.0, 2.0),
         )
         er = params.eps2 / params.eps1
-        _, k2, k3, k4 = kernel_values(x, nx, y, ny, params)
+        _, k2, k3, k4 = kernel_values_d(x - y, nx, ny, params)
 
         def pot_ny(t):
             ys = y + t * ny

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbbem.kernels
 from pbbem.kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
@@ -11,7 +12,6 @@ from pbbem.kernels import (
     g0,
     g_kappa,
     kernel_block,
-    kernel_values,
     kernel_values_d,
     source_terms,
     source_terms_at,
@@ -277,6 +277,20 @@ def test_source_terms_reject_charge_on_surface_point():
         )
 
 
+def test_source_terms_error_names_global_point_index(monkeypatch):
+    """The RHS is summed in row blocks; the error still counts from row 0."""
+    monkeypatch.setattr(pbbem.kernels, "TARGET_BLOCK", 1)  # blocks of 15 rows
+    charges = ChargeSystem(
+        positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], charges=[1.0, 1.0]
+    )
+    points = np.tile([[0.0, 2.0, 0.0]], (30, 1))
+    points[21] = (1.0, 0.0, 0.0)
+    points[27] = (0.0, 0.0, 0.0)
+    normals = np.tile([[0.0, 1.0, 0.0]], (30, 1))
+    with pytest.raises(SingularityError, match="point 21 coincides with charge 1"):
+        source_terms_at(points, normals, charges)
+
+
 def test_source_terms_at_matches_scalar_form():
     rng = np.random.default_rng(5)
     charges = ChargeSystem(
@@ -306,7 +320,7 @@ def test_kernel_values_matches_kernel_block():
     nx /= np.linalg.norm(nx, axis=1)[:, None]
     ny = rng.normal(size=(m, 3))
     ny /= np.linalg.norm(ny, axis=1)[:, None]
-    batched = kernel_values(x, nx, y, ny, SALTY)
+    batched = kernel_values_d(x - y, nx, ny, SALTY)
     for i in range(m):
         single = kernel_block(x[i], nx[i], y[i], ny[i], SALTY)
         for kb, ks in zip(batched, single):

@@ -110,6 +110,32 @@ def test_non_unit_normal_rejected(tetrahedron_mesh):
         ).validate()
 
 
+@pytest.mark.parametrize(
+    "array,name", [("vertices", "position"), ("normals", "normal")]
+)
+def test_non_finite_vertex_data_rejected(tetrahedron_mesh, array, name):
+    data = {
+        "vertices": tetrahedron_mesh.vertices.copy(),
+        "normals": tetrahedron_mesh.normals.copy(),
+    }
+    data[array][3, 0] = np.inf
+    data[array][2, 1] = np.nan
+    mesh = FlatMesh(faces=tetrahedron_mesh.faces, **data)
+    with pytest.raises(MeshValidationError, match=f"vertex 2 has a non-finite {name}"):
+        mesh.validate()
+
+
+@pytest.mark.parametrize("column,name", [(1, "position"), (4, "normal")])
+def test_nan_in_vert_file_rejected(tetrahedron_mesh, column, name):
+    vert_text, face_text = write_msms(tetrahedron_mesh)
+    lines = vert_text.splitlines()
+    tokens = lines[3].split()  # two header lines, then vertex 0, vertex 1
+    tokens[column] = "nan"
+    lines[3] = " ".join(tokens)
+    with pytest.raises(MeshValidationError, match=f"vertex 1 has a non-finite {name}"):
+        parse_msms("\n".join(lines) + "\n", face_text)
+
+
 def test_zero_normal_in_vert_file():
     vert = "1.0 0.0 0.0 0.0 0.0 0.0\n" * 4
     with pytest.raises(MeshFormatError, match="normal"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -55,8 +56,6 @@ def sample_report(**over):
 
 
 def test_report_columns_match_dataclass_order():
-    import dataclasses
-
     assert tuple(f.name for f in dataclasses.fields(RunReport)) == REPORT_COLUMNS
 
 
@@ -197,6 +196,21 @@ def test_memory_lower_bound_properties():
         for arr in (hobi.reg_pos, hobi.reg_nrm, hobi.reg_w, hobi.duf_pos)
     )
     assert mb_hobi >= cache_bytes / 1e6
+
+
+def test_memory_bound_counts_shared_arrays_once():
+    """hobi collocates at the mesh's own vertex arrays; they count once."""
+    mesh = icosahedral_sphere(1)
+    water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
+    charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+    hobi = discretize(mesh, water, charges, SolverConfig(scheme="hobi"))
+    assert hobi.colloc_pos is mesh.vertices
+    assert hobi.colloc_nrm is mesh.normals
+    copied = dataclasses.replace(
+        hobi, colloc_pos=mesh.vertices.copy(), colloc_nrm=mesh.normals.copy()
+    )
+    extra_mb = memory_lower_bound_mb(copied) - memory_lower_bound_mb(hobi)
+    assert extra_mb == pytest.approx(48 * mesh.n_vertices / 1e6, rel=1e-9)
 
 
 def test_memory_bound_grows_with_refinement():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbbem.kernels import FOUR_PI, PhysicalParams, kernel_block
+import pbbem.kernels
+import pbbem.solver
+from pbbem.kernels import FOUR_PI, KCAL_MOL_PER_E2_ANG, PhysicalParams, kernel_block
 from pbbem.kirkwood import SphereProblem, kirkwood_centered
 from pbbem.mesh import (
     ChargeSystem,
@@ -19,6 +21,7 @@ from pbbem.geometry import DegenerateArcError
 from pbbem.solver import (
     GmresNonConvergence,
     SolverConfig,
+    SurfaceSolution,
     assemble_rhs,
     convergence_order,
     discretize,
@@ -38,6 +41,10 @@ MIXED = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.5)
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 CENTERED_UNIT = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+SCATTERED = ChargeSystem(
+    positions=[[0.1, -0.2, 0.3], [-0.4, 0.0, 0.1], [0.0, 0.5, -0.2]],
+    charges=[1.0, -0.5, 0.25],
+)
 NO_CHARGES = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
 
 
@@ -218,6 +225,65 @@ def test_lobi_matvec_against_naive_loop():
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def _apply(problem, u):
+    return (matvec_hobi if problem.scheme == "hobi" else matvec_lobi)(problem, u)
+
+
+def _block_outputs(problem, u):
+    t = problem.n_collocation
+    solution = SurfaceSolution(u[:t], u[t:], problem.scheme, 0, 0.0)
+    return (
+        _apply(problem, u),
+        assemble_rhs(problem),
+        np.array([solvation_energy(problem, solution)]),
+    )
+
+
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
+    """Matvec, RHS and energy are bitwise equal for any row block size."""
+    mesh = icosahedral_sphere(1)
+    problem = discretize(mesh, MIXED, SCATTERED, SolverConfig(scheme=scheme))
+    u = np.random.default_rng(7).standard_normal(problem.n_unknowns)
+    reference = _block_outputs(problem, u)
+    for rows in (1, 5, 48):
+        monkeypatch.setattr(pbbem.solver, "TARGET_BLOCK", rows)
+        monkeypatch.setattr(pbbem.kernels, "TARGET_BLOCK", rows)
+        for got, want in zip(_block_outputs(problem, u), reference):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_solvation_energy_against_naive_loop(scheme):
+    """The blocked energy sweep vs an explicit charge x source double loop."""
+    mesh = icosahedral_sphere(1)
+    problem = discretize(mesh, MIXED, SCATTERED, SolverConfig(scheme=scheme))
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal(problem.n_unknowns)
+    t = problem.n_collocation
+    phi, dphi = u[:t], u[t:]
+    if scheme == "hobi":
+        src = problem.reg_pos.reshape(-1, 3)
+        snrm = problem.reg_nrm.reshape(-1, 3)
+        # trace at regular node q of face f, interpolated from its vertices
+        bary_phi = problem.reg_bary @ phi[problem.mesh.faces].T  # (Q, N_f)
+        bary_dphi = problem.reg_bary @ dphi[problem.mesh.faces].T
+        w = problem.reg_w.reshape(-1)
+        wphi = w * bary_phi.T.reshape(-1)
+        wdphi = w * bary_dphi.T.reshape(-1)
+    else:
+        src, snrm = problem.colloc_pos, problem.colloc_nrm
+        wphi, wdphi = problem.area * phi, problem.area * dphi
+    total = 0.0
+    for x, q in zip(problem.charges.positions, problem.charges.charges):
+        for j in range(src.shape[0]):
+            k1, k2, _, _ = kernel_block(x, (0.0, 0.0, 1.0), src[j], snrm[j], MIXED)
+            total += q * (k1 * wdphi[j] + k2 * wphi[j])
+    expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
+    got = solvation_energy(problem, SurfaceSolution(phi, dphi, scheme, 0, 0.0))
+    assert got == pytest.approx(expected, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # right-hand side
 
@@ -293,6 +359,22 @@ def test_gmres_identity_converges_in_one_step():
     sol = gmres_solve(lambda v: v, b, SolverConfig(workers=1))
     assert np.array_equal(sol.vector, b)
     assert sol.iterations == 1
+
+
+def test_one_cycle_solve_spends_iterations_plus_one_matvecs():
+    """The zero start vector costs no matvec; only the final check does."""
+    mesh = icosahedral_sphere(1, radius=2.0)
+    config = SolverConfig(scheme="hobi", workers=1)
+    problem = discretize(mesh, WATER, CENTERED_UNIT, config)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return matvec_hobi(problem, v)
+
+    sol = gmres_solve(counted, assemble_rhs(problem), config)
+    assert sol.iterations < config.restart  # converged inside the first cycle
+    assert len(calls) == sol.iterations + 1
 
 
 def test_gmres_zero_rhs():
@@ -378,6 +460,26 @@ def test_parallel_matvec_tolerates_empty_ranges():
     serial = matvec_hobi(problem, u)
     with make_operator(problem, SolverConfig(workers=16)) as op:
         assert np.abs(op(u) - serial).max() == 0.0
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_two_pooled_operators_keep_their_own_problems():
+    """Each pool's workers hold the problem they were started with."""
+    rng = np.random.default_rng(9)
+    problems = [
+        discretize(mesh, params, CENTERED_UNIT, SolverConfig(scheme=scheme))
+        for mesh, params, scheme in (
+            (icosahedral_sphere(1), MIXED, "hobi"),
+            (icosahedral_sphere(1, radius=2.0), WATER, "lobi"),
+        )
+    ]
+    vectors = [rng.standard_normal(p.n_unknowns) for p in problems]
+    serial = [_apply(p, u) for p, u in zip(problems, vectors)]
+    with make_operator(problems[0], SolverConfig(workers=2)) as first:
+        with make_operator(problems[1], SolverConfig(workers=2)) as second:
+            for _ in range(2):
+                assert np.array_equal(first(vectors[0]), serial[0])
+                assert np.array_equal(second(vectors[1]), serial[1])
 
 
 def test_make_operator_serial_matches_matvec():
