@@ -24,6 +24,7 @@ from .mesh import (
 from .report import RunReport
 from .solver import (
     DiscretizedProblem,
+    GmresBreakdown,
     GmresNonConvergence,
     SolverConfig,
     SurfaceSolution,
@@ -46,6 +47,7 @@ __all__ = [
     "ChargeSystem",
     "DiscretizedProblem",
     "FlatMesh",
+    "GmresBreakdown",
     "GmresNonConvergence",
     "PhysicalParams",
     "RunReport",

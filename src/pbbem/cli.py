@@ -19,8 +19,6 @@ from .kirkwood import SphereProblem, kirkwood_series
 from .mesh import (
     ChargeSystem,
     FlatMesh,
-    MeshFormatError,
-    MeshValidationError,
     icosahedral_sphere,
     parse_charges,
     parse_msms,
@@ -35,24 +33,18 @@ from .report import (
     scaling_to_json,
 )
 from .solver import (
+    SCHEMES,
     GmresNonConvergence,
     SolverConfig,
-    assemble_rhs,
     convergence_order,
     discretize,
-    gmres_solve,
-    make_operator,
     solvation_energy,
+    solve,
     surface_potential_error,
 )
 
-_RUNTIME_ERRORS = (
-    OSError,
-    MeshFormatError,
-    MeshValidationError,
-    GmresNonConvergence,
-    ValueError,
-)
+# mesh, charge and geometry errors are all ValueError subclasses
+_RUNTIME_ERRORS = (OSError, ValueError, GmresNonConvergence)
 
 
 def _parse_sphere(text: str) -> tuple[int, float]:
@@ -116,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sphere", type=_parse_sphere, default=None,
                      metavar="LEVEL,RADIUS", help="icosphere mesh instead of files")
     sub.add_argument("--charges", required=True, help="charge file (x y z q per line)")
-    sub.add_argument("--scheme", choices=("hobi", "lobi"), default="hobi")
+    sub.add_argument("--scheme", choices=SCHEMES, default="hobi")
     _add_physics_args(sub)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_solve)
@@ -140,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sphere", type=_parse_sphere, default=(3, 2.0),
                      metavar="LEVEL,RADIUS")
     sub.add_argument("--charges", default=None, help="charge file (default: centered unit)")
-    sub.add_argument("--scheme", choices=("hobi", "lobi"), default="hobi")
+    sub.add_argument("--scheme", choices=SCHEMES, default="hobi")
     sub.add_argument("--workers-list", type=_parse_int_list, default=[1, 2, 4],
                      metavar="W1,W2,...")
     _add_physics_args(sub)
@@ -200,9 +192,7 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
     t0 = time.monotonic()
     problem = discretize(mesh, params, charges, config)
     t1 = time.monotonic()
-    b = assemble_rhs(problem)
-    with make_operator(problem, config) as op:
-        solution = gmres_solve(op, b, config)
+    solution = solve(problem, config)
     t2 = time.monotonic()
     energy = solvation_energy(problem, solution)
     t3 = time.monotonic()
@@ -211,7 +201,7 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
         phi_error = surface_potential_error(
             solution.phi, oracle.phi(problem.colloc_pos)
         )
-    if config.scheme == "hobi":
+    if problem.scheme == "hobi":
         rule_id, rule_degree = config.regular_rule.name, config.regular_rule.degree
     else:
         rule_id, rule_degree = "centroid-1", 1
@@ -223,7 +213,7 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
         eps2=params.eps2,
         kappa=params.kappa,
         n_charges=len(charges),
-        scheme=config.scheme,
+        scheme=problem.scheme,
         workers=config.worker_count(),
         rule_id=rule_id,
         rule_degree=rule_degree,
@@ -261,7 +251,7 @@ def cmd_solve(parser, args) -> int:
 def cmd_convergence(parser, args) -> int:
     schemes = [s for s in args.schemes.split(",") if s]
     for scheme in schemes:
-        if scheme not in ("hobi", "lobi"):
+        if scheme not in SCHEMES:
             parser.error(f"unknown scheme {scheme!r}")
     charges = ChargeSystem(
         positions=[args.charge_position], charges=[args.charge_value]
@@ -316,15 +306,12 @@ def cmd_scaling(parser, args) -> int:
     else:
         charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
     params = PhysicalParams(eps1=args.eps1, eps2=args.eps2, kappa=args.kappa)
-    base_config = SolverConfig(scheme=args.scheme, tolerance=args.tol, workers=1)
-    problem = discretize(mesh, params, charges, base_config)
-    b = assemble_rhs(problem)
+    problem = discretize(mesh, params, charges, SolverConfig(scheme=args.scheme))
 
     def timed_solve(workers: int):
-        config = SolverConfig(scheme=args.scheme, tolerance=args.tol, workers=workers)
+        config = SolverConfig(tolerance=args.tol, workers=workers)
         start = time.monotonic()
-        with make_operator(problem, config) as op:
-            solution = gmres_solve(op, b, config)
+        solution = solve(problem, config)
         return solution, time.monotonic() - start
 
     # the serial run anchors both the efficiency baseline T1 and the

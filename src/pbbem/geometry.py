@@ -263,14 +263,6 @@ class SurfaceFrame:
     jacobian: float
 
 
-def rs_to_uv(r: float, s: float) -> tuple[float, float]:
-    """Map reference coordinates to arc parameters u = r+s, v = s/(r+s)."""
-    u = r + s
-    if u == 0.0:
-        return 0.0, 0.0
-    return u, s / u
-
-
 def _blend_reference(n0, n1, t: float, pending: list | None = None) -> np.ndarray:
     """Unit interpolant of two endpoint normals, used as a sign reference."""
     ref = (1.0 - t) * np.asarray(n0, dtype=float) + t * np.asarray(n1, dtype=float)

@@ -48,7 +48,7 @@ class FlatMesh:
         return self.faces.shape[0]
 
     def validate(self) -> None:
-        """Check finite data, unit normals, index range, orientation, closedness."""
+        """Check finite data, unit normals, indices, area, orientation, closedness."""
         for name, data in (("position", self.vertices), ("normal", self.normals)):
             bad = np.nonzero(~np.isfinite(data).all(axis=1))[0]
             if bad.size:
@@ -66,9 +66,14 @@ class FlatMesh:
             raise MeshValidationError(
                 f"face {j} references a vertex outside [0, {self.n_vertices})"
             )
+        a, b, c = (self.vertices[self.faces[:, k]] for k in range(3))
+        geo = np.cross(b - a, c - a)
+        # a sliver's normal is rounding noise, so area is checked first
+        squares = [np.einsum("ij,ij->i", e, e) for e in (b - a, c - b, a - c)]
+        flat = np.nonzero(np.linalg.norm(geo, axis=1) <= 1e-12 * np.max(squares, 0))[0]
+        if flat.size:
+            raise MeshValidationError(f"face {flat[0]} has zero area")
         # orientation: geometric normal must agree with the vertex normals
-        x = self.vertices[self.faces]
-        geo = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
         mean_n = self.normals[self.faces].mean(axis=1)
         dots = np.einsum("ij,ij->i", geo, mean_n)
         flipped = np.nonzero(dots <= 0.0)[0]

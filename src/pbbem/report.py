@@ -9,10 +9,13 @@ memory computed from the quadrature cache sizes. The wall-time fields are
 the only nondeterministic ones; everything else is byte-stable for fixed
 inputs, a fixed rule, and worker count 1.
 
-Serialization is JSON (sorted keys) or a flat CSV whose header is the
-REPORT_COLUMNS tuple below, in that order. Floats are written with repr
-precision so either form round-trips exactly; absent optional fields are
-JSON null / empty CSV cells.
+Each record's dataclass is its only schema: REPORT_COLUMNS and
+SCALING_COLUMNS are the field names of RunReport and ScalingRow in
+declaration order, and a field's annotation ("str", "int", "float" or
+"float | None") says how a cell parses back. Serialization is JSON (sorted
+keys) or a flat CSV whose header is the column tuple, in that order. Floats
+are written with repr precision so either form round-trips exactly; absent
+optional fields are JSON null / empty CSV cells.
 """
 
 from __future__ import annotations
@@ -21,54 +24,21 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .kernels import TARGET_BLOCK
 
-REPORT_COLUMNS = (
-    "mesh_source",
-    "n_vertices",
-    "n_faces",
-    "eps1",
-    "eps2",
-    "kappa",
-    "n_charges",
-    "scheme",
-    "workers",
-    "rule_id",
-    "rule_degree",
-    "energy_kcal",
-    "phi_error",
-    "observed_order",
-    "iterations",
-    "residual",
-    "time_discretize_s",
-    "time_solve_s",
-    "time_energy_s",
-    "memory_lower_bound_mb",
-)
-
-SCALING_COLUMNS = (
-    "workers",
-    "time_solve_s",
-    "efficiency",
-    "max_solution_diff",
-)
-
 _TIMING_FIELDS = ("time_discretize_s", "time_solve_s", "time_energy_s")
 
-_INT_FIELDS = frozenset(
-    {"n_vertices", "n_faces", "n_charges", "workers", "rule_degree", "iterations"}
-)
-_STR_FIELDS = frozenset({"mesh_source", "scheme", "rule_id"})
-_OPTIONAL_FIELDS = frozenset({"phi_error", "observed_order"})
+# field annotations are strings under `from __future__ import annotations`
+_PARSE = {"str": str, "int": int, "float": float, "float | None": float}
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """One solve, flattened. Field order matches REPORT_COLUMNS."""
+    """One solve, flattened. This field list is the report schema."""
 
     mesh_source: str
     n_vertices: int
@@ -94,31 +64,29 @@ class RunReport:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _STR_FIELDS:
+            if f.type == "str":
                 continue
             if value is None:
-                if f.name in _OPTIONAL_FIELDS:
+                if f.type == "float | None":
                     continue
                 raise ValueError(f"field {f.name} must not be None")
             if not math.isfinite(value):
                 raise ValueError(f"field {f.name} is not finite: {value!r}")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in REPORT_COLUMNS}
+        return asdict(self)
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
 def report_from_dict(record: dict) -> RunReport:
     kwargs = {}
-    for name in REPORT_COLUMNS:
-        value = record[name]
-        if name in _STR_FIELDS:
-            kwargs[name] = str(value)
-        elif value is None:
-            kwargs[name] = None
-        elif name in _INT_FIELDS:
-            kwargs[name] = int(value)
-        else:
-            kwargs[name] = float(value)
+    for f in fields(RunReport):
+        value = record[f.name]
+        if value is not None or f.type == "str":
+            value = _PARSE[f.type](value)
+        kwargs[f.name] = value
     return RunReport(**kwargs)
 
 
@@ -144,13 +112,17 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def reports_to_csv(reports: list[RunReport]) -> str:
+def _to_csv(records: list, columns: tuple[str, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in reports:
-        writer.writerow([_cell(getattr(r, name)) for name in REPORT_COLUMNS])
+    writer.writerow(columns)
+    for r in records:
+        writer.writerow([_cell(getattr(r, name)) for name in columns])
     return buf.getvalue()
+
+
+def reports_to_csv(reports: list[RunReport]) -> str:
+    return _to_csv(reports, REPORT_COLUMNS)
 
 
 def reports_from_csv(text: str) -> list[RunReport]:
@@ -174,7 +146,7 @@ def strip_timings(report: RunReport) -> RunReport:
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One worker count in a strong-scaling table."""
+    """One worker count in a strong-scaling table; the fields are the columns."""
 
     workers: int
     time_solve_s: float
@@ -187,23 +159,16 @@ class ScalingRow:
                 raise ValueError(f"field {f.name} is not finite")
 
 
+SCALING_COLUMNS = tuple(f.name for f in fields(ScalingRow))
+
+
 def scaling_to_json(rows: list[ScalingRow], problem: dict) -> str:
-    payload = {
-        "problem": problem,
-        "scaling": [
-            {name: getattr(r, name) for name in SCALING_COLUMNS} for r in rows
-        ],
-    }
+    payload = {"problem": problem, "scaling": [asdict(r) for r in rows]}
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def scaling_to_csv(rows: list[ScalingRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCALING_COLUMNS)
-    for r in rows:
-        writer.writerow([_cell(getattr(r, name)) for name in SCALING_COLUMNS])
-    return buf.getvalue()
+    return _to_csv(rows, SCALING_COLUMNS)
 
 
 def memory_lower_bound_mb(problem) -> float:

@@ -9,6 +9,13 @@ Two discretizations of the same well-conditioned second-kind system:
 * low-order (scheme "lobi"): unknowns at the N_f flat centroids, one-point
   quadrature, the self term dropped.
 
+One call runs the pipeline: ``problem = discretize(mesh, params, charges,
+config)`` builds the quadrature caches, then ``solve(problem, config)``
+assembles the right-hand side, opens the (optionally pooled) operator, runs
+restarted GMRES on it and closes the pool before returning the surface
+traces. ``assemble_rhs``, ``make_operator`` and ``gmres_solve`` stay public
+for callers that time or wrap the steps one by one.
+
 Nothing is ever assembled into a matrix. One blocked sweep (_sweep)
 evaluates, for every target row, the full regular-rule sum over all
 elements; both schemes' matvecs and the solvation energy call it. The hobi
@@ -48,6 +55,10 @@ class GmresNonConvergence(RuntimeError):
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
         self.best_residual = best_residual
+
+
+class GmresBreakdown(GmresNonConvergence):
+    """GMRES met a non-finite residual (NaN/inf in b or in the operator)."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,6 @@ class SurfaceSolution:
 
     phi: np.ndarray
     dphi_dn: np.ndarray
-    scheme: str
     iterations: int
     residual: float
 
@@ -105,12 +115,13 @@ class DiscretizedProblem:
 
     Collocation points are mesh vertices for hobi and flat centroids for
     lobi. The hobi singular machinery is pair-oriented: entry p couples
-    pair_vertex[p] with its incident face pair_face[p], whose curved frames
-    (duf_*) were built on the element rotated so that vertex is local node 1;
-    pair_gverts[p] holds the rotated global vertex order. Pairs are sorted
-    by (vertex, face) and pair_starts[v]:pair_starts[v+1] is vertex v's
-    slice, so each row accumulates its corrections in face order no matter
-    which worker owns it.
+    vertex pair_gverts[p, 0] with its incident face pair_face[p], whose
+    curved frames (duf_*) were built on the element rotated so that vertex
+    is local node 1; pair_gverts[p] holds the rotated global vertex order,
+    so its first column is the pair's vertex. Pairs are sorted by (vertex,
+    face) and pair_starts[v]:pair_starts[v+1] is vertex v's slice, so each
+    row accumulates its corrections in face order no matter which worker
+    owns it.
     """
 
     mesh: FlatMesh
@@ -124,7 +135,6 @@ class DiscretizedProblem:
     reg_nrm: np.ndarray | None = None  # (N_f, Q, 3)
     reg_w: np.ndarray | None = None  # (N_f, Q) rule weight x Jacobian
     reg_bary: np.ndarray | None = None  # (Q, 3)
-    pair_vertex: np.ndarray | None = None  # (3 N_f,)
     pair_face: np.ndarray | None = None  # (3 N_f,)
     pair_gverts: np.ndarray | None = None  # (3 N_f, 3)
     pair_starts: np.ndarray | None = None  # (N_v + 1,)
@@ -210,18 +220,18 @@ def discretize(
     duf_w = duffy.weights[None, :] * duf_jac
 
     # pair p = (face f, rotation k) couples vertex faces[f, k] with face f
-    pair_vertex = faces.reshape(-1).copy()
     pair_face = np.repeat(np.arange(nf, dtype=np.int64), 3)
     pair_gverts = rotations.reshape(3 * nf, 3)
 
-    order = np.lexsort((pair_face, pair_vertex))
-    pair_vertex = pair_vertex[order]
+    order = np.lexsort((pair_face, pair_gverts[:, 0]))
     pair_face = pair_face[order]
     pair_gverts = pair_gverts[order]
     duf_pos = duf_pos[order]
     duf_nrm = duf_nrm[order]
     duf_w = duf_w[order]
-    pair_starts = np.searchsorted(pair_vertex, np.arange(mesh.n_vertices + 1))
+    pair_starts = np.searchsorted(
+        pair_gverts[:, 0], np.arange(mesh.n_vertices + 1)
+    )
 
     return DiscretizedProblem(
         mesh=mesh,
@@ -234,7 +244,6 @@ def discretize(
         reg_nrm=reg_nrm,
         reg_w=reg_w,
         reg_bary=_barycentric(rule.points),
-        pair_vertex=pair_vertex,
         pair_face=pair_face,
         pair_gverts=pair_gverts,
         pair_starts=pair_starts,
@@ -318,7 +327,8 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
         p0 = int(problem.pair_starts[lo])
         p1 = int(problem.pair_starts[hi])
         if p1 > p0:
-            pv = problem.pair_vertex[p0:p1]
+            gv = problem.pair_gverts[p0:p1]
+            pv = gv[:, 0]
             pf = problem.pair_face[p0:p1]
             px = problem.colloc_pos[pv][:, None, :]
             pn = problem.colloc_nrm[pv][:, None, :]
@@ -332,7 +342,6 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
             reg1 = (k1 * wd + k2 * wp).sum(axis=1)
             reg2 = (k3 * wd + k4 * wp).sum(axis=1)
 
-            gv = problem.pair_gverts[p0:p1]
             k1, k2, k3, k4 = kernel_values_d(
                 px - problem.duf_pos[p0:p1], pn, problem.duf_nrm[p0:p1], params
             )
@@ -410,6 +419,13 @@ def _adopt(problem: DiscretizedProblem):
     """Pool initializer: a fork child inherits its argument unpickled."""
     global _worker_problem
     _worker_problem = problem
+    # glibc raises its mmap threshold, and its trim threshold to twice that,
+    # to the size of any mapped block it frees. Freeing one 16 MB block here
+    # keeps a sweep block's few MB of temporaries on the heap; otherwise,
+    # depending on what the parent allocated before the fork, every block
+    # can map and fault in fresh pages (a 2-worker level-4 lobi solve ran
+    # 20-30% slower). Elsewhere this is one unused allocation.
+    np.empty(1 << 21)
 
 
 def _range_task(u: np.ndarray, lo: int, hi: int):
@@ -471,8 +487,10 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
 
     Arnoldi with modified Gram-Schmidt and Givens rotations; iteration count
     is the total number of inner steps; x starts at 0, so r = b costs no
-    matvec and c cycles cost iterations + c. Raises GmresNonConvergence with
-    the best relative residual if max_iterations is exhausted.
+    matvec and c cycles cost iterations + c. Reads only tolerance, restart
+    and max_iterations from config. Raises GmresNonConvergence with the best
+    relative residual if max_iterations is exhausted, and its subclass
+    GmresBreakdown at the first non-finite residual, true or estimated.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -484,11 +502,14 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     def _solution(x: np.ndarray, its: int, rel: float) -> SurfaceSolution:
         half = n // 2
         return SurfaceSolution(
-            phi=x[:half],
-            dphi_dn=x[half:],
-            scheme=config.scheme,
-            iterations=its,
-            residual=rel,
+            phi=x[:half], dphi_dn=x[half:], iterations=its, residual=rel
+        )
+
+    def _breakdown(matvecs: int) -> GmresBreakdown:
+        return GmresBreakdown(
+            f"non-finite residual (matvecs: {matvecs}, "
+            f"best residual {best:.3e}, tolerance {tol:.3e})",
+            best_residual=best,
         )
 
     if norm_b == 0.0:
@@ -497,10 +518,13 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     x = np.zeros(n)
     r = b  # b - A x with x = 0, without spending a matvec on A 0
     total = 0
+    cycles = 0  # true-residual matvecs, one per completed cycle
     best = np.inf
     m = config.restart
     while True:
         rel = float(np.linalg.norm(r)) / norm_b
+        if not np.isfinite(rel):
+            raise _breakdown(total + cycles)
         best = min(best, rel)
         if rel <= tol:
             return _solution(x, total, rel)
@@ -540,25 +564,26 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
             g[j] = cs[j] * g[j]
             total += 1
             j += 1
+            if not np.isfinite(g[j]):
+                raise _breakdown(total + cycles)
             if abs(g[j]) / norm_b <= tol:
                 break
         y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j]) if j else np.zeros(0)
         x = x + basis[:j].T @ y
         r = b - apply(x)
+        cycles += 1
 
 
-def solve(
-    mesh: FlatMesh,
-    params: PhysicalParams,
-    charges: ChargeSystem,
-    config: SolverConfig,
-) -> tuple[DiscretizedProblem, SurfaceSolution]:
-    """Discretize, assemble, and solve in one call."""
-    problem = discretize(mesh, params, charges, config)
+def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:
+    """Surface traces of a discretized problem: RHS, operator, GMRES.
+
+    The operator's worker pool (config.workers) is closed before returning,
+    also when GMRES raises. config.scheme is not read: the problem already
+    carries its scheme.
+    """
     b = assemble_rhs(problem)
     with make_operator(problem, config) as op:
-        solution = gmres_solve(op, b, config)
-    return problem, solution
+        return gmres_solve(op, b, config)
 
 
 # ---------------------------------------------------------------------------

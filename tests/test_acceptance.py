@@ -28,14 +28,12 @@ from pbbem.mesh import ChargeSystem, icosahedral_sphere, parse_msms, write_msms
 from pbbem.quadrature import duffy_rule, gauss_radau_rule, monomial_integral
 from pbbem.solver import (
     SolverConfig,
-    assemble_rhs,
     convergence_order,
     discretize,
-    gmres_solve,
-    make_operator,
     matvec_hobi,
     matvec_lobi,
     solvation_energy,
+    solve,
     surface_potential_error,
 )
 
@@ -56,10 +54,8 @@ class _Run:
 
 
 def _solve_run(problem, config, oracle) -> _Run:
-    b = assemble_rhs(problem)
     t0 = time.monotonic()
-    with make_operator(problem, config) as op:
-        solution = gmres_solve(op, b, config)
+    solution = solve(problem, config)
     seconds = time.monotonic() - t0
     e_phi = surface_potential_error(solution.phi, oracle.phi(problem.colloc_pos))
     return _Run(
@@ -110,12 +106,9 @@ def _criterion(number: int, passed: bool, detail: str,
 
 
 def _solve_seconds(problem, workers: int) -> float:
-    """Wall time of one operator setup plus GMRES solve, as in ``_solve_run``."""
-    b = assemble_rhs(problem)
-    config = SolverConfig(scheme=problem.scheme, workers=workers)
+    """Wall time of one ``solve`` (RHS, operator, GMRES), as in ``_solve_run``."""
     t0 = time.monotonic()
-    with make_operator(problem, config) as op:
-        gmres_solve(op, b, config)
+    solve(problem, SolverConfig(workers=workers))
     return time.monotonic() - t0
 
 
@@ -324,13 +317,10 @@ def _fd_kernel_deviations(n_configs: int, h: float = 1e-5) -> np.ndarray:
 
 def test_criterion_08_parallel_determinism():
     problem = born_problem("hobi", 3)
-    b = assemble_rhs(problem)
     reference = born_run("hobi", 3).vector
     diffs = {}
     for workers in (2, 4, 8):
-        config = SolverConfig(scheme="hobi", workers=workers)
-        with make_operator(problem, config) as op:
-            solution = gmres_solve(op, b, config)
+        solution = solve(problem, SolverConfig(workers=workers))
         diffs[workers] = float(np.abs(solution.vector - reference).max())
     worst = max(diffs.values())
     passed = worst <= 1e-13
@@ -373,9 +363,7 @@ def test_criterion_10_msms_property_and_speedup():
         mesh = parse_msms(*write_msms(icosahedral_sphere(level, radius=2.0)))
         config = SolverConfig(scheme=scheme, workers=1)
         problem = discretize(mesh, params, charges, config)
-        b = assemble_rhs(problem)
-        with make_operator(problem, config) as op:
-            solution = gmres_solve(op, b, config)
+        solution = solve(problem, config)
         energies[scheme, level] = solvation_energy(problem, solution)
     gap_refine = abs(energies["hobi", 3] - energies["hobi", 2])
     gap_scheme = abs(energies["lobi", 2] - energies["hobi", 2])

@@ -18,7 +18,6 @@ from pbbem.geometry import (
     fit_arc,
     frames_at,
     nodes_from_vertex_data,
-    rs_to_uv,
     shape_functions,
     shape_gradients,
     shape_matrix,
@@ -213,19 +212,6 @@ def test_arc_normal_sign_follows_reference():
     outward, _ = arc_normal(arc, 0.5, np.array([1.0, 1.0, 0.0]))
     inward, _ = arc_normal(arc, 0.5, np.array([-1.0, -1.0, 0.0]))
     assert np.abs(outward + inward).max() <= 1e-15
-
-
-# ---------------------------------------------------------------------------
-# reference-coordinate map
-
-
-def test_rs_to_uv_examples():
-    assert rs_to_uv(0.0, 0.0) == (0.0, 0.0)
-    assert rs_to_uv(0.25, 0.0) == (0.25, 0.0)
-    u, v = rs_to_uv(0.0, 0.7)
-    assert (u, v) == pytest.approx((0.7, 1.0))
-    u, v = rs_to_uv(1.0 / 3.0, 1.0 / 3.0)
-    assert (u, v) == pytest.approx((2.0 / 3.0, 0.5))
 
 
 # ---------------------------------------------------------------------------

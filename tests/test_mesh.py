@@ -125,6 +125,18 @@ def test_non_finite_vertex_data_rejected(tetrahedron_mesh, array, name):
         mesh.validate()
 
 
+@pytest.mark.parametrize("t", [0.5, 0.0], ids=["edge-midpoint", "repeated-vertex"])
+def test_zero_area_face_rejected(t):
+    """Face 0's third vertex moved onto its first edge: a sliver, or a point pair."""
+    mesh = icosahedral_sphere(1, radius=2.0)
+    a, b, c = mesh.faces[0]
+    vertices = mesh.vertices.copy()
+    vertices[c] = (1.0 - t) * vertices[a] + t * vertices[b]
+    bad = FlatMesh(vertices=vertices, normals=mesh.normals, faces=mesh.faces)
+    with pytest.raises(MeshValidationError, match="^face 0 has zero area$"):
+        bad.validate()
+
+
 @pytest.mark.parametrize("column,name", [(1, "position"), (4, "normal")])
 def test_nan_in_vert_file_rejected(tetrahedron_mesh, column, name):
     vert_text, face_text = write_msms(tetrahedron_mesh)

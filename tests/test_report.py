@@ -56,7 +56,8 @@ def sample_report(**over):
 
 
 def test_report_columns_match_dataclass_order():
-    assert tuple(f.name for f in dataclasses.fields(RunReport)) == REPORT_COLUMNS
+    for record, columns in ((RunReport, REPORT_COLUMNS), (ScalingRow, SCALING_COLUMNS)):
+        assert tuple(f.name for f in dataclasses.fields(record)) == columns
 
 
 def test_json_round_trip_exact():

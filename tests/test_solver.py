@@ -19,6 +19,7 @@ from pbbem.mesh import (
 )
 from pbbem.geometry import DegenerateArcError
 from pbbem.solver import (
+    GmresBreakdown,
     GmresNonConvergence,
     SolverConfig,
     SurfaceSolution,
@@ -52,16 +53,16 @@ NO_CHARGES = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
 def born_hobi_l2():
     mesh = icosahedral_sphere(2, radius=2.0)
     config = SolverConfig(scheme="hobi", workers=1)
-    problem, solution = solve(mesh, WATER, CENTERED_UNIT, config)
-    return problem, solution
+    problem = discretize(mesh, WATER, CENTERED_UNIT, config)
+    return problem, solve(problem, config)
 
 
 @pytest.fixture(scope="module")
 def born_lobi_l2():
     mesh = icosahedral_sphere(2, radius=2.0)
     config = SolverConfig(scheme="lobi", workers=1)
-    problem, solution = solve(mesh, WATER, CENTERED_UNIT, config)
-    return problem, solution
+    problem = discretize(mesh, WATER, CENTERED_UNIT, config)
+    return problem, solve(problem, config)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def _apply(problem, u):
 
 def _block_outputs(problem, u):
     t = problem.n_collocation
-    solution = SurfaceSolution(u[:t], u[t:], problem.scheme, 0, 0.0)
+    solution = SurfaceSolution(u[:t], u[t:], 0, 0.0)
     return (
         _apply(problem, u),
         assemble_rhs(problem),
@@ -280,7 +281,7 @@ def test_solvation_energy_against_naive_loop(scheme):
             k1, k2, _, _ = kernel_block(x, (0.0, 0.0, 1.0), src[j], snrm[j], MIXED)
             total += q * (k1 * wdphi[j] + k2 * wphi[j])
     expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
-    got = solvation_energy(problem, SurfaceSolution(phi, dphi, scheme, 0, 0.0))
+    got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
     assert got == pytest.approx(expected, rel=1e-13)
 
 
@@ -400,6 +401,25 @@ def test_gmres_nonconvergence_carries_best_residual():
     assert 0.0 < info.value.best_residual <= 1.0
 
 
+def test_gmres_stops_at_first_non_finite_residual():
+    """A NaN operator costs one matvec; a NaN right-hand side costs none."""
+    calls = []
+
+    def nan_operator(v):
+        calls.append(1)
+        return np.full_like(v, np.nan)
+
+    b = np.ones(6)
+    with pytest.raises(GmresBreakdown, match=r"matvecs: 1,"):
+        gmres_solve(nan_operator, b, SolverConfig(workers=1))
+    assert len(calls) == 1
+    calls.clear()
+    b[3] = np.nan
+    with pytest.raises(GmresBreakdown, match=r"matvecs: 0,"):
+        gmres_solve(nan_operator, b, SolverConfig(workers=1))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # partitioning and parallel determinism
 
@@ -482,6 +502,30 @@ def test_two_pooled_operators_keep_their_own_problems():
                 assert np.array_equal(second(vectors[1]), serial[1])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_solve_equals_the_three_step_pipeline(monkeypatch, scheme, workers):
+    """solve() is assemble_rhs, make_operator, gmres_solve; its pool is closed."""
+    config = SolverConfig(scheme=scheme, workers=workers)
+    problem = discretize(icosahedral_sphere(1, radius=2.0), MIXED, SCATTERED, config)
+    with make_operator(problem, config) as op:
+        expected = gmres_solve(op, assemble_rhs(problem), config)
+    opened = []
+
+    def kept_operator(*args):
+        opened.append(make_operator(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(pbbem.solver, "make_operator", kept_operator)
+    solution = solve(problem, config)
+    # the operator is still referenced, so only close() can have ended its pool
+    assert len(opened) == 1
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(solution.vector, expected.vector)
+    assert solution.iterations == expected.iterations
+    assert solution.residual == expected.residual
+
+
 def test_make_operator_serial_matches_matvec():
     mesh = icosahedral_sphere(0)
     problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
@@ -509,7 +553,6 @@ def test_born_sphere_hobi_frozen_values(born_hobi_l2):
     assert err_dphi <= 5e-3
     assert 4 <= solution.iterations <= 9
     assert solution.residual <= 1e-6
-    assert solution.scheme == "hobi"
     assert np.array_equal(
         solution.vector, np.concatenate([solution.phi, solution.dphi_dn])
     )
@@ -540,20 +583,19 @@ def test_energy_error_decreases_under_refinement(born_hobi_l2):
     exact = -81.98017625  # centered closed form, radius 2, water
     _, coarse_sol = born_hobi_l2
     coarse_energy = solvation_energy(*born_hobi_l2)
+    config = SolverConfig(scheme="hobi", workers=1)
     mesh = icosahedral_sphere(3, radius=2.0)
-    problem, solution = solve(
-        mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi", workers=1)
-    )
+    problem = discretize(mesh, WATER, CENTERED_UNIT, config)
+    solution = solve(problem, config)
     fine_energy = solvation_energy(problem, solution)
     assert abs(fine_energy - exact) < abs(coarse_energy - exact)
     del coarse_sol
 
 
 def test_zero_charge_solve_is_trivial():
-    mesh = icosahedral_sphere(1)
-    problem, solution = solve(
-        mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi", workers=1)
-    )
+    config = SolverConfig(scheme="lobi", workers=1)
+    problem = discretize(icosahedral_sphere(1), WATER, NO_CHARGES, config)
+    solution = solve(problem, config)
     assert np.all(solution.vector == 0.0)
     assert solution.iterations == 0
     assert solvation_energy(problem, solution) == 0.0
