@@ -129,10 +129,12 @@ def reports_from_csv(text: str) -> list[RunReport]:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != REPORT_COLUMNS:
         raise ValueError("CSV header does not match REPORT_COLUMNS")
+    types = {f.name: f.type for f in fields(RunReport)}
     out = []
     for row in rows[1:]:
+        # an empty cell is an absent optional number or an empty string
         record = {
-            name: (None if cell == "" else cell)
+            name: (None if cell == "" and types[name] != "str" else cell)
             for name, cell in zip(REPORT_COLUMNS, row)
         }
         out.append(report_from_dict(record))
@@ -175,22 +177,19 @@ def memory_lower_bound_mb(problem) -> float:
     """Deterministic lower bound on solver peak memory, in Mbytes.
 
     Sums the discretization caches (every array field of the problem: the
-    quadrature frames and pair tables) and the mesh arrays, each array once
-    (hobi collocates at the mesh's own vertex arrays), plus the largest
-    transient block a matvec materializes. Actual OS-level peak is
-    necessarily higher; this bound is reproducible.
+    quadrature frames and the near-list tables) and the mesh arrays, each
+    buffer once (hobi collocates at the mesh's own vertex arrays; lobi's
+    regular rule is a view of its centroids), plus the largest transient
+    block a matvec materializes. Actual OS-level peak is necessarily
+    higher; this bound is reproducible.
     """
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]
     arrays += [mesh.vertices, mesh.normals, mesh.faces]
-    unique = {id(a): a for a in arrays if isinstance(a, np.ndarray)}
-    total = sum(a.nbytes for a in unique.values())
-    if problem.scheme == "hobi":
-        n_src = problem.reg_pos.shape[0] * problem.reg_pos.shape[1]
-    else:
-        n_src = problem.n_collocation
+    roots = [a if a.base is None else a.base for a in arrays if isinstance(a, np.ndarray)]
+    total = sum(a.nbytes for a in {id(a): a for a in roots}.values())
     # displacement block (3 floats) plus the four kernel arrays
     block = min(TARGET_BLOCK, max(problem.n_collocation, 1))
-    total += block * n_src * 8 * 7
+    total += block * problem.reg_w.size * 8 * 7
     total += 4 * problem.n_unknowns * 8  # vectors in flight during a matvec
     return total / 1.0e6

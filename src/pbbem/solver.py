@@ -16,11 +16,12 @@ restarted GMRES on it and closes the pool before returning the surface
 traces. ``assemble_rhs``, ``make_operator`` and ``gmres_solve`` stay public
 for callers that time or wrap the steps one by one.
 
-Nothing is ever assembled into a matrix. One blocked sweep (_sweep)
-evaluates, for every target row, the full regular-rule sum over all
-elements; both schemes' matvecs and the solvation energy call it. The hobi
-matvec then swaps the incident-element contributions for their
-Duffy-regularized versions. The summation order inside a row is fixed by
+Nothing is ever assembled into a matrix. Both schemes store a regular
+rule on every element and each collocation row's near elements. One
+blocked sweep (_sweep) sums the regular rule over every element; the
+matvecs skip each row's near elements (lobi: its own face, dropped; hobi:
+the incident faces, whose Duffy-regularized values are then added), the
+solvation energy skips none. The summation order inside a row is fixed by
 element index and never depends on how target rows are blocked or
 partitioned across workers, which is what makes the parallel matvec
 reproduce the serial one bitwise.
@@ -114,14 +115,14 @@ class DiscretizedProblem:
     """Immutable quadrature caches shared (read-only) by all matvec workers.
 
     Collocation points are mesh vertices for hobi and flat centroids for
-    lobi. The hobi singular machinery is pair-oriented: entry p couples
-    vertex pair_gverts[p, 0] with its incident face pair_face[p], whose
-    curved frames (duf_*) were built on the element rotated so that vertex
-    is local node 1; pair_gverts[p] holds the rotated global vertex order,
-    so its first column is the pair's vertex. Pairs are sorted by (vertex,
-    face) and pair_starts[v]:pair_starts[v+1] is vertex v's slice, so each
-    row accumulates its corrections in face order no matter which worker
-    owns it.
+    lobi. The regular rule on face f reads its traces from unknowns
+    reg_nodes[f] (hobi: the 4-point rule, K = 3 vertices; lobi: Q = K = 1,
+    the centroid). Row t's near faces, pair_face[pair_starts[t]:
+    pair_starts[t+1]], are sorted by face, so each row accumulates in face
+    order no matter which worker owns it: lobi's own face, or hobi's
+    incident faces. hobi pair p also carries a Duffy rule on face
+    pair_face[p] rotated so that vertex pair_gverts[p, 0] is local node 1;
+    pair_gverts[p] is the rotated global vertex order.
     """
 
     mesh: FlatMesh
@@ -130,20 +131,19 @@ class DiscretizedProblem:
     scheme: str
     colloc_pos: np.ndarray  # (T, 3)
     colloc_nrm: np.ndarray  # (T, 3)
-    # hobi caches
-    reg_pos: np.ndarray | None = None  # (N_f, Q, 3)
-    reg_nrm: np.ndarray | None = None  # (N_f, Q, 3)
-    reg_w: np.ndarray | None = None  # (N_f, Q) rule weight x Jacobian
-    reg_bary: np.ndarray | None = None  # (Q, 3)
-    pair_face: np.ndarray | None = None  # (3 N_f,)
-    pair_gverts: np.ndarray | None = None  # (3 N_f, 3)
-    pair_starts: np.ndarray | None = None  # (N_v + 1,)
-    duf_pos: np.ndarray | None = None  # (3 N_f, D, 3)
-    duf_nrm: np.ndarray | None = None  # (3 N_f, D, 3)
-    duf_w: np.ndarray | None = None  # (3 N_f, D)
+    reg_pos: np.ndarray  # (N_f, Q, 3)
+    reg_nrm: np.ndarray  # (N_f, Q, 3)
+    reg_w: np.ndarray  # (N_f, Q) rule weight x Jacobian
+    reg_bary: np.ndarray  # (Q, K)
+    reg_nodes: np.ndarray  # (N_f, K) unknowns each face's trace is read from
+    pair_face: np.ndarray  # (P,) near faces, row by row
+    pair_starts: np.ndarray  # (T + 1,)
+    # hobi Duffy caches, one entry per near pair
+    pair_gverts: np.ndarray | None = None  # (P, 3)
+    duf_pos: np.ndarray | None = None  # (P, D, 3)
+    duf_nrm: np.ndarray | None = None  # (P, D, 3)
+    duf_w: np.ndarray | None = None  # (P, D)
     duf_bary: np.ndarray | None = None  # (D, 3)
-    # lobi cache
-    area: np.ndarray | None = None  # (N_f,)
 
     @property
     def n_collocation(self) -> int:
@@ -153,11 +153,9 @@ class DiscretizedProblem:
     def n_unknowns(self) -> int:
         return 2 * self.n_collocation
 
-    def singular_faces(self, vertex: int) -> np.ndarray:
-        """Indices of the elements treated singularly for this vertex."""
-        if self.scheme != "hobi":
-            raise ValueError("singular partition exists only for scheme 'hobi'")
-        lo, hi = self.pair_starts[vertex], self.pair_starts[vertex + 1]
+    def singular_faces(self, row: int) -> np.ndarray:
+        """Indices of the near elements of collocation row `row`."""
+        lo, hi = self.pair_starts[row], self.pair_starts[row + 1]
         return self.pair_face[lo:hi]
 
 
@@ -180,14 +178,23 @@ def discretize(
         corners = mesh.vertices[mesh.faces]  # (N_f, 3, 3)
         cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         two_area = np.linalg.norm(cross, axis=1)
+        centroids = corners.mean(axis=1)
+        normals = cross / two_area[:, None]
+        rows = np.arange(mesh.n_faces + 1, dtype=np.int64)
         return DiscretizedProblem(
             mesh=mesh,
             params=params,
             charges=charges,
             scheme="lobi",
-            colloc_pos=corners.mean(axis=1),
-            colloc_nrm=cross / two_area[:, None],
-            area=0.5 * two_area,
+            colloc_pos=centroids,
+            colloc_nrm=normals,
+            reg_pos=centroids[:, None],
+            reg_nrm=normals[:, None],
+            reg_w=(0.5 * two_area)[:, None],
+            reg_bary=np.ones((1, 1)),
+            reg_nodes=rows[:-1, None],
+            pair_face=rows[:-1],
+            pair_starts=rows,
         )
 
     nf = mesh.n_faces
@@ -244,6 +251,7 @@ def discretize(
         reg_nrm=reg_nrm,
         reg_w=reg_w,
         reg_bary=_barycentric(rule.points),
+        reg_nodes=faces,
         pair_face=pair_face,
         pair_gverts=pair_gverts,
         pair_starts=pair_starts,
@@ -255,25 +263,21 @@ def discretize(
 
 
 def _interp(values: np.ndarray, bary: np.ndarray) -> np.ndarray:
-    """(..., 3) vertex values x (m, 3) weights -> (..., m), elementwise."""
-    return (
-        values[..., 0, None] * bary[:, 0]
-        + values[..., 1, None] * bary[:, 1]
-        + values[..., 2, None] * bary[:, 2]
-    )
+    """(..., K) node values x (m, K) weights -> (..., m), summed in node order."""
+    out = values[..., 0, None] * bary[:, 0]
+    for k in range(1, bary.shape[1]):
+        out += values[..., k, None] * bary[:, k]
+    return out
 
 
 def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
     """(src, snrm, wphi, wdphi): the regular rule's flat source axis."""
-    if problem.scheme == "lobi":
-        area = problem.area
-        return problem.colloc_pos, problem.colloc_nrm, area * phi, area * dphi
-    faces = problem.mesh.faces
+    w, nodes, bary = problem.reg_w, problem.reg_nodes, problem.reg_bary
     return (
         problem.reg_pos.reshape(-1, 3),
         problem.reg_nrm.reshape(-1, 3),
-        (problem.reg_w * _interp(phi[faces], problem.reg_bary)).reshape(-1),
-        (problem.reg_w * _interp(dphi[faces], problem.reg_bary)).reshape(-1),
+        (w * _interp(phi[nodes], bary)).reshape(-1),
+        (w * _interp(dphi[nodes], bary)).reshape(-1),
     )
 
 
@@ -281,8 +285,9 @@ def _sweep(xt, nt, sources, params: PhysicalParams, skip=None):
     """Row sums (K1 wdphi + K2 wphi, K3 wdphi + K4 wphi) at targets (xt, nt).
 
     Targets go TARGET_BLOCK rows at a time, but each row sums over the whole
-    fixed source axis, so no result depends on the blocking. skip[i], if
-    given, is the source coinciding with target i; that pair is masked.
+    fixed source axis, so no result depends on the blocking. skip, if given,
+    is a per-row list (starts, cols): row i masks the sources
+    cols[starts[i]:starts[i+1]].
     """
     src, snrm, wphi, wdphi = sources
     t = xt.shape[0]
@@ -291,7 +296,9 @@ def _sweep(xt, nt, sources, params: PhysicalParams, skip=None):
         e = min(s + TARGET_BLOCK, t)
         d = xt[s:e, None, :] - src[None, :, :]
         if skip is not None:
-            pair = (np.arange(e - s), skip[s:e])
+            starts, cols = skip
+            rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
+            pair = (rows, cols[starts[s] : starts[e]])
             d[pair] = (1.0, 0.0, 0.0)
         k1, k2, k3, k4 = kernel_values_d(d, nt[s:e, None, :], snrm[None], params)
         if skip is not None:
@@ -306,7 +313,7 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     """Rows [lo, hi) of both equation blocks: the deterministic core.
 
     Returns (phi_rows, dphi_rows), each of length hi - lo. All sums run over
-    a fixed full source axis or over pair slices sorted by (vertex, face),
+    a fixed full source axis or over near-list slices sorted by (row, face),
     so the result is independent of how [0, T) was split into ranges.
     """
     T = problem.n_collocation
@@ -317,41 +324,30 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     xt = problem.colloc_pos[lo:hi]
     nt = problem.colloc_nrm[lo:hi]
 
-    if problem.scheme == "lobi":
-        # lobi drops the self term: target i is centroid i
-        acc1, acc2 = _sweep(xt, nt, sources, params, skip=np.arange(lo, hi))
-    else:
-        # hobi: full regular sweep over every element ...
-        acc1, acc2 = _sweep(xt, nt, sources, params)
-        # ... then swap each incident element's regular contribution for Duffy
-        p0 = int(problem.pair_starts[lo])
-        p1 = int(problem.pair_starts[hi])
-        if p1 > p0:
-            gv = problem.pair_gverts[p0:p1]
-            pv = gv[:, 0]
-            pf = problem.pair_face[p0:p1]
-            px = problem.colloc_pos[pv][:, None, :]
-            pn = problem.colloc_nrm[pv][:, None, :]
-            _, _, wphi, wdphi = sources
+    # the regular rule skips each row's near faces, all Q points of each
+    p0 = int(problem.pair_starts[lo])
+    p1 = int(problem.pair_starts[hi])
+    q = problem.reg_w.shape[1]
+    near = problem.pair_face[p0:p1, None] * q + np.arange(q)
+    skip = ((problem.pair_starts[lo : hi + 1] - p0) * q, near.reshape(-1))
+    acc1, acc2 = _sweep(xt, nt, sources, params, skip=skip)
 
-            k1, k2, k3, k4 = kernel_values_d(
-                px - problem.reg_pos[pf], pn, problem.reg_nrm[pf], params
-            )
-            wp = wphi.reshape(problem.reg_w.shape)[pf]
-            wd = wdphi.reshape(problem.reg_w.shape)[pf]
-            reg1 = (k1 * wd + k2 * wp).sum(axis=1)
-            reg2 = (k3 * wd + k4 * wp).sum(axis=1)
-
-            k1, k2, k3, k4 = kernel_values_d(
-                px - problem.duf_pos[p0:p1], pn, problem.duf_nrm[p0:p1], params
-            )
-            wp = problem.duf_w[p0:p1] * _interp(phi[gv], problem.duf_bary)
-            wd = problem.duf_w[p0:p1] * _interp(dphi[gv], problem.duf_bary)
-            duf1 = (k1 * wd + k2 * wp).sum(axis=1)
-            duf2 = (k3 * wd + k4 * wp).sum(axis=1)
-
-            acc1 += np.bincount(pv - lo, weights=duf1 - reg1, minlength=hi - lo)
-            acc2 += np.bincount(pv - lo, weights=duf2 - reg2, minlength=hi - lo)
+    if problem.duf_w is not None and p1 > p0:
+        # hobi: the near faces' Duffy-regularized values
+        gv = problem.pair_gverts[p0:p1]
+        pv = gv[:, 0]
+        k1, k2, k3, k4 = kernel_values_d(
+            problem.colloc_pos[pv][:, None, :] - problem.duf_pos[p0:p1],
+            problem.colloc_nrm[pv][:, None, :],
+            problem.duf_nrm[p0:p1],
+            params,
+        )
+        wp = problem.duf_w[p0:p1] * _interp(phi[gv], problem.duf_bary)
+        wd = problem.duf_w[p0:p1] * _interp(dphi[gv], problem.duf_bary)
+        duf1 = (k1 * wd + k2 * wp).sum(axis=1)
+        duf2 = (k3 * wd + k4 * wp).sum(axis=1)
+        acc1 += np.bincount(pv - lo, weights=duf1, minlength=hi - lo)
+        acc2 += np.bincount(pv - lo, weights=duf2, minlength=hi - lo)
 
     out1 = 0.5 * (1.0 + er) * phi[lo:hi] - acc1
     out2 = 0.5 * (1.0 + 1.0 / er) * dphi[lo:hi] - acc2

@@ -85,6 +85,12 @@ def test_csv_round_trip_exact():
     assert reports_from_csv(text) == reports
 
 
+def test_empty_string_field_round_trips():
+    report = sample_report(mesh_source="")
+    assert reports_from_csv(reports_to_csv([report])) == [report]
+    assert reports_from_json(reports_to_json([report])) == [report]
+
+
 def test_cross_format_equality():
     report = sample_report(observed_order=0.4819)
     via_json = reports_from_json(reports_to_json([report]))[0]
@@ -200,7 +206,8 @@ def test_memory_lower_bound_properties():
 
 
 def test_memory_bound_counts_shared_arrays_once():
-    """hobi collocates at the mesh's own vertex arrays; they count once."""
+    """hobi collocates at the mesh's own vertex arrays and lobi's regular
+    rule is a view of its centroids; each buffer counts once."""
     mesh = icosahedral_sphere(1)
     water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
     charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
@@ -212,6 +219,15 @@ def test_memory_bound_counts_shared_arrays_once():
     )
     extra_mb = memory_lower_bound_mb(copied) - memory_lower_bound_mb(hobi)
     assert extra_mb == pytest.approx(48 * mesh.n_vertices / 1e6, rel=1e-9)
+
+    lobi = discretize(mesh, water, charges, SolverConfig(scheme="lobi"))
+    assert lobi.reg_pos.base is lobi.colloc_pos
+    assert lobi.reg_nrm.base is lobi.colloc_nrm
+    copied = dataclasses.replace(
+        lobi, reg_pos=lobi.reg_pos.copy(), reg_nrm=lobi.reg_nrm.copy()
+    )
+    extra_mb = memory_lower_bound_mb(copied) - memory_lower_bound_mb(lobi)
+    assert extra_mb == pytest.approx(48 * mesh.n_faces / 1e6, rel=1e-9)
 
 
 def test_memory_bound_grows_with_refinement():

@@ -153,11 +153,11 @@ def test_singular_faces_cover_incident_elements():
         assert np.array_equal(got, np.sort(got))  # slices come face-ordered
 
 
-def test_singular_faces_rejected_for_lobi():
+def test_lobi_near_list_is_own_face():
     mesh = icosahedral_sphere(0)
     problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
-    with pytest.raises(ValueError):
-        problem.singular_faces(0)
+    for i in range(mesh.n_faces):
+        assert np.array_equal(problem.singular_faces(i), [i])
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +217,57 @@ def test_lobi_matvec_against_naive_loop():
                 problem.colloc_nrm[j],
                 MIXED,
             )
-            w = problem.area[j]
+            w = problem.reg_w[j, 0]
             o1 -= (k1 * dphi[j] + k2 * phi[j]) * w
             o2 -= (k3 * dphi[j] + k4 * phi[j]) * w
         expected[i] = o1
         expected[t + i] = o2
     got = matvec_lobi(problem, u)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_hobi_matvec_against_naive_loop(level):
+    """Per vertex: the regular rule over non-incident faces plus the Duffy
+    rule over that vertex's pairs, one kernel_block call per point."""
+    mesh = icosahedral_sphere(level)
+    problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme="hobi"))
+    t = problem.n_collocation
+    er = MIXED.eps2 / MIXED.eps1
+    u = np.random.default_rng(2).standard_normal(2 * t)
+    phi, dphi = u[:t], u[t:]
+    expected = np.empty(2 * t)
+    for i in range(t):
+        xi, ni = problem.colloc_pos[i], problem.colloc_nrm[i]
+        o1 = 0.5 * (1.0 + er) * phi[i]
+        o2 = 0.5 * (1.0 + 1.0 / er) * dphi[i]
+        for f, verts in enumerate(mesh.faces):
+            if i in verts:
+                continue
+            for q in range(problem.reg_w.shape[1]):
+                k1, k2, k3, k4 = kernel_block(
+                    xi, ni, problem.reg_pos[f, q], problem.reg_nrm[f, q], MIXED
+                )
+                w = problem.reg_w[f, q]
+                p = problem.reg_bary[q] @ phi[verts]
+                dp = problem.reg_bary[q] @ dphi[verts]
+                o1 -= (k1 * dp + k2 * p) * w
+                o2 -= (k3 * dp + k4 * p) * w
+        for pair in range(problem.pair_starts[i], problem.pair_starts[i + 1]):
+            verts = problem.pair_gverts[pair]
+            assert verts[0] == i
+            for q in range(problem.duf_w.shape[1]):
+                k1, k2, k3, k4 = kernel_block(
+                    xi, ni, problem.duf_pos[pair, q], problem.duf_nrm[pair, q], MIXED
+                )
+                w = problem.duf_w[pair, q]
+                p = problem.duf_bary[q] @ phi[verts]
+                dp = problem.duf_bary[q] @ dphi[verts]
+                o1 -= (k1 * dp + k2 * p) * w
+                o2 -= (k3 * dp + k4 * p) * w
+        expected[i] = o1
+        expected[t + i] = o2
+    got = matvec_hobi(problem, u)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -263,18 +308,14 @@ def test_solvation_energy_against_naive_loop(scheme):
     u = rng.standard_normal(problem.n_unknowns)
     t = problem.n_collocation
     phi, dphi = u[:t], u[t:]
-    if scheme == "hobi":
-        src = problem.reg_pos.reshape(-1, 3)
-        snrm = problem.reg_nrm.reshape(-1, 3)
-        # trace at regular node q of face f, interpolated from its vertices
-        bary_phi = problem.reg_bary @ phi[problem.mesh.faces].T  # (Q, N_f)
-        bary_dphi = problem.reg_bary @ dphi[problem.mesh.faces].T
-        w = problem.reg_w.reshape(-1)
-        wphi = w * bary_phi.T.reshape(-1)
-        wdphi = w * bary_dphi.T.reshape(-1)
-    else:
-        src, snrm = problem.colloc_pos, problem.colloc_nrm
-        wphi, wdphi = problem.area * phi, problem.area * dphi
+    src = problem.reg_pos.reshape(-1, 3)
+    snrm = problem.reg_nrm.reshape(-1, 3)
+    # trace at regular point q of face f, interpolated from its nodes
+    bary_phi = problem.reg_bary @ phi[problem.reg_nodes].T  # (Q, N_f)
+    bary_dphi = problem.reg_bary @ dphi[problem.reg_nodes].T
+    w = problem.reg_w.reshape(-1)
+    wphi = w * bary_phi.T.reshape(-1)
+    wdphi = w * bary_dphi.T.reshape(-1)
     total = 0.0
     for x, q in zip(problem.charges.positions, problem.charges.charges):
         for j in range(src.shape[0]):
