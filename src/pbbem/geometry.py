@@ -30,7 +30,13 @@ class DegenerateArcError(ValueError):
 
 
 class DegenerateElementError(ValueError):
-    """An element's surface Jacobian vanished."""
+    """An element's surface Jacobian vanished; `index` locates it in a batch
+    and `point` is the reference point (r, s)."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = (), point=None):
+        super().__init__(message)
+        self.index = index
+        self.point = point
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -370,7 +376,8 @@ def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
 
     node_pos, node_nrm: (n_e, 10, 3). pts: (m, 2).
     Returns positions (n_e, m, 3), oriented unit normals (n_e, m, 3), and
-    Jacobians (n_e, m).
+    Jacobians (n_e, m). A vanishing Jacobian raises DegenerateElementError
+    for the first such element and point.
     """
     basis = shape_matrix(pts)  # (m, 10)
     g_r, g_s = shape_gradient_matrices(pts)
@@ -379,6 +386,13 @@ def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
     xs = np.einsum("mk,eki->emi", g_s, node_pos)
     cr = np.cross(xr, xs)
     jac = np.linalg.norm(cr, axis=-1)
+    bad = np.argwhere(jac < 1e-14)  # element_frame's threshold
+    if bad.size:
+        e, m = (int(i) for i in bad[0])
+        r, s = (float(c) for c in pts[m])
+        raise DegenerateElementError(
+            f"element {e}: vanishing Jacobian at (r, s) = ({r}, {s})", (e,), (r, s)
+        )
     nrm = cr / jac[..., None]
     hint = np.einsum("mk,eki->emi", basis, node_nrm)
     sign = np.where(np.einsum("emi,emi->em", nrm, hint) < 0.0, -1.0, 1.0)

@@ -14,6 +14,22 @@ PhysicalParams.eps keeps the interior-to-exterior convention eps1/eps2 for
 reporting, and the kernels use its reciprocal. Differences of the screened
 and unscreened terms are evaluated through expm1 so the large cancelling
 parts never meet in floating point.
+
+pair_kernels is the one place these formulas are written. It fills a fixed
+set of KERNEL_BUFFERS scratch arrays in place (out=), so a sweep allocates
+its buffers once per call (kernel_scratch) and nothing per block.
+kernel_sums reads targets and sources as structure of arrays (x, y, z
+coordinate rows), forms the displacements in those buffers and returns
+only the weighted row sums its caller asks for: the matvec both, the
+solvation energy the first (K1 and K2) at every kappa. At kappa = 0,
+expm1(-0) = -0 makes K1 and K4 exactly zero, so they are not evaluated
+and the matvec computes only K2 and K3. That changes no bit: each dropped
+term only ever added a signed zero to a nonzero product, and every kept
+operation runs in the formulas' order. In the identity medium
+(eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
++0.0, so every term and row sum is +-0.0 and the operator is exactly the
+identity. kernel_values_d evaluates all four kernels for arrays of any
+broadcast shape.
 """
 
 from __future__ import annotations
@@ -35,6 +51,9 @@ KCAL_MOL_PER_E2_ANG = 332.0716
 # target rows whose (rows x sources) kernel values are materialized at once;
 # every sum runs along the full source axis, so no result depends on it
 TARGET_BLOCK = 8
+
+# float64 buffers, each one block of pair values, that pair_kernels fills
+KERNEL_BUFFERS = 8
 
 
 class SingularityError(ValueError):
@@ -89,6 +108,132 @@ def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def _dot3_into(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = a0 b0 + a1 b1 + a2 b2 over 3-tuples of arrays, added in that order."""
+    np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[1], b[1], out=tmp)
+    out += np.multiply(a[2], b[2], out=tmp)
+    return out
+
+
+def kernel_scratch(size: int) -> np.ndarray:
+    """KERNEL_BUFFERS flat float64 buffers for blocks of up to `size` pairs."""
+    return np.empty((KERNEL_BUFFERS, size))
+
+
+def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=True):
+    """K1..K4 for the pairs whose displacements x - y sit in buf[0], buf[1], buf[2].
+
+    buf is a sequence of KERNEL_BUFFERS equal-shape float64 arrays, all
+    overwritten; nx and ny are 3-tuples of target and source normal
+    components that broadcast to that shape (nx is read only if second).
+    second asks for K3 and K4 besides K1 and K2. Returns (k1, k2, k3, k4),
+    views into buf, with None for a kernel not asked for and, if
+    drop_zeros, for K1 and K4 at kappa = 0, where both are exactly zero.
+    Every operation is elementwise and in the order of the formulas above,
+    so the values do not depend on the shape, the blocking or the kernels
+    asked for.
+    """
+    b0, b1, b2, r2, b4, dny, dnx, b7 = buf
+    er = params.eps2 / params.eps1
+    screened = params.kappa != 0.0 or not drop_zeros
+    d = (b0, b1, b2)
+    _dot3_into(d, d, r2, b4)
+    _dot3_into(d, ny, dny, b4)
+    if second:
+        _dot3_into(d, nx, dnx, b4)
+    r = np.sqrt(r2, out=b0)
+    inv_r3 = np.multiply(r2, FOUR_PI, out=b1)
+    inv_r3 *= r
+    np.divide(1.0, inv_r3, out=inv_r3)
+
+    k1 = k4 = None
+    if screened:
+        kr = np.multiply(r, params.kappa, out=b2)
+        em1 = np.negative(kr, out=b4)
+        kr_ekr = np.exp(em1, out=b7)
+        np.expm1(em1, out=em1)
+        kr_ekr *= kr
+        # a = (1 + kr) e^{-kr} - 1 and b = (3 + 3 kr + kr^2) e^{-kr} - 3,
+        # both O((kr)^2), written so the constant parts cancel exactly
+        if second:
+            kr += 3.0
+            kr *= kr_ekr  # kr e^{-kr} (3 + kr)
+        a = np.add(em1, kr_ekr, out=b7)
+        # K1 = -em1 / (4 pi r)
+        k1 = np.multiply(r, -FOUR_PI, out=b0)
+        np.divide(em1, k1, out=k1)
+        if second:
+            b = np.multiply(em1, 3.0, out=b4)
+            b += kr
+            # K4 = (a nx.ny - b dnx dny / r^2) / (4 pi r^3)
+            b *= dnx
+            b *= dny
+            b /= r2
+            k4 = _dot3_into(nx, ny, b2, r2)
+            k4 *= a
+            k4 -= b
+            k4 *= inv_r3
+        # the factors ((er - 1) + er a) of K2 and -((1 - 1/er) - a/er) of K3
+        c2 = np.multiply(a, er, out=r2)
+        c2 += er - 1.0
+        if second:
+            c3 = np.divide(a, er, out=a)
+            c3 -= 1.0 - 1.0 / er
+    else:
+        c2 = er - 1.0
+        c3 = -(1.0 - 1.0 / er)
+    k2 = np.multiply(dny, inv_r3, out=dny)
+    k2 *= c2
+    k3 = None
+    if second:
+        # K3 = -dnx / (4 pi r^3) ((1 - 1/er) - a/er)
+        k3 = np.multiply(dnx, inv_r3, out=dnx)
+        k3 *= c3
+    return k1, k2, k3, k4
+
+
+def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
+                second=True, mask=None):
+    """Weighted row sums of K1..K4 over one block of (target, source) pairs.
+
+    targets and sources are (positions, normals), each a sequence of three
+    coordinate arrays (structure of arrays, e.g. a (3, ...) array) that
+    broadcast to the block shape (rows, cols); the target normals are read
+    only if second. wphi and wdphi broadcast to the same shape. The block
+    is evaluated in views of the flat scratch buffers (kernel_scratch),
+    which must hold rows x cols values. mask, a (rows, cols) index pair,
+    drops pairs that would divide by zero. Returns the per-row sums of
+    K1 wdphi + K2 wphi and of K3 wdphi + K4 wphi, the second None if not
+    asked for; at kappa = 0 the exactly-zero K1 and K4 terms are not
+    evaluated.
+    """
+    (tx, tn), (sx, sn) = targets, sources
+    shape = np.broadcast_shapes(tx[0].shape, sx[0].shape)
+    buf = [b[: shape[0] * shape[1]].reshape(shape) for b in scratch]
+    for i in range(3):
+        np.subtract(tx[i], sx[i], out=buf[i])
+    if mask is not None:
+        buf[0][mask] = 1.0  # a placeholder unit displacement
+        buf[1][mask] = 0.0
+        buf[2][mask] = 0.0
+    k1, k2, k3, k4 = pair_kernels(buf, tn, sn, params, second)
+    k2 *= wphi
+    if k1 is not None:
+        k2 += np.multiply(k1, wdphi, out=k1)
+    sums = [k2]
+    if second:
+        k3 *= wdphi
+        if k4 is not None:
+            k3 += np.multiply(k4, wphi, out=k4)
+        sums.append(k3)
+    if mask is not None:
+        for term in sums:
+            term[mask] = 0.0
+    row1 = sums[0].sum(axis=1)
+    return row1, sums[1].sum(axis=1) if second else None
+
+
 def kernel_values_d(d, nx, ny, params: PhysicalParams):
     """K1..K4 from precomputed displacements d = x - y, all (..., 3).
 
@@ -96,31 +241,14 @@ def kernel_values_d(d, nx, ny, params: PhysicalParams):
     division happens. Everything is elementwise, so results do not depend on
     how the inputs were blocked or partitioned.
     """
-    d = np.asarray(d, dtype=float)
-    nx = np.asarray(nx, dtype=float)
-    ny = np.asarray(ny, dtype=float)
-    er = params.eps2 / params.eps1
-    kappa = params.kappa
-
-    r2 = _dot3(d, d)
-    r = np.sqrt(r2)
-    kr = kappa * r
-    ekr = np.exp(-kr)
-    em1 = np.expm1(-kr)
-    # a = (1 + kr) e^{-kr} - 1 and b = (3 + 3 kr + kr^2) e^{-kr} - 3,
-    # both O((kr)^2), written so the constant parts cancel exactly
-    a = em1 + kr * ekr
-    b = 3.0 * em1 + kr * ekr * (3.0 + kr)
-    dny = _dot3(d, ny)
-    dnx = _dot3(d, nx)
-    nxny = _dot3(nx, ny)
-    inv_r3 = 1.0 / (FOUR_PI * r2 * r)
-
-    k1 = -em1 / (FOUR_PI * r)
-    k2 = dny * inv_r3 * ((er - 1.0) + er * a)
-    k3 = -dnx * inv_r3 * ((1.0 - 1.0 / er) - a / er)
-    k4 = (-b * dnx * dny / r2 + a * nxny) * inv_r3
-    return k1, k2, k3, k4
+    d, nx, ny = (np.asarray(a, dtype=float) for a in (d, nx, ny))
+    shape = np.broadcast_shapes(d.shape, nx.shape, ny.shape)[:-1]
+    scratch = np.empty((KERNEL_BUFFERS,) + shape)
+    buf = [scratch[i, ...] for i in range(KERNEL_BUFFERS)]  # views, 0-d too
+    for i in range(3):
+        buf[i][...] = d[..., i]
+    nx, ny = (np.moveaxis(a, -1, 0) for a in (nx, ny))
+    return pair_kernels(buf, nx, ny, params, drop_zeros=False)
 
 
 def kernel_block(x, nx, y, ny, params: PhysicalParams):

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .kernels import TARGET_BLOCK
+from .kernels import KERNEL_BUFFERS, TARGET_BLOCK
 
 _TIMING_FIELDS = ("time_discretize_s", "time_solve_s", "time_energy_s")
 
@@ -179,8 +179,8 @@ def memory_lower_bound_mb(problem) -> float:
     Sums the discretization caches (every array field of the problem: the
     quadrature frames and the near-list tables) and the mesh arrays, each
     buffer once (hobi collocates at the mesh's own vertex arrays; lobi's
-    regular rule is a view of its centroids), plus the largest transient
-    block a matvec materializes. Actual OS-level peak is necessarily
+    regular rule is a view of its centroids), plus the scratch buffers a
+    matvec's kernel sweep fills. Actual OS-level peak is necessarily
     higher; this bound is reproducible.
     """
     mesh = problem.mesh
@@ -188,8 +188,8 @@ def memory_lower_bound_mb(problem) -> float:
     arrays += [mesh.vertices, mesh.normals, mesh.faces]
     roots = [a if a.base is None else a.base for a in arrays if isinstance(a, np.ndarray)]
     total = sum(a.nbytes for a in {id(a): a for a in roots}.values())
-    # displacement block (3 floats) plus the four kernel arrays
+    # the sweep's scratch: KERNEL_BUFFERS arrays of one block's pair values
     block = min(TARGET_BLOCK, max(problem.n_collocation, 1))
-    total += block * problem.reg_w.size * 8 * 7
+    total += block * problem.reg_w.size * 8 * KERNEL_BUFFERS
     total += 4 * problem.n_unknowns * 8  # vectors in flight during a matvec
     return total / 1.0e6

@@ -35,13 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DegenerateArcError, frames_at, nodes_from_vertex_data
+from .geometry import (
+    DegenerateArcError,
+    DegenerateElementError,
+    frames_at,
+    nodes_from_vertex_data,
+)
 from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
     TARGET_BLOCK,
     PhysicalParams,
-    kernel_values_d,
+    kernel_scratch,
+    kernel_sums,
     source_terms_at,
 )
 from .mesh import ChargeSystem, FlatMesh
@@ -166,6 +172,17 @@ def _barycentric(points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - r - s, r, s], axis=1)
 
 
+def _face_frames(node_pos, node_nrm, pts, per_face: int):
+    """frames_at on per_face consecutive elements per face; errors name the face."""
+    try:
+        return frames_at(node_pos, node_nrm, pts)
+    except DegenerateElementError as exc:
+        r, s = exc.point
+        raise DegenerateElementError(
+            f"face {exc.index[0] // per_face}: vanishing Jacobian at (r, s) = ({r}, {s})"
+        ) from None
+
+
 def discretize(
     mesh: FlatMesh,
     params: PhysicalParams,
@@ -215,14 +232,17 @@ def discretize(
         raise DegenerateArcError(f"face {exc.index[0]}: {exc}") from None
 
     rule = config.regular_rule
-    reg_pos, reg_nrm, reg_jac = frames_at(node_pos[:, 0], node_nrm[:, 0], rule.points)
+    reg_pos, reg_nrm, reg_jac = _face_frames(
+        node_pos[:, 0], node_nrm[:, 0], rule.points, 1
+    )
     reg_w = rule.weights[None, :] * reg_jac
 
     duffy = duffy_rule(config.duffy_points)
-    duf_pos, duf_nrm, duf_jac = frames_at(
+    duf_pos, duf_nrm, duf_jac = _face_frames(
         node_pos.reshape(3 * nf, 10, 3),
         node_nrm.reshape(3 * nf, 10, 3),
         duffy.points,
+        3,
     )
     duf_w = duffy.weights[None, :] * duf_jac
 
@@ -271,42 +291,87 @@ def _interp(values: np.ndarray, bary: np.ndarray) -> np.ndarray:
 
 
 def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
-    """(src, snrm, wphi, wdphi): the regular rule's flat source axis."""
+    """(pos, nrm, wphi, wdphi): the regular rule's flat source axis.
+
+    pos and nrm are (3, N) coordinate rows, contiguous per coordinate.
+    """
     w, nodes, bary = problem.reg_w, problem.reg_nodes, problem.reg_bary
     return (
-        problem.reg_pos.reshape(-1, 3),
-        problem.reg_nrm.reshape(-1, 3),
+        np.ascontiguousarray(problem.reg_pos.reshape(-1, 3).T),
+        np.ascontiguousarray(problem.reg_nrm.reshape(-1, 3).T),
         (w * _interp(phi[nodes], bary)).reshape(-1),
         (w * _interp(dphi[nodes], bary)).reshape(-1),
     )
 
 
-def _sweep(xt, nt, sources, params: PhysicalParams, skip=None):
+def _sweep(xt, nt, sources, params: PhysicalParams, scratch=None, near=None):
     """Row sums (K1 wdphi + K2 wphi, K3 wdphi + K4 wphi) at targets (xt, nt).
 
-    Targets go TARGET_BLOCK rows at a time, but each row sums over the whole
-    fixed source axis, so no result depends on the blocking. skip, if given,
-    is a per-row list (starts, cols): row i masks the sources
-    cols[starts[i]:starts[i+1]].
+    Targets go TARGET_BLOCK rows at a time through one set of scratch
+    buffers (allocated here unless given), but each row sums over the whole
+    fixed source axis, so no result depends on the blocking. nt None asks
+    for the first sum only (K1 and K2 do not read the target normal) and
+    returns None for the second. near, if given, is (starts, faces, q): row
+    i skips the q sources of each face faces[starts[i]:starts[i+1]].
     """
-    src, snrm, wphi, wdphi = sources
+    pos, nrm, wphi, wdphi = sources
+    n = wphi.size
     t = xt.shape[0]
-    acc1, acc2 = np.empty(t), np.empty(t)
+    if scratch is None:
+        scratch = kernel_scratch(min(TARGET_BLOCK, t) * n)
+    second = nt is not None
+    acc1 = np.empty(t)
+    acc2 = np.empty(t) if second else None
     for s in range(0, t, TARGET_BLOCK):
         e = min(s + TARGET_BLOCK, t)
-        d = xt[s:e, None, :] - src[None, :, :]
-        if skip is not None:
-            starts, cols = skip
-            rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
-            pair = (rows, cols[starts[s] : starts[e]])
-            d[pair] = (1.0, 0.0, 0.0)
-        k1, k2, k3, k4 = kernel_values_d(d, nt[s:e, None, :], snrm[None], params)
-        if skip is not None:
-            for k in (k1, k2, k3, k4):
-                k[pair] = 0.0
-        acc1[s:e] = (k1 * wdphi + k2 * wphi).sum(axis=1)
-        acc2[s:e] = (k3 * wdphi + k4 * wphi).sum(axis=1)
+        mask = None
+        if near is not None:
+            starts, faces, q = near
+            rows = np.repeat(np.arange(e - s), q * np.diff(starts[s : e + 1]))
+            cols = faces[starts[s] : starts[e], None] * q + np.arange(q)
+            mask = (rows, cols.reshape(-1))
+        targets = (xt[s:e].T[:, :, None], nt[s:e].T[:, :, None] if second else None)
+        row1, row2 = kernel_sums(
+            scratch, targets, (pos, nrm), wphi, wdphi, params, second, mask
+        )
+        acc1[s:e] = row1
+        if second:
+            acc2[s:e] = row2
     return acc1, acc2
+
+
+def _add_duffy(problem: DiscretizedProblem, phi, dphi, lo, hi, scratch, acc1, acc2):
+    """Add the hobi near faces' Duffy-regularized values to rows [lo, hi).
+
+    The near pairs go through the scratch buffers in chunks of whole rows,
+    each holding no more values than one regular row (n_sources) unless a
+    single row has more. A row's pairs are summed in pair order within one
+    chunk, so the chunking changes no bit of the result.
+    """
+    starts = problem.pair_starts
+    step = max(problem.reg_w.size // problem.duf_w.shape[1], 1)
+    s = lo
+    while s < hi:
+        last = np.searchsorted(starts, starts[s] + step, side="right") - 1
+        e = min(max(int(last), s + 1), hi)
+        p0, p1 = starts[s], starts[e]
+        gv = problem.pair_gverts[p0:p1]
+        pv = gv[:, 0]
+        w = problem.duf_w[p0:p1]
+        rows = kernel_sums(
+            scratch,
+            (problem.colloc_pos[pv].T[:, :, None], problem.colloc_nrm[pv].T[:, :, None]),
+            (
+                np.moveaxis(problem.duf_pos[p0:p1], -1, 0),
+                np.moveaxis(problem.duf_nrm[p0:p1], -1, 0),
+            ),
+            w * _interp(phi[gv], problem.duf_bary),
+            w * _interp(dphi[gv], problem.duf_bary),
+            problem.params,
+        )
+        for acc, row in zip((acc1, acc2), rows):
+            acc[s - lo : e - lo] += np.bincount(pv - s, weights=row, minlength=e - s)
+        s = e
 
 
 def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
@@ -321,33 +386,26 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     er = params.eps2 / params.eps1
     phi, dphi = u[:T], u[T:]
     sources = _sources(problem, phi, dphi)
-    xt = problem.colloc_pos[lo:hi]
-    nt = problem.colloc_nrm[lo:hi]
+    starts = problem.pair_starts
+
+    # one set of buffers for the regular blocks and the near chunks
+    size = min(TARGET_BLOCK, hi - lo) * problem.reg_w.size
+    if problem.duf_w is not None and hi > lo:
+        row_pairs = int(np.diff(starts[lo : hi + 1]).max())
+        size = max(size, row_pairs * problem.duf_w.shape[1])
+    scratch = kernel_scratch(size)
 
     # the regular rule skips each row's near faces, all Q points of each
-    p0 = int(problem.pair_starts[lo])
-    p1 = int(problem.pair_starts[hi])
-    q = problem.reg_w.shape[1]
-    near = problem.pair_face[p0:p1, None] * q + np.arange(q)
-    skip = ((problem.pair_starts[lo : hi + 1] - p0) * q, near.reshape(-1))
-    acc1, acc2 = _sweep(xt, nt, sources, params, skip=skip)
-
-    if problem.duf_w is not None and p1 > p0:
-        # hobi: the near faces' Duffy-regularized values
-        gv = problem.pair_gverts[p0:p1]
-        pv = gv[:, 0]
-        k1, k2, k3, k4 = kernel_values_d(
-            problem.colloc_pos[pv][:, None, :] - problem.duf_pos[p0:p1],
-            problem.colloc_nrm[pv][:, None, :],
-            problem.duf_nrm[p0:p1],
-            params,
-        )
-        wp = problem.duf_w[p0:p1] * _interp(phi[gv], problem.duf_bary)
-        wd = problem.duf_w[p0:p1] * _interp(dphi[gv], problem.duf_bary)
-        duf1 = (k1 * wd + k2 * wp).sum(axis=1)
-        duf2 = (k3 * wd + k4 * wp).sum(axis=1)
-        acc1 += np.bincount(pv - lo, weights=duf1, minlength=hi - lo)
-        acc2 += np.bincount(pv - lo, weights=duf2, minlength=hi - lo)
+    near = (
+        starts[lo : hi + 1] - starts[lo],
+        problem.pair_face[starts[lo] :],
+        problem.reg_w.shape[1],
+    )
+    xt = problem.colloc_pos[lo:hi]
+    nt = problem.colloc_nrm[lo:hi]
+    acc1, acc2 = _sweep(xt, nt, sources, params, scratch, near)
+    if problem.duf_w is not None:
+        _add_duffy(problem, phi, dphi, lo, hi, scratch, acc1, acc2)
 
     out1 = 0.5 * (1.0 + er) * phi[lo:hi] - acc1
     out2 = 0.5 * (1.0 + 1.0 / er) * dphi[lo:hi] - acc2
@@ -415,13 +473,6 @@ def _adopt(problem: DiscretizedProblem):
     """Pool initializer: a fork child inherits its argument unpickled."""
     global _worker_problem
     _worker_problem = problem
-    # glibc raises its mmap threshold, and its trim threshold to twice that,
-    # to the size of any mapped block it frees. Freeing one 16 MB block here
-    # keeps a sweep block's few MB of temporaries on the heap; otherwise,
-    # depending on what the parent allocated before the fork, every block
-    # can map and fault in fresh pages (a 2-worker level-4 lobi solve ran
-    # 20-30% slower). Elsewhere this is one unused allocation.
-    np.empty(1 << 21)
 
 
 def _range_task(u: np.ndarray, lo: int, hi: int):
@@ -597,10 +648,7 @@ def solvation_energy(
     """
     charges = problem.charges
     sources = _sources(problem, solution.phi, solution.dphi_dn)
-    # K1 and K2 ignore the target normal, so any finite normals will do
-    rows, _ = _sweep(
-        charges.positions, np.zeros_like(charges.positions), sources, problem.params
-    )
+    rows, _ = _sweep(charges.positions, None, sources, problem.params)
     total = 0.0
     for q, row in zip(charges.charges, rows):
         total += q * row

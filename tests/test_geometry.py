@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,33 @@ def test_element_frame_degenerate_collinear():
     elem = CurvedElement(nodes=nodes, node_normals=normals, vertex_ids=(0, 1, 2))
     with pytest.raises(DegenerateElementError):
         element_frame(elem, 0.3, 0.3)
+
+
+def test_frames_at_collapsed_element_raises_not_warns():
+    """A (1, 10, 3) node set collapsed to one point has a zero Jacobian
+    everywhere: frames_at names the element and the first reference point
+    instead of dividing by zero."""
+    node_pos = np.zeros((1, 10, 3)) + [0.5, -1.0, 2.0]
+    node_nrm = np.zeros((1, 10, 3)) + [0.0, 0.0, 1.0]
+    pts = np.array([(0.25, 0.5), (0.1, 0.1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        with pytest.raises(DegenerateElementError) as info:
+            frames_at(node_pos, node_nrm, pts)
+    assert str(info.value) == "element 0: vanishing Jacobian at (r, s) = (0.25, 0.5)"
+    assert info.value.index == (0,)
+    assert info.value.point == (0.25, 0.5)
+
+
+def test_frames_at_names_first_degenerate_element():
+    mesh = icosahedral_sphere(0)
+    elems = [build_curved_element(mesh, f) for f in range(3)]
+    node_pos = np.stack([e.nodes for e in elems])
+    node_nrm = np.stack([e.node_normals for e in elems])
+    node_pos[1] = node_pos[1, 0]
+    node_pos[2] = node_pos[2, 0]
+    with pytest.raises(DegenerateElementError, match="^element 1: "):
+        frames_at(node_pos, node_nrm, np.array([(0.2, 0.3)]))
 
 
 def test_frames_at_matches_element_frame():

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 import pbbem.kernels
 import pbbem.solver
-from pbbem.kernels import FOUR_PI, KCAL_MOL_PER_E2_ANG, PhysicalParams, kernel_block
+from pbbem.kernels import (
+    FOUR_PI,
+    KCAL_MOL_PER_E2_ANG,
+    KERNEL_BUFFERS,
+    TARGET_BLOCK,
+    PhysicalParams,
+    kernel_block,
+    kernel_values_d,
+)
 from pbbem.kirkwood import SphereProblem, kirkwood_centered
 from pbbem.mesh import (
     ChargeSystem,
@@ -17,7 +26,7 @@ from pbbem.mesh import (
     MeshValidationError,
     icosahedral_sphere,
 )
-from pbbem.geometry import DegenerateArcError
+from pbbem.geometry import DegenerateArcError, DegenerateElementError, frames_at
 from pbbem.solver import (
     GmresBreakdown,
     GmresNonConvergence,
@@ -141,6 +150,26 @@ def test_discretize_names_lowest_degenerate_face(octahedron_arrays):
     assert str(info.value) == (
         "face 6: endpoint normal is nearly parallel to the chord"
     )
+
+
+@pytest.mark.parametrize("which, per_face", [(0, 1), (1, 3)])
+def test_discretize_names_face_of_vanishing_jacobian(monkeypatch, which, per_face):
+    """A degenerate curved element in the regular (one element per face) or
+    the Duffy (three rotations per face) frames is reported by its face."""
+    calls = []
+
+    def collapse_face_5(node_pos, node_nrm, pts):
+        if len(calls) == which:
+            node_pos = node_pos.copy()
+            node_pos[5 * per_face] = node_pos[5 * per_face, 0]
+        calls.append(None)
+        return frames_at(node_pos, node_nrm, pts)
+
+    monkeypatch.setattr(pbbem.solver, "frames_at", collapse_face_5)
+    mesh = icosahedral_sphere(1)
+    with pytest.raises(DegenerateElementError) as info:
+        discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    assert str(info.value).startswith("face 5: vanishing Jacobian at (r, s) = (")
 
 
 def test_singular_faces_cover_incident_elements():
@@ -297,6 +326,135 @@ def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
         monkeypatch.setattr(pbbem.kernels, "TARGET_BLOCK", rows)
         for got, want in zip(_block_outputs(problem, u), reference):
             assert np.array_equal(got, want)
+
+
+def _node_sum(values, bary):
+    """(..., K) node values x (m, K) weights -> (..., m), in node order."""
+    out = values[..., 0, None] * bary[:, 0]
+    for k in range(1, bary.shape[1]):
+        out = out + values[..., k, None] * bary[:, k]
+    return out
+
+
+def _reference_row_sums(xt, nt, src, snrm, wphi, wdphi, params, skip=None):
+    """The sweep as four full kernel arrays per block from kernel_values_d,
+    K1 and K4 evaluated even where they are exactly zero. skip, if given,
+    is (starts, cols): row i drops the sources cols[starts[i]:starts[i+1]]."""
+    t = xt.shape[0]
+    acc1, acc2 = np.empty(t), np.empty(t)
+    for s in range(0, t, 8):
+        e = min(s + 8, t)
+        d = xt[s:e, None, :] - src[None, :, :]
+        if skip is not None:
+            starts, cols = skip
+            rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
+            pair = (rows, cols[starts[s] : starts[e]])
+            d[pair] = (1.0, 0.0, 0.0)
+        k1, k2, k3, k4 = kernel_values_d(d, nt[s:e, None, :], snrm[None], params)
+        if skip is not None:
+            for k in (k1, k2, k3, k4):
+                k[pair] = 0.0
+        acc1[s:e] = (k1 * wdphi + k2 * wphi).sum(axis=1)
+        acc2[s:e] = (k3 * wdphi + k4 * wphi).sum(axis=1)
+    return acc1, acc2
+
+
+def _reference_matvec(problem, u):
+    """The operator with every kernel value from kernel_values_d."""
+    t = problem.n_collocation
+    params = problem.params
+    er = params.eps2 / params.eps1
+    phi, dphi = u[:t], u[t:]
+    q = problem.reg_w.shape[1]
+    w = problem.reg_w
+    wphi = (w * _node_sum(phi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
+    wdphi = (w * _node_sum(dphi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
+    near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
+    acc1, acc2 = _reference_row_sums(
+        problem.colloc_pos, problem.colloc_nrm,
+        problem.reg_pos.reshape(-1, 3), problem.reg_nrm.reshape(-1, 3),
+        wphi, wdphi, params, skip=(problem.pair_starts * q, near),
+    )
+    if problem.duf_w is not None:
+        gv = problem.pair_gverts
+        pv = gv[:, 0]
+        k1, k2, k3, k4 = kernel_values_d(
+            problem.colloc_pos[pv][:, None, :] - problem.duf_pos,
+            problem.colloc_nrm[pv][:, None, :],
+            problem.duf_nrm,
+            params,
+        )
+        wp = problem.duf_w * _node_sum(phi[gv], problem.duf_bary)
+        wd = problem.duf_w * _node_sum(dphi[gv], problem.duf_bary)
+        acc1 += np.bincount(pv, weights=(k1 * wd + k2 * wp).sum(axis=1), minlength=t)
+        acc2 += np.bincount(pv, weights=(k3 * wd + k4 * wp).sum(axis=1), minlength=t)
+    out1 = 0.5 * (1.0 + er) * phi - acc1
+    out2 = 0.5 * (1.0 + 1.0 / er) * dphi - acc2
+    return np.concatenate([out1, out2])
+
+
+SCREENED_AND_NOT = [MIXED, PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.0)]
+
+
+@pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
+    """The structure-of-arrays sweep, which skips the exactly-zero K1 and K4
+    at kappa = 0, reproduces four-kernel row sums bit for bit, near-list
+    skip and hobi Duffy terms included."""
+    mesh = icosahedral_sphere(1)
+    problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
+    u = np.random.default_rng(11).standard_normal(problem.n_unknowns)
+    assert np.array_equal(_apply(problem, u), _reference_matvec(problem, u))
+
+
+@pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
+    """solvation_energy evaluates only K1 and K2; summing a full four-kernel
+    sweep's first row sums gives the same bits."""
+    mesh = icosahedral_sphere(1)
+    problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
+    t = problem.n_collocation
+    u = np.random.default_rng(12).standard_normal(2 * t)
+    phi, dphi = u[:t], u[t:]
+    w = problem.reg_w
+    wphi = (w * _node_sum(phi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
+    wdphi = (w * _node_sum(dphi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
+    charges = problem.charges
+    rows, _ = _reference_row_sums(
+        charges.positions, np.zeros_like(charges.positions),
+        problem.reg_pos.reshape(-1, 3), problem.reg_nrm.reshape(-1, 3),
+        wphi, wdphi, params,
+    )
+    total = 0.0
+    for q, row in zip(charges.charges, rows):
+        total += q * row
+    expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
+    assert solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0)) == expected
+
+
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_apply_range_memory_does_not_grow_with_rows(scheme):
+    """One _apply_range call holds one set of scratch buffers, sized by
+    TARGET_BLOCK: doubling its rows adds less than one source row of one
+    buffer to the traced peak, which stays near KERNEL_BUFFERS blocks."""
+    mesh = icosahedral_sphere(2)
+    problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
+    u = np.random.default_rng(13).standard_normal(problem.n_unknowns)
+    n_sources = problem.reg_w.size
+    peaks = []
+    for rows in (40, 80):
+        pbbem.solver._apply_range(problem, u, 0, rows)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            pbbem.solver._apply_range(problem, u, 0, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < n_sources * 8
+    block_bytes = TARGET_BLOCK * n_sources * 8
+    assert peaks[1] < (KERNEL_BUFFERS + 4) * block_bytes
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
