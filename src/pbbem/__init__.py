@@ -28,6 +28,7 @@ from .solver import (
     GmresNonConvergence,
     SolverConfig,
     SurfaceSolution,
+    WorkerDied,
     assemble_rhs,
     convergence_order,
     discretize,
@@ -54,6 +55,7 @@ __all__ = [
     "SolverConfig",
     "SphereProblem",
     "SurfaceSolution",
+    "WorkerDied",
     "assemble_rhs",
     "convergence_order",
     "discretize",

@@ -36,6 +36,7 @@ from .solver import (
     SCHEMES,
     GmresNonConvergence,
     SolverConfig,
+    WorkerDied,
     convergence_order,
     discretize,
     solvation_energy,
@@ -44,7 +45,7 @@ from .solver import (
 )
 
 # mesh, charge and geometry errors are all ValueError subclasses
-_RUNTIME_ERRORS = (OSError, ValueError, GmresNonConvergence)
+_RUNTIME_ERRORS = (OSError, ValueError, GmresNonConvergence, WorkerDied)
 
 
 def _parse_sphere(text: str) -> tuple[int, float]:
@@ -221,6 +222,7 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
         phi_error=phi_error,
         observed_order=None,
         iterations=solution.iterations,
+        matvecs=solution.matvecs,
         residual=solution.residual,
         time_discretize_s=t1 - t0,
         time_solve_s=t2 - t1,

@@ -21,11 +21,13 @@ its buffers once per call (kernel_scratch) and nothing per block.
 kernel_sums reads targets and sources as structure of arrays (x, y, z
 coordinate rows), forms the displacements in those buffers and returns
 only the weighted row sums its caller asks for: the matvec both, the
-solvation energy the first (K1 and K2) at every kappa. At kappa = 0,
-expm1(-0) = -0 makes K1 and K4 exactly zero, so they are not evaluated
-and the matvec computes only K2 and K3. That changes no bit: each dropped
-term only ever added a signed zero to a nonzero product, and every kept
-operation runs in the formulas' order. In the identity medium
+solvation energy the first (K1 and K2) at every kappa. Where the targets
+are sources too (lobi's strip sweep) it also returns the column sums of
+the swapped pairs, which share every factor with the pairs evaluated.
+At kappa = 0, expm1(-0) = -0 makes K1 and K4 exactly zero, so they are
+not evaluated and the matvec computes only K2 and K3. That changes no
+bit: each dropped term only ever added a signed zero to a nonzero
+product, and every kept operation runs in the formulas' order. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
 +0.0, so every term and row sum is +-0.0 and the operator is exactly the
 identity. kernel_values_d evaluates all four kernels for arrays of any
@@ -121,7 +123,8 @@ def kernel_scratch(size: int) -> np.ndarray:
     return np.empty((KERNEL_BUFFERS, size))
 
 
-def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=True):
+def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=True,
+                 swap=False):
     """K1..K4 for the pairs whose displacements x - y sit in buf[0], buf[1], buf[2].
 
     buf is a sequence of KERNEL_BUFFERS equal-shape float64 arrays, all
@@ -132,7 +135,14 @@ def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=Tr
     drop_zeros, for K1 and K4 at kappa = 0, where both are exactly zero.
     Every operation is elementwise and in the order of the formulas above,
     so the values do not depend on the shape, the blocking or the kernels
-    asked for.
+    asked for. No result is left in buf[-1], which callers may reuse.
+
+    K1 and K4 are exactly symmetric: the swapped pair (y, x), whose
+    displacement is -(x - y) and whose normals trade places, rounds to the
+    same bits. swap (which needs second) also returns m2 and m3, with
+    K2(y, x) = -m2 and K3(y, x) = -m3 exactly: the swapped pair's d.ny is
+    -d.nx and its d.nx is -d.ny, so only the signs of the products
+    (d.nx / (4 pi r^3)) c2 and (d.ny / (4 pi r^3)) c3 change.
     """
     b0, b1, b2, r2, b4, dny, dnx, b7 = buf
     er = params.eps2 / params.eps1
@@ -166,10 +176,10 @@ def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=Tr
         if second:
             b = np.multiply(em1, 3.0, out=b4)
             b += kr
-            # K4 = (a nx.ny - b dnx dny / r^2) / (4 pi r^3)
-            b *= dnx
-            b *= dny
+            # K4 = (a nx.ny - b dnx dny / r^2) / (4 pi r^3); the product
+            # dnx dny is formed once, so a swapped pair rounds alike
             b /= r2
+            b *= np.multiply(dnx, dny, out=r2)
             k4 = _dot3_into(nx, ny, b2, r2)
             k4 *= a
             k4 -= b
@@ -184,54 +194,73 @@ def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=Tr
         c2 = er - 1.0
         c3 = -(1.0 - 1.0 / er)
     k2 = np.multiply(dny, inv_r3, out=dny)
-    k2 *= c2
-    k3 = None
+    k3 = m2 = m3 = None
     if second:
         # K3 = -dnx / (4 pi r^3) ((1 - 1/er) - a/er)
         k3 = np.multiply(dnx, inv_r3, out=dnx)
+        if swap:
+            m2 = np.multiply(k3, c2, out=inv_r3)
+            m3 = np.multiply(k2, c3, out=b4)
         k3 *= c3
+    k2 *= c2
+    if swap:
+        return k1, k2, k3, k4, m2, m3
     return k1, k2, k3, k4
 
 
 def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
-                second=True, mask=None):
+                second=True, mask=None, own=None):
     """Weighted row sums of K1..K4 over one block of (target, source) pairs.
 
-    targets and sources are (positions, normals), each a sequence of three
-    coordinate arrays (structure of arrays, e.g. a (3, ...) array) that
-    broadcast to the block shape (rows, cols); the target normals are read
-    only if second. wphi and wdphi broadcast to the same shape. The block
-    is evaluated in views of the flat scratch buffers (kernel_scratch),
-    which must hold rows x cols values. mask, a (rows, cols) index pair,
-    drops pairs that would divide by zero. Returns the per-row sums of
-    K1 wdphi + K2 wphi and of K3 wdphi + K4 wphi, the second None if not
-    asked for; at kappa = 0 the exactly-zero K1 and K4 terms are not
-    evaluated.
+    targets and sources are (positions, normals), each a (3, ...) array of
+    coordinate rows (structure of arrays) whose rows broadcast to the block
+    shape (rows, cols); the target normals are read only if second. wphi
+    and wdphi broadcast to the same shape. The block is evaluated in views
+    of the flat scratch buffers (kernel_scratch), which must hold
+    rows x cols values. mask, a (rows, cols) index pair, drops pairs that
+    would divide by zero. Returns the per-row sums of K1 wdphi + K2 wphi
+    and of K3 wdphi + K4 wphi, the second None if not asked for; at
+    kappa = 0 the exactly-zero K1 and K4 terms are not evaluated.
+
+    own, given when the targets are sources too, is their (wphi, wdphi) as
+    (rows, 1) columns: each pair is then also evaluated swapped, and the
+    per-column sums of K1(y, x) wdphi(x) + K2(y, x) wphi(x) and of
+    K3(y, x) wdphi(x) + K4(y, x) wphi(x) follow the row sums (second only).
     """
     (tx, tn), (sx, sn) = targets, sources
-    shape = np.broadcast_shapes(tx[0].shape, sx[0].shape)
-    buf = [b[: shape[0] * shape[1]].reshape(shape) for b in scratch]
-    for i in range(3):
-        np.subtract(tx[i], sx[i], out=buf[i])
+    shape = np.broadcast(tx[0], sx[0]).shape
+    flat = scratch[:, : shape[0] * shape[1]]
+    d = np.subtract(tx, sx, out=flat[:3].reshape((3,) + shape))
     if mask is not None:
-        buf[0][mask] = 1.0  # a placeholder unit displacement
-        buf[1][mask] = 0.0
-        buf[2][mask] = 0.0
-    k1, k2, k3, k4 = pair_kernels(buf, tn, sn, params, second)
+        d[(slice(None),) + mask] = ((1.0,), (0.0,), (0.0,))  # a unit placeholder
+    buf = [b.reshape(shape) for b in flat]
+    k1, k2, k3, k4, *m = pair_kernels(buf, tn, sn, params, second, swap=own is not None)
+    cols = []
+    if own is not None:
+        # K2(y, x) wphi(x) = m2 (-wphi(x)) exactly; K1 and K4 stay whole
+        # for the row terms, so their column products go through buf[-1]
+        m2, m3 = m
+        owp, owd = own
+        m2 *= -owp
+        m3 *= -owd
+        if k1 is not None:
+            m2 += np.multiply(k1, owd, out=buf[-1])
+            m3 += np.multiply(k4, owp, out=buf[-1])
+        cols = [m2, m3]
     k2 *= wphi
     if k1 is not None:
         k2 += np.multiply(k1, wdphi, out=k1)
-    sums = [k2]
+    rows = [k2]
     if second:
         k3 *= wdphi
         if k4 is not None:
             k3 += np.multiply(k4, wphi, out=k4)
-        sums.append(k3)
+        rows.append(k3)
     if mask is not None:
-        for term in sums:
+        for term in rows + cols:
             term[mask] = 0.0
-    row1 = sums[0].sum(axis=1)
-    return row1, sums[1].sum(axis=1) if second else None
+    sums = [term.sum(axis=1) for term in rows] + [term.sum(axis=0) for term in cols]
+    return sums if second else (sums[0], None)
 
 
 def kernel_values_d(d, nx, ny, params: PhysicalParams):

@@ -4,7 +4,8 @@ A report carries everything needed to reproduce and interpret a run: the
 problem description, the scheme and quadrature rule (with its verified
 exactness degree, so results stay interpretable if the rule choice ever
 changes), the energy, oracle errors when a sphere oracle applies, GMRES
-diagnostics, per-phase wall times, and a deterministic lower bound on peak
+diagnostics (iterations, residual and operator applications), per-phase
+wall times, and a deterministic lower bound on peak
 memory computed from the quadrature cache sizes. The wall-time fields are
 the only nondeterministic ones; everything else is byte-stable for fixed
 inputs, a fixed rule, and worker count 1.
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .kernels import KERNEL_BUFFERS, TARGET_BLOCK
+from .solver import workspace_doubles
 
 _TIMING_FIELDS = ("time_discretize_s", "time_solve_s", "time_energy_s")
 
@@ -55,6 +56,7 @@ class RunReport:
     phi_error: float | None
     observed_order: float | None
     iterations: int
+    matvecs: int
     residual: float
     time_discretize_s: float
     time_solve_s: float
@@ -179,17 +181,16 @@ def memory_lower_bound_mb(problem) -> float:
     Sums the discretization caches (every array field of the problem: the
     quadrature frames and the near-list tables) and the mesh arrays, each
     buffer once (hobi collocates at the mesh's own vertex arrays; lobi's
-    regular rule is a view of its centroids), plus the scratch buffers a
-    matvec's kernel sweep fills. Actual OS-level peak is necessarily
-    higher; this bound is reproducible.
+    regular rule is a view of its centroids), plus what a serial matvec
+    allocates: its kernel scratch and partial sums (solver.workspace_doubles)
+    and the vectors in flight. Actual OS-level peak is necessarily higher;
+    this bound is reproducible.
     """
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]
     arrays += [mesh.vertices, mesh.normals, mesh.faces]
     roots = [a if a.base is None else a.base for a in arrays if isinstance(a, np.ndarray)]
     total = sum(a.nbytes for a in {id(a): a for a in roots}.values())
-    # the sweep's scratch: KERNEL_BUFFERS arrays of one block's pair values
-    block = min(TARGET_BLOCK, max(problem.n_collocation, 1))
-    total += block * problem.reg_w.size * 8 * KERNEL_BUFFERS
+    total += workspace_doubles(problem) * 8
     total += 4 * problem.n_unknowns * 8  # vectors in flight during a matvec
     return total / 1.0e6

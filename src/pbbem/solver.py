@@ -18,20 +18,27 @@ for callers that time or wrap the steps one by one.
 
 Nothing is ever assembled into a matrix. Both schemes store a regular
 rule on every element and each collocation row's near elements. One
-blocked sweep (_sweep) sums the regular rule over every element; the
-matvecs skip each row's near elements (lobi: its own face, dropped; hobi:
-the incident faces, whose Duffy-regularized values are then added), the
-solvation energy skips none. The summation order inside a row is fixed by
-element index and never depends on how target rows are blocked or
-partitioned across workers, which is what makes the parallel matvec
-reproduce the serial one bitwise.
+blocked sweep (_sweep) sums the regular rule over every element: hobi's
+matvec skips each row's incident faces and then adds their
+Duffy-regularized values; the solvation energy skips none. In both, every
+row sums over the full source axis in element order, so no bit depends on
+how the rows are blocked or split across workers.
+
+lobi's sources are its collocation points, one per element, and a row
+skips only its own (_self_sourced reads this from the tables). Pair (i, j)
+and its swap then share every kernel factor, so its matvec is a strip
+sweep (_apply_chunks) that evaluates each pair once for both
+orientations: the strips and their grouping into STRIP_CHUNKS chunks
+depend on the number of faces alone, each chunk sums from zero in strip
+order, and the chunks are added over a fixed binary tree. Its bits follow
+that layout and are the same for every worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from .geometry import (
 from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
+    KERNEL_BUFFERS,
     TARGET_BLOCK,
     PhysicalParams,
     kernel_scratch,
@@ -54,6 +62,17 @@ from .mesh import ChargeSystem, FlatMesh
 from .quadrature import TriangleRule, duffy_rule, gauss_radau_rule
 
 SCHEMES = ("hobi", "lobi")
+
+# The strip sweep's layout, a function of the number of points T alone: a
+# strip has at least STRIP_ROWS rows and at most
+# max(STRIP_ROWS * T, STRIP_MIN_PAIRS) pairs, and the strips form
+# STRIP_CHUNKS chunks of near-equal pair count. The floor keeps small
+# meshes' strips large enough that the fixed interpreter cost of a block
+# (~100 us on a 2-CPU Xeon host) does not outweigh its kernel work; from
+# T = 512 on it is inactive.
+STRIP_ROWS = 8
+STRIP_MIN_PAIRS = 1 << 12
+STRIP_CHUNKS = 16
 
 
 class GmresNonConvergence(RuntimeError):
@@ -66,6 +85,10 @@ class GmresNonConvergence(RuntimeError):
 
 class GmresBreakdown(GmresNonConvergence):
     """GMRES met a non-finite residual (NaN/inf in b or in the operator)."""
+
+
+class WorkerDied(RuntimeError):
+    """A matvec worker process ended before it returned its part."""
 
 
 @dataclass(frozen=True)
@@ -104,12 +127,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SurfaceSolution:
-    """Solved surface traces plus solve diagnostics."""
+    """Solved surface traces plus solve diagnostics.
+
+    matvecs counts the operator applications; solve() sets it, and it is
+    None where gmres_solve ran on a caller's own operator.
+    """
 
     phi: np.ndarray
     dphi_dn: np.ndarray
     iterations: int
     residual: float
+    matvecs: int | None = None
 
     @property
     def vector(self) -> np.ndarray:
@@ -332,7 +360,14 @@ def _sweep(xt, nt, sources, params: PhysicalParams, scratch=None, near=None):
             mask = (rows, cols.reshape(-1))
         targets = (xt[s:e].T[:, :, None], nt[s:e].T[:, :, None] if second else None)
         row1, row2 = kernel_sums(
-            scratch, targets, (pos, nrm), wphi, wdphi, params, second, mask
+            scratch,
+            targets,
+            (pos[:, None], nrm[:, None]),
+            wphi,
+            wdphi,
+            params,
+            second,
+            mask,
         )
         acc1[s:e] = row1
         if second:
@@ -412,13 +447,133 @@ def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     return out1, out2
 
 
-def _full_matvec(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+def _self_sourced(problem: DiscretizedProblem) -> bool:
+    """Whether the regular rule's sources are the collocation points, one
+    per element, each row skipping only its own (lobi). Pair (i, j) and its
+    swap (j, i) then share every factor, and the strip sweep applies."""
     T = problem.n_collocation
-    if u.shape != (2 * T,):
-        raise ValueError(f"expected vector of length {2 * T}, got shape {u.shape}")
-    out1, out2 = _apply_range(problem, u, 0, T)
-    return np.concatenate([out1, out2])
+    own = np.arange(T + 1)
+    return (
+        problem.reg_w.shape == (T, 1)
+        and np.array_equal(problem.reg_pos[:, 0], problem.colloc_pos)
+        and np.array_equal(problem.reg_nrm[:, 0], problem.colloc_nrm)
+        and np.array_equal(problem.pair_starts, own)
+        and np.array_equal(problem.pair_face, own[:-1])
+    )
+
+
+def _strip_layout(n: int):
+    """(bounds, pairs, chunks): the strip sweep over n self-sourced points.
+
+    Strip k is rows [bounds[k], bounds[k+1]), as many as the pair budget
+    allows, evaluated as one block of pairs[k] values against columns
+    [bounds[k], n). Only the self pairs are masked: inside the block's
+    leading square each orientation is a row entry of its own; past it,
+    pair (i, j) is evaluated once and also serves (j, i). Chunk c is
+    strips [chunks[c], chunks[c+1]): a strip goes to the chunk in which the
+    middle of its pairs falls when the running pair count is cut into
+    STRIP_CHUNKS equal parts. Nothing here reads a worker count.
+    """
+    budget = max(STRIP_ROWS * n, STRIP_MIN_PAIRS)
+    bounds = [0]
+    while bounds[-1] < n:
+        cols = n - bounds[-1]
+        bounds.append(bounds[-1] + min(cols, budget // cols))
+    bounds = np.array(bounds)
+    pairs = np.diff(bounds) * (n - bounds[:-1])
+    middles = np.cumsum(pairs) - pairs / 2
+    cuts = np.arange(STRIP_CHUNKS + 1) * (pairs.sum() / STRIP_CHUNKS)
+    return bounds, pairs, np.searchsorted(middles, cuts)
+
+
+def _tree_nodes(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The largest nodes of the chunk tree below node [a, b) that lie in
+    [lo, hi), in order. Node [a, b) splits at m = (a + b) // 2 into [a, m)
+    and [m, b); a leaf is one chunk. The nodes tile [lo, hi)."""
+    if lo <= a and b <= hi:
+        return [(a, b)]
+    if b <= lo or hi <= a:
+        return []
+    m = (a + b) // 2
+    return _tree_nodes(a, m, lo, hi) + _tree_nodes(m, b, lo, hi)
+
+
+def _tree_sum(a: int, b: int, known):
+    """The sums of node [a, b): known(a, b), or else its halves' sums added."""
+    sums = known(a, b)
+    if sums is None:
+        m = (a + b) // 2
+        sums = _tree_sum(a, m, known) + _tree_sum(m, b, known)
+    return sums
+
+
+def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
+    """Chunks [lo, hi) of the strip sweep as [(a, b, sums)] over the
+    largest chunk-tree nodes in [lo, hi); sums is (2, T) kernel sums.
+
+    Each chunk sums from zero, strip by strip in order: strip [s, e) adds
+    its row sums to rows [s, e), then its swapped pairs' column sums to
+    rows [e, T). Nodes add their halves, so the root, however the chunks
+    were split, holds the sums _sweep gives with each row skipping its own
+    element, in one fixed association.
+    """
+    T = problem.n_collocation
+    bounds, pairs, chunks = _strip_layout(T)
+    pos, nrm, wphi, wdphi = _sources(problem, u[:T], u[T:])
+    scratch = kernel_scratch(int(pairs[chunks[lo] : chunks[hi]].max(initial=0)))
+
+    def chunk(a, b):
+        if b - a > 1:
+            return None
+        acc = np.zeros((2, T))
+        for k in range(chunks[a], chunks[b]):
+            s, e = bounds[k], bounds[k + 1]
+            row1, row2, col1, col2 = kernel_sums(
+                scratch,
+                (pos[:, s:e, None], nrm[:, s:e, None]),
+                (pos[:, None, s:], nrm[:, None, s:]),
+                wphi[s:],
+                wdphi[s:],
+                problem.params,
+                mask=(np.arange(e - s), np.arange(e - s)),
+                own=(wphi[s:e, None], wdphi[s:e, None]),
+            )
+            acc[0, s:e] += row1
+            acc[1, s:e] += row2
+            acc[0, e:] += col1[e - s :]
+            acc[1, e:] += col2[e - s :]
+        return acc
+
+    # NumPy's iterator would otherwise buffer several rows of a block with
+    # fewer than ~4096 columns at once, which makes every broadcast
+    # operation of a late, short-rowed strip ~3x slower. Elementwise
+    # results and contiguous sums do not depend on the buffer size.
+    bufsize = np.setbufsize(16)
+    try:
+        return [
+            (a, b, _tree_sum(a, b, chunk))
+            for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)
+        ]
+    finally:
+        np.setbufsize(bufsize)
+
+
+def workspace_doubles(problem: DiscretizedProblem) -> int:
+    """float64 values a serial matvec allocates for its kernel buffers and
+    partial sums: KERNEL_BUFFERS blocks of TARGET_BLOCK rows for the row
+    sweep; for the strip sweep, KERNEL_BUFFERS blocks of its largest strip
+    plus the (2, T) sums the chunk tree holds at once, one per level and
+    two at the leaves."""
+    T = problem.n_collocation
+    if _self_sourced(problem):
+        _, pairs, _ = _strip_layout(T)
+        held = (STRIP_CHUNKS - 1).bit_length() + 2
+        return KERNEL_BUFFERS * int(pairs.max(initial=0)) + held * 2 * T
+    return KERNEL_BUFFERS * min(TARGET_BLOCK, max(T, 1)) * problem.reg_w.size
+
+
+def _full_matvec(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
+    return _Operator(problem, 1)(u)
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
@@ -475,42 +630,77 @@ def _adopt(problem: DiscretizedProblem):
     _worker_problem = problem
 
 
-def _range_task(u: np.ndarray, lo: int, hi: int):
-    return _apply_range(_worker_problem, u, lo, hi)
+def _worker_part(part, u: np.ndarray, lo: int, hi: int):
+    return part(_worker_problem, u, lo, hi)
 
 
 class _Operator:
-    """Callable matvec, optionally fanned out over a fork pool."""
+    """Callable matvec, optionally fanned out over a fork pool.
+
+    A self-sourced problem (lobi) is STRIP_CHUNKS chunks of the strip
+    sweep, any other its collocation rows. Either list is split into one
+    contiguous range per worker (partition_targets). Rows are placed;
+    chunk sums are added over the fixed chunk tree, each worker returning
+    the largest nodes inside its range. So no bit depends on the worker
+    count. A worker that dies raises WorkerDied. matvecs counts the
+    applications.
+    """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
         self._problem = problem
+        self._strips = _self_sourced(problem)
+        self._part = _apply_chunks if self._strips else _apply_range
+        items = STRIP_CHUNKS if self._strips else problem.n_collocation
+        self._ranges = [(0, items)]
         self._pool = None
-        self._ranges = None
+        self.matvecs = 0
         can_fork = "fork" in multiprocessing.get_all_start_methods()
         if workers > 1 and can_fork and problem.n_collocation > 0:
-            self._ranges = partition_targets(problem.n_collocation, workers)
-            self._pool = multiprocessing.get_context("fork").Pool(
-                workers, initializer=_adopt, initargs=(problem,)
+            # imported here: the module costs a serial solve ~1.3 MB of RSS
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._ranges = partition_targets(items, workers)
+            self._pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt,
+                initargs=(problem,),
             )
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def _parts(self, u: np.ndarray) -> list:
         if self._pool is None:
-            return _full_matvec(self._problem, u)
-        T = self._problem.n_collocation
-        parts = self._pool.starmap(
-            _range_task,
-            [(u, lo, hi) for lo, hi in self._ranges],
-        )
-        out = np.empty(2 * T)
-        for (lo, hi), (row1, row2) in zip(self._ranges, parts):
-            out[lo:hi] = row1
-            out[T + lo : T + hi] = row2
-        return out
+            return [self._part(self._problem, u, lo, hi) for lo, hi in self._ranges]
+        futures = [
+            self._pool.submit(_worker_part, self._part, u, lo, hi)
+            for lo, hi in self._ranges
+        ]
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            raise WorkerDied(f"matvec worker died: {exc}") from exc
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        problem = self._problem
+        T = problem.n_collocation
+        u = np.asarray(u, dtype=float)
+        if u.shape != (2 * T,):
+            raise ValueError(f"expected vector of length {2 * T}, got shape {u.shape}")
+        self.matvecs += 1
+        parts = self._parts(u)
+        if not self._strips:
+            return np.concatenate([p[0] for p in parts] + [p[1] for p in parts])
+        nodes = {(a, b): sums for part in parts for a, b, sums in part}
+        acc = _tree_sum(0, STRIP_CHUNKS, lambda a, b: nodes.get((a, b)))
+        er = problem.params.eps2 / problem.params.eps1
+        out1 = 0.5 * (1.0 + er) * u[:T] - acc[0]
+        out2 = 0.5 * (1.0 + 1.0 / er) * u[T:] - acc[1]
+        return np.concatenate([out1, out2])
 
     def close(self):
         if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
+            self._pool.shutdown()
             self._pool = None
 
     def __enter__(self):
@@ -630,7 +820,8 @@ def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:
     """
     b = assemble_rhs(problem)
     with make_operator(problem, config) as op:
-        return gmres_solve(op, b, config)
+        solution = gmres_solve(op, b, config)
+    return replace(solution, matvecs=op.matvecs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ installing the package. Exit-code contract: 0 success, 1 runtime failure
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import pbbem
+import pbbem.solver
 from pbbem.cli import main
 from pbbem.mesh import write_msms
 from pbbem.report import (
@@ -27,6 +29,10 @@ from pbbem.report import (
 
 # centered unit charge in a radius-2 cavity, eps 1/80, kappa 0
 EXACT_BORN_A2 = -81.98017625
+
+
+def _exit_worker(*args):
+    os._exit(1)
 
 
 @pytest.fixture()
@@ -74,6 +80,7 @@ class TestSolve:
         assert report.phi_error < 1e-3
         assert report.observed_order is None
         assert 1 <= report.iterations <= 20
+        assert report.matvecs == report.iterations + 1  # one restart cycle
         assert report.residual <= 1e-6
         assert report.memory_lower_bound_mb > 0.0
 
@@ -216,6 +223,18 @@ class TestRuntimeErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: MeshFormatError:")
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_dead_worker(self, monkeypatch, charges_file, capsys):
+        monkeypatch.setattr(pbbem.solver, "_worker_part", _exit_worker)
+        rc = main(["solve", "--sphere", "1,2.0", "--charges", charges_file,
+                   "--scheme", "lobi", "--workers", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: WorkerDied: matvec worker died:")
 
     def test_convergence_without_oracle(self, capsys):
         rc = main(["convergence", "--levels", "0", "--radius", "2.0",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pbbem.report import (
     scaling_to_json,
     strip_timings,
 )
-from pbbem.solver import SolverConfig, discretize
+from pbbem.solver import SolverConfig, discretize, matvec_lobi
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -45,6 +46,7 @@ def sample_report(**over):
         phi_error=7.10544719410754e-5,
         observed_order=None,
         iterations=6,
+        matvecs=7,
         residual=8.3e-7,
         time_discretize_s=0.25,
         time_solve_s=0.41,
@@ -89,6 +91,21 @@ def test_empty_string_field_round_trips():
     report = sample_report(mesh_source="")
     assert reports_from_csv(reports_to_csv([report])) == [report]
     assert reports_from_json(reports_to_json([report])) == [report]
+
+
+def test_matvec_count_round_trips():
+    """matvecs is a deterministic count: an int column in CSV, an int in
+    JSON, untouched by strip_timings."""
+    report = sample_report(iterations=130, matvecs=132)
+    assert reports_from_json(reports_to_json([report])) == [report]
+    assert reports_from_csv(reports_to_csv([report])) == [report]
+    assert json.loads(reports_to_json([report]))["reports"][0]["matvecs"] == 132
+    import csv
+    import io
+
+    row = list(csv.reader(io.StringIO(reports_to_csv([report]))))[1]
+    assert row[REPORT_COLUMNS.index("matvecs")] == "132"
+    assert strip_timings(report).matvecs == 132
 
 
 def test_cross_format_equality():
@@ -228,6 +245,27 @@ def test_memory_bound_counts_shared_arrays_once():
     )
     extra_mb = memory_lower_bound_mb(copied) - memory_lower_bound_mb(lobi)
     assert extra_mb == pytest.approx(48 * mesh.n_faces / 1e6, rel=1e-9)
+
+
+def test_memory_bound_covers_traced_lobi_matvec():
+    """The bound counts what a serial lobi matvec allocates (the strip
+    sweep's scratch and chunk sums), so it is at least the traced peak of
+    one matvec."""
+    water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.125)
+    charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
+    for level in (2, 3):
+        problem = discretize(
+            icosahedral_sphere(level), water, charges, SolverConfig(scheme="lobi")
+        )
+        u = np.random.default_rng(level).standard_normal(problem.n_unknowns)
+        matvec_lobi(problem, u)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            matvec_lobi(problem, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert memory_lower_bound_mb(problem) * 1e6 >= peak
 
 
 def test_memory_bound_grows_with_refinement():

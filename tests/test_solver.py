@@ -28,10 +28,13 @@ from pbbem.mesh import (
 )
 from pbbem.geometry import DegenerateArcError, DegenerateElementError, frames_at
 from pbbem.solver import (
+    STRIP_CHUNKS,
+    STRIP_ROWS,
     GmresBreakdown,
     GmresNonConvergence,
     SolverConfig,
     SurfaceSolution,
+    WorkerDied,
     assemble_rhs,
     convergence_order,
     discretize,
@@ -393,19 +396,69 @@ def _reference_matvec(problem, u):
     return np.concatenate([out1, out2])
 
 
+def _reference_strip_matvec(problem, u):
+    """The lobi operator with every ordered pair's K1..K4 from
+    kernel_values_d, summed in the documented strip order: each chunk from
+    zero, strip by strip, the strip's row sums into its rows [s, e), then
+    the column sums of its swapped pairs into rows [e, T); chunks added
+    over the binary chunk tree. It shares the layout with the code, not
+    the swap identities."""
+    t = problem.n_collocation
+    params = problem.params
+    er = params.eps2 / params.eps1
+    phi, dphi = u[:t], u[t:]
+    x, n = problem.colloc_pos, problem.colloc_nrm
+    wphi, wdphi = problem.reg_w[:, 0] * phi, problem.reg_w[:, 0] * dphi
+    bounds, _, chunks = pbbem.solver._strip_layout(t)
+
+    def chunk_sums(c):
+        acc = np.zeros((2, t))
+        for k in range(chunks[c], chunks[c + 1]):
+            s, e = bounds[k], bounds[k + 1]
+            d = x[s:e, None, :] - x[None, s:, :]
+            own = (np.arange(e - s), np.arange(e - s))  # the self pairs
+            d[own] = (1.0, 0.0, 0.0)
+            k1, k2, k3, k4 = kernel_values_d(d, n[s:e, None, :], n[None, s:, :], params)
+            s1, s2, s3, s4 = kernel_values_d(-d, n[None, s:, :], n[s:e, None, :], params)
+            rows1 = k1 * wdphi[s:] + k2 * wphi[s:]
+            rows2 = k3 * wdphi[s:] + k4 * wphi[s:]
+            cols1 = s1 * wdphi[s:e, None] + s2 * wphi[s:e, None]
+            cols2 = s3 * wdphi[s:e, None] + s4 * wphi[s:e, None]
+            for term in (rows1, rows2, cols1, cols2):
+                term[own] = 0.0
+            acc[0, s:e] += rows1.sum(axis=1)
+            acc[1, s:e] += rows2.sum(axis=1)
+            acc[0, e:] += cols1.sum(axis=0)[e - s :]
+            acc[1, e:] += cols2.sum(axis=0)[e - s :]
+        return acc
+
+    def node(a, b):
+        if b - a == 1:
+            return chunk_sums(a)
+        m = (a + b) // 2
+        return node(a, m) + node(m, b)
+
+    acc = node(0, STRIP_CHUNKS)
+    out1 = 0.5 * (1.0 + er) * phi - acc[0]
+    out2 = 0.5 * (1.0 + 1.0 / er) * dphi - acc[1]
+    return np.concatenate([out1, out2])
+
+
 SCREENED_AND_NOT = [MIXED, PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.0)]
 
 
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
-    """The structure-of-arrays sweep, which skips the exactly-zero K1 and K4
-    at kappa = 0, reproduces four-kernel row sums bit for bit, near-list
-    skip and hobi Duffy terms included."""
+    """The structure-of-arrays sweeps, which skip the exactly-zero K1 and K4
+    at kappa = 0, reproduce four-kernel sums bit for bit: hobi's row sweep
+    with its near-list skip and Duffy terms, and lobi's strip sweep, which
+    evaluates each pair once for both orientations."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
     u = np.random.default_rng(11).standard_normal(problem.n_unknowns)
-    assert np.array_equal(_apply(problem, u), _reference_matvec(problem, u))
+    reference = _reference_matvec if scheme == "hobi" else _reference_strip_matvec
+    assert np.array_equal(_apply(problem, u), reference(problem, u))
 
 
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
@@ -436,24 +489,34 @@ def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_apply_range_memory_does_not_grow_with_rows(scheme):
-    """One _apply_range call holds one set of scratch buffers, sized by
-    TARGET_BLOCK: doubling its rows adds less than one source row of one
-    buffer to the traced peak, which stays near KERNEL_BUFFERS blocks."""
+    """One matvec task holds one set of scratch buffers: hobi's
+    _apply_range sized by TARGET_BLOCK rows, lobi's chunk task by its
+    largest strip. Doubling the rows (hobi) or the chunks (lobi) adds less
+    than one source row of one buffer, plus for lobi one (2, T) partial sum
+    of the deeper chunk tree, to the traced peak, which stays near
+    KERNEL_BUFFERS blocks."""
     mesh = icosahedral_sphere(2)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
     u = np.random.default_rng(13).standard_normal(problem.n_unknowns)
     n_sources = problem.reg_w.size
+    if scheme == "hobi":
+        task, sizes, node_bytes = pbbem.solver._apply_range, (40, 80), 0
+        block_bytes = TARGET_BLOCK * n_sources * 8
+    else:
+        task, sizes = pbbem.solver._apply_chunks, (STRIP_CHUNKS // 4, STRIP_CHUNKS // 2)
+        node_bytes = 2 * problem.n_collocation * 8
+        _, pairs, _ = pbbem.solver._strip_layout(problem.n_collocation)
+        block_bytes = int(pairs.max()) * 8
     peaks = []
-    for rows in (40, 80):
-        pbbem.solver._apply_range(problem, u, 0, rows)  # warm any lazy state
+    for size in sizes:
+        task(problem, u, 0, size)  # warm any lazy state
         tracemalloc.start()
         try:
-            pbbem.solver._apply_range(problem, u, 0, rows)
+            task(problem, u, 0, size)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < n_sources * 8
-    block_bytes = TARGET_BLOCK * n_sources * 8
+    assert peaks[1] - peaks[0] < n_sources * 8 + node_bytes
     assert peaks[1] < (KERNEL_BUFFERS + 4) * block_bytes
 
 
@@ -562,19 +625,15 @@ def test_gmres_identity_converges_in_one_step():
 
 
 def test_one_cycle_solve_spends_iterations_plus_one_matvecs():
-    """The zero start vector costs no matvec; only the final check does."""
+    """The zero start vector costs no matvec; only the final check does.
+    solve() reports the operator's own count."""
     mesh = icosahedral_sphere(1, radius=2.0)
     config = SolverConfig(scheme="hobi", workers=1)
     problem = discretize(mesh, WATER, CENTERED_UNIT, config)
-    calls = []
-
-    def counted(v):
-        calls.append(1)
-        return matvec_hobi(problem, v)
-
-    sol = gmres_solve(counted, assemble_rhs(problem), config)
+    sol = solve(problem, config)
     assert sol.iterations < config.restart  # converged inside the first cycle
-    assert len(calls) == sol.iterations + 1
+    assert sol.matvecs == sol.iterations + 1
+    assert gmres_solve(lambda v: v, assemble_rhs(problem), config).matvecs is None
 
 
 def test_gmres_zero_rhs():
@@ -654,18 +713,19 @@ def test_partition_property(n, w):
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_parallel_matvec_bitwise_deterministic():
-    """The partitioned operator must reproduce the serial sweep bitwise."""
-    mesh = icosahedral_sphere(1)
+    """The partitioned operator must reproduce the serial sweep bitwise.
+    lobi level 1 has 80 faces in strips of 51 and 29 rows; level 2 has 320
+    in 15 strips of 12 to 62 rows and a last one of 4."""
     rng = np.random.default_rng(6)
-    for scheme in ("hobi", "lobi"):
+    for scheme, level in (("hobi", 1), ("lobi", 1), ("lobi", 2)):
         problem = discretize(
-            mesh, MIXED, CENTERED_UNIT, SolverConfig(scheme=scheme)
+            icosahedral_sphere(level), MIXED, CENTERED_UNIT, SolverConfig(scheme=scheme)
         )
         u = rng.standard_normal(problem.n_unknowns)
         serial = matvec_hobi(problem, u) if scheme == "hobi" else matvec_lobi(
             problem, u
         )
-        for workers in (2, 4, 8):
+        for workers in (2, 4, 8, 16):
             config = SolverConfig(scheme=scheme, workers=workers)
             with make_operator(problem, config) as op:
                 assert np.abs(op(u) - serial).max() == 0.0
@@ -673,12 +733,96 @@ def test_parallel_matvec_bitwise_deterministic():
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_parallel_matvec_tolerates_empty_ranges():
-    mesh = icosahedral_sphere(0)  # 12 vertices, fewer than the worker count
-    problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
-    u = np.linspace(-1.0, 1.0, problem.n_unknowns)
-    serial = matvec_hobi(problem, u)
-    with make_operator(problem, SolverConfig(workers=16)) as op:
-        assert np.abs(op(u) - serial).max() == 0.0
+    """More workers than rows (hobi: 12 vertices) or than non-empty chunks
+    (lobi: 20 faces in one strip, so 15 of the 16 chunks are empty)."""
+    mesh = icosahedral_sphere(0)
+    for scheme in ("hobi", "lobi"):
+        problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme=scheme))
+        u = np.linspace(-1.0, 1.0, problem.n_unknowns)
+        serial = _apply(problem, u)
+        with make_operator(problem, SolverConfig(workers=16)) as op:
+            assert np.abs(op(u) - serial).max() == 0.0
+
+
+def _exit_worker(*args):
+    os._exit(1)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_dead_worker_raises_instead_of_hanging(monkeypatch, scheme):
+    """A worker that exits mid-task fails the matvec within seconds."""
+    problem = discretize(
+        icosahedral_sphere(1), WATER, CENTERED_UNIT, SolverConfig(scheme=scheme)
+    )
+    monkeypatch.setattr(pbbem.solver, "_worker_part", _exit_worker)
+    with make_operator(problem, SolverConfig(workers=2)) as op:
+        start = time.monotonic()
+        with pytest.raises(WorkerDied, match="^matvec worker died: A process in the"):
+            op(np.ones(problem.n_unknowns))
+        assert time.monotonic() - start < 5.0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("floor", ["default", "none"])
+@pytest.mark.parametrize("n", [1, 7, 20, 321, 700])
+def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
+    """Run the chunk task on n distinct points and record every pair the
+    kernel evaluates. The strips tile [0, n) with at least STRIP_ROWS rows
+    (the last may have fewer) and at most max(STRIP_ROWS n, STRIP_MIN_PAIRS)
+    pairs. Each ordered pair (i, j), i != j, takes its values from exactly
+    one evaluation: its own, or that of (j, i) when i lies past j's strip.
+    So each unordered pair is evaluated once, except inside a strip's
+    leading square, where each orientation is evaluated on its own."""
+    if floor == "none":
+        monkeypatch.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
+    bounds, pairs, chunks = pbbem.solver._strip_layout(n)
+    assert bounds[0] == 0 and bounds[-1] == n
+    rows = np.diff(bounds)
+    assert np.all(rows[:-1] >= STRIP_ROWS) and rows[-1] >= 1
+    assert np.all(pairs <= max(STRIP_ROWS * n, pbbem.solver.STRIP_MIN_PAIRS))
+    assert chunks[0] == 0 and chunks[-1] == rows.size and np.all(np.diff(chunks) >= 0)
+
+    points = np.column_stack([np.arange(n, dtype=float), np.zeros(n), np.ones(n)])
+    mesh = FlatMesh(vertices=points, normals=points, faces=np.zeros((0, 3), int))
+    problem = pbbem.solver.DiscretizedProblem(
+        mesh=mesh, params=MIXED, charges=NO_CHARGES, scheme="lobi",
+        colloc_pos=points, colloc_nrm=points / np.linalg.norm(points, axis=1)[:, None],
+        reg_pos=points[:, None], reg_nrm=points[:, None], reg_w=np.ones((n, 1)),
+        reg_bary=np.ones((1, 1)), reg_nodes=np.arange(n)[:, None],
+        pair_face=np.arange(n), pair_starts=np.arange(n + 1),
+    )
+    evaluated = np.zeros((n, n), int)
+    real_kernel_sums = pbbem.solver.kernel_sums
+
+    def recording(scratch, targets, sources, *args, mask=None, **kw):
+        i = targets[0][0].ravel().astype(int)
+        j = sources[0][0].ravel().astype(int)
+        seen = np.ones((i.size, j.size), int)
+        seen[mask] = 0
+        evaluated[np.ix_(i, j)] += seen
+        return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
+
+    monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
+    pbbem.solver._apply_chunks(problem, np.ones(2 * n), 0, STRIP_CHUNKS)
+    strip_end = np.repeat(bounds[1:], rows)  # end of the strip holding each row
+    past = np.arange(n)[:, None] >= strip_end[None, :]  # i past j's strip
+    served = evaluated + np.where(past, evaluated.T, 0)
+    assert np.array_equal(served, 1 - np.eye(n, dtype=int))
+    square = strip_end[:, None] == strip_end[None, :]
+    assert np.all((evaluated + evaluated.T)[~square] == 1)
+    assert np.all(evaluated[square & ~np.eye(n, dtype=bool)] == 1)
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_strip_chunks_hold_equal_pair_counts(level):
+    """At benchmark sizes (level 4: 5120 faces; level 5: 20480) the chunks'
+    pair counts agree within 10%."""
+    n = 20 * 4**level
+    _, pairs, chunks = pbbem.solver._strip_layout(n)
+    per_chunk = np.array([pairs[a:b].sum() for a, b in zip(chunks[:-1], chunks[1:])])
+    assert per_chunk.sum() == pairs.sum()
+    assert per_chunk.max() - per_chunk.min() <= 0.1 * per_chunk.max()
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
@@ -723,6 +867,7 @@ def test_solve_equals_the_three_step_pipeline(monkeypatch, scheme, workers):
     assert np.array_equal(solution.vector, expected.vector)
     assert solution.iterations == expected.iterations
     assert solution.residual == expected.residual
+    assert solution.matvecs == opened[0].matvecs > expected.iterations
 
 
 def test_make_operator_serial_matches_matvec():
