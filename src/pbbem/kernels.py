@@ -57,6 +57,9 @@ TARGET_BLOCK = 8
 # float64 buffers, each one block of pair values, that pair_kernels fills
 KERNEL_BUFFERS = 8
 
+# float64 values in a 4096-byte page; kernel_scratch allocates one extra
+PAGE_DOUBLES = 512
+
 
 class SingularityError(ValueError):
     """Evaluation point coincides with a source point."""
@@ -119,8 +122,12 @@ def _dot3_into(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def kernel_scratch(size: int) -> np.ndarray:
-    """KERNEL_BUFFERS flat float64 buffers for blocks of up to `size` pairs."""
-    return np.empty((KERNEL_BUFFERS, size))
+    """KERNEL_BUFFERS flat float64 buffers for blocks of up to `size` pairs,
+    starting on a page boundary: where the heap put them moved a level-3
+    hobi solve by up to ~25% between processes on a 2-CPU Xeon host."""
+    raw = np.empty(KERNEL_BUFFERS * size + PAGE_DOUBLES)
+    start = -raw.ctypes.data % (8 * PAGE_DOUBLES) // 8
+    return raw[start : start + KERNEL_BUFFERS * size].reshape(KERNEL_BUFFERS, size)
 
 
 def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=True,

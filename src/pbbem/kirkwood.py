@@ -27,10 +27,6 @@ class NotCenteredError(ValueError):
     """kirkwood_centered was asked about an eccentric or multi-charge system."""
 
 
-class SeriesDivergenceError(ValueError):
-    """Requested truncation cannot converge for this geometry."""
-
-
 @dataclass(frozen=True)
 class SphereProblem:
     """A dielectric sphere of given radius at the origin, with interior charges."""

@@ -17,21 +17,24 @@ traces. ``assemble_rhs``, ``make_operator`` and ``gmres_solve`` stay public
 for callers that time or wrap the steps one by one.
 
 Nothing is ever assembled into a matrix. Both schemes store a regular
-rule on every element and each collocation row's near elements. One
-blocked sweep (_sweep) sums the regular rule over every element: hobi's
-matvec skips each row's incident faces and then adds their
-Duffy-regularized values; the solvation energy skips none. In both, every
-row sums over the full source axis in element order, so no bit depends on
-how the rows are blocked or split across workers.
+rule on every element and each collocation row's near elements. One strip
+sweep (_apply_chunks) is the matvec of both: strip [s, e) of rows is one
+block against source columns [c, N), each row skipping its near elements'
+sources, and its row sums go to rows [s, e). hobi's strips read the whole
+flat regular-rule axis (c = 0), and each task then adds its rows'
+Duffy-regularized near values. lobi's sources are its collocation points,
+one per element, and a row skips only its own (_self_sourced reads this
+from the tables), so pair (i, j) and its swap share every kernel factor:
+its strips read columns [s, T) and also send the swapped pairs' column
+sums to rows [e, T), evaluating each pair once for both orientations.
 
-lobi's sources are its collocation points, one per element, and a row
-skips only its own (_self_sourced reads this from the tables). Pair (i, j)
-and its swap then share every kernel factor, so its matvec is a strip
-sweep (_apply_chunks) that evaluates each pair once for both
-orientations: the strips and their grouping into STRIP_CHUNKS chunks
-depend on the number of faces alone, each chunk sums from zero in strip
-order, and the chunks are added over a fixed binary tree. Its bits follow
-that layout and are the same for every worker count.
+The strips form STRIP_CHUNKS chunks, the matvec's fixed work list; each
+chunk sums from zero in strip order and the chunks are added over a fixed
+binary tree. A hobi row sums over the full source axis in element order,
+so hobi's bits follow no layout (STRIP_ROWS, STRIP_CHUNKS, TARGET_BLOCK).
+lobi's bits follow the strip layout, a function of T alone. Neither
+depends on the worker count. The solvation energy sums the regular rule
+over every element with the charges as targets.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
     KERNEL_BUFFERS,
+    PAGE_DOUBLES,
     TARGET_BLOCK,
     PhysicalParams,
     kernel_scratch,
@@ -63,13 +67,13 @@ from .quadrature import TriangleRule, duffy_rule, gauss_radau_rule
 
 SCHEMES = ("hobi", "lobi")
 
-# The strip sweep's layout, a function of the number of points T alone: a
-# strip has at least STRIP_ROWS rows and at most
-# max(STRIP_ROWS * T, STRIP_MIN_PAIRS) pairs, and the strips form
-# STRIP_CHUNKS chunks of near-equal pair count. The floor keeps small
-# meshes' strips large enough that the fixed interpreter cost of a block
-# (~100 us on a 2-CPU Xeon host) does not outweigh its kernel work; from
-# T = 512 on it is inactive.
+# The strip sweep's layout, a function of the number of rows T and of
+# sources N alone (N = T if self-sourced): a strip has at least STRIP_ROWS
+# rows and at most max(STRIP_ROWS * N, STRIP_MIN_PAIRS) pairs, and the
+# strips form STRIP_CHUNKS chunks of near-equal pair count. The floor keeps
+# small meshes' strips large enough that the fixed interpreter cost of a
+# block (~100 us on a 2-CPU Xeon host) does not outweigh its kernel work;
+# from N = 512 on it is inactive.
 STRIP_ROWS = 8
 STRIP_MIN_PAIRS = 1 << 12
 STRIP_CHUNKS = 16
@@ -332,51 +336,8 @@ def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
     )
 
 
-def _sweep(xt, nt, sources, params: PhysicalParams, scratch=None, near=None):
-    """Row sums (K1 wdphi + K2 wphi, K3 wdphi + K4 wphi) at targets (xt, nt).
-
-    Targets go TARGET_BLOCK rows at a time through one set of scratch
-    buffers (allocated here unless given), but each row sums over the whole
-    fixed source axis, so no result depends on the blocking. nt None asks
-    for the first sum only (K1 and K2 do not read the target normal) and
-    returns None for the second. near, if given, is (starts, faces, q): row
-    i skips the q sources of each face faces[starts[i]:starts[i+1]].
-    """
-    pos, nrm, wphi, wdphi = sources
-    n = wphi.size
-    t = xt.shape[0]
-    if scratch is None:
-        scratch = kernel_scratch(min(TARGET_BLOCK, t) * n)
-    second = nt is not None
-    acc1 = np.empty(t)
-    acc2 = np.empty(t) if second else None
-    for s in range(0, t, TARGET_BLOCK):
-        e = min(s + TARGET_BLOCK, t)
-        mask = None
-        if near is not None:
-            starts, faces, q = near
-            rows = np.repeat(np.arange(e - s), q * np.diff(starts[s : e + 1]))
-            cols = faces[starts[s] : starts[e], None] * q + np.arange(q)
-            mask = (rows, cols.reshape(-1))
-        targets = (xt[s:e].T[:, :, None], nt[s:e].T[:, :, None] if second else None)
-        row1, row2 = kernel_sums(
-            scratch,
-            targets,
-            (pos[:, None], nrm[:, None]),
-            wphi,
-            wdphi,
-            params,
-            second,
-            mask,
-        )
-        acc1[s:e] = row1
-        if second:
-            acc2[s:e] = row2
-    return acc1, acc2
-
-
-def _add_duffy(problem: DiscretizedProblem, phi, dphi, lo, hi, scratch, acc1, acc2):
-    """Add the hobi near faces' Duffy-regularized values to rows [lo, hi).
+def _add_duffy(problem: DiscretizedProblem, phi, dphi, lo, hi, scratch, acc):
+    """Add the hobi near faces' Duffy-regularized values to acc[:, lo:hi].
 
     The near pairs go through the scratch buffers in chunks of whole rows,
     each holding no more values than one regular row (n_sources) unless a
@@ -404,53 +365,16 @@ def _add_duffy(problem: DiscretizedProblem, phi, dphi, lo, hi, scratch, acc1, ac
             w * _interp(dphi[gv], problem.duf_bary),
             problem.params,
         )
-        for acc, row in zip((acc1, acc2), rows):
-            acc[s - lo : e - lo] += np.bincount(pv - s, weights=row, minlength=e - s)
+        for sums, row in zip(acc, rows):
+            sums[s:e] += np.bincount(pv - s, weights=row, minlength=e - s)
         s = e
-
-
-def _apply_range(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
-    """Rows [lo, hi) of both equation blocks: the deterministic core.
-
-    Returns (phi_rows, dphi_rows), each of length hi - lo. All sums run over
-    a fixed full source axis or over near-list slices sorted by (row, face),
-    so the result is independent of how [0, T) was split into ranges.
-    """
-    T = problem.n_collocation
-    params = problem.params
-    er = params.eps2 / params.eps1
-    phi, dphi = u[:T], u[T:]
-    sources = _sources(problem, phi, dphi)
-    starts = problem.pair_starts
-
-    # one set of buffers for the regular blocks and the near chunks
-    size = min(TARGET_BLOCK, hi - lo) * problem.reg_w.size
-    if problem.duf_w is not None and hi > lo:
-        row_pairs = int(np.diff(starts[lo : hi + 1]).max())
-        size = max(size, row_pairs * problem.duf_w.shape[1])
-    scratch = kernel_scratch(size)
-
-    # the regular rule skips each row's near faces, all Q points of each
-    near = (
-        starts[lo : hi + 1] - starts[lo],
-        problem.pair_face[starts[lo] :],
-        problem.reg_w.shape[1],
-    )
-    xt = problem.colloc_pos[lo:hi]
-    nt = problem.colloc_nrm[lo:hi]
-    acc1, acc2 = _sweep(xt, nt, sources, params, scratch, near)
-    if problem.duf_w is not None:
-        _add_duffy(problem, phi, dphi, lo, hi, scratch, acc1, acc2)
-
-    out1 = 0.5 * (1.0 + er) * phi[lo:hi] - acc1
-    out2 = 0.5 * (1.0 + 1.0 / er) * dphi[lo:hi] - acc2
-    return out1, out2
 
 
 def _self_sourced(problem: DiscretizedProblem) -> bool:
     """Whether the regular rule's sources are the collocation points, one
     per element, each row skipping only its own (lobi). Pair (i, j) and its
-    swap (j, i) then share every factor, and the strip sweep applies."""
+    swap (j, i) then share every factor, and a strip need only read the
+    columns from its own first row on."""
     T = problem.n_collocation
     own = np.arange(T + 1)
     return (
@@ -462,28 +386,56 @@ def _self_sourced(problem: DiscretizedProblem) -> bool:
     )
 
 
-def _strip_layout(n: int):
-    """(bounds, pairs, chunks): the strip sweep over n self-sourced points.
+def _strip_layout(t: int, n: int | None = None):
+    """(bounds, pairs, chunks): the strip sweep of t rows over n sources,
+    or over the rows themselves if n is None (self-sourced).
 
     Strip k is rows [bounds[k], bounds[k+1]), as many as the pair budget
     allows, evaluated as one block of pairs[k] values against columns
-    [bounds[k], n). Only the self pairs are masked: inside the block's
-    leading square each orientation is a row entry of its own; past it,
-    pair (i, j) is evaluated once and also serves (j, i). Chunk c is
-    strips [chunks[c], chunks[c+1]): a strip goes to the chunk in which the
-    middle of its pairs falls when the running pair count is cut into
-    STRIP_CHUNKS equal parts. Nothing here reads a worker count.
+    [c, n), where c = 0, or c = bounds[k] and n = t if self-sourced. Then
+    inside the block's leading square each orientation is a row entry of
+    its own; past it, pair (i, j) is evaluated once and also serves (j, i).
+    Chunk c is strips [chunks[c], chunks[c+1]): a strip goes to the chunk
+    in which the middle of its pairs falls when the running pair count is
+    cut into STRIP_CHUNKS equal parts. Nothing here reads a worker count.
     """
-    budget = max(STRIP_ROWS * n, STRIP_MIN_PAIRS)
+    budget = max(STRIP_ROWS * (t if n is None else n), STRIP_MIN_PAIRS)
     bounds = [0]
-    while bounds[-1] < n:
-        cols = n - bounds[-1]
-        bounds.append(bounds[-1] + min(cols, budget // cols))
+    while bounds[-1] < t:
+        cols = t - bounds[-1] if n is None else n
+        bounds.append(bounds[-1] + min(t - bounds[-1], budget // cols))
     bounds = np.array(bounds)
-    pairs = np.diff(bounds) * (n - bounds[:-1])
+    pairs = np.diff(bounds) * (t - bounds[:-1] if n is None else n)
     middles = np.cumsum(pairs) - pairs / 2
     cuts = np.arange(STRIP_CHUNKS + 1) * (pairs.sum() / STRIP_CHUNKS)
     return bounds, pairs, np.searchsorted(middles, cuts)
+
+
+def _layout(problem: DiscretizedProblem):
+    """(own, layout): whether the problem is self-sourced, and its strips."""
+    own = _self_sourced(problem)
+    n = None if own else problem.reg_w.size
+    return own, _strip_layout(problem.n_collocation, n)
+
+
+def _near_mask(problem: DiscretizedProblem, s: int, e: int, c: int):
+    """(rows, cols) of the near sources of rows [s, e), all Q points of each
+    near face, in a block whose first column is source c."""
+    starts = problem.pair_starts
+    q = problem.reg_w.shape[1]
+    rows = np.repeat(np.arange(e - s), q * np.diff(starts[s : e + 1]))
+    cols = problem.pair_face[starts[s] : starts[e], None] * q + (np.arange(q) - c)
+    return rows, cols.reshape(-1)
+
+
+def _scratch_size(problem: DiscretizedProblem, layout) -> int:
+    """Values in the largest block a task evaluates: a strip, or a chunk
+    of Duffy pairs (no larger than one source row, or than one row's)."""
+    size = int(layout[1].max(initial=0))
+    if problem.duf_w is not None:
+        near = np.diff(problem.pair_starts).max(initial=0)
+        size = max(size, int(near) * problem.duf_w.shape[1])
+    return size
 
 
 def _tree_nodes(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -512,15 +464,21 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     largest chunk-tree nodes in [lo, hi); sums is (2, T) kernel sums.
 
     Each chunk sums from zero, strip by strip in order: strip [s, e) adds
-    its row sums to rows [s, e), then its swapped pairs' column sums to
-    rows [e, T). Nodes add their halves, so the root, however the chunks
-    were split, holds the sums _sweep gives with each row skipping its own
-    element, in one fixed association.
+    its row sums, each row skipping its near sources, to rows [s, e); if
+    self-sourced, its swapped pairs' column sums to rows [e, T). Nodes add
+    their halves, so the root, however the chunks were split, holds the
+    same sums in one fixed association. hobi's nodes then add their rows'
+    Duffy values, after all strips so that the Duffy chunks run back to
+    back in warm buffers; a row's regular sum meets only zeros in the tree.
     """
     T = problem.n_collocation
-    bounds, pairs, chunks = _strip_layout(T)
-    pos, nrm, wphi, wdphi = _sources(problem, u[:T], u[T:])
-    scratch = kernel_scratch(int(pairs[chunks[lo] : chunks[hi]].max(initial=0)))
+    phi, dphi = u[:T], u[T:]
+    pos, nrm, wphi, wdphi = _sources(problem, phi, dphi)
+    own, layout = _layout(problem)
+    bounds, _, chunks = layout
+    # self-sourced targets are the sources, whose coordinate rows are contiguous
+    xt, nt = (pos, nrm) if own else (problem.colloc_pos.T, problem.colloc_nrm.T)
+    scratch = kernel_scratch(_scratch_size(problem, layout))
 
     def chunk(a, b):
         if b - a > 1:
@@ -528,20 +486,21 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
         acc = np.zeros((2, T))
         for k in range(chunks[a], chunks[b]):
             s, e = bounds[k], bounds[k + 1]
-            row1, row2, col1, col2 = kernel_sums(
+            c = s if own else 0
+            row1, row2, *cols = kernel_sums(
                 scratch,
-                (pos[:, s:e, None], nrm[:, s:e, None]),
-                (pos[:, None, s:], nrm[:, None, s:]),
-                wphi[s:],
-                wdphi[s:],
+                (xt[:, s:e, None], nt[:, s:e, None]),
+                (pos[:, None, c:], nrm[:, None, c:]),
+                wphi[c:],
+                wdphi[c:],
                 problem.params,
-                mask=(np.arange(e - s), np.arange(e - s)),
-                own=(wphi[s:e, None], wdphi[s:e, None]),
+                mask=_near_mask(problem, s, e, c),
+                own=(wphi[s:e, None], wdphi[s:e, None]) if own else None,
             )
             acc[0, s:e] += row1
             acc[1, s:e] += row2
-            acc[0, e:] += col1[e - s :]
-            acc[1, e:] += col2[e - s :]
+            for sums, col in zip(acc, cols):
+                sums[e:] += col[e - s :]
         return acc
 
     # NumPy's iterator would otherwise buffer several rows of a block with
@@ -550,44 +509,47 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     # results and contiguous sums do not depend on the buffer size.
     bufsize = np.setbufsize(16)
     try:
-        return [
+        nodes = [
             (a, b, _tree_sum(a, b, chunk))
             for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)
         ]
     finally:
         np.setbufsize(bufsize)
+    if problem.duf_w is not None:
+        for a, b, sums in nodes:
+            rows = bounds[chunks[a]], bounds[chunks[b]]
+            _add_duffy(problem, phi, dphi, *rows, scratch, sums)
+    return nodes
 
 
 def workspace_doubles(problem: DiscretizedProblem) -> int:
-    """float64 values a serial matvec allocates for its kernel buffers and
-    partial sums: KERNEL_BUFFERS blocks of TARGET_BLOCK rows for the row
-    sweep; for the strip sweep, KERNEL_BUFFERS blocks of its largest strip
-    plus the (2, T) sums the chunk tree holds at once, one per level and
-    two at the leaves."""
-    T = problem.n_collocation
-    if _self_sourced(problem):
-        _, pairs, _ = _strip_layout(T)
-        held = (STRIP_CHUNKS - 1).bit_length() + 2
-        return KERNEL_BUFFERS * int(pairs.max(initial=0)) + held * 2 * T
-    return KERNEL_BUFFERS * min(TARGET_BLOCK, max(T, 1)) * problem.reg_w.size
-
-
-def _full_matvec(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
-    return _Operator(problem, 1)(u)
+    """float64 values (int64 indices count as one each) a serial matvec
+    allocates: the flat source axis (_sources: positions, normals and two
+    weighted traces, 8 values per source), KERNEL_BUFFERS blocks of its
+    largest strip or Duffy chunk plus a page of alignment slack, the
+    largest strip's near mask (two indices per near source), and the
+    (2, T) sums the chunk tree holds at once, one per level and two at the
+    leaves."""
+    _, layout = _layout(problem)
+    n, q = problem.reg_w.size, problem.reg_w.shape[1]
+    near = q * np.diff(problem.pair_starts[layout[0]]).max(initial=0)
+    scratch = KERNEL_BUFFERS * _scratch_size(problem, layout) + PAGE_DOUBLES
+    held = (STRIP_CHUNKS - 1).bit_length() + 2
+    return 8 * n + scratch + 2 * int(near) + held * 2 * problem.n_collocation
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
     """Apply the vertex-collocated curved-element operator to u."""
     if problem.scheme != "hobi":
         raise ValueError(f"problem was discretized for scheme {problem.scheme!r}")
-    return _full_matvec(problem, u)
+    return _Operator(problem, 1)(u)
 
 
 def matvec_lobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
     """Apply the centroid-collocated flat-element operator to u."""
     if problem.scheme != "lobi":
         raise ValueError(f"problem was discretized for scheme {problem.scheme!r}")
-    return _full_matvec(problem, u)
+    return _Operator(problem, 1)(u)
 
 
 def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
@@ -630,28 +592,23 @@ def _adopt(problem: DiscretizedProblem):
     _worker_problem = problem
 
 
-def _worker_part(part, u: np.ndarray, lo: int, hi: int):
-    return part(_worker_problem, u, lo, hi)
+def _worker_part(u: np.ndarray, lo: int, hi: int):
+    return _apply_chunks(_worker_problem, u, lo, hi)
 
 
 class _Operator:
     """Callable matvec, optionally fanned out over a fork pool.
 
-    A self-sourced problem (lobi) is STRIP_CHUNKS chunks of the strip
-    sweep, any other its collocation rows. Either list is split into one
-    contiguous range per worker (partition_targets). Rows are placed;
-    chunk sums are added over the fixed chunk tree, each worker returning
-    the largest nodes inside its range. So no bit depends on the worker
-    count. A worker that dies raises WorkerDied. matvecs counts the
-    applications.
+    The STRIP_CHUNKS chunks of the strip sweep are split into one
+    contiguous range per worker (partition_targets). Their sums are added
+    over the fixed chunk tree, each worker returning the largest nodes
+    inside its range, so no bit depends on the worker count. A worker that
+    dies raises WorkerDied. matvecs counts the applications.
     """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
         self._problem = problem
-        self._strips = _self_sourced(problem)
-        self._part = _apply_chunks if self._strips else _apply_range
-        items = STRIP_CHUNKS if self._strips else problem.n_collocation
-        self._ranges = [(0, items)]
+        self._ranges = [(0, STRIP_CHUNKS)]
         self._pool = None
         self.matvecs = 0
         can_fork = "fork" in multiprocessing.get_all_start_methods()
@@ -659,7 +616,7 @@ class _Operator:
             # imported here: the module costs a serial solve ~1.3 MB of RSS
             from concurrent.futures import ProcessPoolExecutor
 
-            self._ranges = partition_targets(items, workers)
+            self._ranges = partition_targets(STRIP_CHUNKS, workers)
             self._pool = ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
@@ -669,11 +626,8 @@ class _Operator:
 
     def _parts(self, u: np.ndarray) -> list:
         if self._pool is None:
-            return [self._part(self._problem, u, lo, hi) for lo, hi in self._ranges]
-        futures = [
-            self._pool.submit(_worker_part, self._part, u, lo, hi)
-            for lo, hi in self._ranges
-        ]
+            return [_apply_chunks(self._problem, u, lo, hi) for lo, hi in self._ranges]
+        futures = [self._pool.submit(_worker_part, u, lo, hi) for lo, hi in self._ranges]
         from concurrent.futures.process import BrokenProcessPool
 
         try:
@@ -688,10 +642,7 @@ class _Operator:
         if u.shape != (2 * T,):
             raise ValueError(f"expected vector of length {2 * T}, got shape {u.shape}")
         self.matvecs += 1
-        parts = self._parts(u)
-        if not self._strips:
-            return np.concatenate([p[0] for p in parts] + [p[1] for p in parts])
-        nodes = {(a, b): sums for part in parts for a, b, sums in part}
+        nodes = {(a, b): sums for part in self._parts(u) for a, b, sums in part}
         acc = _tree_sum(0, STRIP_CHUNKS, lambda a, b: nodes.get((a, b)))
         er = problem.params.eps2 / problem.params.eps1
         out1 = 0.5 * (1.0 + er) * u[:T] - acc[0]
@@ -834,12 +785,28 @@ def solvation_energy(
     """Reaction-field energy in kcal/mol from the solved surface traces.
 
     E = (1/2) sum_k q_k * Int_Gamma [K1(x_k, y) dphi/dn + K2(x_k, y) phi] dS,
-    integrated with the matvec's regular sweep, the charges as targets;
-    charges are strictly interior so no pair is singular.
+    integrated with the regular rule on every element, the charges as
+    targets; charges are strictly interior so no pair is singular. The
+    charges go TARGET_BLOCK at a time through one set of kernel buffers,
+    each summing over the whole fixed source axis, so no bit depends on
+    the blocking. K1 and K2 do not read a target normal.
     """
     charges = problem.charges
-    sources = _sources(problem, solution.phi, solution.dphi_dn)
-    rows, _ = _sweep(charges.positions, None, sources, problem.params)
+    pos, nrm, wphi, wdphi = _sources(problem, solution.phi, solution.dphi_dn)
+    xt = charges.positions
+    scratch = kernel_scratch(min(TARGET_BLOCK, len(xt)) * wphi.size)
+    rows = np.empty(len(xt))
+    for s in range(0, len(xt), TARGET_BLOCK):
+        e = min(s + TARGET_BLOCK, len(xt))
+        rows[s:e], _ = kernel_sums(
+            scratch,
+            (xt[s:e].T[:, :, None], None),
+            (pos[:, None], nrm[:, None]),
+            wphi,
+            wdphi,
+            problem.params,
+            second=False,
+        )
     total = 0.0
     for q, row in zip(charges.charges, rows):
         total += q * row

@@ -24,7 +24,7 @@ from pbbem.report import (
     scaling_to_json,
     strip_timings,
 )
-from pbbem.solver import SolverConfig, discretize, matvec_lobi
+from pbbem.solver import SolverConfig, discretize, matvec_hobi, matvec_lobi
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -247,25 +247,27 @@ def test_memory_bound_counts_shared_arrays_once():
     assert extra_mb == pytest.approx(48 * mesh.n_faces / 1e6, rel=1e-9)
 
 
-def test_memory_bound_covers_traced_lobi_matvec():
-    """The bound counts what a serial lobi matvec allocates (the strip
-    sweep's scratch and chunk sums), so it is at least the traced peak of
-    one matvec."""
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_memory_bound_covers_traced_matvec(scheme, level):
+    """The bound counts what a serial matvec allocates (the flat source
+    axis, the strip sweep's scratch and near mask, the chunk sums), so it
+    is at least the traced peak of one matvec."""
     water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.125)
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
-    for level in (2, 3):
-        problem = discretize(
-            icosahedral_sphere(level), water, charges, SolverConfig(scheme="lobi")
-        )
-        u = np.random.default_rng(level).standard_normal(problem.n_unknowns)
-        matvec_lobi(problem, u)  # warm any lazy state
-        tracemalloc.start()
-        try:
-            matvec_lobi(problem, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert memory_lower_bound_mb(problem) * 1e6 >= peak
+    problem = discretize(
+        icosahedral_sphere(level), water, charges, SolverConfig(scheme=scheme)
+    )
+    u = np.random.default_rng(level).standard_normal(problem.n_unknowns)
+    matvec = matvec_hobi if scheme == "hobi" else matvec_lobi
+    matvec(problem, u)  # warm any lazy state
+    tracemalloc.start()
+    try:
+        matvec(problem, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert memory_lower_bound_mb(problem) * 1e6 >= peak
 
 
 def test_memory_bound_grows_with_refinement():

@@ -14,7 +14,6 @@ from pbbem.kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
     KERNEL_BUFFERS,
-    TARGET_BLOCK,
     PhysicalParams,
     kernel_block,
     kernel_values_d,
@@ -319,14 +318,21 @@ def _block_outputs(problem, u):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
-    """Matvec, RHS and energy are bitwise equal for any row block size."""
+    """Matvec, RHS and energy are bitwise equal for any row block size.
+    hobi's rows each sum over the full source axis, so its bits follow no
+    strip layout either; lobi's follow the strip layout (kept fixed)."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, MIXED, SCATTERED, SolverConfig(scheme=scheme))
     u = np.random.default_rng(7).standard_normal(problem.n_unknowns)
     reference = _block_outputs(problem, u)
-    for rows in (1, 5, 48):
+    if scheme == "hobi":
+        monkeypatch.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
+    for rows, chunks in zip((1, 5, 48), (1, 3, 16)):
         monkeypatch.setattr(pbbem.solver, "TARGET_BLOCK", rows)
         monkeypatch.setattr(pbbem.kernels, "TARGET_BLOCK", rows)
+        if scheme == "hobi":
+            monkeypatch.setattr(pbbem.solver, "STRIP_ROWS", rows)
+            monkeypatch.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
         for got, want in zip(_block_outputs(problem, u), reference):
             assert np.array_equal(got, want)
 
@@ -488,25 +494,20 @@ def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
-def test_apply_range_memory_does_not_grow_with_rows(scheme):
-    """One matvec task holds one set of scratch buffers: hobi's
-    _apply_range sized by TARGET_BLOCK rows, lobi's chunk task by its
-    largest strip. Doubling the rows (hobi) or the chunks (lobi) adds less
-    than one source row of one buffer, plus for lobi one (2, T) partial sum
-    of the deeper chunk tree, to the traced peak, which stays near
-    KERNEL_BUFFERS blocks."""
+def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
+    """One matvec task holds one set of scratch buffers, sized by its
+    largest strip. Doubling the chunks adds less than one source row of one
+    buffer plus one (2, T) partial sum of the deeper chunk tree to the
+    traced peak, which stays near KERNEL_BUFFERS blocks."""
     mesh = icosahedral_sphere(2)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
     u = np.random.default_rng(13).standard_normal(problem.n_unknowns)
     n_sources = problem.reg_w.size
-    if scheme == "hobi":
-        task, sizes, node_bytes = pbbem.solver._apply_range, (40, 80), 0
-        block_bytes = TARGET_BLOCK * n_sources * 8
-    else:
-        task, sizes = pbbem.solver._apply_chunks, (STRIP_CHUNKS // 4, STRIP_CHUNKS // 2)
-        node_bytes = 2 * problem.n_collocation * 8
-        _, pairs, _ = pbbem.solver._strip_layout(problem.n_collocation)
-        block_bytes = int(pairs.max()) * 8
+    t = problem.n_collocation
+    task, sizes = pbbem.solver._apply_chunks, (STRIP_CHUNKS // 4, STRIP_CHUNKS // 2)
+    node_bytes = 2 * t * 8
+    _, pairs, _ = pbbem.solver._strip_layout(t, None if scheme == "lobi" else n_sources)
+    block_bytes = int(pairs.max()) * 8
     peaks = []
     for size in sizes:
         task(problem, u, 0, size)  # warm any lazy state
@@ -714,10 +715,11 @@ def test_partition_property(n, w):
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_parallel_matvec_bitwise_deterministic():
     """The partitioned operator must reproduce the serial sweep bitwise.
+    hobi level 2 has 162 vertices in strips of 8 rows (the last of 2);
     lobi level 1 has 80 faces in strips of 51 and 29 rows; level 2 has 320
-    in 15 strips of 12 to 62 rows and a last one of 4."""
+    in 15 strips of 12 to 62 rows and a last one of 4. All at kappa > 0."""
     rng = np.random.default_rng(6)
-    for scheme, level in (("hobi", 1), ("lobi", 1), ("lobi", 2)):
+    for scheme, level in (("hobi", 1), ("hobi", 2), ("lobi", 1), ("lobi", 2)):
         problem = discretize(
             icosahedral_sphere(level), MIXED, CENTERED_UNIT, SolverConfig(scheme=scheme)
         )
@@ -733,8 +735,8 @@ def test_parallel_matvec_bitwise_deterministic():
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_parallel_matvec_tolerates_empty_ranges():
-    """More workers than rows (hobi: 12 vertices) or than non-empty chunks
-    (lobi: 20 faces in one strip, so 15 of the 16 chunks are empty)."""
+    """More workers than non-empty chunks: hobi's 12 vertices and lobi's 20
+    faces each form one strip, so 15 of the 16 chunks are empty."""
     mesh = icosahedral_sphere(0)
     for scheme in ("hobi", "lobi"):
         problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme=scheme))
@@ -784,11 +786,12 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
     assert chunks[0] == 0 and chunks[-1] == rows.size and np.all(np.diff(chunks) >= 0)
 
     points = np.column_stack([np.arange(n, dtype=float), np.zeros(n), np.ones(n)])
+    normals = points / np.linalg.norm(points, axis=1)[:, None]
     mesh = FlatMesh(vertices=points, normals=points, faces=np.zeros((0, 3), int))
     problem = pbbem.solver.DiscretizedProblem(
         mesh=mesh, params=MIXED, charges=NO_CHARGES, scheme="lobi",
-        colloc_pos=points, colloc_nrm=points / np.linalg.norm(points, axis=1)[:, None],
-        reg_pos=points[:, None], reg_nrm=points[:, None], reg_w=np.ones((n, 1)),
+        colloc_pos=points, colloc_nrm=normals,
+        reg_pos=points[:, None], reg_nrm=normals[:, None], reg_w=np.ones((n, 1)),
         reg_bary=np.ones((1, 1)), reg_nodes=np.arange(n)[:, None],
         pair_face=np.arange(n), pair_starts=np.arange(n + 1),
     )
@@ -812,6 +815,36 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
     square = strip_end[:, None] == strip_end[None, :]
     assert np.all((evaluated + evaluated.T)[~square] == 1)
     assert np.all(evaluated[square & ~np.eye(n, dtype=bool)] == 1)
+
+
+def test_hobi_strips_evaluate_each_regular_pair_once(monkeypatch):
+    """Record every (row, regular source) pair the hobi chunk task
+    evaluates on a level-1 mesh: each is evaluated exactly once, except the
+    Q sources of each face incident to the row's vertex, which never are."""
+    problem = discretize(icosahedral_sphere(1), MIXED, NO_CHARGES, SolverConfig())
+    t, (nf, q) = problem.n_collocation, problem.reg_w.shape
+    row_of = {tuple(x): i for i, x in enumerate(problem.colloc_pos)}
+    col_of = {tuple(y): j for j, y in enumerate(problem.reg_pos.reshape(-1, 3))}
+    evaluated = np.zeros((t, nf * q), int)
+    real_kernel_sums = pbbem.solver.kernel_sums
+
+    def recording(scratch, targets, sources, *args, mask=None, **kw):
+        xs = targets[0].reshape(3, -1).T
+        ys = sources[0].reshape(3, -1).T
+        if all(tuple(y) in col_of for y in ys):  # a regular block, not Duffy
+            i = [row_of[tuple(x)] for x in xs]
+            j = [col_of[tuple(y)] for y in ys]
+            seen = np.ones((len(i), len(j)), int)
+            seen[mask] = 0
+            evaluated[np.ix_(i, j)] += seen
+        return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
+
+    monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
+    pbbem.solver._apply_chunks(problem, np.ones(2 * t), 0, STRIP_CHUNKS)
+    incident = np.zeros((t, nf), int)
+    for f, face in enumerate(problem.mesh.faces):
+        incident[face, f] = 1
+    assert np.array_equal(evaluated, 1 - np.repeat(incident, q, axis=1))
 
 
 @pytest.mark.parametrize("level", [4, 5])
@@ -946,19 +979,21 @@ def test_zero_charge_solve_is_trivial():
 
 
 def test_lobi_matvec_cost_scales_quadratically():
-    """min-of-3 matvec timings across one refinement (4x the unknowns)."""
-    times = {}
+    """min-of-7 matvec timings across one refinement (4x the unknowns). The
+    two levels' repeats alternate, so a drift in the host's load reaches
+    both minima instead of the ratio."""
+    problems = {}
     for level in (2, 3):
         mesh = icosahedral_sphere(level)
-        problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
-        u = np.ones(problem.n_unknowns)
-        matvec_lobi(problem, u)  # warm up caches
-        best = np.inf
-        for _ in range(3):
+        problems[level] = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
+        matvec_lobi(problems[level], np.ones(problems[level].n_unknowns))  # warm up
+    times = {level: np.inf for level in problems}
+    for _ in range(7):
+        for level, problem in problems.items():
+            u = np.ones(problem.n_unknowns)
             t0 = time.perf_counter()
             matvec_lobi(problem, u)
-            best = min(best, time.perf_counter() - t0)
-        times[level] = best
+            times[level] = min(times[level], time.perf_counter() - t0)
     per_doubling = np.sqrt(times[3] / times[2])
     assert 2.5 <= per_doubling <= 5.5
 
