@@ -50,10 +50,6 @@ FOUR_PI = 4.0 * np.pi
 # unit-free.
 KCAL_MOL_PER_E2_ANG = 332.0716
 
-# target rows whose (rows x sources) kernel values are materialized at once;
-# every sum runs along the full source axis, so no result depends on it
-TARGET_BLOCK = 8
-
 # float64 buffers, each one block of pair values, that pair_kernels fills
 KERNEL_BUFFERS = 8
 
@@ -298,32 +294,23 @@ def kernel_block(x, nx, y, ny, params: PhysicalParams):
     return float(k1), float(k2), float(k3), float(k4)
 
 
-def source_terms(x, nx, charges: ChargeSystem):
-    """(S1, S2): single-layer and normal-derivative sums of bare charges.
+def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSystem,
+                    bounds=None):
+    """(S1, S2) at many surface points: (m, 3) -> pair of (m,).
 
-    S1 = sum_k q_k G0(x, y_k) and S2 = sum_k q_k dG0(x, y_k)/dn_x. These are
-    the unscaled interior sources; the solver applies the dielectric scaling
-    when it assembles a right-hand side.
+    S1 = sum_k q_k G0(x, y_k) and S2 = sum_k q_k dG0(x, y_k)/dn_x, the
+    unscaled interior sources; the solver applies the dielectric scaling
+    when it assembles a right-hand side. Block k is points [bounds[k],
+    bounds[k+1]) against every charge (default: one block); each point
+    sums over the full charge axis, so no result depends on the blocks.
     """
-    s1, s2 = source_terms_at(
-        np.asarray(x, dtype=float).reshape(1, 3),
-        np.asarray(nx, dtype=float).reshape(1, 3),
-        charges,
-    )
-    return float(s1[0]), float(s2[0])
-
-
-def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSystem):
-    """Vectorized source sums at many surface points: (m, 3) -> pair of (m,)."""
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
     m = points.shape[0]
     s1, s2 = np.empty(m), np.empty(m)
     q = charges.charges
-    # no more (point, charge) pairs per block than a matvec sweep block holds
-    rows = max(TARGET_BLOCK, TARGET_BLOCK * m // max(q.size, 1))
-    for s in range(0, m, rows):
-        e = min(s + rows, m)
+    bounds = (0, m) if bounds is None else bounds
+    for s, e in zip(bounds[:-1], bounds[1:]):
         d = points[s:e, None, :] - charges.positions[None, :, :]  # (rows, nc, 3)
         r2 = _dot3(d, d)
         bad = np.nonzero(r2 < 1e-300)

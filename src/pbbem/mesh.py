@@ -48,7 +48,8 @@ class FlatMesh:
         return self.faces.shape[0]
 
     def validate(self) -> None:
-        """Check finite data, unit normals, indices, area, orientation, closedness."""
+        """Check finite data, unit normals, indices, that every vertex is
+        used, area, orientation, closedness."""
         for name, data in (("position", self.vertices), ("normal", self.normals)):
             bad = np.nonzero(~np.isfinite(data).all(axis=1))[0]
             if bad.size:
@@ -66,6 +67,11 @@ class FlatMesh:
             raise MeshValidationError(
                 f"face {j} references a vertex outside [0, {self.n_vertices})"
             )
+        # a vertex no face holds would be a decoupled unknown of the solve
+        used = np.bincount(self.faces.ravel(), minlength=self.n_vertices)
+        stray = np.nonzero(used == 0)[0]
+        if stray.size:
+            raise MeshValidationError(f"vertex {stray[0]} belongs to no face")
         a, b, c = (self.vertices[self.faces[:, k]] for k in range(3))
         geo = np.cross(b - a, c - a)
         # a sliver's normal is rounding noise, so area is checked first

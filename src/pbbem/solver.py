@@ -31,10 +31,11 @@ sums to rows [e, T), evaluating each pair once for both orientations.
 The strips form STRIP_CHUNKS chunks, the matvec's fixed work list; each
 chunk sums from zero in strip order and the chunks are added over a fixed
 binary tree. A hobi row sums over the full source axis in element order,
-so hobi's bits follow no layout (STRIP_ROWS, STRIP_CHUNKS, TARGET_BLOCK).
-lobi's bits follow the strip layout, a function of T alone. Neither
-depends on the worker count. The solvation energy sums the regular rule
-over every element with the charges as targets.
+so hobi's bits follow no layout (STRIP_ROWS, STRIP_CHUNKS). lobi's bits
+follow the strip layout, a function of T alone. Neither depends on the
+worker count. The solvation energy sums the regular rule over every
+element with the charges as targets, and the right-hand side the charges
+at every collocation point; _strip_layout also cuts both into blocks.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .kernels import (
     KCAL_MOL_PER_E2_ANG,
     KERNEL_BUFFERS,
     PAGE_DOUBLES,
-    TARGET_BLOCK,
     PhysicalParams,
     kernel_scratch,
     kernel_sums,
@@ -190,11 +190,6 @@ class DiscretizedProblem:
     @property
     def n_unknowns(self) -> int:
         return 2 * self.n_collocation
-
-    def singular_faces(self, row: int) -> np.ndarray:
-        """Indices of the near elements of collocation row `row`."""
-        lo, hi = self.pair_starts[row], self.pair_starts[row + 1]
-        return self.pair_face[lo:hi]
 
 
 def _barycentric(points: np.ndarray) -> np.ndarray:
@@ -388,7 +383,10 @@ def _self_sourced(problem: DiscretizedProblem) -> bool:
 
 def _strip_layout(t: int, n: int | None = None):
     """(bounds, pairs, chunks): the strip sweep of t rows over n sources,
-    or over the rows themselves if n is None (self-sourced).
+    or over the rows themselves if n is None (self-sourced). Every blocked
+    kernel sum takes its row blocks from here: the matvec, the solvation
+    energy (charges over sources) and the right-hand side (points over
+    charges; with n = 0 all rows form one strip).
 
     Strip k is rows [bounds[k], bounds[k+1]), as many as the pair budget
     allows, evaluated as one block of pairs[k] values against columns
@@ -403,7 +401,8 @@ def _strip_layout(t: int, n: int | None = None):
     bounds = [0]
     while bounds[-1] < t:
         cols = t - bounds[-1] if n is None else n
-        bounds.append(bounds[-1] + min(t - bounds[-1], budget // cols))
+        rows = budget // cols if cols else t
+        bounds.append(bounds[-1] + min(t - bounds[-1], rows))
     bounds = np.array(bounds)
     pairs = np.diff(bounds) * (t - bounds[:-1] if n is None else n)
     middles = np.cumsum(pairs) - pairs / 2
@@ -411,27 +410,11 @@ def _strip_layout(t: int, n: int | None = None):
     return bounds, pairs, np.searchsorted(middles, cuts)
 
 
-def _layout(problem: DiscretizedProblem):
-    """(own, layout): whether the problem is self-sourced, and its strips."""
-    own = _self_sourced(problem)
-    n = None if own else problem.reg_w.size
-    return own, _strip_layout(problem.n_collocation, n)
-
-
-def _near_mask(problem: DiscretizedProblem, s: int, e: int, c: int):
-    """(rows, cols) of the near sources of rows [s, e), all Q points of each
-    near face, in a block whose first column is source c."""
-    starts = problem.pair_starts
-    q = problem.reg_w.shape[1]
-    rows = np.repeat(np.arange(e - s), q * np.diff(starts[s : e + 1]))
-    cols = problem.pair_face[starts[s] : starts[e], None] * q + (np.arange(q) - c)
-    return rows, cols.reshape(-1)
-
-
-def _scratch_size(problem: DiscretizedProblem, layout) -> int:
-    """Values in the largest block a task evaluates: a strip, or a chunk
-    of Duffy pairs (no larger than one source row, or than one row's)."""
-    size = int(layout[1].max(initial=0))
+def _scratch_size(problem: DiscretizedProblem, pairs) -> int:
+    """Values in the largest block a task evaluates: a strip (pairs from
+    _strip_layout), or a chunk of Duffy pairs (no larger than one source
+    row, or than one row's)."""
+    size = int(pairs.max(initial=0))
     if problem.duf_w is not None:
         near = np.diff(problem.pair_starts).max(initial=0)
         size = max(size, int(near) * problem.duf_w.shape[1])
@@ -474,11 +457,17 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     T = problem.n_collocation
     phi, dphi = u[:T], u[T:]
     pos, nrm, wphi, wdphi = _sources(problem, phi, dphi)
-    own, layout = _layout(problem)
-    bounds, _, chunks = layout
+    own = _self_sourced(problem)
+    bounds, pairs, chunks = _strip_layout(T, None if own else wphi.size)
     # self-sourced targets are the sources, whose coordinate rows are contiguous
     xt, nt = (pos, nrm) if own else (problem.colloc_pos.T, problem.colloc_nrm.T)
-    scratch = kernel_scratch(_scratch_size(problem, layout))
+    scratch = kernel_scratch(_scratch_size(problem, pairs))
+    # (row, column) of every Q point of every near face in the full (T, N)
+    # pair array; strip [s, e) holds entries [q starts[s], q starts[e]) of
+    # it, shifted into its block by (s, c)
+    starts, q = problem.pair_starts, problem.reg_w.shape[1]
+    near_rows = np.repeat(np.arange(T), q * np.diff(starts))
+    near_cols = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
 
     def chunk(a, b):
         if b - a > 1:
@@ -487,6 +476,7 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
         for k in range(chunks[a], chunks[b]):
             s, e = bounds[k], bounds[k + 1]
             c = s if own else 0
+            near = slice(q * starts[s], q * starts[e])
             row1, row2, *cols = kernel_sums(
                 scratch,
                 (xt[:, s:e, None], nt[:, s:e, None]),
@@ -494,7 +484,7 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
                 wphi[c:],
                 wdphi[c:],
                 problem.params,
-                mask=_near_mask(problem, s, e, c),
+                mask=(near_rows[near] - s, near_cols[near] - c),
                 own=(wphi[s:e, None], wdphi[s:e, None]) if own else None,
             )
             acc[0, s:e] += row1
@@ -526,16 +516,16 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     """float64 values (int64 indices count as one each) a serial matvec
     allocates: the flat source axis (_sources: positions, normals and two
     weighted traces, 8 values per source), KERNEL_BUFFERS blocks of its
-    largest strip or Duffy chunk plus a page of alignment slack, the
-    largest strip's near mask (two indices per near source), and the
-    (2, T) sums the chunk tree holds at once, one per level and two at the
-    leaves."""
-    _, layout = _layout(problem)
-    n, q = problem.reg_w.size, problem.reg_w.shape[1]
-    near = q * np.diff(problem.pair_starts[layout[0]]).max(initial=0)
-    scratch = KERNEL_BUFFERS * _scratch_size(problem, layout) + PAGE_DOUBLES
+    largest strip or Duffy chunk plus a page of alignment slack, the near
+    index (two indices per near source), and the (2, T) sums the chunk
+    tree holds at once, one per level and two at the leaves."""
+    n = problem.reg_w.size
+    own = _self_sourced(problem)
+    pairs = _strip_layout(problem.n_collocation, None if own else n)[1]
+    scratch = KERNEL_BUFFERS * _scratch_size(problem, pairs) + PAGE_DOUBLES
+    near = problem.pair_face.size * problem.reg_w.shape[1]
     held = (STRIP_CHUNKS - 1).bit_length() + 2
-    return 8 * n + scratch + 2 * int(near) + held * 2 * problem.n_collocation
+    return 8 * n + scratch + 2 * near + held * 2 * problem.n_collocation
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
@@ -558,8 +548,9 @@ def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
     The 1/eps1 scaling pairs with the exterior-to-interior kernel ratio so
     the solve returns the physical surface traces directly.
     """
+    bounds = _strip_layout(problem.n_collocation, len(problem.charges))[0]
     s1, s2 = source_terms_at(
-        problem.colloc_pos, problem.colloc_nrm, problem.charges
+        problem.colloc_pos, problem.colloc_nrm, problem.charges, bounds
     )
     return np.concatenate([s1, s2]) / problem.params.eps1
 
@@ -787,17 +778,17 @@ def solvation_energy(
     E = (1/2) sum_k q_k * Int_Gamma [K1(x_k, y) dphi/dn + K2(x_k, y) phi] dS,
     integrated with the regular rule on every element, the charges as
     targets; charges are strictly interior so no pair is singular. The
-    charges go TARGET_BLOCK at a time through one set of kernel buffers,
-    each summing over the whole fixed source axis, so no bit depends on
-    the blocking. K1 and K2 do not read a target normal.
+    charges go through one set of kernel buffers in the blocks of
+    _strip_layout, each summing over the whole fixed source axis, so no
+    bit depends on the blocking. K1 and K2 do not read a target normal.
     """
     charges = problem.charges
     pos, nrm, wphi, wdphi = _sources(problem, solution.phi, solution.dphi_dn)
     xt = charges.positions
-    scratch = kernel_scratch(min(TARGET_BLOCK, len(xt)) * wphi.size)
+    bounds, pairs, _ = _strip_layout(len(xt), wphi.size)
+    scratch = kernel_scratch(int(pairs.max(initial=0)))
     rows = np.empty(len(xt))
-    for s in range(0, len(xt), TARGET_BLOCK):
-        e = min(s + TARGET_BLOCK, len(xt))
+    for s, e in zip(bounds[:-1], bounds[1:]):
         rows[s:e], _ = kernel_sums(
             scratch,
             (xt[s:e].T[:, :, None], None),

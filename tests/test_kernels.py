@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pbbem.kernels
+import pbbem.solver
 from pbbem.kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
@@ -15,7 +15,6 @@ from pbbem.kernels import (
     kernel_scratch,
     kernel_values_d,
     pair_kernels,
-    source_terms,
     source_terms_at,
 )
 from pbbem.mesh import ChargeSystem
@@ -267,18 +266,24 @@ def test_k2_close_range_limit_on_unit_sphere():
 # source terms
 
 
+def terms_at_point(x, nx, charges):
+    """(S1, S2) at the single point x with normal nx."""
+    s1, s2 = source_terms_at(np.reshape(x, (1, 3)), np.reshape(nx, (1, 3)), charges)
+    return float(s1[0]), float(s2[0])
+
+
 def test_source_terms_unit_charge_examples():
     charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
     for a in (1.0, 2.0):
         x = np.array([a, 0.0, 0.0])
-        s1, s2 = source_terms(x, unit(x), charges)
+        s1, s2 = terms_at_point(x, unit(x), charges)
         assert s1 == pytest.approx(1.0 / (FOUR_PI * a), rel=1e-14)
         assert s2 == pytest.approx(-1.0 / (FOUR_PI * a * a), rel=1e-14)
 
 
 def test_source_terms_zero_charges():
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
-    s1, s2 = source_terms([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], charges)
+    s1, s2 = terms_at_point([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], charges)
     assert (s1, s2) == (0.0, 0.0)
 
 
@@ -291,9 +296,9 @@ def test_source_terms_superposition():
     )
     x = np.array([2.0, 1.0, 0.0])
     nx = unit([1.0, 1.0, 1.0])
-    sa = source_terms(x, nx, qa)
-    sb = source_terms(x, nx, qb)
-    s = source_terms(x, nx, both)
+    sa = terms_at_point(x, nx, qa)
+    sb = terms_at_point(x, nx, qb)
+    s = terms_at_point(x, nx, both)
     assert s[0] == pytest.approx(sa[0] + sb[0], rel=1e-14)
     assert s[1] == pytest.approx(sa[1] + sb[1], rel=1e-14)
 
@@ -307,8 +312,11 @@ def test_source_terms_reject_charge_on_surface_point():
 
 
 def test_source_terms_error_names_global_point_index(monkeypatch):
-    """The RHS is summed in row blocks; the error still counts from row 0."""
-    monkeypatch.setattr(pbbem.kernels, "TARGET_BLOCK", 1)  # blocks of 15 rows
+    """The RHS is summed in the row blocks of the strip layout; the error
+    still counts from row 0."""
+    monkeypatch.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
+    bounds = pbbem.solver._strip_layout(30, 2)[0]
+    assert list(bounds) == [0, 8, 16, 24, 30]  # point 21 is row 5 of block 2
     charges = ChargeSystem(
         positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], charges=[1.0, 1.0]
     )
@@ -317,7 +325,7 @@ def test_source_terms_error_names_global_point_index(monkeypatch):
     points[27] = (0.0, 0.0, 0.0)
     normals = np.tile([[0.0, 1.0, 0.0]], (30, 1))
     with pytest.raises(SingularityError, match="point 21 coincides with charge 1"):
-        source_terms_at(points, normals, charges)
+        source_terms_at(points, normals, charges, bounds)
 
 
 def test_source_terms_at_matches_scalar_form():
@@ -329,7 +337,12 @@ def test_source_terms_at_matches_scalar_form():
     normals = np.array([unit(v) for v in rng.normal(size=(7, 3))])
     s1, s2 = source_terms_at(points, normals, charges)
     for i in range(7):
-        a, b = source_terms(points[i], normals[i], charges)
+        a = b = 0.0
+        for q, y in zip(charges.charges, charges.positions):
+            d = points[i] - y
+            r = float(np.sqrt(d @ d))
+            a += q / (FOUR_PI * r)
+            b += -q * float(d @ normals[i]) / (FOUR_PI * r**3)
         assert s1[i] == pytest.approx(a, rel=1e-14)
         assert s2[i] == pytest.approx(b, rel=1e-14)
 

@@ -79,6 +79,24 @@ def test_face_index_out_of_range(tetrahedron_mesh):
         parse_msms(vert, "1 2 9\n1 3 2\n2 3 4\n1 4 3\n")
 
 
+def test_stray_vertex_rejected():
+    """A vertex no face references would solve as a decoupled unknown."""
+    mesh = icosahedral_sphere(1, radius=2.0)
+    stray = FlatMesh(
+        vertices=np.vstack([mesh.vertices, [0.3, 0.1, 0.2]]),
+        normals=np.vstack([mesh.normals, [0.0, 0.0, 1.0]]),
+        faces=mesh.faces,
+    )
+    with pytest.raises(MeshValidationError, match="^vertex 42 belongs to no face$"):
+        stray.validate()
+
+
+def test_stray_vert_record_rejected(tetrahedron_mesh):
+    vert_text, face_text = write_msms(tetrahedron_mesh)
+    with pytest.raises(MeshValidationError, match="^vertex 4 belongs to no face$"):
+        parse_msms(vert_text + "0.3 0.1 0.2 0.0 0.0 1.0\n", face_text)
+
+
 def test_open_mesh_names_offending_edge(tetrahedron_mesh):
     open_mesh = FlatMesh(
         vertices=tetrahedron_mesh.vertices,

@@ -251,7 +251,7 @@ def test_memory_bound_counts_shared_arrays_once():
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_memory_bound_covers_traced_matvec(scheme, level):
     """The bound counts what a serial matvec allocates (the flat source
-    axis, the strip sweep's scratch and near mask, the chunk sums), so it
+    axis, the strip sweep's scratch and near index, the chunk sums), so it
     is at least the traced peak of one matvec."""
     water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.125)
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import multiprocessing
 import os
+import textwrap
 import time
 import tracemalloc
 
@@ -8,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pbbem.kernels
 import pbbem.solver
 from pbbem.kernels import (
     FOUR_PI,
@@ -174,12 +176,16 @@ def test_discretize_names_face_of_vanishing_jacobian(monkeypatch, which, per_fac
     assert str(info.value).startswith("face 5: vanishing Jacobian at (r, s) = (")
 
 
+def _near_faces(problem, row):
+    return problem.pair_face[problem.pair_starts[row] : problem.pair_starts[row + 1]]
+
+
 def test_singular_faces_cover_incident_elements():
     mesh = icosahedral_sphere(0)
     problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="hobi"))
     for v in range(mesh.n_vertices):
         expected = np.nonzero((mesh.faces == v).any(axis=1))[0]
-        got = problem.singular_faces(v)
+        got = _near_faces(problem, v)
         assert np.array_equal(np.sort(got), expected)
         assert np.array_equal(got, np.sort(got))  # slices come face-ordered
 
@@ -188,7 +194,7 @@ def test_lobi_near_list_is_own_face():
     mesh = icosahedral_sphere(0)
     problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
     for i in range(mesh.n_faces):
-        assert np.array_equal(problem.singular_faces(i), [i])
+        assert np.array_equal(_near_faces(problem, i), [i])
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +324,24 @@ def _block_outputs(problem, u):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
-    """Matvec, RHS and energy are bitwise equal for any row block size.
-    hobi's rows each sum over the full source axis, so its bits follow no
-    strip layout either; lobi's follow the strip layout (kept fixed)."""
+    """RHS and energy are bitwise equal for any row block size, and so is
+    hobi's matvec: each of their rows sums over the full source (or
+    charge) axis. lobi's matvec follows the strip layout, so it is
+    evaluated at the fixed one."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, MIXED, SCATTERED, SolverConfig(scheme=scheme))
     u = np.random.default_rng(7).standard_normal(problem.n_unknowns)
     reference = _block_outputs(problem, u)
-    if scheme == "hobi":
-        monkeypatch.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
     for rows, chunks in zip((1, 5, 48), (1, 3, 16)):
-        monkeypatch.setattr(pbbem.solver, "TARGET_BLOCK", rows)
-        monkeypatch.setattr(pbbem.kernels, "TARGET_BLOCK", rows)
-        if scheme == "hobi":
-            monkeypatch.setattr(pbbem.solver, "STRIP_ROWS", rows)
-            monkeypatch.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
-        for got, want in zip(_block_outputs(problem, u), reference):
-            assert np.array_equal(got, want)
+        with monkeypatch.context() as layout:
+            layout.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
+            layout.setattr(pbbem.solver, "STRIP_ROWS", rows)
+            layout.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
+            got = list(_block_outputs(problem, u))
+        if scheme == "lobi":
+            got[0] = _apply(problem, u)
+        for got_part, want in zip(got, reference):
+            assert np.array_equal(got_part, want)
 
 
 def _node_sum(values, bary):
@@ -590,6 +597,25 @@ def test_rhs_zero_charges():
     assert np.all(assemble_rhs(problem) == 0.0)
 
 
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_energy_zero_charges(scheme):
+    mesh = icosahedral_sphere(0)
+    problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme=scheme))
+    t = problem.n_collocation
+    solution = SurfaceSolution(np.ones(t), np.ones(t), 0, 0.0)
+    assert solvation_energy(problem, solution) == 0.0
+
+
+def test_strip_layout_without_sources_or_rows():
+    """No sources (an empty ChargeSystem's RHS): all rows form one strip of
+    zero pairs. No rows (an empty energy): no strip."""
+    bounds, pairs, chunks = pbbem.solver._strip_layout(642, 0)
+    assert list(bounds) == [0, 642] and list(pairs) == [0]
+    assert chunks[0] == 0 and np.all(np.diff(chunks) >= 0)
+    bounds, pairs, _ = pbbem.solver._strip_layout(0, 5120)
+    assert list(bounds) == [0] and pairs.size == 0
+
+
 # ---------------------------------------------------------------------------
 # GMRES
 
@@ -764,6 +790,41 @@ def test_dead_worker_raises_instead_of_hanging(monkeypatch, scheme):
             op(np.ones(problem.n_unknowns))
         assert time.monotonic() - start < 5.0
     assert multiprocessing.active_children() == []
+
+
+BLAS_NAMES = {"dot", "matmul", "einsum", "linalg"}
+
+
+def _blas_uses(func) -> list[str]:
+    """'module.function: construct' for every `@`, dot, matmul, einsum or
+    linalg in the pbbem functions that func reaches by name."""
+    seen, todo, found = set(), [func], []
+    while todo:
+        func = todo.pop()
+        name = f"{func.__module__}.{func.__qualname__}"
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult
+            ):
+                found.append(f"{name}: @")
+            word = getattr(node, "attr", None) or getattr(node, "id", None)
+            if word in BLAS_NAMES:
+                found.append(f"{name}: {word}")
+            callee = func.__globals__.get(word) if isinstance(node, ast.Name) else None
+            if inspect.isfunction(callee) and callee.__module__.startswith("pbbem"):
+                todo.append(callee)
+    return found
+
+
+def test_worker_task_makes_no_blas_call():
+    """Workers fork from a parent that may have started BLAS threads, so
+    nothing a worker runs may enter BLAS (README, Determinism and
+    parallelism)."""
+    assert _blas_uses(pbbem.solver.gmres_solve)  # the walk sees BLAS uses
+    assert _blas_uses(pbbem.solver._worker_part) == []
 
 
 @pytest.mark.parametrize("floor", ["default", "none"])
