@@ -1,9 +1,10 @@
 """Curved cubic surface elements built from flat triangles with vertex normals.
 
-Each flat triangle is upgraded to a 10-node cubic element in two stages:
-Hermite-like arcs are fitted along the edges leaving vertex 1, then a family
-of cross arcs sweeps between them. Node layout on the reference triangle
-(r, s >= 0, r + s <= 1), numbered 1..10 and stored 0-based in that order:
+Each flat triangle is upgraded to a 10-node cubic element: a Hermite-like
+arc is fitted along each edge from its two vertex normals, and a cross arc
+between edges 1-2 and 1-3 carries the interior node. Node layout on the
+reference triangle (r, s >= 0, r + s <= 1), numbered 1..10 and stored
+0-based in that order:
 
     1 = (0, 0)    2 = (1/3, 0)    3 = (0, 1/3)    4 = (1, 0)    5 = (2/3, 0)
     6 = (0, 2/3)  7 = (2/3, 1/3)  8 = (1/3, 2/3)  9 = (0, 1)   10 = (1/3, 1/3)
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mesh import FlatMesh
 
 
 class DegenerateArcError(ValueError):
@@ -167,8 +166,6 @@ REFERENCE_NODES = np.array(
     ]
 )
 
-VERTEX_LOCAL = (0, 3, 8)  # local indices of the three triangle vertices
-
 _MONO_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                 (3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -211,17 +208,6 @@ def _basis_coefficients() -> np.ndarray:
 _BASIS_COEF = _basis_coefficients()
 
 
-def shape_functions(r: float, s: float) -> np.ndarray:
-    """The 10 cubic Lagrange basis values at reference point (r, s)."""
-    return _monomials(np.array([r, s], dtype=float)) @ _BASIS_COEF
-
-
-def shape_gradients(r: float, s: float) -> np.ndarray:
-    """(10, 2) array of (dN/dr, dN/ds) at reference point (r, s)."""
-    dr, ds = _monomial_gradients(np.array([r, s], dtype=float))
-    return np.stack([dr @ _BASIS_COEF, ds @ _BASIS_COEF], axis=-1)
-
-
 def shape_matrix(pts: np.ndarray) -> np.ndarray:
     """Basis values at many points: (m, 2) -> (m, 10)."""
     return _monomials(np.asarray(pts, dtype=float)) @ _BASIS_COEF
@@ -237,38 +223,6 @@ def shape_gradient_matrices(pts: np.ndarray):
 # curved elements
 
 
-@dataclass(frozen=True)
-class CurvedElement:
-    """10-node cubic element: positions, unit normals, source vertex ids."""
-
-    nodes: np.ndarray  # (10, 3)
-    node_normals: np.ndarray  # (10, 3) unit vectors
-    vertex_ids: tuple[int, int, int]  # global ids at local (0,0), (1,0), (0,1)
-
-    def __post_init__(self):
-        nd = np.array(self.nodes, dtype=float).reshape(10, 3)
-        nn = np.array(self.node_normals, dtype=float).reshape(10, 3)
-        lengths = np.linalg.norm(nn, axis=1)
-        if np.abs(lengths - 1.0).max() > 1e-12:
-            raise ValueError("node normals must be unit length")
-        nd.setflags(write=False)
-        nn.setflags(write=False)
-        object.__setattr__(self, "nodes", nd)
-        object.__setattr__(self, "node_normals", nn)
-        object.__setattr__(self, "vertex_ids", tuple(int(i) for i in self.vertex_ids))
-
-
-@dataclass(frozen=True)
-class SurfaceFrame:
-    """Local geometry at one point of an element."""
-
-    position: np.ndarray
-    d_dr: np.ndarray
-    d_ds: np.ndarray
-    normal: np.ndarray
-    jacobian: float
-
-
 def _blend_reference(n0, n1, t: float, pending: list | None = None) -> np.ndarray:
     """Unit interpolant of two endpoint normals, used as a sign reference."""
     ref = (1.0 - t) * np.asarray(n0, dtype=float) + t * np.asarray(n1, dtype=float)
@@ -281,12 +235,13 @@ def _blend_reference(n0, n1, t: float, pending: list | None = None) -> np.ndarra
 def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
     """Build the 10 node positions and normals from three vertices.
 
-    Arcs are fitted along edges 1-2 and 1-3; every other node lies on a
-    cross arc swept between those two at fixed u. The u = 1 cross arc joins
-    vertices 2 and 3, the u = 2/3 one passes through edge nodes 5 and 6 and
-    carries the interior node at its parameter midpoint. Vertex nodes keep
-    the input positions and normals bitwise. Inputs are (..., 3) and the
-    result is a pair of (..., 10, 3) arrays; a degenerate member raises
+    Each edge is an arc fitted from its two vertices and their normals
+    alone, as in curved PN triangles (Vlachos et al., I3D 2001), so the
+    two faces that share an edge put the same nodes on it and the curved
+    surface is watertight. The interior node sits at the parameter midpoint
+    of a cross arc through edge nodes 5 and 6. Vertex nodes keep the input
+    positions and normals bitwise. Inputs are (..., 3) and the result is a
+    pair of (..., 10, 3) arrays; a degenerate member raises
     DegenerateArcError carrying its leading index.
     """
     x1, n1, x2, n2, x3, n3 = np.broadcast_arrays(
@@ -310,16 +265,12 @@ def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
                 arc, u, _blend_reference(n1, n_end, u, pending)
             )
 
-    # cross arc at u = 1: edge between vertices 2 and 3, nodes 7 and 8
-    y1 = arc_point(arc12, 1.0)
-    y2 = arc_point(arc13, 1.0)
-    ny1, _ = arc_normal(arc12, 1.0, n2)
-    ny2, _ = arc_normal(arc13, 1.0, n3)
-    cross = fit_arc(y1, ny1, y2, ny2, pending)
+    # edge between vertices 2 and 3: nodes 7 and 8
+    arc23 = fit_arc(x2, n2, x3, n3, pending)
     for local, v in ((6, third), (7, 2 * third)):
-        nodes[..., local, :] = arc_point(cross, v)
+        nodes[..., local, :] = arc_point(arc23, v)
         normals[..., local, :], _ = arc_normal(
-            cross, v, _blend_reference(ny1, ny2, v, pending)
+            arc23, v, _blend_reference(n2, n3, v, pending)
         )
 
     # cross arc at u = 2/3 through edge nodes 5 and 6: interior node 10
@@ -332,43 +283,6 @@ def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
     )
     _check(pending, None)
     return nodes, normals
-
-
-def build_curved_element(mesh: FlatMesh, face_index: int) -> CurvedElement:
-    """Curved cubic element for one face of a mesh."""
-    if not 0 <= face_index < mesh.n_faces:
-        raise IndexError(
-            f"face index {face_index} outside [0, {mesh.n_faces})"
-        )
-    a, b, c = (int(i) for i in mesh.faces[face_index])
-    try:
-        nodes, normals = nodes_from_vertex_data(
-            mesh.vertices[a], mesh.normals[a],
-            mesh.vertices[b], mesh.normals[b],
-            mesh.vertices[c], mesh.normals[c],
-        )
-    except DegenerateArcError as exc:
-        raise DegenerateArcError(f"face {face_index}: {exc}") from None
-    return CurvedElement(nodes=nodes, node_normals=normals, vertex_ids=(a, b, c))
-
-
-def element_frame(elem: CurvedElement, r: float, s: float) -> SurfaceFrame:
-    """Position, tangents, oriented unit normal, and Jacobian at (r, s)."""
-    basis = shape_functions(r, s)
-    grads = shape_gradients(r, s)
-    position = basis @ elem.nodes
-    d_dr = grads[:, 0] @ elem.nodes
-    d_ds = grads[:, 1] @ elem.nodes
-    cr = np.cross(d_dr, d_ds)
-    jac = float(np.linalg.norm(cr))
-    if jac < 1e-14:
-        raise DegenerateElementError(f"vanishing Jacobian at (r, s) = ({r}, {s})")
-    normal = cr / jac
-    if float(np.dot(normal, basis @ elem.node_normals)) < 0.0:
-        normal = -normal
-    return SurfaceFrame(
-        position=position, d_dr=d_dr, d_ds=d_ds, normal=normal, jacobian=jac
-    )
 
 
 def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
@@ -386,7 +300,7 @@ def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
     xs = np.einsum("mk,eki->emi", g_s, node_pos)
     cr = np.cross(xr, xs)
     jac = np.linalg.norm(cr, axis=-1)
-    bad = np.argwhere(jac < 1e-14)  # element_frame's threshold
+    bad = np.argwhere(jac < 1e-14)
     if bad.size:
         e, m = (int(i) for i in bad[0])
         r, s = (float(c) for c in pts[m])

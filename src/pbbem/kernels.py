@@ -1,4 +1,4 @@
-"""Fundamental solutions, regularized boundary kernels, and source terms.
+"""Regularized boundary kernels and the interior source terms.
 
 The four kernels K1..K4 are the differences between screened and unscreened
 Coulomb derivatives that appear in the well-conditioned second-kind system:
@@ -85,24 +85,6 @@ class PhysicalParams:
     def eps(self) -> float:
         """Interior-to-exterior dielectric ratio eps1/eps2."""
         return self.eps1 / self.eps2
-
-
-def g0(x, y) -> float:
-    """Free-space Coulomb potential 1/(4 pi |x-y|)."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = float(np.sqrt(np.dot(d, d)))
-    if r < 1e-300:
-        raise SingularityError("g0 evaluated at coincident points")
-    return 1.0 / (FOUR_PI * r)
-
-
-def g_kappa(x, y, kappa: float) -> float:
-    """Screened Coulomb potential exp(-kappa |x-y|)/(4 pi |x-y|)."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    r = float(np.sqrt(np.dot(d, d)))
-    if r < 1e-300:
-        raise SingularityError("g_kappa evaluated at coincident points")
-    return float(np.exp(-kappa * r)) / (FOUR_PI * r)
 
 
 def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,7 +253,8 @@ def kernel_values_d(d, nx, ny, params: PhysicalParams):
 
     The separation lets callers mask coincident pairs in d before any
     division happens. Everything is elementwise, so results do not depend on
-    how the inputs were blocked or partitioned.
+    how the inputs were blocked or partitioned; (3,) inputs, one pair, give
+    0-d arrays.
     """
     d, nx, ny = (np.asarray(a, dtype=float) for a in (d, nx, ny))
     shape = np.broadcast_shapes(d.shape, nx.shape, ny.shape)[:-1]
@@ -281,17 +264,6 @@ def kernel_values_d(d, nx, ny, params: PhysicalParams):
         buf[i][...] = d[..., i]
     nx, ny = (np.moveaxis(a, -1, 0) for a in (nx, ny))
     return pair_kernels(buf, nx, ny, params, drop_zeros=False)
-
-
-def kernel_block(x, nx, y, ny, params: PhysicalParams):
-    """Scalar (K1, K2, K3, K4) for one source-target pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    if float(np.dot(d, d)) < 1e-300:
-        raise SingularityError("kernel_block evaluated at coincident points")
-    k1, k2, k3, k4 = kernel_values_d(d, nx, ny, params)
-    return float(k1), float(k2), float(k3), float(k4)
 
 
 def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSystem,

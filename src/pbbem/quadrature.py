@@ -1,4 +1,4 @@
-"""Quadrature on the reference triangle and element-level integration.
+"""Quadrature rules on the reference triangle.
 
 The reference triangle is {(r, s) : r >= 0, s >= 0, r + s <= 1}, area 1/2.
 Every rule verifies its claimed polynomial exactness degree at construction
@@ -115,19 +115,3 @@ def duffy_rule(n: int) -> TriangleRule:
     points = np.stack([r.ravel(), s.ravel()], axis=1)
     return TriangleRule(points, w.ravel(), f"duffy-gl{n}", degree=max(2 * n - 2, 0))
 
-
-def integrate_element(elem, integrand, rule: TriangleRule) -> float:
-    """Integrate ``integrand(frame)`` over one curved element.
-
-    Reference implementation used by tests and small-scale checks; the solver
-    keeps its own vectorized caches.
-    """
-    from .geometry import element_frame
-
-    if len(rule) == 0:
-        raise ValueError("empty quadrature rule")
-    total = 0.0
-    for (r, s), w in zip(rule.points, rule.weights):
-        frame = element_frame(elem, r, s)
-        total += integrand(frame) * frame.jacobian * w
-    return total

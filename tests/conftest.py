@@ -36,6 +36,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number:2d} {status}: {detail}")
 
 
+def curved_nodes(mesh):
+    """(N_f, 10, 3) node positions and normals of every face's curved element,
+    vertices in `mesh.faces` order, from the batched fit discretize runs."""
+    from pbbem.geometry import nodes_from_vertex_data
+
+    x, n = mesh.vertices[mesh.faces], mesh.normals[mesh.faces]
+    return nodes_from_vertex_data(*(a[:, k] for k in range(3) for a in (x, n)))
+
+
 @pytest.fixture(scope="session")
 def tetrahedron_mesh():
     """Regular tetrahedron with radial vertex normals, outward winding."""

@@ -20,9 +20,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from conftest import record_criterion
+from reference import g0, g_kappa
 
 from pbbem.geometry import REFERENCE_NODES, shape_matrix
-from pbbem.kernels import PhysicalParams, g0, g_kappa, kernel_values_d
+from pbbem.kernels import PhysicalParams, kernel_values_d
 from pbbem.kirkwood import SphereProblem, kirkwood_series
 from pbbem.mesh import ChargeSystem, icosahedral_sphere, parse_msms, write_msms
 from pbbem.quadrature import duffy_rule, gauss_radau_rule, monomial_integral

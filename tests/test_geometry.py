@@ -4,28 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import curved_nodes
 
 from pbbem.geometry import (
     REFERENCE_NODES,
-    VERTEX_LOCAL,
     CubicArc,
-    CurvedElement,
     DegenerateArcError,
     DegenerateElementError,
     arc_normal,
     arc_point,
     arc_velocity,
-    build_curved_element,
-    element_frame,
     fit_arc,
     frames_at,
     nodes_from_vertex_data,
-    shape_functions,
-    shape_gradients,
+    shape_gradient_matrices,
     shape_matrix,
 )
-from pbbem.mesh import FlatMesh, icosahedral_sphere
-from pbbem.quadrature import gauss_radau_rule, integrate_element
+from pbbem.kernels import PhysicalParams
+from pbbem.mesh import ChargeSystem, FlatMesh, icosahedral_sphere
+from pbbem.quadrature import gauss_radau_rule
+from pbbem.solver import SolverConfig, discretize
 
 # strategy for points strictly inside the reference triangle
 inner_rs = st.tuples(
@@ -45,16 +43,16 @@ def test_kronecker_property():
 
 def test_partition_of_unity_at_barycenter():
     third = 1.0 / 3.0
-    assert abs(shape_functions(third, third).sum() - 1.0) <= 1e-14
+    assert abs(shape_matrix(np.array([[third, third]]))[0].sum() - 1.0) <= 1e-14
 
 
 @settings(max_examples=50, deadline=None)
 @given(rs=inner_rs)
 def test_partition_of_unity_and_gradient_sum(rs):
-    r, s = rs
-    assert abs(shape_functions(r, s).sum() - 1.0) <= 1e-12
-    grads = shape_gradients(r, s)
-    assert np.abs(grads.sum(axis=0)).max() <= 1e-11
+    pts = np.array([rs])
+    assert abs(shape_matrix(pts)[0].sum() - 1.0) <= 1e-12
+    g_r, g_s = shape_gradient_matrices(pts)
+    assert max(abs(g_r[0].sum()), abs(g_s[0].sum())) <= 1e-11
 
 
 def test_cubic_reproduction():
@@ -66,21 +64,22 @@ def test_cubic_reproduction():
     for _ in range(20):
         a, b = rng.random(2)
         r, s = a * (1.0 - b), b  # inside the triangle
-        assert abs(shape_functions(r, s) @ nodal - g(r, s)) <= 1e-12
+        assert abs(shape_matrix(np.array([[r, s]]))[0] @ nodal - g(r, s)) <= 1e-12
 
 
 def test_shape_gradients_match_finite_differences():
     h = 1e-6
-    for r, s in [(0.2, 0.3), (0.05, 0.1), (0.4, 0.55), (1.0 / 3.0, 1.0 / 3.0)]:
-        grads = shape_gradients(r, s)
-        fd_r = (shape_functions(r + h, s) - shape_functions(r - h, s)) / (2 * h)
-        fd_s = (shape_functions(r, s + h) - shape_functions(r, s - h)) / (2 * h)
-        assert np.abs(grads[:, 0] - fd_r).max() <= 1e-8
-        assert np.abs(grads[:, 1] - fd_s).max() <= 1e-8
+    pts = np.array([(0.2, 0.3), (0.05, 0.1), (0.4, 0.55), (1.0 / 3.0, 1.0 / 3.0)])
+    g_r, g_s = shape_gradient_matrices(pts)
+    fd_r = (shape_matrix(pts + (h, 0.0)) - shape_matrix(pts - (h, 0.0))) / (2 * h)
+    fd_s = (shape_matrix(pts + (0.0, h)) - shape_matrix(pts - (0.0, h))) / (2 * h)
+    assert np.abs(g_r - fd_r).max() <= 1e-8
+    assert np.abs(g_s - fd_s).max() <= 1e-8
 
 
 def test_vertex_local_indices():
-    assert [tuple(REFERENCE_NODES[i]) for i in VERTEX_LOCAL] == [
+    """Vertices are nodes 1, 4 and 9, stored at 0, 3 and 8."""
+    assert [tuple(REFERENCE_NODES[i]) for i in (0, 3, 8)] == [
         (0.0, 0.0),
         (1.0, 0.0),
         (0.0, 1.0),
@@ -221,14 +220,11 @@ def test_arc_normal_sign_follows_reference():
 
 
 def test_element_vertex_nodes_bitwise(tetrahedron_mesh):
-    elem = build_curved_element(tetrahedron_mesh, 0)
-    a, b, c = tetrahedron_mesh.faces[0]
-    assert elem.vertex_ids == (a, b, c)
-    for local, gid in zip(VERTEX_LOCAL, (a, b, c)):
-        assert np.array_equal(elem.nodes[local], tetrahedron_mesh.vertices[gid])
-        assert np.array_equal(
-            elem.node_normals[local], tetrahedron_mesh.normals[gid]
-        )
+    nodes, normals = curved_nodes(tetrahedron_mesh)
+    for f, verts in enumerate(tetrahedron_mesh.faces):
+        for local, gid in zip((0, 3, 8), verts):
+            assert np.array_equal(nodes[f, local], tetrahedron_mesh.vertices[gid])
+            assert np.array_equal(normals[f, local], tetrahedron_mesh.normals[gid])
 
 
 def test_flat_element_is_affine():
@@ -247,35 +243,41 @@ def test_flat_element_is_affine():
     assert np.abs(normals - up).max() <= 1e-12
 
 
+def node_radius_error(level):
+    nodes, _ = curved_nodes(icosahedral_sphere(level))
+    return float(np.abs(np.linalg.norm(nodes, axis=-1) - 1.0).max())
+
+
 def test_sphere_element_nodes_near_sphere():
-    mesh = icosahedral_sphere(1)
-    worst = 0.0
-    for f in range(mesh.n_faces):
-        elem = build_curved_element(mesh, f)
-        radii = np.linalg.norm(elem.nodes, axis=1)
-        worst = max(worst, float(np.abs(radii - 1.0).max()))
-    assert worst <= 5e-3
+    assert node_radius_error(1) <= 5e-3
 
 
 def test_sphere_node_deviation_shrinks_by_level():
-    def worst(level):
-        mesh = icosahedral_sphere(level)
-        dev = 0.0
-        for f in range(mesh.n_faces):
-            elem = build_curved_element(mesh, f)
-            dev = max(dev, float(np.abs(np.linalg.norm(elem.nodes, axis=1) - 1.0).max()))
-        return dev
-
-    d0, d1, d2 = worst(0), worst(1), worst(2)
+    d0, d1, d2 = node_radius_error(0), node_radius_error(1), node_radius_error(2)
     assert d1 < d0 / 8.0
     assert d2 < d1 / 8.0
 
 
-def test_build_curved_element_index_guard(tetrahedron_mesh):
-    with pytest.raises(IndexError):
-        build_curved_element(tetrahedron_mesh, 4)
-    with pytest.raises(IndexError):
-        build_curved_element(tetrahedron_mesh, -1)
+def test_shared_edges_fit_the_same_nodes_on_an_ellipsoid():
+    """Both faces of every edge put the same two nodes on it: each edge arc
+    is fitted from its two vertex normals alone, so neighbouring curved
+    elements meet off the sphere too."""
+    sphere = icosahedral_sphere(2)
+    axes = np.array([1.0, 0.8, 0.6])
+    normals = sphere.vertices / axes  # gradient of |x / axes|^2 at x = u axes
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    mesh = FlatMesh(vertices=sphere.vertices * axes, normals=normals, faces=sphere.faces)
+    mesh.validate()
+    nodes, _ = curved_nodes(mesh)
+    edges = {}
+    for f, (a, b, c) in enumerate(mesh.faces):
+        # the nodes at 1/3 and 2/3 along edges 1-2, 1-3 and 2-3
+        for (p, q), (i, j) in (((a, b), (1, 4)), ((a, c), (2, 5)), ((b, c), (6, 7))):
+            pair = nodes[f, [i, j]] if p < q else nodes[f, [j, i]]
+            edges.setdefault((min(p, q), max(p, q)), []).append(pair)
+    assert len(edges) == 3 * mesh.n_faces // 2
+    gaps = [np.abs(one - other).max() for one, other in edges.values()]
+    assert max(gaps) <= 1e-14
 
 
 def test_degenerate_vertex_normal_names_face(octahedron_arrays):
@@ -285,8 +287,10 @@ def test_degenerate_vertex_normal_names_face(octahedron_arrays):
     # Tilt the normal of vertex 0 to be parallel to that chord.
     normals[0] = np.array([-1.0, 1.0, 0.0]) / np.sqrt(2.0)
     mesh = FlatMesh(vertices=verts, normals=normals, faces=faces)
-    with pytest.raises(DegenerateArcError, match="face 0"):
-        build_curved_element(mesh, 0)
+    params = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
+    charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+    with pytest.raises(DegenerateArcError, match="^face 0: "):
+        discretize(mesh, params, charges, SolverConfig(scheme="hobi"))
 
 
 def test_batched_nodes_equal_stacked_single_calls():
@@ -324,14 +328,6 @@ def test_batched_error_names_first_failing_member():
         assert info.value.index == (1,)
 
 
-def test_curved_element_rejects_non_unit_normals():
-    nodes = np.tile(np.arange(10, dtype=float)[:, None], (1, 3))
-    normals = np.zeros((10, 3))
-    normals[:, 2] = 2.0
-    with pytest.raises(ValueError, match="unit"):
-        CurvedElement(nodes=nodes, node_normals=normals, vertex_ids=(0, 1, 2))
-
-
 # ---------------------------------------------------------------------------
 # frames
 
@@ -342,30 +338,24 @@ def test_element_frame_flat_jacobian():
     x3 = np.array([0.0, 1.0, 0.0])
     up = np.array([0.0, 0.0, 1.0])
     nodes, normals = nodes_from_vertex_data(x1, up, x2, up, x3, up)
-    elem = CurvedElement(nodes=nodes, node_normals=normals, vertex_ids=(0, 1, 2))
-    frame = element_frame(elem, 0.2, 0.3)
-    assert frame.jacobian == pytest.approx(2.0, rel=1e-10)  # 2 x triangle area
-    assert np.abs(frame.normal - up).max() <= 1e-12
+    _, nrm, jac = frames_at(nodes[None], normals[None], np.array([(0.2, 0.3)]))
+    assert jac[0, 0] == pytest.approx(2.0, rel=1e-10)  # 2 x triangle area
+    assert np.abs(nrm[0, 0] - up).max() <= 1e-12
 
 
 def test_element_frame_at_origin_is_first_node(tetrahedron_mesh):
-    elem = build_curved_element(tetrahedron_mesh, 0)
-    frame = element_frame(elem, 0.0, 0.0)
-    assert np.abs(frame.position - elem.nodes[0]).max() <= 1e-13
+    nodes, normals = curved_nodes(tetrahedron_mesh)
+    pos, _, _ = frames_at(nodes[:1], normals[:1], np.array([(0.0, 0.0)]))
+    assert np.abs(pos[0, 0] - nodes[0, 0]).max() <= 1e-13
 
 
 def test_element_frame_normals_near_radial_on_sphere():
-    mesh = icosahedral_sphere(2)
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for f in rng.choice(mesh.n_faces, size=40, replace=False):
-        elem = build_curved_element(mesh, int(f))
-        for r, s in [(0.2, 0.3), (0.05, 0.05), (0.6, 0.3), (1 / 3, 1 / 3)]:
-            frame = element_frame(elem, r, s)
-            radial = frame.position / np.linalg.norm(frame.position)
-            angle = np.arccos(np.clip(np.dot(frame.normal, radial), -1.0, 1.0))
-            worst = max(worst, float(angle))
-    assert worst <= 1e-2  # radians
+    nodes, normals = curved_nodes(icosahedral_sphere(2))
+    pts = np.array([(0.2, 0.3), (0.05, 0.05), (0.6, 0.3), (1 / 3, 1 / 3)])
+    pos, nrm, _ = frames_at(nodes, normals, pts)
+    radial = pos / np.linalg.norm(pos, axis=-1)[..., None]
+    angle = np.arccos(np.clip(np.sum(nrm * radial, axis=-1), -1.0, 1.0))
+    assert angle.max() <= 1e-2  # radians
 
 
 def test_element_frame_degenerate_collinear():
@@ -374,9 +364,8 @@ def test_element_frame_degenerate_collinear():
     x3 = np.array([2.0, 1e-18, 0.0])
     up = np.array([0.0, 0.0, 1.0])
     nodes, normals = nodes_from_vertex_data(x1, up, x2, up, x3, up)
-    elem = CurvedElement(nodes=nodes, node_normals=normals, vertex_ids=(0, 1, 2))
     with pytest.raises(DegenerateElementError):
-        element_frame(elem, 0.3, 0.3)
+        frames_at(nodes[None], normals[None], np.array([(0.3, 0.3)]))
 
 
 def test_frames_at_collapsed_element_raises_not_warns():
@@ -396,29 +385,33 @@ def test_frames_at_collapsed_element_raises_not_warns():
 
 
 def test_frames_at_names_first_degenerate_element():
-    mesh = icosahedral_sphere(0)
-    elems = [build_curved_element(mesh, f) for f in range(3)]
-    node_pos = np.stack([e.nodes for e in elems])
-    node_nrm = np.stack([e.node_normals for e in elems])
+    node_pos, node_nrm = (a[:3] for a in curved_nodes(icosahedral_sphere(0)))
     node_pos[1] = node_pos[1, 0]
     node_pos[2] = node_pos[2, 0]
     with pytest.raises(DegenerateElementError, match="^element 1: "):
         frames_at(node_pos, node_nrm, np.array([(0.2, 0.3)]))
 
 
-def test_frames_at_matches_element_frame():
-    mesh = icosahedral_sphere(1)
-    elems = [build_curved_element(mesh, f) for f in (0, 17, 53)]
-    node_pos = np.stack([e.nodes for e in elems])
-    node_nrm = np.stack([e.node_normals for e in elems])
+def test_frames_at_matches_nodes_and_finite_differences():
+    """Positions at the 10 reference nodes are the node values; the
+    Jacobian and the normal are those of a central difference of the
+    positions frames_at returns (outward on this outward-wound sphere)."""
+    node_pos, node_nrm = (a[[0, 17, 53]] for a in curved_nodes(icosahedral_sphere(1)))
+    pos, _, _ = frames_at(node_pos, node_nrm, REFERENCE_NODES)
+    assert np.abs(pos - node_pos).max() <= 1e-13
+
+    def position(p):
+        return frames_at(node_pos, node_nrm, p)[0]
+
     pts = np.array([(0.1, 0.2), (0.5, 0.25), (1 / 3, 1 / 3), (0.05, 0.9)])
-    pos, nrm, jac = frames_at(node_pos, node_nrm, pts)
-    for i, e in enumerate(elems):
-        for m, (r, s) in enumerate(pts):
-            frame = element_frame(e, r, s)
-            assert np.abs(pos[i, m] - frame.position).max() <= 1e-13
-            assert np.abs(nrm[i, m] - frame.normal).max() <= 1e-12
-            assert abs(jac[i, m] - frame.jacobian) <= 1e-12 * frame.jacobian
+    h = 1e-6
+    d_dr = (position(pts + (h, 0.0)) - position(pts - (h, 0.0))) / (2 * h)
+    d_ds = (position(pts + (0.0, h)) - position(pts - (0.0, h))) / (2 * h)
+    cross = np.cross(d_dr, d_ds)
+    fd_jac = np.linalg.norm(cross, axis=-1)
+    _, nrm, jac = frames_at(node_pos, node_nrm, pts)
+    assert np.abs(jac - fd_jac).max() <= 1e-8 * jac.max()
+    assert np.abs(nrm - cross / fd_jac[..., None]).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +420,17 @@ def test_frames_at_matches_element_frame():
 
 def sphere_area_error(level, curved):
     mesh = icosahedral_sphere(level)
+    if curved:
+        nodes, normals = curved_nodes(mesh)
+    else:
+        # every vertex takes its face's normal, so each arc is its chord
+        a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+        up = np.cross(b - a, c - a)
+        up /= np.linalg.norm(up, axis=1)[:, None]
+        nodes, normals = nodes_from_vertex_data(a, up, b, up, c, up)
     rule = gauss_radau_rule()
-    total = 0.0
-    for f in range(mesh.n_faces):
-        if curved:
-            elem = build_curved_element(mesh, f)
-        else:
-            a, b, c = mesh.faces[f]
-            up = np.cross(
-                mesh.vertices[b] - mesh.vertices[a],
-                mesh.vertices[c] - mesh.vertices[a],
-            )
-            up = up / np.linalg.norm(up)
-            nodes, normals = nodes_from_vertex_data(
-                mesh.vertices[a], up, mesh.vertices[b], up, mesh.vertices[c], up
-            )
-            elem = CurvedElement(nodes=nodes, node_normals=normals, vertex_ids=(a, b, c))
-        total += integrate_element(elem, lambda frame: 1.0, rule)
-    return abs(total - 4.0 * np.pi)
+    _, _, jac = frames_at(nodes, normals, rule.points)
+    return abs((jac * rule.weights).sum() - 4.0 * np.pi)
 
 
 def test_curved_area_order_beats_flat():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import g0, g_kappa
 
 import pbbem.solver
 from pbbem.kernels import (
@@ -9,9 +10,6 @@ from pbbem.kernels import (
     KCAL_MOL_PER_E2_ANG,
     PhysicalParams,
     SingularityError,
-    g0,
-    g_kappa,
-    kernel_block,
     kernel_scratch,
     kernel_values_d,
     pair_kernels,
@@ -50,8 +48,6 @@ def test_fundamental_solutions_reject_coincident_points():
         g0(p, p)
     with pytest.raises(SingularityError):
         g_kappa(p, p, 1.0)
-    with pytest.raises(SingularityError):
-        kernel_block(p, [1, 0, 0], p, [0, 1, 0], WATER)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +78,9 @@ def test_energy_conversion_constant():
 
 def test_identity_medium_zeroes_all_kernels():
     params = PhysicalParams(eps1=4.25, eps2=4.25, kappa=0.0)
-    k1, k2, k3, k4 = kernel_block(
-        [1.0, 0.2, -0.3], unit([1, 2, 0]), [0.0, 0.0, 0.5], unit([0, 1, 1]), params
-    )
-    assert (k1, k2, k3, k4) == (0.0, 0.0, 0.0, 0.0)
+    d = np.array([1.0, 0.2, -0.3]) - np.array([0.0, 0.0, 0.5])
+    k1, k2, k3, k4 = kernel_values_d(d, unit([1, 2, 0]), unit([0, 1, 1]), params)
+    assert (float(k1), float(k2), float(k3), float(k4)) == (0.0, 0.0, 0.0, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,7 +105,7 @@ def test_unscreened_case_closed_forms():
     y = np.array([-0.3, 0.6, 0.2])
     nx = unit([1.0, 0.5, 0.0])
     ny = unit([-0.2, 1.0, 0.7])
-    k1, k2, k3, k4 = kernel_block(x, nx, y, ny, WATER)
+    k1, k2, k3, k4 = kernel_values_d(x - y, nx, ny, WATER)
     assert k1 == 0.0  # no screening: both fundamental solutions coincide
     assert k4 == 0.0
     er = 80.0
@@ -140,8 +135,8 @@ def test_swap_symmetry():
         kappa = rng.uniform(0.0, 2.0)
         fwd = PhysicalParams(eps1=eps1, eps2=eps2, kappa=kappa)
         rev = PhysicalParams(eps1=eps2, eps2=eps1, kappa=kappa)
-        k1, k2, k3, k4 = kernel_block(x, nx, y, ny, fwd)
-        s1, s2, s3, s4 = kernel_block(y, ny, x, nx, rev)
+        k1, k2, k3, k4 = kernel_values_d(x - y, nx, ny, fwd)
+        s1, s2, s3, s4 = kernel_values_d(y - x, ny, nx, rev)
         assert k1 == pytest.approx(s1, rel=1e-13, abs=1e-18)
         assert k4 == pytest.approx(s4, rel=1e-13, abs=1e-18)
         assert k3 == pytest.approx(-s2, rel=1e-12, abs=1e-18)
@@ -213,7 +208,7 @@ def test_kernels_match_finite_difference_oracle():
         params = PhysicalParams(eps1=eps1, eps2=eps2, kappa=kappa)
         er = eps2 / eps1
 
-        k1, k2, k3, k4 = kernel_block(x, nx, y, ny, params)
+        k1, k2, k3, k4 = kernel_values_d(x - y, nx, ny, params)
 
         ref1 = g0(x, y) - g_kappa(x, y, kappa)
         dg0_dny = central_difference(lambda p: g0(x, p), y, ny)
@@ -246,7 +241,7 @@ def test_kernels_bounded_at_close_range_on_sphere():
             x = np.array([1.0, 0.0, 0.0])
             y = np.array([np.cos(theta), np.sin(theta), 0.0])
             r = float(np.linalg.norm(x - y))
-            kernels = kernel_block(x, x, y, y, params)
+            kernels = kernel_values_d(x - y, x, y, params)
             for k in kernels:
                 assert np.isfinite(k)
                 assert abs(k) * r <= 10.0
@@ -258,7 +253,7 @@ def test_k2_close_range_limit_on_unit_sphere():
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([np.cos(theta), np.sin(theta), 0.0])
     r = float(np.linalg.norm(x - y))
-    _, k2, _, _ = kernel_block(x, x, y, y, WATER)
+    _, k2, _, _ = kernel_values_d(x - y, x, y, WATER)
     assert abs(k2) * r == pytest.approx((er - 1.0) / (8.0 * np.pi), rel=1e-3)
 
 
@@ -348,10 +343,10 @@ def test_source_terms_at_matches_scalar_form():
 
 
 # ---------------------------------------------------------------------------
-# vectorized path equals the scalar path
+# a batch equals its pairs evaluated one at a time
 
 
-def test_kernel_values_matches_kernel_block():
+def test_kernel_values_d_batch_equals_single_pairs():
     rng = np.random.default_rng(42)
     m = 40
     x = rng.uniform(-1, 1, (m, 3))
@@ -364,9 +359,10 @@ def test_kernel_values_matches_kernel_block():
     ny /= np.linalg.norm(ny, axis=1)[:, None]
     batched = kernel_values_d(x - y, nx, ny, SALTY)
     for i in range(m):
-        single = kernel_block(x[i], nx[i], y[i], ny[i], SALTY)
+        single = kernel_values_d(x[i] - y[i], nx[i], ny[i], SALTY)
         for kb, ks in zip(batched, single):
-            assert float(kb[i]) == ks  # same elementwise operations, bitwise
+            assert ks.shape == ()
+            assert float(kb[i]) == float(ks)  # same elementwise operations, bitwise
 
 
 def test_kernel_values_d_masking_contract():

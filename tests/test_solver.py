@@ -17,7 +17,6 @@ from pbbem.kernels import (
     KCAL_MOL_PER_E2_ANG,
     KERNEL_BUFFERS,
     PhysicalParams,
-    kernel_block,
     kernel_values_d,
 )
 from pbbem.kirkwood import SphereProblem, kirkwood_centered
@@ -247,10 +246,9 @@ def test_lobi_matvec_against_naive_loop():
         for j in range(t):
             if j == i:
                 continue
-            k1, k2, k3, k4 = kernel_block(
-                problem.colloc_pos[i],
+            k1, k2, k3, k4 = kernel_values_d(
+                problem.colloc_pos[i] - problem.colloc_pos[j],
                 problem.colloc_nrm[i],
-                problem.colloc_pos[j],
                 problem.colloc_nrm[j],
                 MIXED,
             )
@@ -266,7 +264,7 @@ def test_lobi_matvec_against_naive_loop():
 @pytest.mark.parametrize("level", [0, 1])
 def test_hobi_matvec_against_naive_loop(level):
     """Per vertex: the regular rule over non-incident faces plus the Duffy
-    rule over that vertex's pairs, one kernel_block call per point."""
+    rule over that vertex's pairs, one kernel_values_d call per point."""
     mesh = icosahedral_sphere(level)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme="hobi"))
     t = problem.n_collocation
@@ -282,8 +280,8 @@ def test_hobi_matvec_against_naive_loop(level):
             if i in verts:
                 continue
             for q in range(problem.reg_w.shape[1]):
-                k1, k2, k3, k4 = kernel_block(
-                    xi, ni, problem.reg_pos[f, q], problem.reg_nrm[f, q], MIXED
+                k1, k2, k3, k4 = kernel_values_d(
+                    xi - problem.reg_pos[f, q], ni, problem.reg_nrm[f, q], MIXED
                 )
                 w = problem.reg_w[f, q]
                 p = problem.reg_bary[q] @ phi[verts]
@@ -294,8 +292,8 @@ def test_hobi_matvec_against_naive_loop(level):
             verts = problem.pair_gverts[pair]
             assert verts[0] == i
             for q in range(problem.duf_w.shape[1]):
-                k1, k2, k3, k4 = kernel_block(
-                    xi, ni, problem.duf_pos[pair, q], problem.duf_nrm[pair, q], MIXED
+                k1, k2, k3, k4 = kernel_values_d(
+                    xi - problem.duf_pos[pair, q], ni, problem.duf_nrm[pair, q], MIXED
                 )
                 w = problem.duf_w[pair, q]
                 p = problem.duf_bary[q] @ phi[verts]
@@ -548,7 +546,7 @@ def test_solvation_energy_against_naive_loop(scheme):
     total = 0.0
     for x, q in zip(problem.charges.positions, problem.charges.charges):
         for j in range(src.shape[0]):
-            k1, k2, _, _ = kernel_block(x, (0.0, 0.0, 1.0), src[j], snrm[j], MIXED)
+            k1, k2, _, _ = kernel_values_d(x - src[j], (0.0, 0.0, 1.0), snrm[j], MIXED)
             total += q * (k1 * wdphi[j] + k2 * wphi[j])
     expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
     got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
@@ -1040,11 +1038,23 @@ def test_zero_charge_solve_is_trivial():
 
 
 def test_lobi_matvec_cost_scales_quadratically():
-    """min-of-7 matvec timings across one refinement (4x the unknowns). The
-    two levels' repeats alternate, so a drift in the host's load reaches
-    both minima instead of the ratio."""
-    problems = {}
+    """Work per refinement (4x the unknowns), once counted and once timed.
+
+    The strip layout's pair count is deterministic: about T(T+1)/2, each
+    unordered pair once plus the strips' leading squares. Its growth per
+    doubling of the mesh size must be quadratic in T. The timing takes the
+    min of 7 matvecs at levels 3 and 4, where the pair work outweighs the
+    fixed interpreter cost per strip; the two levels' repeats alternate, so
+    a drift in the host's load reaches both minima instead of the ratio."""
+    pairs = {}
     for level in (2, 3):
+        t = 20 * 4**level
+        pairs[level] = int(pbbem.solver._strip_layout(t)[1].sum())
+        assert t * (t + 1) / 2 <= pairs[level] <= 1.1 * t * (t + 1) / 2
+    assert 2.5 <= np.sqrt(pairs[3] / pairs[2]) <= 5.5
+
+    problems = {}
+    for level in (3, 4):
         mesh = icosahedral_sphere(level)
         problems[level] = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
         matvec_lobi(problems[level], np.ones(problems[level].n_unknowns))  # warm up
@@ -1055,7 +1065,7 @@ def test_lobi_matvec_cost_scales_quadratically():
             t0 = time.perf_counter()
             matvec_lobi(problem, u)
             times[level] = min(times[level], time.perf_counter() - t0)
-    per_doubling = np.sqrt(times[3] / times[2])
+    per_doubling = np.sqrt(times[4] / times[3])
     assert 2.5 <= per_doubling <= 5.5
 
 
