@@ -88,7 +88,10 @@ def _add_physics_args(sub):
     sub.add_argument("--eps2", type=float, default=80.0, help="exterior dielectric")
     sub.add_argument("--kappa", type=float, default=0.0, help="inverse Debye length (1/Å)")
     sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
-    sub.add_argument("--tol", type=float, default=1e-6, help="GMRES relative tolerance")
+    sub.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="GMRES tolerance on the per-equation relative residual",
+    )
 
 
 def _add_output_args(sub):

@@ -4,7 +4,8 @@ A report carries everything needed to reproduce and interpret a run: the
 problem description, the scheme and quadrature rule (with its verified
 exactness degree, so results stay interpretable if the rule choice ever
 changes), the energy, oracle errors when a sphere oracle applies, GMRES
-diagnostics (iterations, residual and operator applications), per-phase
+diagnostics (iterations, operator applications and the residual, the
+larger of the phi and the dphi/dn equation's relative residuals), per-phase
 wall times, and a deterministic lower bound on peak
 memory computed from the quadrature cache sizes. The wall-time fields are
 the only nondeterministic ones; everything else is byte-stable for fixed

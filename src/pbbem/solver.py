@@ -1,5 +1,13 @@
 """Matrix-free boundary-integral solver for the linearized PB equation.
 
+The phi and the dphi/dn equation of the second-kind system (Juffer et al.,
+J. Comput. Phys. 97, 1991) are each divided by their jump coefficient,
+alpha1 = (1 + er)/2 and alpha2 = (1 + 1/er)/2 with er = eps2/eps1, so the
+operator is the identity minus the kernel sums and its spectrum clusters
+at 1 instead of at two values ~er apart. The unknowns stay the physical
+(phi, dphi/dn). GMRES stops on the larger of the two equations' relative
+residuals, which this row scaling does not change.
+
 Two discretizations of the same well-conditioned second-kind system:
 
 * higher-order (scheme "hobi"): unknowns at the N_v mesh vertices, geometry
@@ -542,17 +550,27 @@ def matvec_lobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
     return _Operator(problem, 1)(u)
 
 
+def _jump_coefficients(params: PhysicalParams) -> tuple[float, float]:
+    """(alpha1, alpha2) = ((1 + er)/2, (1 + 1/er)/2), er = eps2/eps1: the
+    factors the phi and the dphi/dn equation are divided by."""
+    er = params.eps2 / params.eps1
+    return 0.5 * (1.0 + er), 0.5 * (1.0 + 1.0 / er)
+
+
 def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
-    """Source vector (S1, S2)/eps1 at the collocation points.
+    """Source vector (S1/alpha1, S2/alpha2)/eps1 at the collocation points.
 
     The 1/eps1 scaling pairs with the exterior-to-interior kernel ratio so
-    the solve returns the physical surface traces directly.
+    the solve returns the physical surface traces directly; each equation
+    is divided by its jump coefficient, as in the operator.
     """
     bounds = _strip_layout(problem.n_collocation, len(problem.charges))[0]
     s1, s2 = source_terms_at(
         problem.colloc_pos, problem.colloc_nrm, problem.charges, bounds
     )
-    return np.concatenate([s1, s2]) / problem.params.eps1
+    alpha1, alpha2 = _jump_coefficients(problem.params)
+    eps1 = problem.params.eps1
+    return np.concatenate([s1 / (eps1 * alpha1), s2 / (eps1 * alpha2)])
 
 
 def partition_targets(n_targets: int, n_workers: int) -> list[tuple[int, int]]:
@@ -635,9 +653,9 @@ class _Operator:
         self.matvecs += 1
         nodes = {(a, b): sums for part in self._parts(u) for a, b, sums in part}
         acc = _tree_sum(0, STRIP_CHUNKS, lambda a, b: nodes.get((a, b)))
-        er = problem.params.eps2 / problem.params.eps1
-        out1 = 0.5 * (1.0 + er) * u[:T] - acc[0]
-        out2 = 0.5 * (1.0 + 1.0 / er) * u[T:] - acc[1]
+        alpha1, alpha2 = _jump_coefficients(problem.params)
+        out1 = u[:T] - acc[0] / alpha1
+        out2 = u[T:] - acc[1] / alpha2
         return np.concatenate([out1, out2])
 
     def close(self):
@@ -662,24 +680,39 @@ def make_operator(problem: DiscretizedProblem, config: SolverConfig) -> _Operato
 
 
 def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
-    """Restarted GMRES with a true-residual stopping test.
+    """Restarted GMRES with a per-equation true-residual stopping test.
 
     Arnoldi with modified Gram-Schmidt and Givens rotations; iteration count
     is the total number of inner steps; x starts at 0, so r = b costs no
     matvec and c cycles cost iterations + c. Reads only tolerance, restart
-    and max_iterations from config. Raises GmresNonConvergence with the best
-    relative residual if max_iterations is exhausted, and its subclass
-    GmresBreakdown at the first non-finite residual, true or estimated.
+    and max_iterations from config.
+
+    The residual is per equation: max_k ||r_k|| / ||b_k|| over the two
+    halves (phi, dphi/dn), a zero b_k measured against ||b|| instead. It
+    does not change when either half of the system is scaled, and where
+    neither b_k is zero it is never below ||r|| / ||b||. A cycle ends once
+    the Arnoldi estimate ||r|| <= tolerance * min_k ||b_k||, which bounds
+    every half; the true residual then decides. Raises GmresNonConvergence
+    with the best residual if max_iterations is exhausted, and its
+    subclass GmresBreakdown at the first non-finite residual, true or
+    estimated.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
     if n % 2:
         raise ValueError("vector length must be even: (phi, dphi/dn) halves")
+    half = n // 2
+    halves = (slice(0, half), slice(half, n))
     norm_b = float(np.linalg.norm(b))
+    scales = [float(np.linalg.norm(b[h])) or norm_b for h in halves]
     tol = config.tolerance
 
+    def _relative(r: np.ndarray) -> float:
+        # np.max, unlike max(), returns a NaN in either half
+        parts = [float(np.linalg.norm(r[h])) / s for h, s in zip(halves, scales)]
+        return float(np.max(parts))
+
     def _solution(x: np.ndarray, its: int, rel: float) -> SurfaceSolution:
-        half = n // 2
         return SurfaceSolution(
             phi=x[:half], dphi_dn=x[half:], iterations=its, residual=rel
         )
@@ -700,8 +733,9 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     cycles = 0  # true-residual matvecs, one per completed cycle
     best = np.inf
     m = config.restart
+    estimate_tol = tol * min(scales)
     while True:
-        rel = float(np.linalg.norm(r)) / norm_b
+        rel = _relative(r)
         if not np.isfinite(rel):
             raise _breakdown(total + cycles)
         best = min(best, rel)
@@ -745,7 +779,7 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
             j += 1
             if not np.isfinite(g[j]):
                 raise _breakdown(total + cycles)
-            if abs(g[j]) / norm_b <= tol:
+            if abs(g[j]) <= estimate_tol:
                 break
         y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j]) if j else np.zeros(0)
         x = x + basis[:j].T @ y
