@@ -248,7 +248,8 @@ def cmd_solve(parser, args) -> int:
         print(
             f"E_sol = {report.energy_kcal:.4f} kcal/mol "
             f"({report.scheme}, {report.n_vertices} vertices, "
-            f"{report.iterations} iterations, residual {report.residual:.2e}{err})"
+            f"{report.iterations} iterations, {report.matvecs} matvecs, "
+            f"residual {report.residual:.2e}{err})"
         )
     return 0
 

@@ -80,7 +80,7 @@ class TestSolve:
         assert report.phi_error < 1e-3
         assert report.observed_order is None
         assert 1 <= report.iterations <= 20
-        assert report.matvecs == report.iterations + 1  # one restart cycle
+        assert report.matvecs == report.iterations
         assert report.residual <= 1e-6
         assert report.memory_lower_bound_mb > 0.0
 
@@ -95,6 +95,9 @@ class TestSolve:
         assert "E_sol" in summary
         assert "kcal/mol" in summary
         assert "e_phi=" in summary
+        (report,) = reports_from_json(out.read_text())
+        counts = f"{report.iterations} iterations, {report.matvecs} matvecs, residual"
+        assert counts in summary
 
     def test_lobi_is_farther_from_exact(self, tmp_path, charges_file,
                                         hobi_l2_report):

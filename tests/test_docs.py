@@ -23,3 +23,7 @@ def test_library_use_block_runs_and_prints_its_energy(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == len(prints)
     assert float(printed[k]) == pytest.approx(claimed, abs=1e-4)
+    (c,) = [i for i, ln in enumerate(prints) if ln.startswith("print(solution.iterations,")]
+    assert prints[c].endswith("# matvecs = iterations")
+    iterations, matvecs = (int(word) for word in printed[c].split())
+    assert iterations == matvecs
