@@ -87,7 +87,6 @@ def _add_physics_args(sub):
     sub.add_argument("--eps1", type=float, default=1.0, help="interior dielectric")
     sub.add_argument("--eps2", type=float, default=80.0, help="exterior dielectric")
     sub.add_argument("--kappa", type=float, default=0.0, help="inverse Debye length (1/Å)")
-    sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
     sub.add_argument(
         "--tol", type=float, default=1e-6,
         help="GMRES tolerance on the per-equation relative residual",
@@ -114,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--charges", required=True, help="charge file (x y z q per line)")
     sub.add_argument("--scheme", choices=SCHEMES, default="hobi")
     _add_physics_args(sub)
+    sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
     _add_output_args(sub)
     sub.set_defaults(func=cmd_solve)
 
@@ -128,10 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--schemes", default="hobi",
                      help="comma list from {hobi,lobi}")
     _add_physics_args(sub)
+    sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
     _add_output_args(sub)
     sub.set_defaults(func=cmd_convergence)
 
-    sub = commands.add_parser("scaling",
+    # no abbreviations, or --workers would be read as --workers-list
+    sub = commands.add_parser("scaling", allow_abbrev=False,
                               help="strong-scaling table over worker counts")
     sub.add_argument("--sphere", type=_parse_sphere, default=(3, 2.0),
                      metavar="LEVEL,RADIUS")

@@ -7,8 +7,8 @@ operator is the identity minus the kernel sums and its spectrum clusters
 at 1 instead of at two values ~er apart. The unknowns stay the physical
 (phi, dphi/dn). GMRES stops on the larger of the two equations' relative
 residuals, which this row scaling does not change. Each restart cycle
-ends on the residual its Arnoldi relation gives, so a solve spends one
-matvec per iteration.
+keeps one Hessenberg matrix and ends on the residual its Arnoldi
+relation gives, so a solve spends one matvec per iteration.
 
 Two discretizations of the same well-conditioned second-kind system:
 
@@ -594,10 +594,11 @@ class _Operator:
     """Callable matvec, optionally fanned out over a fork pool.
 
     The STRIP_CHUNKS chunks of the strip sweep are split into one
-    contiguous range per worker (partition_targets). Their sums are added
-    over the fixed chunk tree, each worker returning the largest nodes
-    inside its range, so no bit depends on the worker count. A worker that
-    dies raises WorkerDied. matvecs counts the applications.
+    contiguous range per worker, of at most STRIP_CHUNKS workers
+    (partition_targets). Their sums are added over the fixed chunk tree,
+    each worker returning the largest nodes inside its range, so no bit
+    depends on the worker count. A dead worker raises WorkerDied, and
+    matvecs counts the applications.
     """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
@@ -610,9 +611,9 @@ class _Operator:
             # imported here: the module costs a serial solve ~1.3 MB of RSS
             from concurrent.futures import ProcessPoolExecutor
 
-            self._ranges = partition_targets(STRIP_CHUNKS, workers)
+            self._ranges = partition_targets(STRIP_CHUNKS, min(workers, STRIP_CHUNKS))
             self._pool = ProcessPoolExecutor(
-                workers,
+                len(self._ranges),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_adopt,
                 initargs=(problem,),
@@ -667,23 +668,24 @@ def make_operator(problem: DiscretizedProblem, config: SolverConfig) -> _Operato
 def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     """Restarted GMRES with a per-equation residual stopping test.
 
-    Arnoldi with modified Gram-Schmidt and Givens rotations; iteration count
-    is the total number of inner steps; x starts at 0, so r = b costs no
-    matvec and a solve costs `iterations` matvecs. Reads only tolerance,
-    restart and max_iterations from config.
+    Arnoldi with modified Gram-Schmidt; iteration count is the total number
+    of inner steps; x starts at 0, so r = b costs no matvec and a solve
+    costs `iterations` matvecs. Reads only tolerance, restart and
+    max_iterations from config.
 
     The residual is per equation: max_k ||r_k|| / ||b_k|| over the two
     halves (phi, dphi/dn), a zero b_k measured against ||b|| instead. It
     does not change when either half of the system is scaled, and where
-    neither b_k is zero it is never below ||r|| / ||b||. A cycle ends once
-    the Arnoldi estimate ||r|| <= tolerance * min_k ||b_k||, which bounds
-    every half. Each cycle closes on r - V_{j+1} Hbar y, with Hbar the
-    (j+1) x j Hessenberg matrix before its rotations: the Arnoldi relation
-    A V_j = V_{j+1} Hbar, which modified Gram-Schmidt keeps to rounding,
-    makes this b - A x without another matvec, and the per-equation test
-    of that vector decides. Raises GmresNonConvergence with the best
-    residual if max_iterations is exhausted, and its subclass
-    GmresBreakdown at the first non-finite residual.
+    neither b_k is zero it is never below ||r|| / ||b||. Each inner step
+    solves min ||beta e1 - Hbar y|| on the (j+1) x j Hessenberg matrix
+    Hbar. A cycle ends once that least-squares residual (||r|| in exact
+    arithmetic) is <= tolerance * min_k ||b_k||, bounding every half, or
+    once Hbar is numerically rank-deficient. It closes on r - V_{j+1} Hbar
+    y, which the Arnoldi relation A V_j = V_{j+1} Hbar (kept to rounding
+    by modified Gram-Schmidt) makes b - A x without a matvec; the
+    per-equation test of that vector decides. Raises GmresNonConvergence
+    with the best residual if max_iterations is exhausted, and its
+    subclass GmresBreakdown at the first non-finite residual.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -700,11 +702,6 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
         parts = [float(np.linalg.norm(r[h])) / s for h, s in zip(halves, scales)]
         return float(np.max(parts))
 
-    def _solution(x: np.ndarray, its: int, rel: float) -> SurfaceSolution:
-        return SurfaceSolution(
-            phi=x[:half], dphi_dn=x[half:], iterations=its, residual=rel
-        )
-
     def _breakdown(matvecs: int) -> GmresBreakdown:
         return GmresBreakdown(
             f"non-finite residual (matvecs: {matvecs}, "
@@ -713,7 +710,7 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
         )
 
     if norm_b == 0.0:
-        return _solution(np.zeros(n), 0, 0.0)
+        return SurfaceSolution(np.zeros(half), np.zeros(half), 0, 0.0)
 
     x = np.zeros(n)
     r = b  # b - A x with x = 0, without spending a matvec on A 0
@@ -727,52 +724,39 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
             raise _breakdown(total)
         best = min(best, rel)
         if rel <= tol:
-            return _solution(x, total, rel)
+            return SurfaceSolution(x[:half], x[half:], total, rel)
         if total >= config.max_iterations:
             raise GmresNonConvergence(
                 f"no convergence in {total} iterations "
                 f"(best residual {best:.3e}, tolerance {tol:.3e})",
                 best_residual=best,
             )
-        beta = float(np.linalg.norm(r))
+        beta_e1 = float(np.linalg.norm(r)) * np.eye(1, m + 1)[0]
         basis = np.zeros((m + 1, n))
         hess = np.zeros((m + 1, m))
-        arnoldi = np.zeros((m + 1, m))  # hess before the rotations
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        basis[0] = r / beta
-        g[0] = beta
+        basis[0] = r / beta_e1[0]
         j = 0
-        while j < m and total < config.max_iterations:
+        while True:
             w = apply(basis[j])
-            for i in range(j + 1):
-                hess[i, j] = float(basis[i] @ w)
-                w = w - hess[i, j] * basis[i]
-            hess[j + 1, j] = float(np.linalg.norm(w))
-            if hess[j + 1, j] > 1e-300:
-                basis[j + 1] = w / hess[j + 1, j]
-            arnoldi[: j + 2, j] = hess[: j + 2, j]
-            for i in range(j):
-                tmp = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
-                hess[i + 1, j] = -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j]
-                hess[i, j] = tmp
-            denom = float(np.hypot(hess[j, j], hess[j + 1, j]))
-            cs[j] = hess[j, j] / denom
-            sn[j] = hess[j + 1, j] / denom
-            hess[j, j] = denom
-            hess[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
+            # NaN/inf in w reach hess[j + 1, j], checked before lstsq, which rejects them
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i in range(j + 1):
+                    hess[i, j] = float(basis[i] @ w)
+                    w = w - hess[i, j] * basis[i]
+                hess[j + 1, j] = float(np.linalg.norm(w))
+                if hess[j + 1, j] > 1e-300:
+                    basis[j + 1] = w / hess[j + 1, j]
             total += 1
             j += 1
-            if not np.isfinite(g[j]):
+            if not np.isfinite(hess[: j + 1, j - 1]).all():
                 raise _breakdown(total)
-            if abs(g[j]) <= estimate_tol:
+            y, res = np.linalg.lstsq(hess[: j + 1, :j], beta_e1[: j + 1])[:2]
+            fit = hess[: j + 1, :j] @ y
+            gap = np.sqrt(res[0]) if res.size else 0.0  # empty: Hbar rank-deficient
+            if gap <= estimate_tol or j == m or total >= config.max_iterations:
                 break
-        y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j]) if j else np.zeros(0)
         x = x + basis[:j].T @ y
-        r = r - basis[: j + 1].T @ (arnoldi[: j + 1, :j] @ y)
+        r = r - basis[: j + 1].T @ fit
 
 
 def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:

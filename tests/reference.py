@@ -4,12 +4,20 @@ g0 and g_kappa evaluate one point pair in plain scalar arithmetic. The
 finite-difference kernel tests and the acceptance gate difference them to
 check K1..K4, so they share no code with kernels.pair_kernels.
 subdivide is the face-by-face loop that mesh._subdivide replaces with
-array code.
+array code. gmres_givens is restarted GMRES on a Givens-rotated Hessenberg
+matrix, whose |g_j| is the inner residual estimate that solver.gmres_solve
+takes from a least-squares solve on the unrotated one.
 """
 
 import numpy as np
 
 from pbbem.kernels import FOUR_PI, SingularityError
+from pbbem.solver import (
+    GmresBreakdown,
+    GmresNonConvergence,
+    SolverConfig,
+    SurfaceSolution,
+)
 
 
 def g0(x, y) -> float:
@@ -50,3 +58,115 @@ def subdivide(verts: np.ndarray, faces: np.ndarray):
             (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca),
         ]
     return np.asarray(out), new_faces
+
+
+def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
+    """Restarted GMRES with a per-equation residual stopping test.
+
+    Arnoldi with modified Gram-Schmidt and Givens rotations; iteration count
+    is the total number of inner steps; x starts at 0, so r = b costs no
+    matvec and a solve costs `iterations` matvecs. Reads only tolerance,
+    restart and max_iterations from config.
+
+    The residual is per equation: max_k ||r_k|| / ||b_k|| over the two
+    halves (phi, dphi/dn), a zero b_k measured against ||b|| instead. It
+    does not change when either half of the system is scaled, and where
+    neither b_k is zero it is never below ||r|| / ||b||. A cycle ends once
+    the Arnoldi estimate ||r|| <= tolerance * min_k ||b_k||, which bounds
+    every half. Each cycle closes on r - V_{j+1} Hbar y, with Hbar the
+    (j+1) x j Hessenberg matrix before its rotations: the Arnoldi relation
+    A V_j = V_{j+1} Hbar, which modified Gram-Schmidt keeps to rounding,
+    makes this b - A x without another matvec, and the per-equation test
+    of that vector decides. Raises GmresNonConvergence with the best
+    residual if max_iterations is exhausted, and its subclass
+    GmresBreakdown at the first non-finite residual.
+    """
+    b = np.asarray(b, dtype=float)
+    n = b.size
+    if n % 2:
+        raise ValueError("vector length must be even: (phi, dphi/dn) halves")
+    half = n // 2
+    halves = (slice(0, half), slice(half, n))
+    norm_b = float(np.linalg.norm(b))
+    scales = [float(np.linalg.norm(b[h])) or norm_b for h in halves]
+    tol = config.tolerance
+
+    def _relative(r: np.ndarray) -> float:
+        # np.max, unlike max(), returns a NaN in either half
+        parts = [float(np.linalg.norm(r[h])) / s for h, s in zip(halves, scales)]
+        return float(np.max(parts))
+
+    def _solution(x: np.ndarray, its: int, rel: float) -> SurfaceSolution:
+        return SurfaceSolution(
+            phi=x[:half], dphi_dn=x[half:], iterations=its, residual=rel
+        )
+
+    def _breakdown(matvecs: int) -> GmresBreakdown:
+        return GmresBreakdown(
+            f"non-finite residual (matvecs: {matvecs}, "
+            f"best residual {best:.3e}, tolerance {tol:.3e})",
+            best_residual=best,
+        )
+
+    if norm_b == 0.0:
+        return _solution(np.zeros(n), 0, 0.0)
+
+    x = np.zeros(n)
+    r = b  # b - A x with x = 0, without spending a matvec on A 0
+    total = 0
+    best = np.inf
+    m = config.restart
+    estimate_tol = tol * min(scales)
+    while True:
+        rel = _relative(r)
+        if not np.isfinite(rel):
+            raise _breakdown(total)
+        best = min(best, rel)
+        if rel <= tol:
+            return _solution(x, total, rel)
+        if total >= config.max_iterations:
+            raise GmresNonConvergence(
+                f"no convergence in {total} iterations "
+                f"(best residual {best:.3e}, tolerance {tol:.3e})",
+                best_residual=best,
+            )
+        beta = float(np.linalg.norm(r))
+        basis = np.zeros((m + 1, n))
+        hess = np.zeros((m + 1, m))
+        arnoldi = np.zeros((m + 1, m))  # hess before the rotations
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        basis[0] = r / beta
+        g[0] = beta
+        j = 0
+        while j < m and total < config.max_iterations:
+            w = apply(basis[j])
+            for i in range(j + 1):
+                hess[i, j] = float(basis[i] @ w)
+                w = w - hess[i, j] * basis[i]
+            hess[j + 1, j] = float(np.linalg.norm(w))
+            if hess[j + 1, j] > 1e-300:
+                basis[j + 1] = w / hess[j + 1, j]
+            arnoldi[: j + 2, j] = hess[: j + 2, j]
+            for i in range(j):
+                tmp = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
+                hess[i + 1, j] = -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j]
+                hess[i, j] = tmp
+            denom = float(np.hypot(hess[j, j], hess[j + 1, j]))
+            cs[j] = hess[j, j] / denom
+            sn[j] = hess[j + 1, j] / denom
+            hess[j, j] = denom
+            hess[j + 1, j] = 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            total += 1
+            j += 1
+            if not np.isfinite(g[j]):
+                raise _breakdown(total)
+            if abs(g[j]) <= estimate_tol:
+                break
+        y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j]) if j else np.zeros(0)
+        x = x + basis[:j].T @ y
+        r = r - basis[: j + 1].T @ (arnoldi[: j + 1, :j] @ y)
+

@@ -320,6 +320,13 @@ class TestScaling:
         stdout = capsys.readouterr().out
         assert "workers=8" in stdout
 
+    def test_workers_flag_is_rejected(self, capsys):
+        """scaling reads --workers-list only, so --workers is no option of it."""
+        with pytest.raises(SystemExit) as info:
+            main(["scaling", "--workers", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_csv_to_stdout(self, capsys):
         rc = main(["scaling", "--sphere", "0,2.0", "--workers-list", "1",
                    "--format", "csv"])

@@ -48,6 +48,7 @@ from pbbem.solver import (
     solve,
     surface_potential_error,
 )
+from reference import gmres_givens
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
 MIXED = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.5)
@@ -638,12 +639,31 @@ def test_strip_layout_without_sources_or_rows():
 # GMRES
 
 
-def test_gmres_solves_dense_example():
-    rng = np.random.default_rng(3)
-    n = 8
-    a = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+def _perturbed_identity(n, seed, spread, **config):
+    """(a, b, config): I plus spread times a seeded normal matrix, tolerance 1e-12."""
+    rng = np.random.default_rng(seed)
+    a = np.eye(n) + spread * rng.standard_normal((n, n))
     b = rng.standard_normal(n)
-    config = SolverConfig(tolerance=1e-12, workers=1)
+    return a, b, SolverConfig(tolerance=1e-12, workers=1, **config)
+
+
+def _two_clusters(zero_half):
+    """(a, b, config): the jump coefficients of eps 1/80 on the diagonal,
+    40.5 and 0.506, and small random coupling, so two eigenvalue clusters
+    about 80x apart; b's second half is zero if zero_half."""
+    n = 10
+    rng = np.random.default_rng(21)
+    coupling = 0.02 * rng.standard_normal((2 * n, 2 * n))
+    a = np.diag(np.repeat([40.5, 0.50625], n)) + coupling
+    b = rng.standard_normal(2 * n)
+    if zero_half:
+        b[n:] = 0.0
+    return a, b, SolverConfig(tolerance=1e-8, workers=1)
+
+
+def test_gmres_solves_dense_example():
+    a, b, config = _perturbed_identity(8, seed=3, spread=0.3)
+    n = b.size
     sol = gmres_solve(lambda v: a @ v, b, config)
     exact = np.linalg.solve(a, b)
     assert np.abs(sol.vector - exact).max() <= 1e-9
@@ -652,11 +672,9 @@ def test_gmres_solves_dense_example():
 
 
 def test_gmres_restart_path():
-    rng = np.random.default_rng(4)
-    n = 12
-    a = np.eye(n) + 0.1 * rng.standard_normal((n, n))
-    b = rng.standard_normal(n)
-    config = SolverConfig(tolerance=1e-12, restart=3, max_iterations=500, workers=1)
+    a, b, config = _perturbed_identity(
+        12, seed=4, spread=0.1, restart=3, max_iterations=500
+    )
     sol = gmres_solve(lambda v: a @ v, b, config)
     assert np.abs(a @ sol.vector - b).max() <= 1e-10
     assert sol.iterations > 3  # had to restart at least once
@@ -716,17 +734,9 @@ def test_restarted_solve_closes_cycles_on_the_arnoldi_residual(scheme):
 def test_gmres_residual_is_per_equation(zero_half):
     """The reported residual is max_k ||b_k - (Ax)_k|| / ||b_k||, within
     the tolerance; a zero b_k is taken against ||b||. With both halves
-    nonzero it is never below the combined ||b - Ax|| / ||b||. The system
-    has the jump coefficients of eps 1/80 on its diagonal, 40.5 and 0.506,
-    and small random coupling: two eigenvalue clusters about 80x apart."""
-    n = 10
-    rng = np.random.default_rng(21)
-    coupling = 0.02 * rng.standard_normal((2 * n, 2 * n))
-    a = np.diag(np.repeat([40.5, 0.50625], n)) + coupling
-    b = rng.standard_normal(2 * n)
-    if zero_half:
-        b[n:] = 0.0
-    config = SolverConfig(tolerance=1e-8, workers=1)
+    nonzero it is never below the combined ||b - Ax|| / ||b||."""
+    a, b, config = _two_clusters(zero_half)
+    n = b.size // 2
     sol = gmres_solve(lambda v: a @ v, b, config)
     r = b - a @ sol.vector
     scales = np.linalg.norm(b[:n]), np.linalg.norm(b if zero_half else b[n:])
@@ -741,6 +751,34 @@ def test_gmres_residual_is_per_equation(zero_half):
     assert 0.0 < sol.residual <= config.tolerance
     if not zero_half:
         assert np.linalg.norm(r) / np.linalg.norm(b) <= sol.residual
+
+
+@pytest.mark.parametrize(
+    "system", ["dense", "restart-3", "two-clusters", "two-clusters-zero-half", "born-hobi"]
+)
+def test_gmres_equals_the_givens_loop(system):
+    """The least-squares residual of the one Hessenberg matrix ends each
+    cycle at the step where the Givens-rotated loop's |g_j| does: the same
+    iteration count, and x equal to 1e-12 relative."""
+    if system == "born-hobi":
+        config = SolverConfig(scheme="hobi", workers=1)
+        problem = discretize(icosahedral_sphere(1, radius=2.0), WATER, CENTERED_UNIT, config)
+        apply, b = make_operator(problem, config), assemble_rhs(problem)
+    else:
+        a, b, config = {
+            "dense": lambda: _perturbed_identity(8, seed=3, spread=0.3),
+            "restart-3": lambda: _perturbed_identity(
+                12, seed=4, spread=0.1, restart=3, max_iterations=500
+            ),
+            "two-clusters": lambda: _two_clusters(False),
+            "two-clusters-zero-half": lambda: _two_clusters(True),
+        }[system]()
+        apply = lambda v: a @ v  # noqa: E731
+    sol = gmres_solve(apply, b, config)
+    oracle = gmres_givens(apply, b, config)
+    assert sol.iterations == oracle.iterations
+    gap = np.abs(sol.vector - oracle.vector).max()
+    assert gap <= 1e-12 * np.abs(oracle.vector).max()
 
 
 def test_gmres_zero_rhs():
@@ -766,22 +804,25 @@ def test_gmres_nonconvergence_carries_best_residual():
     assert 0.0 < info.value.best_residual <= 1.0
 
 
-def test_gmres_stops_at_first_non_finite_residual():
-    """A NaN operator costs one matvec; a NaN right-hand side costs none."""
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_gmres_stops_at_first_non_finite_residual(value):
+    """A non-finite operator costs one matvec and raises GmresBreakdown,
+    never the LinAlgError of a least-squares solve on non-finite input; a
+    non-finite right-hand side costs none."""
     calls = []
 
-    def nan_operator(v):
+    def bad_operator(v):
         calls.append(1)
-        return np.full_like(v, np.nan)
+        return np.full_like(v, value)
 
     b = np.ones(6)
     with pytest.raises(GmresBreakdown, match=r"matvecs: 1,"):
-        gmres_solve(nan_operator, b, SolverConfig(workers=1))
+        gmres_solve(bad_operator, b, SolverConfig(workers=1))
     assert len(calls) == 1
     calls.clear()
-    b[3] = np.nan
+    b[3] = value
     with pytest.raises(GmresBreakdown, match=r"matvecs: 0,"):
-        gmres_solve(nan_operator, b, SolverConfig(workers=1))
+        gmres_solve(bad_operator, b, SolverConfig(workers=1))
     assert calls == []
 
 
@@ -850,6 +891,20 @@ def test_parallel_matvec_tolerates_empty_ranges():
         serial = _apply(problem, u)
         with make_operator(problem, SolverConfig(workers=16)) as op:
             assert np.abs(op(u) - serial).max() == 0.0
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_pool_starts_at_most_one_worker_per_chunk():
+    """A worker beyond the STRIP_CHUNKS-th would only hold an empty range:
+    20 requested workers start at most 16 processes and give the serial bits."""
+    problem = discretize(icosahedral_sphere(1), MIXED, CENTERED_UNIT, SolverConfig())
+    u = np.linspace(-1.0, 1.0, problem.n_unknowns)
+    serial = _apply(problem, u)
+    before = len(multiprocessing.active_children())
+    with make_operator(problem, SolverConfig(workers=20)) as op:
+        assert np.array_equal(op(u), serial)
+        started = len(multiprocessing.active_children()) - before
+    assert 1 < started <= STRIP_CHUNKS
 
 
 def _exit_worker(*args):
