@@ -7,8 +7,8 @@ operator is the identity minus the kernel sums and its spectrum clusters
 at 1 instead of at two values ~er apart. The unknowns stay the physical
 (phi, dphi/dn). GMRES stops on the larger of the two equations' relative
 residuals, which this row scaling does not change. Each restart cycle
-keeps one Hessenberg matrix and ends on the residual its Arnoldi
-relation gives, so a solve spends one matvec per iteration.
+keeps one Hessenberg matrix and stops at the first inner step whose
+residual, from its Arnoldi relation and no matvec, meets that test.
 
 Two discretizations of the same well-conditioned second-kind system:
 
@@ -99,7 +99,7 @@ class GmresNonConvergence(RuntimeError):
 
 
 class GmresBreakdown(GmresNonConvergence):
-    """GMRES met a non-finite residual (NaN/inf in b or in the operator)."""
+    """GMRES met a non-finite residual or a restart cycle that left it as it was."""
 
 
 class WorkerDied(RuntimeError):
@@ -678,14 +678,16 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     does not change when either half of the system is scaled, and where
     neither b_k is zero it is never below ||r|| / ||b||. Each inner step
     solves min ||beta e1 - Hbar y|| on the (j+1) x j Hessenberg matrix
-    Hbar. A cycle ends once that least-squares residual (||r|| in exact
-    arithmetic) is <= tolerance * min_k ||b_k||, bounding every half, or
-    once Hbar is numerically rank-deficient. It closes on r - V_{j+1} Hbar
-    y, which the Arnoldi relation A V_j = V_{j+1} Hbar (kept to rounding
-    by modified Gram-Schmidt) makes b - A x without a matvec; the
-    per-equation test of that vector decides. Raises GmresNonConvergence
-    with the best residual if max_iterations is exhausted, and its
-    subclass GmresBreakdown at the first non-finite residual.
+    Hbar; the Arnoldi relation A V_j = V_{j+1} Hbar (kept to rounding by
+    modified Gram-Schmidt) makes r - V_{j+1} Hbar y the new b - A x with
+    no matvec. A cycle ends at the first step where that vector's
+    per-equation residual is within the tolerance, when lstsq finds Hbar
+    rank-deficient (it returns no residual), at the restart length or at
+    the budget, and the next starts from that vector. Raises
+    GmresNonConvergence with the best residual if max_iterations is
+    exhausted, and its subclass GmresBreakdown at the first non-finite
+    residual or after a cycle that left the residual unchanged, which
+    every later cycle would repeat (A r = 0, say).
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -702,10 +704,9 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
         parts = [float(np.linalg.norm(r[h])) / s for h, s in zip(halves, scales)]
         return float(np.max(parts))
 
-    def _breakdown(matvecs: int) -> GmresBreakdown:
-        return GmresBreakdown(
-            f"non-finite residual (matvecs: {matvecs}, "
-            f"best residual {best:.3e}, tolerance {tol:.3e})",
+    def _failure(error: type[GmresNonConvergence], reason: str):
+        return error(
+            f"{reason} (matvecs: {total}, best residual {best:.3e}, tolerance {tol:.3e})",
             best_residual=best,
         )
 
@@ -714,23 +715,18 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
 
     x = np.zeros(n)
     r = b  # b - A x with x = 0, without spending a matvec on A 0
+    rel = _relative(r)
     total = 0
     best = np.inf
     m = config.restart
-    estimate_tol = tol * min(scales)
     while True:
-        rel = _relative(r)
         if not np.isfinite(rel):
-            raise _breakdown(total)
+            raise _failure(GmresBreakdown, "non-finite residual")
         best = min(best, rel)
         if rel <= tol:
             return SurfaceSolution(x[:half], x[half:], total, rel)
         if total >= config.max_iterations:
-            raise GmresNonConvergence(
-                f"no convergence in {total} iterations "
-                f"(best residual {best:.3e}, tolerance {tol:.3e})",
-                best_residual=best,
-            )
+            raise _failure(GmresNonConvergence, "no convergence")
         beta_e1 = float(np.linalg.norm(r)) * np.eye(1, m + 1)[0]
         basis = np.zeros((m + 1, n))
         hess = np.zeros((m + 1, m))
@@ -749,14 +745,16 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
             total += 1
             j += 1
             if not np.isfinite(hess[: j + 1, j - 1]).all():
-                raise _breakdown(total)
+                raise _failure(GmresBreakdown, "non-finite residual")
             y, res = np.linalg.lstsq(hess[: j + 1, :j], beta_e1[: j + 1])[:2]
-            fit = hess[: j + 1, :j] @ y
-            gap = np.sqrt(res[0]) if res.size else 0.0  # empty: Hbar rank-deficient
-            if gap <= estimate_tol or j == m or total >= config.max_iterations:
+            r_j = r - basis[: j + 1].T @ (hess[: j + 1, :j] @ y)
+            rel = _relative(r_j)
+            if rel <= tol or not res.size or j == m or total >= config.max_iterations:
                 break
+        if np.array_equal(r_j, r):  # every later cycle would repeat this one
+            raise _failure(GmresBreakdown, "no progress in a cycle")
         x = x + basis[:j].T @ y
-        r = r - basis[: j + 1].T @ fit
+        r = r_j
 
 
 def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:

@@ -5,8 +5,8 @@ finite-difference kernel tests and the acceptance gate difference them to
 check K1..K4, so they share no code with kernels.pair_kernels.
 subdivide is the face-by-face loop that mesh._subdivide replaces with
 array code. gmres_givens is restarted GMRES on a Givens-rotated Hessenberg
-matrix, whose |g_j| is the inner residual estimate that solver.gmres_solve
-takes from a least-squares solve on the unrotated one.
+matrix, solved by back substitution where solver.gmres_solve runs a
+least-squares solve on the unrotated one; both stop on the same test.
 """
 
 import numpy as np
@@ -71,14 +71,15 @@ def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     The residual is per equation: max_k ||r_k|| / ||b_k|| over the two
     halves (phi, dphi/dn), a zero b_k measured against ||b|| instead. It
     does not change when either half of the system is scaled, and where
-    neither b_k is zero it is never below ||r|| / ||b||. A cycle ends once
-    the Arnoldi estimate ||r|| <= tolerance * min_k ||b_k||, which bounds
-    every half. Each cycle closes on r - V_{j+1} Hbar y, with Hbar the
-    (j+1) x j Hessenberg matrix before its rotations: the Arnoldi relation
-    A V_j = V_{j+1} Hbar, which modified Gram-Schmidt keeps to rounding,
-    makes this b - A x without another matvec, and the per-equation test
-    of that vector decides. Raises GmresNonConvergence with the best
-    residual if max_iterations is exhausted, and its subclass
+    neither b_k is zero it is never below ||r|| / ||b||. Each inner step
+    back-substitutes the rotated system for y and forms r - V_{j+1} Hbar
+    y, with Hbar the (j+1) x j Hessenberg matrix before its rotations: the
+    Arnoldi relation A V_j = V_{j+1} Hbar, which modified Gram-Schmidt
+    keeps to rounding, makes this b - A x without another matvec. A cycle
+    ends at the first step where that vector's per-equation residual is
+    within the tolerance, at the restart length or when the budget runs
+    out, and closes on that vector. Raises GmresNonConvergence with the
+    best residual if max_iterations is exhausted, and its subclass
     GmresBreakdown at the first non-finite residual.
     """
     b = np.asarray(b, dtype=float)
@@ -116,7 +117,6 @@ def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     total = 0
     best = np.inf
     m = config.restart
-    estimate_tol = tol * min(scales)
     while True:
         rel = _relative(r)
         if not np.isfinite(rel):
@@ -164,9 +164,10 @@ def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
             j += 1
             if not np.isfinite(g[j]):
                 raise _breakdown(total)
-            if abs(g[j]) <= estimate_tol:
+            y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j])
+            r_j = r - basis[: j + 1].T @ (arnoldi[: j + 1, :j] @ y)
+            if _relative(r_j) <= tol:
                 break
-        y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j]) if j else np.zeros(0)
         x = x + basis[:j].T @ y
-        r = r - basis[: j + 1].T @ (arnoldi[: j + 1, :j] @ y)
+        r = r_j
 

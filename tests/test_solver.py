@@ -5,6 +5,7 @@ import os
 import textwrap
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -753,12 +754,64 @@ def test_gmres_residual_is_per_equation(zero_half):
         assert np.linalg.norm(r) / np.linalg.norm(b) <= sol.residual
 
 
+def test_gmres_stops_at_the_first_step_meeting_the_per_equation_test():
+    """With b's second half a tenth of _two_clusters', the GMRES iterate
+    meets max_k ||r_k|| / ||b_k|| <= tol at step 12 (7.6e-7 at tol 1e-6),
+    while the whole-residual bound ||r|| <= tol min_k ||b_k|| needs step
+    13. Each step's residual comes from a least-squares solve on an
+    explicit orthonormal Krylov basis. The solve stops at step 12, with
+    one operator call per iteration."""
+    a, b, config = _two_clusters(False)
+    n = b.size // 2
+    b[n:] *= 0.1
+    tol = 1e-6
+    scales = np.linalg.norm(b[:n]), np.linalg.norm(b[n:])
+    per_equation, whole = [], []
+    basis = [b / np.linalg.norm(b)]
+    while not whole or whole[-1] > tol:
+        q = np.array(basis).T
+        r = b - a @ (q @ np.linalg.lstsq(a @ q, b)[0])
+        per_equation.append(
+            max(np.linalg.norm(r[:n]) / scales[0], np.linalg.norm(r[n:]) / scales[1])
+        )
+        whole.append(np.linalg.norm(r) / min(scales))
+        w = a @ basis[-1]
+        for _ in range(2):  # twice, so the basis stays orthonormal to rounding
+            w = w - q @ (q.T @ w)
+        basis.append(w / np.linalg.norm(w))
+    first = 1 + next(k for k, rel in enumerate(per_equation) if rel <= tol)
+    assert len(whole) == first + 1  # the construction separates the two tests
+
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return a @ v
+
+    sol = gmres_solve(counted, b, replace(config, tolerance=tol))
+    assert sol.iterations == first == len(calls)
+    assert sol.residual == pytest.approx(per_equation[first - 1], rel=1e-6)
+
+
+def test_screened_lobi_sphere_matvec_count():
+    """Pinned: a centred charge in the radius-2, level-2 lobi sphere at
+    kappa 0.125 converges in 4 matvecs. The whole-residual bound ||r|| <=
+    tol min_k ||b_k|| would spend a fifth."""
+    config = SolverConfig(scheme="lobi", workers=1)
+    params = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.125)
+    problem = discretize(icosahedral_sphere(2, radius=2.0), params, CENTERED_UNIT, config)
+    sol = solve(problem, config)
+    assert sol.matvecs == sol.iterations == 4
+    assert sol.residual <= config.tolerance
+
+
 @pytest.mark.parametrize(
     "system", ["dense", "restart-3", "two-clusters", "two-clusters-zero-half", "born-hobi"]
 )
 def test_gmres_equals_the_givens_loop(system):
-    """The least-squares residual of the one Hessenberg matrix ends each
-    cycle at the step where the Givens-rotated loop's |g_j| does: the same
+    """Each inner step's y from a least-squares solve on the one Hessenberg
+    matrix ends each cycle at the step where the Givens-rotated loop's
+    back-substituted y does, on the same per-equation test: the same
     iteration count, and x equal to 1e-12 relative."""
     if system == "born-hobi":
         config = SolverConfig(scheme="hobi", workers=1)
@@ -824,6 +877,21 @@ def test_gmres_stops_at_first_non_finite_residual(value):
     with pytest.raises(GmresBreakdown, match=r"matvecs: 0,"):
         gmres_solve(bad_operator, b, SolverConfig(workers=1))
     assert calls == []
+
+
+def test_gmres_fails_after_one_cycle_without_progress():
+    """An operator that returns zero leaves the residual unchanged, so
+    every restart would repeat the cycle: the first one raises
+    GmresBreakdown after 1 matvec."""
+    calls = []
+
+    def zero(v):
+        calls.append(1)
+        return 0 * v
+
+    with pytest.raises(GmresBreakdown, match=r"no progress in a cycle \(matvecs: 1,"):
+        gmres_solve(zero, np.ones(6), SolverConfig(workers=1))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
