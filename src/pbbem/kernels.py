@@ -27,11 +27,14 @@ the swapped pairs, which share every factor with the pairs evaluated.
 At kappa = 0, expm1(-0) = -0 makes K1 and K4 exactly zero, so they are
 not evaluated and the matvec computes only K2 and K3. That changes no
 bit: each dropped term only ever added a signed zero to a nonzero
-product, and every kept operation runs in the formulas' order. In the identity medium
-(eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
-+0.0, so every term and row sum is +-0.0 and the operator is exactly the
-identity. kernel_values_d evaluates all four kernels for arrays of any
-broadcast shape.
+product, and every kept operation runs in the formulas' order. K2 and K3
+are then g = 1/(4 pi r^3) times terms linear in x - y, so over a source axis
+every row reads (hobi's regular strips) both row sums are one (rows, N) @
+(N, 8) product of g and the source_moments, which rounds by its row count.
+In the identity medium (eps1 = eps2, kappa = 0) the factors er - 1 of K2
+and 1 - 1/er of K3 are +-0.0, so every term, moment and row sum is +-0.0
+and the operator is exactly the identity. kernel_values_d evaluates all
+four kernels for arrays of any broadcast shape.
 """
 
 from __future__ import annotations
@@ -202,8 +205,35 @@ def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=Tr
     return k1, k2, k3, k4
 
 
+def source_moments(pos, nrm, wphi, wdphi, params: PhysicalParams) -> np.ndarray:
+    """(N, 8) kappa = 0 source moments, pos and nrm (3, N) coordinate rows
+    about a fixed origin: c2 wphi ny (3 columns), c2 wphi y.ny, c3 wdphi
+    and c3 wdphi y (3), with c2 = er - 1 and c3 = -(1 - 1/er)."""
+    er = params.eps2 / params.eps1
+    a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
+    return np.column_stack([*(a * nrm), a * (pos[0] * nrm[0] + pos[1] * nrm[1]
+                            + pos[2] * nrm[2]), b, *(b * pos)])
+
+
+def _moment_sums(buf, tx, nx, moments, origin, mask):
+    """kernel_sums' kappa = 0 row sums from the displacements in buf[:3]:
+    x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8], x = tx - origin and
+    G = g @ moments, with g zero at the masked pairs."""
+    r2 = _dot3_into(buf[:3], buf[:3], buf[3], buf[4])
+    g = np.multiply(r2, FOUR_PI, out=buf[1])
+    g *= np.sqrt(r2, out=buf[0])
+    np.divide(1.0, g, out=g)
+    if mask is not None:
+        g[mask] = 0.0
+    G = np.matmul(g, moments).T
+    x, nx = tx[:, :, 0] - origin[:, None], nx[:, :, 0]
+    xnx = x[0] * nx[0] + x[1] * nx[1] + x[2] * nx[2]
+    return [x[0] * G[0] + x[1] * G[1] + x[2] * G[2] - G[3],
+            xnx * G[4] - (nx[0] * G[5] + nx[1] * G[6] + nx[2] * G[7])]
+
+
 def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
-                second=True, mask=None, own=None):
+                second=True, mask=None, own=None, moments=None):
     """Weighted row sums of K1..K4 over one block of (target, source) pairs.
 
     targets and sources are (positions, normals), each a (3, ...) array of
@@ -220,6 +250,9 @@ def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
     (rows, 1) columns: each pair is then also evaluated swapped, and the
     per-column sums of K1(y, x) wdphi(x) + K2(y, x) wphi(x) and of
     K3(y, x) wdphi(x) + K4(y, x) wphi(x) follow the row sums (second only).
+    moments, (source_moments of the (1, N) sources about an origin, that
+    origin), asks for the kappa = 0 row sums of (rows, 1) targets as one
+    matrix product; wphi and wdphi are then not read.
     """
     (tx, tn), (sx, sn) = targets, sources
     shape = np.broadcast(tx[0], sx[0]).shape
@@ -228,6 +261,8 @@ def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
     if mask is not None:
         d[(slice(None),) + mask] = ((1.0,), (0.0,), (0.0,))  # a unit placeholder
     buf = [b.reshape(shape) for b in flat]
+    if moments is not None:
+        return _moment_sums(buf, tx, tn, *moments, mask)
     k1, k2, k3, k4, *m = pair_kernels(buf, tn, sn, params, second, swap=own is not None)
     cols = []
     if own is not None:

@@ -8,7 +8,7 @@ and outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ class FlatMesh:
     vertices: np.ndarray  # (n_v, 3) positions in Angstrom
     normals: np.ndarray  # (n_v, 3) unit vectors
     faces: np.ndarray  # (n_f, 3) 0-based vertex indices, outward orientation
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -49,7 +50,9 @@ class FlatMesh:
 
     def validate(self) -> None:
         """Check finite data, unit normals, indices, that every vertex is
-        used, area, orientation, closedness."""
+        used, area, orientation, closedness: once, the arrays are read-only."""
+        if self._valid:
+            return
         for name, data in (("position", self.vertices), ("normal", self.normals)):
             bad = np.nonzero(~np.isfinite(data).all(axis=1))[0]
             if bad.size:
@@ -88,6 +91,7 @@ class FlatMesh:
                 f"face {flipped[0]} is oriented against its vertex normals"
             )
         _check_closed(self.faces)
+        object.__setattr__(self, "_valid", True)
 
 
 def _check_closed(faces: np.ndarray) -> None:

@@ -40,10 +40,11 @@ sums to rows [e, T), evaluating each pair once for both orientations.
 
 The strips form STRIP_CHUNKS chunks, the matvec's fixed work list; each
 chunk sums from zero in strip order and the chunks are added over a fixed
-binary tree. A hobi row sums over the full source axis in element order,
-so hobi's bits follow no layout (STRIP_ROWS, STRIP_CHUNKS). lobi's bits
-follow the strip layout, a function of T alone. Neither depends on the
-worker count. The solvation energy sums the regular rule over every
+binary tree. At kappa > 0 a hobi row sums over the full source axis in
+element order, so its bits follow no layout (STRIP_ROWS, STRIP_CHUNKS).
+At kappa = 0 hobi's strips are matrix products, which round by their row
+count, so those bits follow the strip layout, as lobi's do: a function of
+T and N alone, never of the worker count. The solvation energy sums the regular rule over every
 element with the charges as targets, and the right-hand side the charges
 at every collocation point; _strip_layout also cuts both into blocks.
 """
@@ -71,6 +72,7 @@ from .kernels import (
     kernel_scratch,
     kernel_sums,
     short_buffers,
+    source_moments,
     source_terms_at,
 )
 from .mesh import ChargeSystem, FlatMesh
@@ -461,6 +463,11 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     bounds, pairs, chunks = _strip_layout(T, None if own else wphi.size)
     # self-sourced targets are the sources, whose coordinate rows are contiguous
     xt, nt = (pos, nrm) if own else (problem.colloc_pos.T, problem.colloc_nrm.T)
+    moments = None
+    if not own and problem.params.kappa == 0.0:
+        # about the vertex centroid: x.G - G' cancels like |x - origin| / r
+        o = problem.mesh.vertices.mean(axis=0)
+        moments = source_moments(pos - o[:, None], nrm, wphi, wdphi, problem.params), o
     scratch = kernel_scratch(_scratch_size(problem, pairs))
     # (row, column) of every Q point of every near face in the full (T, N)
     # pair array; strip [s, e) holds entries [q starts[s], q starts[e]) of
@@ -486,6 +493,7 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
                 problem.params,
                 mask=(near_rows[near] - s, near_cols[near] - c),
                 own=(wphi[s:e, None], wdphi[s:e, None]) if own else None,
+                moments=moments,
             )
             acc[0, s:e] += row1
             acc[1, s:e] += row2
@@ -511,13 +519,16 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     weighted traces, 8 values per source), KERNEL_BUFFERS blocks of its
     largest strip or Duffy chunk plus a page of alignment slack, the near
     index (two indices per near source), and the (2, T) sums the chunk
-    tree holds at once, one per level and two at the leaves."""
+    tree holds at once, one per level and two at the leaves; at kappa = 0
+    hobi's (N, 8) source moments and 16 values a strip row for their product."""
     n = problem.reg_w.size
     own = _self_sourced(problem)
-    pairs = _strip_layout(problem.n_collocation, None if own else n)[1]
+    bounds, pairs, _ = _strip_layout(problem.n_collocation, None if own else n)
     scratch = KERNEL_BUFFERS * _scratch_size(problem, pairs) + PAGE_DOUBLES
     near = problem.pair_face.size * problem.reg_w.shape[1]
     held = (STRIP_CHUNKS - 1).bit_length() + 2
+    if not own and problem.params.kappa == 0.0:
+        scratch += 8 * n + 16 * int(np.diff(bounds).max(initial=0))
     return 8 * n + scratch + 2 * near + held * 2 * problem.n_collocation
 
 

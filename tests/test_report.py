@@ -251,23 +251,25 @@ def test_memory_bound_counts_shared_arrays_once():
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_memory_bound_covers_traced_matvec(scheme, level):
     """The bound counts what a serial matvec allocates (the flat source
-    axis, the strip sweep's scratch and near index, the chunk sums), so it
-    is at least the traced peak of one matvec."""
-    water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.125)
+    axis, the strip sweep's scratch and near index, the chunk sums, and at
+    kappa = 0 hobi's source moments and strip products), so it is at least
+    the traced peak of one matvec, screened or not."""
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
-    problem = discretize(
-        icosahedral_sphere(level), water, charges, SolverConfig(scheme=scheme)
-    )
-    u = np.random.default_rng(level).standard_normal(problem.n_unknowns)
     matvec = matvec_hobi if scheme == "hobi" else matvec_lobi
-    matvec(problem, u)  # warm any lazy state
-    tracemalloc.start()
-    try:
-        matvec(problem, u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert memory_lower_bound_mb(problem) * 1e6 >= peak
+    for kappa in (0.0, 0.125):
+        water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=kappa)
+        problem = discretize(
+            icosahedral_sphere(level), water, charges, SolverConfig(scheme=scheme)
+        )
+        u = np.random.default_rng(level).standard_normal(problem.n_unknowns)
+        matvec(problem, u)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            matvec(problem, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert memory_lower_bound_mb(problem) * 1e6 >= peak
 
 
 def test_memory_bound_grows_with_refinement():

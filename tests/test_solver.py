@@ -2,16 +2,20 @@ import ast
 import inspect
 import multiprocessing
 import os
+import subprocess
+import sys
 import textwrap
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbbem.mesh
 import pbbem.solver
 from pbbem.kernels import (
     FOUR_PI,
@@ -27,6 +31,8 @@ from pbbem.mesh import (
     FlatMesh,
     MeshValidationError,
     icosahedral_sphere,
+    parse_msms,
+    write_msms,
 )
 from pbbem.geometry import DegenerateArcError, DegenerateElementError, frames_at
 from pbbem.solver import (
@@ -133,6 +139,21 @@ def test_discretize_validates_mesh(tetrahedron_mesh):
     )
     with pytest.raises(MeshValidationError):
         discretize(open_mesh, WATER, CENTERED_UNIT, SolverConfig())
+
+
+def test_msms_mesh_is_validated_once_per_setup(monkeypatch):
+    """parse_msms validates the mesh it returns, and discretize does not
+    check that read-only mesh again: the closedness check, validate's last
+    step, runs once. A mesh built directly is still checked by discretize."""
+    calls = []
+    real_check = pbbem.mesh._check_closed
+    monkeypatch.setattr(pbbem.mesh, "_check_closed", lambda f: calls.append(real_check(f)))
+    mesh = parse_msms(*write_msms(icosahedral_sphere(1)))
+    discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    assert len(calls) == 1
+    built = icosahedral_sphere(1)
+    discretize(built, WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
+    assert len(calls) == 2
 
 
 def test_discretize_reports_degenerate_face(octahedron_arrays):
@@ -342,24 +363,26 @@ def _block_outputs(problem, u):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
-    """RHS and energy are bitwise equal for any row block size, and so is
-    hobi's matvec: each of their rows sums over the full source (or
-    charge) axis. lobi's matvec follows the strip layout, so it is
-    evaluated at the fixed one."""
+    """RHS and energy are bitwise equal for any row block size at every
+    kappa, and so is hobi's matvec at kappa > 0: each of their rows sums
+    over the full source (or charge) axis. lobi's matvec follows the strip
+    layout, and so does hobi's at kappa = 0, whose matrix product rounds
+    by the strip's row count, so both are evaluated at the fixed one."""
     mesh = icosahedral_sphere(1)
-    problem = discretize(mesh, MIXED, SCATTERED, SolverConfig(scheme=scheme))
-    u = np.random.default_rng(7).standard_normal(problem.n_unknowns)
-    reference = _block_outputs(problem, u)
-    for rows, chunks in zip((1, 5, 48), (1, 3, 16)):
-        with monkeypatch.context() as layout:
-            layout.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
-            layout.setattr(pbbem.solver, "STRIP_ROWS", rows)
-            layout.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
-            got = list(_block_outputs(problem, u))
-        if scheme == "lobi":
-            got[0] = _apply(problem, u)
-        for got_part, want in zip(got, reference):
-            assert np.array_equal(got_part, want)
+    for params in SCREENED_AND_NOT:
+        problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
+        u = np.random.default_rng(7).standard_normal(problem.n_unknowns)
+        reference = _block_outputs(problem, u)
+        for rows, chunks in zip((1, 5, 48), (1, 3, 16)):
+            with monkeypatch.context() as layout:
+                layout.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
+                layout.setattr(pbbem.solver, "STRIP_ROWS", rows)
+                layout.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
+                got = list(_block_outputs(problem, u))
+            if scheme == "lobi" or params.kappa == 0.0:
+                got[0] = _apply(problem, u)
+            for got_part, want in zip(got, reference):
+                assert np.array_equal(got_part, want)
 
 
 def _node_sum(values, bary):
@@ -393,8 +416,43 @@ def _reference_row_sums(xt, nt, src, snrm, wphi, wdphi, params, skip=None):
     return acc1, acc2
 
 
-def _reference_matvec(problem, u):
-    """The operator with every kernel value from kernel_values_d."""
+def _reference_moment_sums(xt, nt, src, snrm, wphi, wdphi, params, skip, origin):
+    """The kappa = 0 regular sums as the moment contraction, written out:
+    per strip of _strip_layout, g = 1/(4 pi r^3) (zero at the skipped
+    pairs) times the (N, 8) moments of the sources about origin, then the
+    row sums x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8], x about origin.
+    Only the layout is shared with the code."""
+    er = params.eps2 / params.eps1
+    a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
+    y = src - origin
+    ydn = y[:, 0] * snrm[:, 0] + y[:, 1] * snrm[:, 1] + y[:, 2] * snrm[:, 2]
+    moments = np.stack(
+        [a * snrm[:, 0], a * snrm[:, 1], a * snrm[:, 2], a * ydn,
+         b, b * y[:, 0], b * y[:, 1], b * y[:, 2]], axis=1,
+    )
+    t = xt.shape[0]
+    acc1, acc2 = np.empty(t), np.empty(t)
+    bounds = pbbem.solver._strip_layout(t, src.shape[0])[0]
+    starts, cols = skip
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        d = xt[s:e, None, :] - src[None, :, :]
+        rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
+        pair = (rows, cols[starts[s] : starts[e]])
+        d[pair] = (1.0, 0.0, 0.0)
+        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+        g = 1.0 / (r2 * FOUR_PI * np.sqrt(r2))
+        g[pair] = 0.0
+        G = g @ moments
+        x, n = xt[s:e] - origin, nt[s:e]
+        xn = x[:, 0] * n[:, 0] + x[:, 1] * n[:, 1] + x[:, 2] * n[:, 2]
+        acc1[s:e] = x[:, 0] * G[:, 0] + x[:, 1] * G[:, 1] + x[:, 2] * G[:, 2] - G[:, 3]
+        acc2[s:e] = xn * G[:, 4] - (n[:, 0] * G[:, 5] + n[:, 1] * G[:, 6] + n[:, 2] * G[:, 7])
+    return acc1, acc2
+
+
+def _reference_matvec(problem, u, moments=False):
+    """The operator with every kernel value from kernel_values_d, or with
+    the regular sums from _reference_moment_sums if moments."""
     t = problem.n_collocation
     params = problem.params
     er = params.eps2 / params.eps1
@@ -404,11 +462,15 @@ def _reference_matvec(problem, u):
     wphi = (w * _node_sum(phi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
     wdphi = (w * _node_sum(dphi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
     near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
-    acc1, acc2 = _reference_row_sums(
+    sources = (
         problem.colloc_pos, problem.colloc_nrm,
         problem.reg_pos.reshape(-1, 3), problem.reg_nrm.reshape(-1, 3),
-        wphi, wdphi, params, skip=(problem.pair_starts * q, near),
+        wphi, wdphi, params, (problem.pair_starts * q, near),
     )
+    if moments:
+        acc1, acc2 = _reference_moment_sums(*sources, problem.mesh.vertices.mean(axis=0))
+    else:
+        acc1, acc2 = _reference_row_sums(*sources)
     if problem.duf_w is not None:
         gv = problem.pair_gverts
         pv = gv[:, 0]
@@ -478,18 +540,51 @@ def _reference_strip_matvec(problem, u):
 SCREENED_AND_NOT = [MIXED, PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.0)]
 
 
+def _assert_near_four_kernel_sums(problem, u, got):
+    """got, a matvec of u, is within 1e-12 of the four-kernel operator's
+    kernel sums (the matvec minus u), relative to them, in each half."""
+    four, t = _reference_matvec(problem, u), problem.n_collocation
+    for half in (slice(None, t), slice(t, None)):
+        sums = four[half] - u[half]
+        assert np.abs(got[half] - four[half]).max() <= 1e-12 * np.abs(sums).max()
+
+
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
     """The structure-of-arrays sweeps, which skip the exactly-zero K1 and K4
     at kappa = 0, reproduce four-kernel sums bit for bit: hobi's row sweep
     with its near-list skip and Duffy terms, and lobi's strip sweep, which
-    evaluates each pair once for both orientations."""
+    evaluates each pair once for both orientations. hobi's kappa = 0
+    strips sum by one product over source moments instead, whose rounding
+    differs: they equal the moment reference bit for bit and the
+    four-kernel sums within 1e-12 per half."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
     u = np.random.default_rng(11).standard_normal(problem.n_unknowns)
-    reference = _reference_matvec if scheme == "hobi" else _reference_strip_matvec
-    assert np.array_equal(_apply(problem, u), reference(problem, u))
+    got = _apply(problem, u)
+    if scheme == "lobi":
+        assert np.array_equal(got, _reference_strip_matvec(problem, u))
+    elif params.kappa > 0.0:
+        assert np.array_equal(got, _reference_matvec(problem, u))
+    else:
+        assert np.array_equal(got, _reference_matvec(problem, u, moments=True))
+        _assert_near_four_kernel_sums(problem, u, got)
+
+
+def test_unscreened_hobi_sums_do_not_lose_digits_off_the_origin():
+    """The kappa = 0 moment sums x.G - G' cancel like |x - origin| / r, so
+    they are taken about the vertex centroid: on a level-3 mesh translated
+    by (100, -50, 30) A they stay within 1e-12 of the four-kernel sums per
+    half (about the coordinate origin they drift to ~1e-11)."""
+    mesh = icosahedral_sphere(3)
+    moved = FlatMesh(
+        vertices=mesh.vertices + [100.0, -50.0, 30.0], normals=mesh.normals, faces=mesh.faces
+    )
+    params = SCREENED_AND_NOT[1]
+    problem = discretize(moved, params, NO_CHARGES, SolverConfig(scheme="hobi"))
+    u = np.random.default_rng(3).standard_normal(problem.n_unknowns)
+    _assert_near_four_kernel_sums(problem, u, matvec_hobi(problem, u))
 
 
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
@@ -932,11 +1027,16 @@ def test_parallel_matvec_bitwise_deterministic():
     """The partitioned operator must reproduce the serial sweep bitwise.
     hobi level 2 has 162 vertices in strips of 8 rows (the last of 2);
     lobi level 1 has 80 faces in strips of 51 and 29 rows; level 2 has 320
-    in 15 strips of 12 to 62 rows and a last one of 4. All at kappa > 0."""
+    in 15 strips of 12 to 62 rows and a last one of 4. All at kappa > 0,
+    and hobi also at kappa = 0, where its strips sum by matrix products."""
     rng = np.random.default_rng(6)
-    for scheme, level in (("hobi", 1), ("hobi", 2), ("lobi", 1), ("lobi", 2)):
+    unscreened = SCREENED_AND_NOT[1]
+    for scheme, level, params in (
+        ("hobi", 1, MIXED), ("hobi", 2, MIXED), ("lobi", 1, MIXED), ("lobi", 2, MIXED),
+        ("hobi", 1, unscreened), ("hobi", 2, unscreened),
+    ):
         problem = discretize(
-            icosahedral_sphere(level), MIXED, CENTERED_UNIT, SolverConfig(scheme=scheme)
+            icosahedral_sphere(level), params, CENTERED_UNIT, SolverConfig(scheme=scheme)
         )
         u = rng.standard_normal(problem.n_unknowns)
         serial = matvec_hobi(problem, u) if scheme == "hobi" else matvec_lobi(
@@ -1022,12 +1122,53 @@ def _blas_uses(func) -> list[str]:
     return found
 
 
-def test_worker_task_makes_no_blas_call():
-    """Workers fork from a parent that may have started BLAS threads, so
-    nothing a worker runs may enter BLAS (README, Determinism and
+def test_worker_task_blas_use_is_the_moment_product():
+    """Workers fork from a parent that may have started BLAS threads. The
+    one BLAS call a worker makes is the kappa = 0 strip's (rows, N) @
+    (N, 8) moment product, whose bits do not follow the BLAS thread count
+    (next test); no linalg, einsum or dot (README, Determinism and
     parallelism)."""
     assert _blas_uses(pbbem.solver.gmres_solve)  # the walk sees BLAS uses
-    assert _blas_uses(pbbem.solver._worker_part) == []
+    assert _blas_uses(pbbem.solver._worker_part) == ["pbbem.kernels._moment_sums: matmul"]
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from pbbem.kernels import PhysicalParams
+from pbbem.mesh import ChargeSystem, icosahedral_sphere
+from pbbem.solver import SolverConfig, discretize, make_operator, matvec_hobi
+
+params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.0)
+charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+problem = discretize(icosahedral_sphere(2), params, charges, SolverConfig())
+u = np.random.default_rng(5).standard_normal(problem.n_unknowns)
+serial = matvec_hobi(problem, u)
+a = np.random.default_rng(6).standard_normal((600, 600))
+a @ a  # large enough for OpenBLAS to run on every thread it may use
+with make_operator(problem, SolverConfig(workers=2)) as op:
+    pooled = op(u)
+print(hashlib.sha256(serial.tobytes()).hexdigest(), hashlib.sha256(pooled.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
+    """The level-2 kappa = 0 hobi matvec, serial and with 2 workers forked
+    after the parent ran a multi-threaded product, has the same bits under
+    OPENBLAS_NUM_THREADS=1 and =2."""
+    package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.update(proc.stdout.split())
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("floor", ["default", "none"])
