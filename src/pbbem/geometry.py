@@ -1,10 +1,13 @@
 """Curved cubic surface elements built from flat triangles with vertex normals.
 
-Each flat triangle is upgraded to a 10-node cubic element: a Hermite-like
-arc is fitted along each edge from its two vertex normals, and a cross arc
-between edges 1-2 and 1-3 carries the interior node. Node layout on the
-reference triangle (r, s >= 0, r + s <= 1), numbered 1..10 and stored
-0-based in that order:
+Each flat triangle is upgraded to a 10-node cubic element. Every mesh edge
+is one Hermite-like arc, fitted once from its two vertices and their normals
+alone, as in curved PN triangles (Vlachos et al., I3D 2001), so the faces
+that share an edge put the same nodes on it and the curved surface is
+watertight by construction. A face is read in three vertex rotations; each
+takes its edge nodes from those arcs and its interior node from a cross arc
+between its edges 1-2 and 1-3. Node layout on the reference triangle
+(r, s >= 0, r + s <= 1), numbered 1..10 and stored 0-based in that order:
 
     1 = (0, 0)    2 = (1/3, 0)    3 = (0, 1/3)    4 = (1, 0)    5 = (2/3, 0)
     6 = (0, 2/3)  7 = (2/3, 1/3)  8 = (1/3, 2/3)  9 = (0, 1)   10 = (1/3, 1/3)
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mesh import half_edges
 
 
 class DegenerateArcError(ValueError):
@@ -65,7 +70,7 @@ def _check(failures, pending: list | None) -> None:
 # edge arcs; every helper broadcasts over leading axes of (..., 3) inputs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicArc:
     """Space curve x(t) = c0 + c1 t + c2 t^2 + c3 t^3, t in [0, 1]."""
 
@@ -232,57 +237,56 @@ def _blend_reference(n0, n1, t: float, pending: list | None = None) -> np.ndarra
     return ref / np.where(antiparallel, 1.0, length)[..., None]
 
 
-def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
-    """Build the 10 node positions and normals from three vertices.
+# Rotation k of a face puts its local vertex k at node 1 and takes its 10
+# nodes from the face's 12 slots: vertices a, b, c in 0-2; half-edge j's
+# nodes at 1/3 and 2/3 from its start in 3 + 2j and 4 + 2j (half-edges ab,
+# bc, ca); rotation k's interior node in 9 + k.
+NODE_SLOTS = np.array([(0, 3, 8, 1, 4, 7, 5, 6, 2, 9), (1, 5, 4, 2, 6, 3, 7, 8, 0, 10),
+                       (2, 7, 6, 0, 8, 5, 3, 4, 1, 11)])
 
-    Each edge is an arc fitted from its two vertices and their normals
-    alone, as in curved PN triangles (Vlachos et al., I3D 2001), so the
-    two faces that share an edge put the same nodes on it and the curved
-    surface is watertight. The interior node sits at the parameter midpoint
-    of a cross arc through edge nodes 5 and 6. Vertex nodes keep the input
-    positions and normals bitwise. Inputs are (..., 3) and the result is a
-    pair of (..., 10, 3) arrays; a degenerate member raises
-    DegenerateArcError carrying its leading index.
+
+def curved_nodes(vertices, normals, faces):
+    """Node positions and normals, a pair of (N_f, 3, 10, 3) arrays, of
+    every face's three vertex rotations (NODE_SLOTS).
+
+    Each mesh edge is one arc, fitted from its lower- to its higher-index
+    vertex, and the faces that share it take the same two nodes from it.
+    Rotation k's interior node sits at the parameter midpoint of its own
+    cross arc through its nodes 5 and 6. Vertex nodes keep the input
+    positions and normals bitwise. A degenerate arc raises
+    DegenerateArcError for the lowest face it touches, with index (face,).
     """
-    x1, n1, x2, n2, x3, n3 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (x1, n1, x2, n2, x3, n3))
-    )
-    nodes = np.empty(x1.shape[:-1] + (10, 3))
-    normals = np.empty_like(nodes)
-    nodes[..., 0, :], normals[..., 0, :] = x1, n1
-    nodes[..., 3, :], normals[..., 3, :] = x2, n2
-    nodes[..., 8, :], normals[..., 8, :] = x3, n3
-
-    # checks queue in the order a lone element would meet them
+    ends, keys, n = half_edges(faces)
+    keys, edge_of = np.unique(keys, return_inverse=True)
+    lo, hi = np.divmod(keys, n)
     pending = []
-    arc12 = fit_arc(x1, n1, x2, n2, pending)
-    arc13 = fit_arc(x1, n1, x3, n3, pending)
-    third = 1.0 / 3.0
-    for arc, n_end, edge in ((arc12, n2, (1, 4)), (arc13, n3, (2, 5))):
-        for local, u in zip(edge, (third, 2 * third)):
-            nodes[..., local, :] = arc_point(arc, u)
-            normals[..., local, :], _ = arc_normal(
-                arc, u, _blend_reference(n1, n_end, u, pending)
-            )
+    arc = fit_arc(vertices[lo], normals[lo], vertices[hi], normals[hi], pending)
+    thirds = (1.0 / 3.0, 2.0 / 3.0)
+    edge_pos = np.stack([arc_point(arc, u) for u in thirds], axis=1)  # (E, 2, 3)
+    edge_nrm = np.stack([arc_normal(arc, u, _blend_reference(
+        normals[lo], normals[hi], u, pending))[0] for u in thirds], axis=1)
+    edge_of = edge_of.reshape(faces.shape)
+    pending = [(mask[edge_of], cause) for mask, cause in pending]
 
-    # edge between vertices 2 and 3: nodes 7 and 8
-    arc23 = fit_arc(x2, n2, x3, n3, pending)
-    for local, v in ((6, third), (7, 2 * third)):
-        nodes[..., local, :] = arc_point(arc23, v)
-        normals[..., local, :], _ = arc_normal(
-            arc23, v, _blend_reference(n2, n3, v, pending)
-        )
-
-    # cross arc at u = 2/3 through edge nodes 5 and 6: interior node 10
-    e5, e6 = nodes[..., 4, :], nodes[..., 5, :]
-    m5, m6 = normals[..., 4, :], normals[..., 5, :]
+    # each half-edge's nodes from its start: rows E on hold every edge's
+    # nodes reversed, for the faces that run it from high to low
+    half = edge_of + len(keys) * (ends[0] > ends[1])
+    slots = []
+    for data, on_edge in ((vertices, edge_pos), (normals, edge_nrm)):
+        from_start = np.concatenate([on_edge, on_edge[:, ::-1]])[half]  # (N_f, 3, 2, 3)
+        slots.append(np.concatenate([data[faces], from_start.reshape(-1, 6, 3)], axis=1))
+    pos, nrm = slots
+    e5, e6, m5, m6 = (a[:, NODE_SLOTS[:, j]] for a in (pos, nrm) for j in (4, 5))
     cross = fit_arc(e5, m5, e6, m6, pending)
-    nodes[..., 9, :] = arc_point(cross, 0.5)
-    normals[..., 9, :], _ = arc_normal(
-        cross, 0.5, _blend_reference(m5, m6, 0.5, pending)
+    pos = np.concatenate([pos, arc_point(cross, 0.5)], axis=1)
+    nrm = np.concatenate(
+        [nrm, arc_normal(cross, 0.5, _blend_reference(m5, m6, 0.5, pending))[0]], axis=1
     )
-    _check(pending, None)
-    return nodes, normals
+    try:
+        _check([(mask.any(axis=1), cause) for mask, cause in pending], None)
+    except DegenerateArcError as exc:
+        raise DegenerateArcError(f"face {exc.index[0]}: {exc}", exc.index) from None
+    return np.take(pos, NODE_SLOTS, axis=1), np.take(nrm, NODE_SLOTS, axis=1)
 
 
 def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):

@@ -21,14 +21,14 @@ class MeshValidationError(ValueError):
     """A parsed mesh violates a structural invariant (open edge, bad index...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatMesh:
     """Triangulated closed surface with per-vertex outward unit normals."""
 
     vertices: np.ndarray  # (n_v, 3) positions in Angstrom
     normals: np.ndarray  # (n_v, 3) unit vectors
     faces: np.ndarray  # (n_f, 3) 0-based vertex indices, outward orientation
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+    _valid: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -94,11 +94,19 @@ class FlatMesh:
         object.__setattr__(self, "_valid", True)
 
 
+def half_edges(faces: np.ndarray):
+    """(ends, keys, n): each face's half-edges ab, bc, ca as ends (2, N_f, 3),
+    start and end vertex, and their undirected keys min * n + max, where n is
+    the largest vertex index plus one, so the keys sort edges by (low, high)."""
+    n = int(faces.max(initial=0)) + 1
+    ends = np.stack([faces, np.roll(faces, -1, axis=1)])
+    return ends, ends.min(axis=0) * n + ends.max(axis=0), n
+
+
 def _check_closed(faces: np.ndarray) -> None:
     """Every undirected edge must be shared by exactly two faces."""
-    n = int(faces.max(initial=0)) + 1
-    edges = np.stack([faces, np.roll(faces, -1, axis=1)])  # ab, bc, ca
-    keys, counts = np.unique(edges.min(axis=0) * n + edges.max(axis=0), return_counts=True)
+    _, keys, n = half_edges(faces)
+    keys, counts = np.unique(keys, return_counts=True)
     bad = np.nonzero(counts != 2)[0]
     if bad.size:
         i, j = divmod(int(keys[bad[0]]), n)
@@ -108,7 +116,7 @@ def _check_closed(faces: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeSystem:
     """Point charges: positions in Angstrom, charges in elementary-charge units."""
 
@@ -302,11 +310,10 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray):
     numbered as their edges first appear: face by face, ab, bc, ca."""
     n = len(verts)
     a, b, c = faces.T
-    edges = np.stack([faces, np.roll(faces, -1, axis=1)]).reshape(2, -1)  # ab, bc, ca
-    keys = edges.min(axis=0) * n + edges.max(axis=0)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ends, keys, _ = half_edges(faces)
+    _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
     ab, bc, ca = (n + np.argsort(np.argsort(first)))[inverse].reshape(-1, 3).T
-    mid = verts[edges[:, np.sort(first)]].sum(axis=0)
+    mid = verts[ends.reshape(2, -1)[:, np.sort(first)]].sum(axis=0)
     # the length as np.linalg.norm forms it for one vector, a dot product,
     # so the midpoints keep the bits of a vertex-by-vertex reprojection
     mid /= np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
@@ -333,10 +340,3 @@ def radial_project(
         raise ValueError(f"vertex {zero[0]} coincides with the center")
     n = d / lengths[:, None]
     return FlatMesh(vertices=c + radius * n, normals=n, faces=mesh.faces)
-
-
-def flat_area(mesh: FlatMesh) -> float:
-    """Total area of the flat (rectilinear) triangles."""
-    x = mesh.vertices[mesh.faces]
-    cr = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
-    return 0.5 * float(np.linalg.norm(cr, axis=1).sum())

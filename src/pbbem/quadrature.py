@@ -19,7 +19,7 @@ def monomial_integral(a: int, b: int) -> float:
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleRule:
     """A fixed quadrature rule on the reference triangle.
 

@@ -53,16 +53,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    DegenerateArcError,
-    DegenerateElementError,
-    frames_at,
-    nodes_from_vertex_data,
-)
+from .geometry import DegenerateElementError, curved_nodes, frames_at
 from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
@@ -91,6 +86,9 @@ STRIP_ROWS = 8
 STRIP_MIN_PAIRS = 1 << 12
 STRIP_CHUNKS = 16
 
+# every config's default regular rule: one instance, verified once
+_REGULAR_RULE = gauss_radau_rule()
+
 
 class GmresNonConvergence(RuntimeError):
     """GMRES hit its iteration budget; carries the best residual reached."""
@@ -117,7 +115,7 @@ class SolverConfig:
     restart: int = 100
     max_iterations: int = 1000
     workers: int | None = None  # None: every CPU this process may run on
-    regular_rule: TriangleRule = field(default_factory=gauss_radau_rule)
+    regular_rule: TriangleRule = _REGULAR_RULE
     duffy_points: int = 4
 
     def __post_init__(self):
@@ -142,7 +140,7 @@ class SolverConfig:
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceSolution:
     """Solved surface traces plus solve diagnostics.
 
@@ -161,7 +159,7 @@ class SurfaceSolution:
         return np.concatenate([self.phi, self.dphi_dn])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedProblem:
     """Immutable quadrature caches shared (read-only) by all matvec workers.
 
@@ -259,19 +257,9 @@ def discretize(
     nf = mesh.n_faces
     faces = mesh.faces
 
-    # curved nodes for all three vertex rotations of every face; rotation k
-    # puts local vertex k of the face at reference node 1
-    rotations = np.stack(
-        [faces, np.roll(faces, -1, axis=1), np.roll(faces, -2, axis=1)], axis=1
-    )  # (N_f, 3, 3)
-    x, n = mesh.vertices[rotations], mesh.normals[rotations]
-    try:
-        node_pos, node_nrm = nodes_from_vertex_data(
-            x[..., 0, :], n[..., 0, :], x[..., 1, :], n[..., 1, :],
-            x[..., 2, :], n[..., 2, :],
-        )
-    except DegenerateArcError as exc:
-        raise DegenerateArcError(f"face {exc.index[0]}: {exc}") from None
+    # rotation k of face f puts local vertex k at reference node 1
+    rotations = np.stack([np.roll(faces, -k, axis=1) for k in range(3)], axis=1)
+    node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, faces)
 
     rule, duffy = config.regular_rule, duffy_rule(config.duffy_points)
     reg_pos, reg_nrm, reg_w = _face_frames(node_pos[:, 0], node_nrm[:, 0], rule, 1)

@@ -38,11 +38,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def curved_nodes(mesh):
     """(N_f, 10, 3) node positions and normals of every face's curved element,
-    vertices in `mesh.faces` order, from the batched fit discretize runs."""
-    from pbbem.geometry import nodes_from_vertex_data
+    vertices in `mesh.faces` order: rotation 0 of the fit discretize runs."""
+    from pbbem.geometry import curved_nodes as fit
 
-    x, n = mesh.vertices[mesh.faces], mesh.normals[mesh.faces]
-    return nodes_from_vertex_data(*(a[:, k] for k in range(3) for a in (x, n)))
+    return tuple(a[:, 0] for a in fit(mesh.vertices, mesh.normals, mesh.faces))
 
 
 @pytest.fixture(scope="session")

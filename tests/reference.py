@@ -4,13 +4,16 @@ g0 and g_kappa evaluate one point pair in plain scalar arithmetic. The
 finite-difference kernel tests and the acceptance gate difference them to
 check K1..K4, so they share no code with kernels.pair_kernels.
 subdivide is the face-by-face loop that mesh._subdivide replaces with
-array code. gmres_givens is restarted GMRES on a Givens-rotated Hessenberg
+array code. nodes_from_vertex_data is the per-rotation curved-node fit that
+geometry.curved_nodes replaces with one arc per mesh edge, and flat_area
+the area of the flat triangles. gmres_givens is restarted GMRES on a Givens-rotated Hessenberg
 matrix, solved by back substitution where solver.gmres_solve runs a
 least-squares solve on the unrotated one; both stop on the same test.
 """
 
 import numpy as np
 
+from pbbem.geometry import _blend_reference, arc_normal, arc_point, fit_arc
 from pbbem.kernels import FOUR_PI, SingularityError
 from pbbem.solver import (
     GmresBreakdown,
@@ -58,6 +61,40 @@ def subdivide(verts: np.ndarray, faces: np.ndarray):
             (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca),
         ]
     return np.asarray(out), new_faces
+
+
+def nodes_from_vertex_data(x1, n1, x2, n2, x3, n3):
+    """One element's 10 node positions and normals from its three vertices,
+    each (..., 3): arcs 1-2, 1-3 and 2-3 fitted in that direction, and the
+    interior node at the midpoint of the cross arc through nodes 5 and 6."""
+    x1, n1, x2, n2, x3, n3 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (x1, n1, x2, n2, x3, n3))
+    )
+    nodes = np.empty(x1.shape[:-1] + (10, 3))
+    normals = np.empty_like(nodes)
+    nodes[..., 0, :], normals[..., 0, :] = x1, n1
+    nodes[..., 3, :], normals[..., 3, :] = x2, n2
+    nodes[..., 8, :], normals[..., 8, :] = x3, n3
+    third = 1.0 / 3.0
+    for (p, m, q, k), edge in (
+        ((x1, n1, x2, n2), (1, 4)), ((x1, n1, x3, n3), (2, 5)), ((x2, n2, x3, n3), (6, 7))
+    ):
+        arc = fit_arc(p, m, q, k)
+        for local, u in zip(edge, (third, 2 * third)):
+            nodes[..., local, :] = arc_point(arc, u)
+            normals[..., local, :] = arc_normal(arc, u, _blend_reference(m, k, u))[0]
+    m5, m6 = normals[..., 4, :], normals[..., 5, :]
+    cross = fit_arc(nodes[..., 4, :], m5, nodes[..., 5, :], m6)
+    nodes[..., 9, :] = arc_point(cross, 0.5)
+    normals[..., 9, :] = arc_normal(cross, 0.5, _blend_reference(m5, m6, 0.5))[0]
+    return nodes, normals
+
+
+def flat_area(mesh) -> float:
+    """Total area of the flat (rectilinear) triangles."""
+    x = mesh.vertices[mesh.faces]
+    cr = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+    return 0.5 * float(np.linalg.norm(cr, axis=1).sum())
 
 
 def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import curved_nodes
+from reference import nodes_from_vertex_data
 
+from pbbem import geometry
 from pbbem.geometry import (
     REFERENCE_NODES,
     CubicArc,
@@ -16,7 +18,6 @@ from pbbem.geometry import (
     arc_velocity,
     fit_arc,
     frames_at,
-    nodes_from_vertex_data,
     shape_gradient_matrices,
     shape_matrix,
 )
@@ -219,6 +220,14 @@ def test_arc_normal_sign_follows_reference():
 # curved elements
 
 
+def lone_faces(*corners):
+    """geometry.curved_nodes on faces that share no vertex, each given as
+    its (x1, n1, x2, n2, x3, n3): the (N_f, 3, 10, 3) positions and normals."""
+    x = np.array([c[0::2] for c in corners], dtype=float).reshape(-1, 3)
+    n = np.array([c[1::2] for c in corners], dtype=float).reshape(-1, 3)
+    return geometry.curved_nodes(x, n, np.arange(len(x)).reshape(-1, 3))
+
+
 def test_element_vertex_nodes_bitwise(tetrahedron_mesh):
     nodes, normals = curved_nodes(tetrahedron_mesh)
     for f, verts in enumerate(tetrahedron_mesh.faces):
@@ -233,7 +242,7 @@ def test_flat_element_is_affine():
     x2 = np.array([1.0, 0.0, 0.0])
     x3 = np.array([0.0, 1.0, 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    nodes, normals = nodes_from_vertex_data(x1, up, x2, up, x3, up)
+    nodes, normals = (a[0, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
     affine = (
         x1[None, :]
         + REFERENCE_NODES[:, 0:1] * (x2 - x1)[None, :]
@@ -259,9 +268,9 @@ def test_sphere_node_deviation_shrinks_by_level():
 
 
 def test_shared_edges_fit_the_same_nodes_on_an_ellipsoid():
-    """Both faces of every edge put the same two nodes on it: each edge arc
-    is fitted from its two vertex normals alone, so neighbouring curved
-    elements meet off the sphere too."""
+    """Both faces of every edge put the same two nodes on it, bit for bit:
+    each edge arc is fitted once, so neighbouring curved elements meet off
+    the sphere too."""
     sphere = icosahedral_sphere(2)
     axes = np.array([1.0, 0.8, 0.6])
     normals = sphere.vertices / axes  # gradient of |x / axes|^2 at x = u axes
@@ -277,7 +286,50 @@ def test_shared_edges_fit_the_same_nodes_on_an_ellipsoid():
             edges.setdefault((min(p, q), max(p, q)), []).append(pair)
     assert len(edges) == 3 * mesh.n_faces // 2
     gaps = [np.abs(one - other).max() for one, other in edges.values()]
-    assert max(gaps) <= 1e-14
+    assert max(gaps) == 0.0
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_curved_nodes_match_the_per_rotation_fit(level):
+    """The per-rotation fit (tests/reference.py) runs each rotation's arcs
+    in its own direction. Where that is from the lower vertex index to the
+    higher, as the edge table fits them, every node keeps its bits. Reversed
+    edge nodes differ by rounding. A normal is the direction of an arc's
+    curvature, which shrinks like h^2, so its rounding grows like 4^level;
+    the interior node's cross arc takes it on over a chord of length ~h."""
+    mesh = icosahedral_sphere(level)
+    rotations = np.stack([np.roll(mesh.faces, -k, axis=1) for k in range(3)], axis=1)
+    x, n = mesh.vertices[rotations], mesh.normals[rotations]
+    old = nodes_from_vertex_data(*(a[..., k, :] for k in range(3) for a in (x, n)))
+    new = geometry.curved_nodes(mesh.vertices, mesh.normals, mesh.faces)
+    same = np.zeros(rotations.shape[:2] + (10,), dtype=bool)
+    same[..., [0, 3, 8]] = True
+    for (start, end), local in (((0, 1), [1, 4]), ((0, 2), [2, 5]), ((1, 2), [6, 7])):
+        same[..., local] = (rotations[..., start] < rotations[..., end])[..., None]
+    assert not same.all()  # some arcs do run high to low
+    for a, b in zip(old, new):
+        assert np.array_equal(a[same], b[same])
+    eps = np.finfo(float).eps
+    gap = np.abs(old[0] - new[0]).max(axis=-1)
+    assert gap[..., :9].max() <= 4e-16
+    assert gap[..., 9].max() <= 4 * eps * 2.0**level
+    assert np.abs(old[1] - new[1]).max() <= 16 * eps * 4.0**level
+
+
+def test_one_arc_per_mesh_edge(monkeypatch):
+    """A closed mesh has 3 N_f / 2 edges and each is fitted once; the cross
+    arcs of the three rotations add 3 N_f (the per-rotation fit made 12 N_f)."""
+    fitted = []
+    real = geometry.fit_arc
+
+    def counting(p0, *rest):
+        fitted.append(int(np.prod(np.shape(p0)[:-1])))
+        return real(p0, *rest)
+
+    monkeypatch.setattr(geometry, "fit_arc", counting)
+    mesh = icosahedral_sphere(2)
+    geometry.curved_nodes(mesh.vertices, mesh.normals, mesh.faces)
+    assert fitted == [3 * mesh.n_faces // 2, 3 * mesh.n_faces]
 
 
 def test_degenerate_vertex_normal_names_face(octahedron_arrays):
@@ -298,23 +350,21 @@ def test_batched_nodes_equal_stacked_single_calls():
     rng = np.random.default_rng(11)
     nrm = mesh.normals + 0.1 * rng.standard_normal(mesh.normals.shape)
     nrm /= np.linalg.norm(nrm, axis=1)[:, None]
-    rotations = np.stack([np.roll(mesh.faces, -k, axis=1) for k in range(3)], axis=1)
-    x, n = mesh.vertices[rotations], nrm[rotations]  # (N_f, 3, 3, 3)
-    args = [a[..., k, :] for k in range(3) for a in (x, n)]
-    nodes, normals = nodes_from_vertex_data(*args)
+    nodes, normals = geometry.curved_nodes(mesh.vertices, nrm, mesh.faces)
     assert nodes.shape == normals.shape == (mesh.n_faces, 3, 10, 3)
     for f in range(mesh.n_faces):
-        for k in range(3):
-            one_nodes, one_normals = nodes_from_vertex_data(*(a[f, k] for a in args))
-            assert np.array_equal(nodes[f, k], one_nodes)
-            assert np.array_equal(normals[f, k], one_normals)
+        one_nodes, one_normals = geometry.curved_nodes(
+            mesh.vertices, nrm, mesh.faces[f : f + 1]
+        )
+        assert np.array_equal(nodes[f], one_nodes[0])
+        assert np.array_equal(normals[f], one_normals[0])
 
 
 def test_batched_error_names_first_failing_member():
     x1, x2, x3 = np.eye(3)
     n1, n2, n3 = np.eye(3)
     good = (x1, n1, x2, n2, x3, n3)
-    # vertices 2 and 3 coincide: only the late u = 1 cross arc fails
+    # vertices 2 and 3 coincide: the arc between them fails
     late = (x1, n1, x2, n2, x2, n2)
     # vertex 1's normal along the 1-2 chord: the first arc fails
     early = (x1, (x2 - x1) / np.sqrt(2.0), x2, n2, x3, n3)
@@ -322,9 +372,8 @@ def test_batched_error_names_first_failing_member():
         ((good, late, early), "coincide"),
         ((good, early, late), "parallel"),
     ):
-        args = [np.stack(column) for column in zip(*batch)]
         with pytest.raises(DegenerateArcError, match=cause) as info:
-            nodes_from_vertex_data(*args)
+            lone_faces(*batch)
         assert info.value.index == (1,)
 
 
@@ -337,8 +386,8 @@ def test_element_frame_flat_jacobian():
     x2 = np.array([2.0, 0.0, 0.0])
     x3 = np.array([0.0, 1.0, 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    nodes, normals = nodes_from_vertex_data(x1, up, x2, up, x3, up)
-    _, nrm, jac = frames_at(nodes[None], normals[None], np.array([(0.2, 0.3)]))
+    nodes, normals = (a[:, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
+    _, nrm, jac = frames_at(nodes, normals, np.array([(0.2, 0.3)]))
     assert jac[0, 0] == pytest.approx(2.0, rel=1e-10)  # 2 x triangle area
     assert np.abs(nrm[0, 0] - up).max() <= 1e-12
 
@@ -363,9 +412,9 @@ def test_element_frame_degenerate_collinear():
     x2 = np.array([1.0, 0.0, 0.0])
     x3 = np.array([2.0, 1e-18, 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    nodes, normals = nodes_from_vertex_data(x1, up, x2, up, x3, up)
+    nodes, normals = (a[:, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
     with pytest.raises(DegenerateElementError):
-        frames_at(nodes[None], normals[None], np.array([(0.3, 0.3)]))
+        frames_at(nodes, normals, np.array([(0.3, 0.3)]))
 
 
 def test_frames_at_collapsed_element_raises_not_warns():
@@ -427,7 +476,7 @@ def sphere_area_error(level, curved):
         a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
         up = np.cross(b - a, c - a)
         up /= np.linalg.norm(up, axis=1)[:, None]
-        nodes, normals = nodes_from_vertex_data(a, up, b, up, c, up)
+        nodes, normals = (q[:, 0] for q in lone_faces(*zip(a, up, b, up, c, up)))
     rule = gauss_radau_rule()
     _, _, jac = frames_at(nodes, normals, rule.points)
     return abs((jac * rule.weights).sum() - 4.0 * np.pi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import subdivide
+from reference import flat_area, subdivide
 
 from pbbem.mesh import (
     ChargeSystem,
@@ -11,7 +11,6 @@ from pbbem.mesh import (
     MeshValidationError,
     _icosahedron,
     _subdivide,
-    flat_area,
     icosahedral_sphere,
     parse_charges,
     parse_msms,

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import curved_nodes
+from reference import flat_area
 
 import pbbem
 from pbbem.geometry import frames_at
-from pbbem.mesh import flat_area, icosahedral_sphere
+from pbbem.mesh import icosahedral_sphere
 from pbbem.quadrature import (
     TriangleRule,
     duffy_rule,

@@ -112,6 +112,26 @@ def test_default_worker_count_follows_affinity(monkeypatch):
     assert SolverConfig().worker_count() == 1
 
 
+def test_array_holding_records_compare_by_identity():
+    """Records that hold arrays compare and hash by identity, so == on a
+    config, `in` on a list of meshes and hash() never touch an array; every
+    default config shares one read-only, once-verified regular rule."""
+    mesh = icosahedral_sphere(0)
+    assert mesh in [mesh] and mesh not in [icosahedral_sphere(0)]
+    assert CENTERED_UNIT == CENTERED_UNIT != replace(CENTERED_UNIT)
+    problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
+    assert problem == problem != replace(problem)
+    solution = SurfaceSolution(np.zeros(3), np.ones(3), 0, 0.0)
+    assert solution == solution != replace(solution)
+    assert len({mesh, CENTERED_UNIT, problem, solution}) == 4
+    assert SolverConfig() == SolverConfig()
+    assert hash(SolverConfig()) == hash(SolverConfig())
+    rule = SolverConfig().regular_rule
+    assert rule is SolverConfig(scheme="lobi").regular_rule
+    assert rule == rule != replace(rule)
+    assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
+
+
 def test_discretize_counts_and_collocation():
     mesh = icosahedral_sphere(1, radius=2.0)
     hobi = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
