@@ -180,12 +180,12 @@ def memory_lower_bound_mb(problem) -> float:
     """Deterministic lower bound on solver peak memory, in Mbytes.
 
     Counts array buffers only. It sums the discretization caches (every
-    array field of the problem: the quadrature frames and the near-list
-    tables) and the mesh arrays, each buffer once (hobi collocates at the
-    mesh's own vertex arrays; lobi's regular rule is a view of its
+    array field of the problem: the regular frames, the near lists, hobi's
+    near table) and the mesh arrays, each buffer once (hobi collocates at
+    the mesh's own vertex arrays; lobi's regular rule is a view of its
     centroids), plus the arrays a serial matvec allocates: its kernel
-    scratch and partial sums (solver.workspace_doubles) and the vectors in
-    flight. Python objects are not counted, and on the smallest meshes a
+    scratch, near-table gathers and partial sums (solver.workspace_doubles)
+    and the vectors in flight. Python objects are not counted, and on the smallest meshes a
     matvec's per-strip and per-chunk objects outweigh its arrays: for
     level-0 lobi (20 faces) the bound is 36.8 KB and tracemalloc traces a
     serial-matvec peak of about 44 KB. The OS-level peak is higher still;

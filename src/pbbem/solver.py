@@ -31,8 +31,8 @@ rule on every element and each collocation row's near elements. One strip
 sweep (_apply_chunks) is the matvec of both: strip [s, e) of rows is one
 block against source columns [c, N), each row skipping its near elements'
 sources, and its row sums go to rows [s, e). hobi's strips read the whole
-flat regular-rule axis (c = 0), and each task then adds its rows'
-Duffy-regularized near values. lobi's sources are its collocation points,
+flat regular-rule axis (c = 0), and each task then adds its rows' near
+values from the table of _near_table. lobi's sources are its collocation points,
 one per element, and a row skips only its own (_self_sourced reads this
 from the tables), so pair (i, j) and its swap share every kernel factor:
 its strips read columns [s, T) and also send the swapped pairs' column
@@ -66,6 +66,7 @@ from .kernels import (
     PhysicalParams,
     kernel_scratch,
     kernel_sums,
+    pair_kernels,
     short_buffers,
     source_moments,
     source_terms_at,
@@ -85,6 +86,9 @@ SCHEMES = ("hobi", "lobi")
 STRIP_ROWS = 8
 STRIP_MIN_PAIRS = 1 << 12
 STRIP_CHUNKS = 16
+# rotated elements per chunk of _near_table's Duffy frames: a level-3 hobi
+# discretize traces a 5.1 MB peak at 512, 7.0 MB at 1024, 14.1 MB unchunked
+NEAR_CHUNK = 512
 
 # every config's default regular rule: one instance, verified once
 _REGULAR_RULE = gauss_radau_rule()
@@ -131,6 +135,11 @@ class SolverConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not isinstance(rule := self.regular_rule, TriangleRule):
+            raise ValueError(f"regular_rule must be a TriangleRule, got {rule!r}")
+        n = self.duffy_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= 32:
+            raise ValueError(f"duffy_points must be an int in [1, 32], got {n!r}")
 
     def worker_count(self) -> int:
         if self.workers is not None:
@@ -169,9 +178,11 @@ class DiscretizedProblem:
     the centroid). Row t's near faces, pair_face[pair_starts[t]:
     pair_starts[t+1]], are sorted by face, so each row accumulates in face
     order no matter which worker owns it: lobi's own face, or hobi's
-    incident faces. hobi pair p also carries a Duffy rule on face
-    pair_face[p] rotated so that vertex pair_gverts[p, 0] is local node 1;
-    pair_gverts[p] is the rotated global vertex order.
+    incident faces. hobi's near table (_near_table) holds their Duffy
+    integrals as compressed rows: row t's entries i in [near_starts[t],
+    near_starts[t+1]) are vertices near_cols[i], ascending, with K1..K4
+    coefficients near_coef[:, i]. duf_w[3 f + k] is the Duffy rule's weight
+    x Jacobian on face f rotated so that its local vertex k is node 1.
     """
 
     mesh: FlatMesh
@@ -187,12 +198,11 @@ class DiscretizedProblem:
     reg_nodes: np.ndarray  # (N_f, K) unknowns each face's trace is read from
     pair_face: np.ndarray  # (P,) near faces, row by row
     pair_starts: np.ndarray  # (T + 1,)
-    # hobi Duffy caches, one entry per near pair
-    pair_gverts: np.ndarray | None = None  # (P, 3)
-    duf_pos: np.ndarray | None = None  # (P, D, 3)
-    duf_nrm: np.ndarray | None = None  # (P, D, 3)
-    duf_w: np.ndarray | None = None  # (P, D)
-    duf_bary: np.ndarray | None = None  # (D, 3)
+    # hobi near table, about 7 entries per row
+    near_starts: np.ndarray | None = None  # (T + 1,)
+    near_cols: np.ndarray | None = None  # (nnz,)
+    near_coef: np.ndarray | None = None  # (4, nnz)
+    duf_w: np.ndarray | None = None  # (3 N_f, D)
 
     @property
     def n_collocation(self) -> int:
@@ -210,17 +220,49 @@ def _barycentric(points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - r - s, r, s], axis=1)
 
 
-def _face_frames(node_pos, node_nrm, rule: TriangleRule, per_face: int):
+def _face_frames(node_pos, node_nrm, rule: TriangleRule, per_face: int, first=0):
     """(positions, normals, rule weight x Jacobian): frames_at at the rule's
-    points on per_face consecutive elements per face; errors name the face."""
+    points on elements numbered from first, per_face a face; errors name it."""
     try:
         pos, nrm, jac = frames_at(node_pos, node_nrm, rule.points)
     except DegenerateElementError as exc:
-        r, s = exc.point
+        r, s, face = *exc.point, (first + exc.index[0]) // per_face
         raise DegenerateElementError(
-            f"face {exc.index[0] // per_face}: vanishing Jacobian at (r, s) = ({r}, {s})"
+            f"face {face}: vanishing Jacobian at (r, s) = ({r}, {s})"
         ) from None
     return pos, nrm, rule.weights * jac
+
+
+def _near_table(mesh: FlatMesh, params: PhysicalParams, rotations,
+                duffy: TriangleRule, node_pos, node_nrm):
+    """The near table's fields of DiscretizedProblem, built once since the near
+    values are linear in the vertex traces (Canino et al., J. Comput. Phys. 146,
+    1998). Element e (face e // 3, vertex x = rotations[e, 0] at node 1) gets
+    sum_d K(x, y_d) w_d bary_dj per kernel K1..K4 and node j; entry
+    (x, rotations[e, j]) adds these in element (face) order."""
+    n, size = len(node_pos), len(duffy)
+    bary = _barycentric(duffy.points)
+    duf_w = np.empty((n, size))
+    coef = np.zeros((4, n, 3))
+    scratch = kernel_scratch(min(n, NEAR_CHUNK) * size)
+    x, nx = (a[rotations[:, 0]].T[:, :, None] for a in (mesh.vertices, mesh.normals))
+    for s in range(0, n, NEAR_CHUNK):
+        e = min(s + NEAR_CHUNK, n)
+        pos, nrm, duf_w[s:e] = _face_frames(node_pos[s:e], node_nrm[s:e], duffy, 3, s)
+        buf = scratch[:, : (e - s) * size].reshape(KERNEL_BUFFERS, e - s, size)
+        np.subtract(x[:, s:e], np.moveaxis(pos, -1, 0), out=buf[:3])
+        kernels = pair_kernels(buf, nx[:, s:e], np.moveaxis(nrm, -1, 0), params)
+        for part, k in enumerate(kernels):
+            if k is not None:  # K1 and K4 are exactly zero at kappa = 0
+                k *= duf_w[s:e]
+                coef[part, s:e] = k @ bary
+    # entry keys t N_v + v, in element order; bincount sums in that order
+    nv = mesh.n_vertices
+    keys, entry = np.unique((rotations[:, :1] * nv + rotations).reshape(-1),
+                            return_inverse=True)
+    near_coef = np.stack([np.bincount(entry, c.reshape(-1)) for c in coef])
+    return dict(near_starts=np.searchsorted(keys // nv, np.arange(nv + 1)),
+                near_cols=keys % nv, near_coef=near_coef, duf_w=duf_w)
 
 
 def discretize(
@@ -254,28 +296,20 @@ def discretize(
             pair_starts=rows,
         )
 
-    nf = mesh.n_faces
     faces = mesh.faces
 
-    # rotation k of face f puts local vertex k at reference node 1
-    rotations = np.stack([np.roll(faces, -k, axis=1) for k in range(3)], axis=1)
+    # rotation k of face f, row 3 f + k, puts local vertex k at reference node 1
+    rotations = np.stack([np.roll(faces, -k, axis=1) for k in range(3)], 1).reshape(-1, 3)
     node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, faces)
 
-    rule, duffy = config.regular_rule, duffy_rule(config.duffy_points)
+    rule = config.regular_rule
     reg_pos, reg_nrm, reg_w = _face_frames(node_pos[:, 0], node_nrm[:, 0], rule, 1)
-    duf_pos, duf_nrm, duf_w = _face_frames(
-        node_pos.reshape(3 * nf, 10, 3), node_nrm.reshape(3 * nf, 10, 3), duffy, 3
-    )
+    near = _near_table(mesh, params, rotations, duffy_rule(config.duffy_points),
+                       *(a.reshape(-1, 10, 3) for a in (node_pos, node_nrm)))
 
-    # pair p = 3 f + k couples vertex faces[f, k] with face f; a stable sort
-    # by vertex keeps each row's faces ascending
-    order = np.argsort(rotations[:, :, 0].reshape(-1), kind="stable")
-    pair_face = order // 3
-    pair_gverts = rotations.reshape(3 * nf, 3)[order]
-    duf_pos, duf_nrm, duf_w = duf_pos[order], duf_nrm[order], duf_w[order]
-    pair_starts = np.searchsorted(
-        pair_gverts[:, 0], np.arange(mesh.n_vertices + 1)
-    )
+    # a stable sort by vertex keeps each row's faces ascending
+    order = np.argsort(rotations[:, 0], kind="stable")
+    pair_starts = np.searchsorted(rotations[order, 0], np.arange(mesh.n_vertices + 1))
 
     return DiscretizedProblem(
         mesh=mesh,
@@ -289,13 +323,9 @@ def discretize(
         reg_w=reg_w,
         reg_bary=_barycentric(rule.points),
         reg_nodes=faces,
-        pair_face=pair_face,
-        pair_gverts=pair_gverts,
+        pair_face=order // 3,
         pair_starts=pair_starts,
-        duf_pos=duf_pos,
-        duf_nrm=duf_nrm,
-        duf_w=duf_w,
-        duf_bary=_barycentric(duffy.points),
+        **near,
     )
 
 
@@ -321,38 +351,17 @@ def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
     )
 
 
-def _add_duffy(problem: DiscretizedProblem, phi, dphi, lo, hi, scratch, acc):
-    """Add the hobi near faces' Duffy-regularized values to acc[:, lo:hi].
-
-    The near pairs go through the scratch buffers in chunks of whole rows,
-    each holding no more values than one regular row (n_sources) unless a
-    single row has more. A row's pairs are summed in pair order within one
-    chunk, so the chunking changes no bit of the result.
-    """
-    starts = problem.pair_starts
-    step = max(problem.reg_w.size // problem.duf_w.shape[1], 1)
-    s = lo
-    while s < hi:
-        last = np.searchsorted(starts, starts[s] + step, side="right") - 1
-        e = min(max(int(last), s + 1), hi)
-        p0, p1 = starts[s], starts[e]
-        gv = problem.pair_gverts[p0:p1]
-        pv = gv[:, 0]
-        w = problem.duf_w[p0:p1]
-        rows = kernel_sums(
-            scratch,
-            (problem.colloc_pos[pv].T[:, :, None], problem.colloc_nrm[pv].T[:, :, None]),
-            (
-                np.moveaxis(problem.duf_pos[p0:p1], -1, 0),
-                np.moveaxis(problem.duf_nrm[p0:p1], -1, 0),
-            ),
-            w * _interp(phi[gv], problem.duf_bary),
-            w * _interp(dphi[gv], problem.duf_bary),
-            problem.params,
-        )
-        for sums, row in zip(acc, rows):
-            sums[s:e] += np.bincount(pv - s, weights=row, minlength=e - s)
-        s = e
+def _add_near(problem: DiscretizedProblem, phi, dphi, lo, hi, acc):
+    """Add rows [lo, hi)'s near values from the hobi near table to acc[:, lo:hi],
+    each row's K1 dphi + K2 phi and K3 dphi + K4 phi summed in table order
+    (bincount adds in input order), so no bit depends on a task's rows."""
+    starts = problem.near_starts[lo : hi + 1]
+    rows = np.repeat(np.arange(hi - lo), np.diff(starts))
+    cols = problem.near_cols[starts[0] : starts[-1]]
+    c1, c2, c3, c4 = problem.near_coef[:, starts[0] : starts[-1]]
+    p, dp = phi[cols], dphi[cols]
+    acc[0, lo:hi] += np.bincount(rows, c1 * dp + c2 * p, minlength=hi - lo)
+    acc[1, lo:hi] += np.bincount(rows, c3 * dp + c4 * p, minlength=hi - lo)
 
 
 def _self_sourced(problem: DiscretizedProblem) -> bool:
@@ -400,17 +409,6 @@ def _strip_layout(t: int, n: int | None = None):
     return bounds, pairs, np.searchsorted(middles, cuts)
 
 
-def _scratch_size(problem: DiscretizedProblem, pairs) -> int:
-    """Values in the largest block a task evaluates: a strip (pairs from
-    _strip_layout), or a chunk of Duffy pairs (no larger than one source
-    row, or than one row's)."""
-    size = int(pairs.max(initial=0))
-    if problem.duf_w is not None:
-        near = np.diff(problem.pair_starts).max(initial=0)
-        size = max(size, int(near) * problem.duf_w.shape[1])
-    return size
-
-
 def _tree_nodes(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """The largest nodes of the chunk tree below node [a, b) that lie in
     [lo, hi), in order. Node [a, b) splits at m = (a + b) // 2 into [a, m)
@@ -441,8 +439,8 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     self-sourced, its swapped pairs' column sums to rows [e, T). Nodes add
     their halves, so the root, however the chunks were split, holds the
     same sums in one fixed association. hobi's nodes then add their rows'
-    Duffy values, after all strips so that the Duffy chunks run back to
-    back in warm buffers; a row's regular sum meets only zeros in the tree.
+    near values from the near table (_add_near); a row's regular sum meets
+    only zeros in the tree.
     """
     T = problem.n_collocation
     phi, dphi = u[:T], u[T:]
@@ -456,7 +454,7 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
         # about the vertex centroid: x.G - G' cancels like |x - origin| / r
         o = problem.mesh.vertices.mean(axis=0)
         moments = source_moments(pos - o[:, None], nrm, wphi, wdphi, problem.params), o
-    scratch = kernel_scratch(_scratch_size(problem, pairs))
+    scratch = kernel_scratch(int(pairs.max(initial=0)))
     # (row, column) of every Q point of every near face in the full (T, N)
     # pair array; strip [s, e) holds entries [q starts[s], q starts[e]) of
     # it, shifted into its block by (s, c)
@@ -494,10 +492,9 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
             (a, b, _tree_sum(a, b, chunk))
             for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)
         ]
-    if problem.duf_w is not None:
+    if problem.near_coef is not None:
         for a, b, sums in nodes:
-            rows = bounds[chunks[a]], bounds[chunks[b]]
-            _add_duffy(problem, phi, dphi, *rows, scratch, sums)
+            _add_near(problem, phi, dphi, bounds[chunks[a]], bounds[chunks[b]], sums)
     return nodes
 
 
@@ -505,18 +502,21 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     """float64 values (int64 indices count as one each) a serial matvec
     allocates: the flat source axis (_sources: positions, normals and two
     weighted traces, 8 values per source), KERNEL_BUFFERS blocks of its
-    largest strip or Duffy chunk plus a page of alignment slack, the near
-    index (two indices per near source), and the (2, T) sums the chunk
-    tree holds at once, one per level and two at the leaves; at kappa = 0
-    hobi's (N, 8) source moments and 16 values a strip row for their product."""
+    largest strip plus a page of alignment slack, the near index (two
+    indices per near source), and the (2, T) sums the chunk tree holds at
+    once, one per level and two at the leaves; at kappa = 0 hobi's (N, 8)
+    source moments and 16 values a strip row for their product; for hobi's
+    near table 6 values an entry (_add_near's row index, gathered traces
+    and products). The table itself is a field of the problem."""
     n = problem.reg_w.size
     own = _self_sourced(problem)
     bounds, pairs, _ = _strip_layout(problem.n_collocation, None if own else n)
-    scratch = KERNEL_BUFFERS * _scratch_size(problem, pairs) + PAGE_DOUBLES
+    scratch = KERNEL_BUFFERS * int(pairs.max(initial=0)) + PAGE_DOUBLES
     near = problem.pair_face.size * problem.reg_w.shape[1]
     held = (STRIP_CHUNKS - 1).bit_length() + 2
     if not own and problem.params.kappa == 0.0:
         scratch += 8 * n + 16 * int(np.diff(bounds).max(initial=0))
+    scratch += 0 if problem.near_cols is None else 6 * problem.near_cols.size
     return 8 * n + scratch + 2 * near + held * 2 * problem.n_collocation
 
 

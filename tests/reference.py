@@ -9,12 +9,24 @@ geometry.curved_nodes replaces with one arc per mesh edge, and flat_area
 the area of the flat triangles. gmres_givens is restarted GMRES on a Givens-rotated Hessenberg
 matrix, solved by back substitution where solver.gmres_solve runs a
 least-squares solve on the unrotated one; both stop on the same test.
+duffy_pairs rebuilds hobi's Duffy frames pair by pair, which the solver
+folds into its near table, and duffy_near_sums sums them pair by pair.
 """
+
+from math import isqrt
 
 import numpy as np
 
-from pbbem.geometry import _blend_reference, arc_normal, arc_point, fit_arc
-from pbbem.kernels import FOUR_PI, SingularityError
+from pbbem.geometry import (
+    _blend_reference,
+    arc_normal,
+    arc_point,
+    curved_nodes,
+    fit_arc,
+    frames_at,
+)
+from pbbem.kernels import FOUR_PI, SingularityError, kernel_values_d
+from pbbem.quadrature import duffy_rule
 from pbbem.solver import (
     GmresBreakdown,
     GmresNonConvergence,
@@ -208,3 +220,51 @@ def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
         x = x + basis[:j].T @ y
         r = r_j
 
+
+
+def duffy_pairs(problem):
+    """hobi's near pairs with their Duffy frames, in row order: (gverts,
+    pos, nrm, w, bary). Pair p couples vertex gverts[p, 0] with the face
+    rotated so that it is local node 1, gverts[p] its rotated vertex order;
+    each row's pairs ascend by face. pos and nrm are (P, D, 3), w the
+    (P, D) weight x Jacobian and bary the (D, 3) linear vertex weights of
+    the rule of problem.duf_w's D points."""
+    mesh = problem.mesh
+    rule = duffy_rule(isqrt(problem.duf_w.shape[1]))
+    node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, mesh.faces)
+    pos, nrm, jac = frames_at(
+        node_pos.reshape(-1, 10, 3), node_nrm.reshape(-1, 10, 3), rule.points
+    )
+    gverts = np.stack([np.roll(mesh.faces, -k, axis=1) for k in range(3)], axis=1)
+    gverts = gverts.reshape(-1, 3)
+    order = np.argsort(gverts[:, 0], kind="stable")
+    r, s = rule.points.T
+    bary = np.stack([1.0 - r - s, r, s], axis=1)
+    return gverts[order], pos[order], nrm[order], (rule.weights * jac)[order], bary
+
+
+def _node_sum(values, bary):
+    """(..., 3) node values x (m, 3) weights -> (..., m), in node order."""
+    return values[..., 0, None] * bary[:, 0] + values[..., 1, None] * bary[:, 1] + (
+        values[..., 2, None] * bary[:, 2]
+    )
+
+
+def duffy_near_sums(problem, phi, dphi):
+    """(2, T) near values of hobi's rows, pair by pair: each pair's K1 dphi
+    + K2 phi and K3 dphi + K4 phi summed over its Duffy points, then each
+    row's pairs added in order, with every kernel from kernel_values_d."""
+    gv, pos, nrm, w, bary = duffy_pairs(problem)
+    pv = gv[:, 0]
+    k1, k2, k3, k4 = kernel_values_d(
+        problem.colloc_pos[pv][:, None, :] - pos,
+        problem.colloc_nrm[pv][:, None, :],
+        nrm,
+        problem.params,
+    )
+    wp, wd = w * _node_sum(phi[gv], bary), w * _node_sum(dphi[gv], bary)
+    t = problem.n_collocation
+    return np.stack([
+        np.bincount(pv, weights=(k1 * wd + k2 * wp).sum(axis=1), minlength=t),
+        np.bincount(pv, weights=(k3 * wd + k4 * wp).sum(axis=1), minlength=t),
+    ])

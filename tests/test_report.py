@@ -217,9 +217,32 @@ def test_memory_lower_bound_properties():
     # the bound at least covers the stored quadrature caches
     cache_bytes = sum(
         arr.nbytes
-        for arr in (hobi.reg_pos, hobi.reg_nrm, hobi.reg_w, hobi.duf_pos)
+        for arr in (hobi.reg_pos, hobi.reg_nrm, hobi.reg_w, hobi.near_coef)
     )
     assert mb_hobi >= cache_bytes / 1e6
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+def test_memory_bound_counts_the_near_table_not_duffy_frames(kappa):
+    """hobi keeps its near field as a sparse vertex table: no (P, D, 3)
+    array of Duffy frames is held (the only 3-D arrays are the regular
+    rule's frames), and dropping the table from the problem lowers the
+    bound by exactly the table's bytes plus the 6 values an entry that
+    the matvec's near sums allocate."""
+    mesh = icosahedral_sphere(2)
+    params = PhysicalParams(eps1=1.0, eps2=80.0, kappa=kappa)
+    charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+    hobi = discretize(mesh, params, charges, SolverConfig(scheme="hobi"))
+    held = [getattr(hobi, f.name) for f in dataclasses.fields(hobi)]
+    held = [a for a in held if isinstance(a, np.ndarray)]
+    assert [a.shape for a in held if a.ndim == 3] == [hobi.reg_pos.shape] * 2
+    table = (hobi.near_starts, hobi.near_cols, hobi.near_coef)
+    assert hobi.near_cols.size <= 7 * mesh.n_vertices
+    bare = dataclasses.replace(hobi, near_starts=None, near_cols=None, near_coef=None)
+    table_mb = sum(a.nbytes for a in table) / 1e6
+    workspace_mb = 6 * hobi.near_cols.size * 8 / 1e6  # _add_near's temporaries
+    drop = memory_lower_bound_mb(hobi) - memory_lower_bound_mb(bare)
+    assert drop == pytest.approx(table_mb + workspace_mb, rel=1e-9)
 
 
 def test_memory_bound_counts_shared_arrays_once():

@@ -55,7 +55,8 @@ from pbbem.solver import (
     solve,
     surface_potential_error,
 )
-from reference import gmres_givens
+from pbbem.quadrature import duffy_rule
+from reference import duffy_near_sums, duffy_pairs, gmres_givens
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
 MIXED = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.5)
@@ -107,6 +108,20 @@ def test_solver_config_validation():
     assert SolverConfig().worker_count() >= 1
 
 
+def test_solver_config_rejects_bad_rules():
+    """A Duffy point count outside [1, 32] or not an int, and a regular
+    rule that is not a TriangleRule, fail when the config is made, naming
+    the field, instead of later inside discretize."""
+    for bad in (0, 33, -1, 4.0, True, "4", None):
+        with pytest.raises(ValueError, match="^duffy_points must be an int in"):
+            SolverConfig(duffy_points=bad)
+    for bad in (None, "gauss-radau", duffy_rule(2).points):
+        with pytest.raises(ValueError, match="^regular_rule must be a TriangleRule"):
+            SolverConfig(regular_rule=bad)
+    assert SolverConfig(duffy_points=np.int64(32)).duffy_points == 32
+    assert SolverConfig(duffy_points=1, regular_rule=duffy_rule(3)).duffy_points == 1
+
+
 def test_default_worker_count_follows_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert SolverConfig().worker_count() == 1
@@ -140,7 +155,15 @@ def test_discretize_counts_and_collocation():
     assert np.array_equal(hobi.colloc_pos, mesh.vertices)
     assert np.array_equal(hobi.colloc_nrm, mesh.normals)
     assert hobi.reg_pos.shape[0] == mesh.n_faces
-    assert hobi.duf_pos.shape[0] == 3 * mesh.n_faces
+    assert duffy_pairs(hobi)[1].shape[0] == 3 * mesh.n_faces
+    assert hobi.duf_w.shape == (3 * mesh.n_faces, 16)
+    # a row's entries: its own vertex and each neighbour, ascending
+    assert hobi.near_starts.shape == (mesh.n_vertices + 1,)
+    for v in range(mesh.n_vertices):
+        cols = hobi.near_cols[hobi.near_starts[v] : hobi.near_starts[v + 1]]
+        ring = np.unique(mesh.faces[(mesh.faces == v).any(axis=1)])
+        assert np.array_equal(cols, ring)
+    assert hobi.near_coef.shape == (4, hobi.near_cols.size)
 
     lobi = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
     assert lobi.n_collocation == mesh.n_faces
@@ -217,6 +240,29 @@ def test_discretize_names_face_of_vanishing_jacobian(monkeypatch, which, per_fac
     with pytest.raises(DegenerateElementError) as info:
         discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
     assert str(info.value).startswith("face 5: vanishing Jacobian at (r, s) = (")
+
+
+def test_discretize_names_face_past_the_first_near_chunk(monkeypatch):
+    """The near table's Duffy frames are built NEAR_CHUNK rotated elements
+    at a time; a face whose elements lie in the second chunk is named by
+    its mesh index, not by its place in the chunk."""
+    calls = []
+    chunk = pbbem.solver.NEAR_CHUNK
+    face = chunk // 3 + 20  # its elements 3 face + k lie in [chunk, 2 chunk)
+
+    def collapse_in_second_chunk(node_pos, node_nrm, pts):
+        if len(calls) == 2:  # the regular frames, then one call per chunk
+            node_pos = node_pos.copy()
+            node_pos[3 * face - chunk + 1] = node_pos[3 * face - chunk + 1, 0]
+        calls.append(None)
+        return frames_at(node_pos, node_nrm, pts)
+
+    monkeypatch.setattr(pbbem.solver, "frames_at", collapse_in_second_chunk)
+    mesh = icosahedral_sphere(2)  # 320 faces: 960 elements, two chunks
+    with pytest.raises(DegenerateElementError) as info:
+        discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    assert len(calls) == 3
+    assert str(info.value).startswith(f"face {face}: vanishing Jacobian at (r, s) = (")
 
 
 def _near_faces(problem, row):
@@ -329,6 +375,7 @@ def test_hobi_matvec_against_naive_loop(level):
     rule over that vertex's pairs, one kernel_values_d call per point."""
     mesh = icosahedral_sphere(level)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme="hobi"))
+    gverts, duf_pos, duf_nrm, duf_w, duf_bary = duffy_pairs(problem)
     t = problem.n_collocation
     er = MIXED.eps2 / MIXED.eps1
     u = np.random.default_rng(2).standard_normal(2 * t)
@@ -350,15 +397,15 @@ def test_hobi_matvec_against_naive_loop(level):
                 o1 -= (k1 * dp + k2 * p) * w
                 o2 -= (k3 * dp + k4 * p) * w
         for pair in range(problem.pair_starts[i], problem.pair_starts[i + 1]):
-            verts = problem.pair_gverts[pair]
+            verts = gverts[pair]
             assert verts[0] == i
-            for q in range(problem.duf_w.shape[1]):
+            for q in range(duf_w.shape[1]):
                 k1, k2, k3, k4 = kernel_values_d(
-                    xi - problem.duf_pos[pair, q], ni, problem.duf_nrm[pair, q], MIXED
+                    xi - duf_pos[pair, q], ni, duf_nrm[pair, q], MIXED
                 )
-                w = problem.duf_w[pair, q]
-                p = problem.duf_bary[q] @ phi[verts]
-                dp = problem.duf_bary[q] @ dphi[verts]
+                w = duf_w[pair, q]
+                p = duf_bary[q] @ phi[verts]
+                dp = duf_bary[q] @ dphi[verts]
                 o1 -= (k1 * dp + k2 * p) * w
                 o2 -= (k3 * dp + k4 * p) * w
         expected[i] = phi[i] + o1 / (0.5 * (1.0 + er))
@@ -470,9 +517,23 @@ def _reference_moment_sums(xt, nt, src, snrm, wphi, wdphi, params, skip, origin)
     return acc1, acc2
 
 
-def _reference_matvec(problem, u, moments=False):
-    """The operator with every kernel value from kernel_values_d, or with
-    the regular sums from _reference_moment_sums if moments."""
+def _table_near_sums(problem, phi, dphi):
+    """(2, T): each row's near table entries added one by one in order."""
+    sums = np.zeros((2, problem.n_collocation))
+    c1, c2, c3, c4 = problem.near_coef
+    for t in range(problem.n_collocation):
+        for i in range(problem.near_starts[t], problem.near_starts[t + 1]):
+            v = problem.near_cols[i]
+            sums[0, t] += c1[i] * dphi[v] + c2[i] * phi[v]
+            sums[1, t] += c3[i] * dphi[v] + c4[i] * phi[v]
+    return sums
+
+
+def _reference_matvec(problem, u, moments=False, near_sums=_table_near_sums):
+    """The operator with every regular kernel value from kernel_values_d,
+    or with the regular sums from _reference_moment_sums if moments, plus
+    hobi's near values from near_sums(problem, phi, dphi): the table's entries
+    in order, or duffy_near_sums, pair by pair."""
     t = problem.n_collocation
     params = problem.params
     er = params.eps2 / params.eps1
@@ -491,19 +552,10 @@ def _reference_matvec(problem, u, moments=False):
         acc1, acc2 = _reference_moment_sums(*sources, problem.mesh.vertices.mean(axis=0))
     else:
         acc1, acc2 = _reference_row_sums(*sources)
-    if problem.duf_w is not None:
-        gv = problem.pair_gverts
-        pv = gv[:, 0]
-        k1, k2, k3, k4 = kernel_values_d(
-            problem.colloc_pos[pv][:, None, :] - problem.duf_pos,
-            problem.colloc_nrm[pv][:, None, :],
-            problem.duf_nrm,
-            params,
-        )
-        wp = problem.duf_w * _node_sum(phi[gv], problem.duf_bary)
-        wd = problem.duf_w * _node_sum(dphi[gv], problem.duf_bary)
-        acc1 += np.bincount(pv, weights=(k1 * wd + k2 * wp).sum(axis=1), minlength=t)
-        acc2 += np.bincount(pv, weights=(k3 * wd + k4 * wp).sum(axis=1), minlength=t)
+    if problem.near_coef is not None:
+        near1, near2 = near_sums(problem, phi, dphi)
+        acc1 += near1
+        acc2 += near2
     out1 = phi - acc1 / (0.5 * (1.0 + er))
     out2 = dphi - acc2 / (0.5 * (1.0 + 1.0 / er))
     return np.concatenate([out1, out2])
@@ -562,8 +614,10 @@ SCREENED_AND_NOT = [MIXED, PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.0)]
 
 def _assert_near_four_kernel_sums(problem, u, got):
     """got, a matvec of u, is within 1e-12 of the four-kernel operator's
-    kernel sums (the matvec minus u), relative to them, in each half."""
-    four, t = _reference_matvec(problem, u), problem.n_collocation
+    kernel sums (the matvec minus u), relative to them, in each half; its
+    near values are summed pair by pair (duffy_near_sums)."""
+    four = _reference_matvec(problem, u, near_sums=duffy_near_sums)
+    t = problem.n_collocation
     for half in (slice(None, t), slice(t, None)):
         sums = four[half] - u[half]
         assert np.abs(got[half] - four[half]).max() <= 1e-12 * np.abs(sums).max()
@@ -574,11 +628,12 @@ def _assert_near_four_kernel_sums(problem, u, got):
 def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
     """The structure-of-arrays sweeps, which skip the exactly-zero K1 and K4
     at kappa = 0, reproduce four-kernel sums bit for bit: hobi's row sweep
-    with its near-list skip and Duffy terms, and lobi's strip sweep, which
-    evaluates each pair once for both orientations. hobi's kappa = 0
-    strips sum by one product over source moments instead, whose rounding
-    differs: they equal the moment reference bit for bit and the
-    four-kernel sums within 1e-12 per half."""
+    with its near-list skip and its near table added entry by entry, and
+    lobi's strip sweep, which evaluates each pair once for both
+    orientations. hobi's kappa = 0 strips sum by one product over source
+    moments instead, whose rounding differs: they equal the moment
+    reference bit for bit and the four-kernel sums within 1e-12 per half.
+    hobi's table is within 1e-14 of its Duffy pairs summed one by one."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
     u = np.random.default_rng(11).standard_normal(problem.n_unknowns)
@@ -590,6 +645,10 @@ def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
     else:
         assert np.array_equal(got, _reference_matvec(problem, u, moments=True))
         _assert_near_four_kernel_sums(problem, u, got)
+    if scheme == "hobi":
+        moments = params.kappa == 0.0
+        pairs = _reference_matvec(problem, u, moments, duffy_near_sums)
+        assert np.abs(got - pairs).max() <= 1e-14 * np.abs(pairs).max()
 
 
 def test_unscreened_hobi_sums_do_not_lose_digits_off_the_origin():
@@ -1154,12 +1213,13 @@ def test_worker_task_blas_use_is_the_moment_product():
 
 BLAS_THREADS_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from pbbem.kernels import PhysicalParams
 from pbbem.mesh import ChargeSystem, icosahedral_sphere
 from pbbem.solver import SolverConfig, discretize, make_operator, matvec_hobi
 
-params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.0)
+params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=float(sys.argv[1]))
 charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
 problem = discretize(icosahedral_sphere(2), params, charges, SolverConfig())
 u = np.random.default_rng(5).standard_normal(problem.n_unknowns)
@@ -1172,23 +1232,38 @@ print(hashlib.sha256(serial.tobytes()).hexdigest(), hashlib.sha256(pooled.tobyte
 """
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
-    """The level-2 kappa = 0 hobi matvec, serial and with 2 workers forked
-    after the parent ran a multi-threaded product, has the same bits under
-    OPENBLAS_NUM_THREADS=1 and =2."""
+def _blas_thread_digests(kappa: float) -> set[str]:
+    """The digests BLAS_THREADS_SCRIPT prints under OPENBLAS_NUM_THREADS=1
+    and =2: discretize, the serial matvec and the 2-worker one each time."""
     package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT, str(kappa)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         digests.update(proc.stdout.split())
-    assert len(digests) == 1
+    return digests
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
+    """The level-2 kappa = 0 hobi matvec, serial and with 2 workers forked
+    after the parent ran a multi-threaded product, has the same bits under
+    OPENBLAS_NUM_THREADS=1 and =2."""
+    assert len(_blas_thread_digests(0.0)) == 1
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
+    """At kappa > 0 the near table's K1 and K4 coefficients are nonzero,
+    and discretize forms every near coefficient with a BLAS product: the
+    level-2 matvec, serial and pooled, has the same bits under
+    OPENBLAS_NUM_THREADS=1 and =2."""
+    assert len(_blas_thread_digests(0.125)) == 1
 
 
 @pytest.mark.parametrize("floor", ["default", "none"])
