@@ -20,21 +20,25 @@ set of KERNEL_BUFFERS scratch arrays in place (out=), so a sweep allocates
 its buffers once per call (kernel_scratch) and nothing per block.
 kernel_sums reads targets and sources as structure of arrays (x, y, z
 coordinate rows), forms the displacements in those buffers and returns
-only the weighted row sums its caller asks for: the matvec both, the
-solvation energy the first (K1 and K2) at every kappa. Where the targets
-are sources too (lobi's strip sweep) it also returns the column sums of
-the swapped pairs, which share every factor with the pairs evaluated.
-At kappa = 0, expm1(-0) = -0 makes K1 and K4 exactly zero, so they are
-not evaluated and the matvec computes only K2 and K3. That changes no
-bit: each dropped term only ever added a signed zero to a nonzero
-product, and every kept operation runs in the formulas' order. K2 and K3
-are then g = 1/(4 pi r^3) times terms linear in x - y, so over a source axis
-every row reads (hobi's regular strips) both row sums are one (rows, N) @
-(N, 8) product of g and the source_moments, which rounds by its row count.
-In the identity medium (eps1 = eps2, kappa = 0) the factors er - 1 of K2
-and 1 - 1/er of K3 are +-0.0, so every term, moment and row sum is +-0.0
-and the operator is exactly the identity. kernel_values_d evaluates all
-four kernels for arrays of any broadcast shape.
+the matvec's two weighted row sums. Where the targets are sources too
+(lobi's strip sweep) it also returns the column sums of the swapped
+pairs, which share every factor with the pairs evaluated. At kappa = 0,
+expm1(-0) = -0 makes K1 and K4 exactly zero, so they are not evaluated
+and the matvec computes only K2 and K3. That changes no bit: each dropped
+term only ever added a signed zero to a nonzero product, and every kept
+operation runs in the formulas' order. K2 and K3 are then g = 1/(4 pi r^3)
+times terms linear in x - y, so over a source axis every row reads (hobi's
+regular strips) both row sums are one (rows, N) @ (N, 8) product of g and
+the source_moments, which rounds by its row count. In the identity medium
+(eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
++-0.0, so every term, moment and row sum is +-0.0 and the operator is
+exactly the identity. kernel_values_d evaluates all four kernels for
+arrays of any broadcast shape.
+
+The solvation energy reads only K1 and K2, and at every kappa both are a
+function of r alone times 1 or d.ny. So energy_sums takes r^2 and the row
+sums of K1 wdphi + K2 wphi as matrix products with the sources' factors
+(energy_factors) and evaluates only the functions of r elementwise.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ KCAL_MOL_PER_E2_ANG = 332.0716
 
 # float64 buffers, each one block of pair values, that pair_kernels fills
 KERNEL_BUFFERS = 8
+# and that energy_sums uses: r^2, r and g, and one more where kappa > 0
+ENERGY_BUFFERS = 4
 
 # float64 values in a 4096-byte page; kernel_scratch allocates one extra
 PAGE_DOUBLES = 512
@@ -111,35 +117,32 @@ def short_buffers():
         np.setbufsize(size)
 
 
-def kernel_scratch(size: int) -> np.ndarray:
-    """KERNEL_BUFFERS flat float64 buffers for blocks of up to `size` pairs,
+def kernel_scratch(size: int, count: int = KERNEL_BUFFERS) -> np.ndarray:
+    """count flat float64 buffers for blocks of up to `size` pairs,
     starting on a page boundary: where the heap put them moved a level-3
     hobi solve by up to ~25% between processes on a 2-CPU Xeon host."""
-    raw = np.empty(KERNEL_BUFFERS * size + PAGE_DOUBLES)
+    raw = np.empty(count * size + PAGE_DOUBLES)
     start = -raw.ctypes.data % (8 * PAGE_DOUBLES) // 8
-    return raw[start : start + KERNEL_BUFFERS * size].reshape(KERNEL_BUFFERS, size)
+    return raw[start : start + count * size].reshape(count, size)
 
 
-def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=True,
-                 swap=False):
+def pair_kernels(buf, nx, ny, params: PhysicalParams, drop_zeros=True, swap=False):
     """K1..K4 for the pairs whose displacements x - y sit in buf[0], buf[1], buf[2].
 
     buf is a sequence of KERNEL_BUFFERS equal-shape float64 arrays, all
     overwritten; nx and ny are 3-tuples of target and source normal
-    components that broadcast to that shape (nx is read only if second).
-    second asks for K3 and K4 besides K1 and K2. Returns (k1, k2, k3, k4),
-    views into buf, with None for a kernel not asked for and, if
-    drop_zeros, for K1 and K4 at kappa = 0, where both are exactly zero.
-    Every operation is elementwise and in the order of the formulas above,
-    so the values do not depend on the shape, the blocking or the kernels
-    asked for. No result is left in buf[-1], which callers may reuse.
+    components that broadcast to that shape. Returns (k1, k2, k3, k4),
+    views into buf, with None, if drop_zeros, for K1 and K4 at kappa = 0,
+    where both are exactly zero. Every operation is elementwise and in the
+    order of the formulas above, so the values do not depend on the shape
+    or the blocking. No result is left in buf[-1], which callers may reuse.
 
     K1 and K4 are exactly symmetric: the swapped pair (y, x), whose
     displacement is -(x - y) and whose normals trade places, rounds to the
-    same bits. swap (which needs second) also returns m2 and m3, with
-    K2(y, x) = -m2 and K3(y, x) = -m3 exactly: the swapped pair's d.ny is
-    -d.nx and its d.nx is -d.ny, so only the signs of the products
-    (d.nx / (4 pi r^3)) c2 and (d.ny / (4 pi r^3)) c3 change.
+    same bits. swap also returns m2 and m3, with K2(y, x) = -m2 and
+    K3(y, x) = -m3 exactly: the swapped pair's d.ny is -d.nx and its d.nx
+    is -d.ny, so only the signs of the products (d.nx / (4 pi r^3)) c2 and
+    (d.ny / (4 pi r^3)) c3 change.
     """
     b0, b1, b2, r2, b4, dny, dnx, b7 = buf
     er = params.eps2 / params.eps1
@@ -147,8 +150,7 @@ def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=Tr
     d = (b0, b1, b2)
     _dot3_into(d, d, r2, b4)
     _dot3_into(d, ny, dny, b4)
-    if second:
-        _dot3_into(d, nx, dnx, b4)
+    _dot3_into(d, nx, dnx, b4)
     r = np.sqrt(r2, out=b0)
     inv_r3 = np.multiply(r2, FOUR_PI, out=b1)
     inv_r3 *= r
@@ -163,42 +165,38 @@ def pair_kernels(buf, nx, ny, params: PhysicalParams, second=True, drop_zeros=Tr
         kr_ekr *= kr
         # a = (1 + kr) e^{-kr} - 1 and b = (3 + 3 kr + kr^2) e^{-kr} - 3,
         # both O((kr)^2), written so the constant parts cancel exactly
-        if second:
-            kr += 3.0
-            kr *= kr_ekr  # kr e^{-kr} (3 + kr)
+        kr += 3.0
+        kr *= kr_ekr  # kr e^{-kr} (3 + kr)
         a = np.add(em1, kr_ekr, out=b7)
         # K1 = -em1 / (4 pi r)
         k1 = np.multiply(r, -FOUR_PI, out=b0)
         np.divide(em1, k1, out=k1)
-        if second:
-            b = np.multiply(em1, 3.0, out=b4)
-            b += kr
-            # K4 = (a nx.ny - b dnx dny / r^2) / (4 pi r^3); the product
-            # dnx dny is formed once, so a swapped pair rounds alike
-            b /= r2
-            b *= np.multiply(dnx, dny, out=r2)
-            k4 = _dot3_into(nx, ny, b2, r2)
-            k4 *= a
-            k4 -= b
-            k4 *= inv_r3
+        b = np.multiply(em1, 3.0, out=b4)
+        b += kr
+        # K4 = (a nx.ny - b dnx dny / r^2) / (4 pi r^3); the product
+        # dnx dny is formed once, so a swapped pair rounds alike
+        b /= r2
+        b *= np.multiply(dnx, dny, out=r2)
+        k4 = _dot3_into(nx, ny, b2, r2)
+        k4 *= a
+        k4 -= b
+        k4 *= inv_r3
         # the factors ((er - 1) + er a) of K2 and -((1 - 1/er) - a/er) of K3
         c2 = np.multiply(a, er, out=r2)
         c2 += er - 1.0
-        if second:
-            c3 = np.divide(a, er, out=a)
-            c3 -= 1.0 - 1.0 / er
+        c3 = np.divide(a, er, out=a)
+        c3 -= 1.0 - 1.0 / er
     else:
         c2 = er - 1.0
         c3 = -(1.0 - 1.0 / er)
     k2 = np.multiply(dny, inv_r3, out=dny)
-    k3 = m2 = m3 = None
-    if second:
-        # K3 = -dnx / (4 pi r^3) ((1 - 1/er) - a/er)
-        k3 = np.multiply(dnx, inv_r3, out=dnx)
-        if swap:
-            m2 = np.multiply(k3, c2, out=inv_r3)
-            m3 = np.multiply(k2, c3, out=b4)
-        k3 *= c3
+    # K3 = -dnx / (4 pi r^3) ((1 - 1/er) - a/er)
+    k3 = np.multiply(dnx, inv_r3, out=dnx)
+    m2 = m3 = None
+    if swap:
+        m2 = np.multiply(k3, c2, out=inv_r3)
+        m3 = np.multiply(k2, c3, out=b4)
+    k3 *= c3
     k2 *= c2
     if swap:
         return k1, k2, k3, k4, m2, m3
@@ -215,14 +213,20 @@ def source_moments(pos, nrm, wphi, wdphi, params: PhysicalParams) -> np.ndarray:
                             + pos[2] * nrm[2]), b, *(b * pos)])
 
 
+def _green_cube(r2, r, g):
+    """g = 1/(4 pi r^3), the factor of K2 and K3, from r2 = r^2; r = sqrt(r2)
+    is left in r."""
+    np.multiply(r2, FOUR_PI, out=g)
+    g *= np.sqrt(r2, out=r)
+    return np.divide(1.0, g, out=g)
+
+
 def _moment_sums(buf, tx, nx, moments, origin, mask):
     """kernel_sums' kappa = 0 row sums from the displacements in buf[:3]:
     x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8], x = tx - origin and
     G = g @ moments, with g zero at the masked pairs."""
     r2 = _dot3_into(buf[:3], buf[:3], buf[3], buf[4])
-    g = np.multiply(r2, FOUR_PI, out=buf[1])
-    g *= np.sqrt(r2, out=buf[0])
-    np.divide(1.0, g, out=g)
+    g = _green_cube(r2, buf[0], buf[1])
     if mask is not None:
         g[mask] = 0.0
     G = np.matmul(g, moments).T
@@ -233,23 +237,22 @@ def _moment_sums(buf, tx, nx, moments, origin, mask):
 
 
 def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
-                second=True, mask=None, own=None, moments=None):
+                mask=None, own=None, moments=None):
     """Weighted row sums of K1..K4 over one block of (target, source) pairs.
 
     targets and sources are (positions, normals), each a (3, ...) array of
     coordinate rows (structure of arrays) whose rows broadcast to the block
-    shape (rows, cols); the target normals are read only if second. wphi
-    and wdphi broadcast to the same shape. The block is evaluated in views
-    of the flat scratch buffers (kernel_scratch), which must hold
-    rows x cols values. mask, a (rows, cols) index pair, drops pairs that
-    would divide by zero. Returns the per-row sums of K1 wdphi + K2 wphi
-    and of K3 wdphi + K4 wphi, the second None if not asked for; at
+    shape (rows, cols). wphi and wdphi broadcast to the same shape. The
+    block is evaluated in views of the flat scratch buffers
+    (kernel_scratch), which must hold rows x cols values. mask, a
+    (rows, cols) index pair, drops pairs that would divide by zero. Returns
+    the per-row sums of K1 wdphi + K2 wphi and of K3 wdphi + K4 wphi; at
     kappa = 0 the exactly-zero K1 and K4 terms are not evaluated.
 
     own, given when the targets are sources too, is their (wphi, wdphi) as
     (rows, 1) columns: each pair is then also evaluated swapped, and the
     per-column sums of K1(y, x) wdphi(x) + K2(y, x) wphi(x) and of
-    K3(y, x) wdphi(x) + K4(y, x) wphi(x) follow the row sums (second only).
+    K3(y, x) wdphi(x) + K4(y, x) wphi(x) follow the row sums.
     moments, (source_moments of the (1, N) sources about an origin, that
     origin), asks for the kappa = 0 row sums of (rows, 1) targets as one
     matrix product; wphi and wdphi are then not read.
@@ -263,7 +266,7 @@ def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
     buf = [b.reshape(shape) for b in flat]
     if moments is not None:
         return _moment_sums(buf, tx, tn, *moments, mask)
-    k1, k2, k3, k4, *m = pair_kernels(buf, tn, sn, params, second, swap=own is not None)
+    k1, k2, k3, k4, *m = pair_kernels(buf, tn, sn, params, swap=own is not None)
     cols = []
     if own is not None:
         # K2(y, x) wphi(x) = m2 (-wphi(x)) exactly; K1 and K4 stay whole
@@ -279,17 +282,76 @@ def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
     k2 *= wphi
     if k1 is not None:
         k2 += np.multiply(k1, wdphi, out=k1)
-    rows = [k2]
-    if second:
-        k3 *= wdphi
-        if k4 is not None:
-            k3 += np.multiply(k4, wphi, out=k4)
-        rows.append(k3)
+    k3 *= wdphi
+    if k4 is not None:
+        k3 += np.multiply(k4, wphi, out=k4)
+    rows = [k2, k3]
     if mask is not None:
         for term in rows + cols:
             term[mask] = 0.0
-    sums = [term.sum(axis=1) for term in rows] + [term.sum(axis=0) for term in cols]
-    return sums if second else (sums[0], None)
+    return [term.sum(axis=1) for term in rows] + [term.sum(axis=0) for term in cols]
+
+
+def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):
+    """(targets, sources), the factors of energy_sums, from (n, 3) target
+    positions x, the (3, N) source coordinate rows pos and nrm (views do),
+    and the source weights; positions are taken about origin. targets is the
+    (n, 5) rows [|x|^2, x, 1]; sources holds the (5, N) columns
+    [1, -2 y, |y|^2], whose product with targets is r^2, the (N, 4)
+    moments c wphi ny (3 columns) and c wphi y.ny, with c = er - 1 at
+    kappa = 0 and er otherwise, and wdphi, or None at kappa = 0. Both are
+    built in place, so the call holds 9 values a source beyond its inputs."""
+    er = params.eps2 / params.eps1
+    screened = params.kappa != 0.0
+    x = (x - origin).T
+    xx = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    targets = np.column_stack([xx, *x, np.ones_like(xx)])
+    r2_cols, moments = np.empty((5, pos.shape[1])), np.empty((pos.shape[1], 4))
+    y = np.subtract(pos, origin[:, None], out=r2_cols[1:4])
+    ydn = _dot3_into(y, nrm, r2_cols[4], r2_cols[0])
+    a = np.multiply(wphi, er if screened else er - 1.0, out=r2_cols[0])
+    for k in range(3):  # one column at a time: a strided (3, N) output is ~3x slower
+        np.multiply(a, nrm[k], out=moments[:, k])
+    np.multiply(a, ydn, out=moments[:, 3])
+    _dot3_into(y, y, r2_cols[4], r2_cols[0])
+    r2_cols[0] = 1.0
+    y *= -2.0
+    return targets, (r2_cols, moments, wdphi if screened else None)
+
+
+def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
+    """Row sums of K1 wdphi + K2 wphi for a block of rows of the targets
+    against all the sources of energy_factors. buf holds ENERGY_BUFFERS
+    flat blocks of at least rows x N values. r^2 is one (rows, 5) @ (5, N)
+    product; with g = 1/(4 pi r^3), K1 = -em1 r^2 g and K2 = h d.ny,
+    h = g ((er - 1) + er a), so the row sums are
+    x.H[:3] - H[3] - (em1 r^2 g) @ wdphi with H = h @ moments (h = g and
+    no K1 at kappa = 0, where em1 = -0 makes K1 exactly zero). The
+    products round by their row count."""
+    r2_cols, moments, wdphi = sources
+    shape = (len(targets), r2_cols.shape[1])
+    b = [flat.reshape(shape) for flat in buf[:, : shape[0] * shape[1]]]
+    r2 = np.matmul(targets, r2_cols, out=b[0])
+    h = _green_cube(r2, b[1], b[2])
+    k1 = None
+    if wdphi is not None:
+        er = params.eps2 / params.eps1
+        mkr = np.multiply(b[1], -params.kappa, out=b[1])  # -kappa r
+        a = np.exp(mkr, out=b[3])
+        a *= mkr
+        em1 = np.expm1(mkr, out=b[1])
+        # a = em1 + kr e^{-kr} = (1 + kr) e^{-kr} - 1, O((kr)^2), kr = kappa r
+        np.subtract(em1, a, out=a)
+        k1 = np.multiply(r2, em1, out=b[0])
+        k1 *= h  # em1 r^2 g = -K1
+        a += 1.0 - 1.0 / er
+        h = np.multiply(a, h, out=a)  # h / er: the moments carry er
+    H = np.matmul(h, moments).T
+    x = targets[:, 1:4].T
+    sums = x[0] * H[0] + x[1] * H[1] + x[2] * H[2] - H[3]
+    if k1 is not None:
+        sums -= np.matmul(k1, wdphi)
+    return sums
 
 
 def kernel_values_d(d, nx, ny, params: PhysicalParams):

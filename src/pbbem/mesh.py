@@ -128,6 +128,11 @@ class ChargeSystem:
         q = np.array(self.charges, dtype=float).reshape(-1)
         if p.shape[0] != q.shape[0]:
             raise ValueError(f"{p.shape[0]} positions but {q.shape[0]} charges")
+        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+            i = int(np.argmin(np.isfinite(p).all(axis=1) & np.isfinite(q)))
+            what = "position" if not np.isfinite(p[i]).all() else "charge"
+            raise ValueError(f"charge {i}: non-finite {what} (position {p[i].tolist()}, "
+                             f"charge {q[i]})")
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "positions", p)

@@ -44,9 +44,13 @@ binary tree. At kappa > 0 a hobi row sums over the full source axis in
 element order, so its bits follow no layout (STRIP_ROWS, STRIP_CHUNKS).
 At kappa = 0 hobi's strips are matrix products, which round by their row
 count, so those bits follow the strip layout, as lobi's do: a function of
-T and N alone, never of the worker count. The solvation energy sums the regular rule over every
-element with the charges as targets, and the right-hand side the charges
-at every collocation point; _strip_layout also cuts both into blocks.
+T and N alone, never of the worker count. The solvation energy sums the
+regular rule over every element with the charges as targets, and the
+right-hand side the charges at every collocation point; _strip_layout
+also cuts both into blocks. The energy's blocks are matrix products at
+every kappa (kernels.energy_sums), so its bits follow that layout, a
+function of the charge count and N; each right-hand side row sums the
+full charge axis, so its bits follow no layout.
 """
 
 from __future__ import annotations
@@ -59,11 +63,14 @@ import numpy as np
 
 from .geometry import DegenerateElementError, curved_nodes, frames_at
 from .kernels import (
+    ENERGY_BUFFERS,
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
     KERNEL_BUFFERS,
     PAGE_DOUBLES,
     PhysicalParams,
+    energy_factors,
+    energy_sums,
     kernel_scratch,
     kernel_sums,
     pair_kernels,
@@ -337,17 +344,22 @@ def _interp(values: np.ndarray, bary: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weights(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
+    """(wphi, wdphi): the traces at the regular rule's points times its
+    weights, over the flat source axis."""
+    w, nodes, bary = problem.reg_w, problem.reg_nodes, problem.reg_bary
+    return tuple((w * _interp(v[nodes], bary)).reshape(-1) for v in (phi, dphi))
+
+
 def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
     """(pos, nrm, wphi, wdphi): the regular rule's flat source axis.
 
     pos and nrm are (3, N) coordinate rows, contiguous per coordinate.
     """
-    w, nodes, bary = problem.reg_w, problem.reg_nodes, problem.reg_bary
     return (
         np.ascontiguousarray(problem.reg_pos.reshape(-1, 3).T),
         np.ascontiguousarray(problem.reg_nrm.reshape(-1, 3).T),
-        (w * _interp(phi[nodes], bary)).reshape(-1),
-        (w * _interp(dphi[nodes], bary)).reshape(-1),
+        *_weights(problem, phi, dphi),
     )
 
 
@@ -780,27 +792,30 @@ def solvation_energy(
 
     E = (1/2) sum_k q_k * Int_Gamma [K1(x_k, y) dphi/dn + K2(x_k, y) phi] dS,
     integrated with the regular rule on every element, the charges as
-    targets; charges are strictly interior so no pair is singular. The
-    charges go through one set of kernel buffers in the blocks of
-    _strip_layout, each summing over the whole fixed source axis, so no
-    bit depends on the blocking. K1 and K2 do not read a target normal.
+    targets; charges are strictly interior so no pair is singular. Each
+    block of charges from _strip_layout is a few elementwise passes over
+    functions of r and small matrix products with the sources' factors,
+    built once per call (energy_factors, energy_sums), positions taken
+    about the vertex centroid. The products round by their row count, so
+    the bits follow the strip layout, a function of the charge count and N
+    alone. K1 and K2 do not read a target normal.
     """
     charges = problem.charges
-    pos, nrm, wphi, wdphi = _sources(problem, solution.phi, solution.dphi_dn)
-    xt = charges.positions
-    bounds, pairs, _ = _strip_layout(len(xt), wphi.size)
-    scratch = kernel_scratch(int(pairs.max(initial=0)))
-    rows = np.empty(len(xt))
+    # the rule's points are read in place: copies of them, 6 values a
+    # source, would outweigh a one-charge energy's 4-block scratch
+    targets, sources = energy_factors(
+        charges.positions,
+        problem.reg_pos.reshape(-1, 3).T,
+        problem.reg_nrm.reshape(-1, 3).T,
+        *_weights(problem, solution.phi, solution.dphi_dn),
+        problem.mesh.vertices.mean(axis=0),
+        problem.params,
+    )
+    bounds, pairs, _ = _strip_layout(len(charges), problem.reg_w.size)
+    scratch = kernel_scratch(int(pairs.max(initial=0)), ENERGY_BUFFERS)
+    rows = np.empty(len(charges))
     for s, e in zip(bounds[:-1], bounds[1:]):
-        rows[s:e], _ = kernel_sums(
-            scratch,
-            (xt[s:e].T[:, :, None], None),
-            (pos[:, None], nrm[:, None]),
-            wphi,
-            wdphi,
-            problem.params,
-            second=False,
-        )
+        rows[s:e] = energy_sums(scratch, targets[s:e], sources, problem.params)
     total = 0.0
     for q, row in zip(charges.charges, rows):
         total += q * row

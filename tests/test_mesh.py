@@ -305,6 +305,21 @@ def test_charge_system_length_mismatch():
         ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_charge_system_rejects_non_finite_values(value):
+    """A non-finite position or charge fails at construction and names the
+    first bad charge, instead of surfacing later as a GMRES breakdown."""
+    positions = [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^charge 1: non-finite position"):
+        ChargeSystem(positions=[positions[0], [0.1, value, 0.0], [value] * 3],
+                     charges=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^charge 2: non-finite charge"):
+        ChargeSystem(positions=positions, charges=[1.0, -1.0, value])
+    with pytest.raises(ValueError, match=r"^charge 0: non-finite position"):
+        ChargeSystem(positions=[[value, 0.0, 0.0], *positions[1:]],
+                     charges=[value, 1.0, 1.0])
+
+
 def test_write_msms_reparses_cleanly(tetrahedron_mesh):
     mesh = parse_msms(*write_msms(tetrahedron_mesh))
     assert np.array_equal(mesh.vertices, tetrahedron_mesh.vertices)

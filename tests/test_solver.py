@@ -418,23 +418,23 @@ def _apply(problem, u):
     return (matvec_hobi if problem.scheme == "hobi" else matvec_lobi)(problem, u)
 
 
-def _block_outputs(problem, u):
+def _energy(problem, u):
     t = problem.n_collocation
-    solution = SurfaceSolution(u[:t], u[t:], 0, 0.0)
-    return (
-        _apply(problem, u),
-        assemble_rhs(problem),
-        np.array([solvation_energy(problem, solution)]),
-    )
+    return np.array([solvation_energy(problem, SurfaceSolution(u[:t], u[t:], 0, 0.0))])
+
+
+def _block_outputs(problem, u):
+    return _apply(problem, u), assemble_rhs(problem), _energy(problem, u)
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
-    """RHS and energy are bitwise equal for any row block size at every
-    kappa, and so is hobi's matvec at kappa > 0: each of their rows sums
-    over the full source (or charge) axis. lobi's matvec follows the strip
-    layout, and so does hobi's at kappa = 0, whose matrix product rounds
-    by the strip's row count, so both are evaluated at the fixed one."""
+    """The RHS is bitwise equal for any row block size at every kappa, and
+    so is hobi's matvec at kappa > 0: each of their rows sums over the full
+    source (or charge) axis. lobi's matvec follows the strip layout, and
+    so do hobi's at kappa = 0 and the energy at every kappa, whose matrix
+    products round by the strip's row count, so those are evaluated at the
+    fixed one."""
     mesh = icosahedral_sphere(1)
     for params in SCREENED_AND_NOT:
         problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
@@ -448,6 +448,7 @@ def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
                 got = list(_block_outputs(problem, u))
             if scheme == "lobi" or params.kappa == 0.0:
                 got[0] = _apply(problem, u)
+            got[2] = _energy(problem, u)
             for got_part, want in zip(got, reference):
                 assert np.array_equal(got_part, want)
 
@@ -669,8 +670,10 @@ def test_unscreened_hobi_sums_do_not_lose_digits_off_the_origin():
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
-    """solvation_energy evaluates only K1 and K2; summing a full four-kernel
-    sweep's first row sums gives the same bits."""
+    """solvation_energy evaluates only K1 and K2, as matrix products over
+    the sources' factors; a full four-kernel sweep's first row sums give
+    the same energy within 1e-13 relative (8.0e-16 measured, hobi at
+    kappa = 0)."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
     t = problem.n_collocation
@@ -689,7 +692,8 @@ def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
     for q, row in zip(charges.charges, rows):
         total += q * row
     expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
-    assert solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0)) == expected
+    got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
+    assert got == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
@@ -745,6 +749,38 @@ def test_solvation_energy_against_naive_loop(scheme):
     expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
     got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
     assert got == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0), (100.0, -50.0, 30.0)],
+                         ids=["origin", "moved"])
+@pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_energy_keeps_its_digits_near_the_surface_and_off_the_origin(scheme, params, shift):
+    """The energy takes r^2 = |x|^2 - 2 x.y + |y|^2 from a matrix product,
+    which loses digits like eps (R / depth)^2 for a charge at that depth
+    below a surface of radius R, and sums x.H - H' about the vertex
+    centroid. A charge at 1% of R below a level-3 radius-2 surface, at the
+    origin or moved by (100, -50, 30) A, stays within 5e-12 relative of
+    the four-kernel sums (2.9e-13 measured, hobi moved at kappa > 0)."""
+    mesh = icosahedral_sphere(3, radius=2.0)
+    mesh = FlatMesh(vertices=mesh.vertices + shift, normals=mesh.normals, faces=mesh.faces)
+    charges = ChargeSystem(positions=[0.99 * (mesh.vertices[0] - shift) + shift],
+                           charges=[1.0])
+    problem = discretize(mesh, params, charges, SolverConfig(scheme=scheme))
+    t = problem.n_collocation
+    u = np.random.default_rng(14).standard_normal(2 * t)
+    phi, dphi = u[:t], u[t:]
+    w = problem.reg_w
+    wphi = (w * _node_sum(phi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
+    wdphi = (w * _node_sum(dphi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
+    (row,), _ = _reference_row_sums(
+        charges.positions, np.zeros((1, 3)),
+        problem.reg_pos.reshape(-1, 3), problem.reg_nrm.reshape(-1, 3),
+        wphi, wdphi, params,
+    )
+    expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * row
+    got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
+    assert got == pytest.approx(expected, rel=5e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1128,6 +1164,21 @@ def test_parallel_matvec_bitwise_deterministic():
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_energy_bits_do_not_follow_the_worker_count():
+    """The energy of 40 charges, four strips of matrix products, has the
+    same bits after solves on 1, 2 and 4 workers, at kappa 0 and > 0."""
+    rng = np.random.default_rng(9)
+    charges = ChargeSystem(rng.uniform(-1.0, 1.0, (40, 3)), rng.uniform(-1.0, 1.0, 40))
+    for params in SCREENED_AND_NOT:
+        problem = discretize(icosahedral_sphere(1, radius=2.0), params, charges, SolverConfig())
+        energies = {
+            solvation_energy(problem, solve(problem, SolverConfig(workers=workers)))
+            for workers in (1, 2, 4)
+        }
+        assert len(energies) == 1
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_parallel_matvec_tolerates_empty_ranges():
     """More workers than non-empty chunks: hobi's 12 vertices and lobi's 20
     faces each form one strip, so 15 of the 16 chunks are empty."""
@@ -1211,16 +1262,27 @@ def test_worker_task_blas_use_is_the_moment_product():
     assert _blas_uses(pbbem.solver._worker_part) == ["pbbem.kernels._moment_sums: matmul"]
 
 
+def test_energy_blas_use_is_its_strip_products():
+    """The energy's BLAS calls, made in the parent, are a strip's r^2
+    product and its row sums' products with the sources' factors (their
+    bits under 1 and 2 BLAS threads: next tests)."""
+    assert sorted(_blas_uses(pbbem.solver.solvation_energy)) == [
+        "pbbem.kernels.energy_sums: matmul"
+    ] * 3
+
+
 BLAS_THREADS_SCRIPT = """
 import hashlib
 import sys
 import numpy as np
 from pbbem.kernels import PhysicalParams
 from pbbem.mesh import ChargeSystem, icosahedral_sphere
-from pbbem.solver import SolverConfig, discretize, make_operator, matvec_hobi
+from pbbem.solver import (SolverConfig, SurfaceSolution, discretize, make_operator,
+                          matvec_hobi, solvation_energy)
 
 params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=float(sys.argv[1]))
-charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
+rng = np.random.default_rng(4)
+charges = ChargeSystem(rng.uniform(-0.5, 0.5, (40, 3)), rng.uniform(-1.0, 1.0, 40))
 problem = discretize(icosahedral_sphere(2), params, charges, SolverConfig())
 u = np.random.default_rng(5).standard_normal(problem.n_unknowns)
 serial = matvec_hobi(problem, u)
@@ -1228,15 +1290,18 @@ a = np.random.default_rng(6).standard_normal((600, 600))
 a @ a  # large enough for OpenBLAS to run on every thread it may use
 with make_operator(problem, SolverConfig(workers=2)) as op:
     pooled = op(u)
-print(hashlib.sha256(serial.tobytes()).hexdigest(), hashlib.sha256(pooled.tobytes()).hexdigest())
+t = problem.n_collocation
+energy = solvation_energy(problem, SurfaceSolution(u[:t], u[t:], 0, 0.0))
+print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest() for x in (serial, pooled, energy)))
 """
 
 
-def _blas_thread_digests(kappa: float) -> set[str]:
+def _blas_thread_digests(kappa: float) -> list[list[str]]:
     """The digests BLAS_THREADS_SCRIPT prints under OPENBLAS_NUM_THREADS=1
-    and =2: discretize, the serial matvec and the 2-worker one each time."""
+    and =2: discretize with the serial matvec, the 2-worker one and the
+    energy of 40 scattered charges, each time."""
     package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
-    digests = set()
+    digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
@@ -1245,25 +1310,32 @@ def _blas_thread_digests(kappa: float) -> set[str]:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        digests.update(proc.stdout.split())
+        digests.append(proc.stdout.split())
     return digests
+
+
+def _assert_blas_thread_digests_agree(kappa: float):
+    one, two = _blas_thread_digests(kappa)
+    assert one == two and one[0] == one[1] and len(one) == 3
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
     """The level-2 kappa = 0 hobi matvec, serial and with 2 workers forked
-    after the parent ran a multi-threaded product, has the same bits under
-    OPENBLAS_NUM_THREADS=1 and =2."""
-    assert len(_blas_thread_digests(0.0)) == 1
+    after the parent ran a multi-threaded product, and the energy the
+    parent then sums, have the same bits under OPENBLAS_NUM_THREADS=1 and
+    =2."""
+    _assert_blas_thread_digests_agree(0.0)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
     """At kappa > 0 the near table's K1 and K4 coefficients are nonzero,
     and discretize forms every near coefficient with a BLAS product: the
-    level-2 matvec, serial and pooled, has the same bits under
-    OPENBLAS_NUM_THREADS=1 and =2."""
-    assert len(_blas_thread_digests(0.125)) == 1
+    level-2 matvec, serial and pooled, and the energy, whose K1 product
+    runs only here, have the same bits under OPENBLAS_NUM_THREADS=1 and
+    =2."""
+    _assert_blas_thread_digests_agree(0.125)
 
 
 @pytest.mark.parametrize("floor", ["default", "none"])
