@@ -15,30 +15,22 @@ reporting, and the kernels use its reciprocal. Differences of the screened
 and unscreened terms are evaluated through expm1 so the large cancelling
 parts never meet in floating point.
 
-pair_kernels is the one place these formulas are written. It fills a fixed
-set of KERNEL_BUFFERS scratch arrays in place (out=), so a sweep allocates
-its buffers once per call (kernel_scratch) and nothing per block.
-kernel_sums reads targets and sources as structure of arrays (x, y, z
-coordinate rows), forms the displacements in those buffers and returns
-the matvec's two weighted row sums. Where the targets are sources too
-(lobi's strip sweep) it also returns the column sums of the swapped
-pairs, which share every factor with the pairs evaluated. At kappa = 0,
-expm1(-0) = -0 makes K1 and K4 exactly zero, so they are not evaluated
-and the matvec computes only K2 and K3. That changes no bit: each dropped
-term only ever added a signed zero to a nonzero product, and every kept
-operation runs in the formulas' order. K2 and K3 are then g = 1/(4 pi r^3)
-times terms linear in x - y, so over a source axis every row reads (hobi's
-regular strips) both row sums are one (rows, N) @ (N, 8) product of g and
-the source_moments, which rounds by its row count. In the identity medium
+pair_kernels writes K1..K4 pairwise, in a fixed set of KERNEL_BUFFERS
+scratch arrays (out=), for the near table and the tests; kernel_values_d
+takes arrays of any broadcast shape. The regular sweeps never evaluate a
+kernel pairwise. Each kernel is a function of r times a polynomial of
+degree at most 2 in d = x - y (kernel_sums), so kernel_sums evaluates only
+d, r^2, d.nx and a few functions of r in scratch allocated once per sweep
+(kernel_scratch), and takes every row sum as a product of such a factor
+with source_moments, contracted with the target_factors; where the
+targets are sources too (lobi), the factors' transposes give the swapped
+pairs' sums. Products round by their row count. At kappa = 0,
+expm1(-0) = -0 makes K1, K4 and every factor but g = 1/(4 pi r^3)
+exactly zero, so they are not evaluated. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
-+-0.0, so every term, moment and row sum is +-0.0 and the operator is
-exactly the identity. kernel_values_d evaluates all four kernels for
-arrays of any broadcast shape.
-
-The solvation energy reads only K1 and K2, and at every kappa both are a
-function of r alone times 1 or d.ny. So energy_sums takes r^2 and the row
-sums of K1 wdphi + K2 wphi as matrix products with the sources' factors
-(energy_factors) and evaluates only the functions of r elementwise.
++-0.0, so every moment and row sum is +-0.0 and the operator is exactly
+the identity. The solvation energy reads only K1 and K2, and energy_sums
+takes r^2 as a product too (energy_factors).
 """
 
 from __future__ import annotations
@@ -126,91 +118,23 @@ def kernel_scratch(size: int, count: int = KERNEL_BUFFERS) -> np.ndarray:
     return raw[start : start + count * size].reshape(count, size)
 
 
-def pair_kernels(buf, nx, ny, params: PhysicalParams, drop_zeros=True, swap=False):
-    """K1..K4 for the pairs whose displacements x - y sit in buf[0], buf[1], buf[2].
-
-    buf is a sequence of KERNEL_BUFFERS equal-shape float64 arrays, all
-    overwritten; nx and ny are 3-tuples of target and source normal
-    components that broadcast to that shape. Returns (k1, k2, k3, k4),
-    views into buf, with None, if drop_zeros, for K1 and K4 at kappa = 0,
-    where both are exactly zero. Every operation is elementwise and in the
-    order of the formulas above, so the values do not depend on the shape
-    or the blocking. No result is left in buf[-1], which callers may reuse.
-
-    K1 and K4 are exactly symmetric: the swapped pair (y, x), whose
-    displacement is -(x - y) and whose normals trade places, rounds to the
-    same bits. swap also returns m2 and m3, with K2(y, x) = -m2 and
-    K3(y, x) = -m3 exactly: the swapped pair's d.ny is -d.nx and its d.nx
-    is -d.ny, so only the signs of the products (d.nx / (4 pi r^3)) c2 and
-    (d.ny / (4 pi r^3)) c3 change.
-    """
-    b0, b1, b2, r2, b4, dny, dnx, b7 = buf
-    er = params.eps2 / params.eps1
-    screened = params.kappa != 0.0 or not drop_zeros
-    d = (b0, b1, b2)
-    _dot3_into(d, d, r2, b4)
-    _dot3_into(d, ny, dny, b4)
-    _dot3_into(d, nx, dnx, b4)
-    r = np.sqrt(r2, out=b0)
-    inv_r3 = np.multiply(r2, FOUR_PI, out=b1)
-    inv_r3 *= r
-    np.divide(1.0, inv_r3, out=inv_r3)
-
-    k1 = k4 = None
-    if screened:
-        kr = np.multiply(r, params.kappa, out=b2)
-        em1 = np.negative(kr, out=b4)
-        kr_ekr = np.exp(em1, out=b7)
-        np.expm1(em1, out=em1)
-        kr_ekr *= kr
-        # a = (1 + kr) e^{-kr} - 1 and b = (3 + 3 kr + kr^2) e^{-kr} - 3,
-        # both O((kr)^2), written so the constant parts cancel exactly
-        kr += 3.0
-        kr *= kr_ekr  # kr e^{-kr} (3 + kr)
-        a = np.add(em1, kr_ekr, out=b7)
-        # K1 = -em1 / (4 pi r)
-        k1 = np.multiply(r, -FOUR_PI, out=b0)
-        np.divide(em1, k1, out=k1)
-        b = np.multiply(em1, 3.0, out=b4)
-        b += kr
-        # K4 = (a nx.ny - b dnx dny / r^2) / (4 pi r^3); the product
-        # dnx dny is formed once, so a swapped pair rounds alike
-        b /= r2
-        b *= np.multiply(dnx, dny, out=r2)
-        k4 = _dot3_into(nx, ny, b2, r2)
-        k4 *= a
-        k4 -= b
-        k4 *= inv_r3
-        # the factors ((er - 1) + er a) of K2 and -((1 - 1/er) - a/er) of K3
-        c2 = np.multiply(a, er, out=r2)
-        c2 += er - 1.0
-        c3 = np.divide(a, er, out=a)
-        c3 -= 1.0 - 1.0 / er
-    else:
-        c2 = er - 1.0
-        c3 = -(1.0 - 1.0 / er)
-    k2 = np.multiply(dny, inv_r3, out=dny)
-    # K3 = -dnx / (4 pi r^3) ((1 - 1/er) - a/er)
-    k3 = np.multiply(dnx, inv_r3, out=dnx)
-    m2 = m3 = None
-    if swap:
-        m2 = np.multiply(k3, c2, out=inv_r3)
-        m3 = np.multiply(k2, c3, out=b4)
-    k3 *= c3
-    k2 *= c2
-    if swap:
-        return k1, k2, k3, k4, m2, m3
-    return k1, k2, k3, k4
-
-
-def source_moments(pos, nrm, wphi, wdphi, params: PhysicalParams) -> np.ndarray:
-    """(N, 8) kappa = 0 source moments, pos and nrm (3, N) coordinate rows
-    about a fixed origin: c2 wphi ny (3 columns), c2 wphi y.ny, c3 wdphi
-    and c3 wdphi y (3), with c2 = er - 1 and c3 = -(1 - 1/er)."""
-    er = params.eps2 / params.eps1
-    a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
-    return np.column_stack([*(a * nrm), a * (pos[0] * nrm[0] + pos[1] * nrm[1]
-                            + pos[2] * nrm[2]), b, *(b * pos)])
+def _screening(r, kappa, em1, a, b=False):
+    """em1 = expm1(-kr) and a = (1 + kr) e^{-kr} - 1, kr = kappa r, into
+    the buffers em1 (r's too, unless b) and a; if b, also
+    b = (3 + 3 kr + kr^2) e^{-kr} - 3 = 3 a + kr^2 e^{-kr} into r's buffer.
+    a and b are O((kr)^2), written so the constant parts cancel exactly."""
+    mkr = np.multiply(r, -kappa, out=r)
+    e = np.exp(mkr, out=a)
+    e *= mkr  # -kr e^{-kr}
+    np.expm1(mkr, out=em1)
+    if b:
+        mkr *= e
+    np.subtract(em1, e, out=a)
+    if not b:
+        return em1, a, None
+    for _ in range(3):  # no buffer is left for 3 a
+        mkr += a
+    return em1, a, mkr
 
 
 def _green_cube(r2, r, g):
@@ -221,75 +145,159 @@ def _green_cube(r2, r, g):
     return np.divide(1.0, g, out=g)
 
 
-def _moment_sums(buf, tx, nx, moments, origin, mask):
-    """kernel_sums' kappa = 0 row sums from the displacements in buf[:3]:
-    x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8], x = tx - origin and
-    G = g @ moments, with g zero at the masked pairs."""
-    r2 = _dot3_into(buf[:3], buf[:3], buf[3], buf[4])
-    g = _green_cube(r2, buf[0], buf[1])
-    if mask is not None:
-        g[mask] = 0.0
-    G = np.matmul(g, moments).T
-    x, nx = tx[:, :, 0] - origin[:, None], nx[:, :, 0]
+def pair_kernels(buf, nx, ny, params: PhysicalParams, drop_zeros=True):
+    """K1..K4 for the pairs whose displacements x - y sit in buf[0], buf[1], buf[2].
+
+    buf is a sequence of KERNEL_BUFFERS equal-shape float64 arrays, all
+    overwritten; nx and ny are 3-tuples of target and source normal
+    components that broadcast to that shape. Returns (k1, k2, k3, k4),
+    views into buf, with None, if drop_zeros, for K1 and K4 at kappa = 0,
+    where both are exactly zero. Every operation is elementwise, so no
+    value depends on the blocking; g, a and b are kernel_sums' factors.
+    """
+    b0, b1, b2, r2, b4, dny, dnx, b7 = buf
+    er = params.eps2 / params.eps1
+    _dot3_into(buf[:3], buf[:3], r2, b4)
+    _dot3_into(buf[:3], ny, dny, b4)
+    _dot3_into(buf[:3], nx, dnx, b4)
+    g = _green_cube(r2, b0, b1)
+
+    k1 = k4 = None
+    if params.kappa != 0.0 or not drop_zeros:
+        em1, a, b = _screening(b0, params.kappa, b2, b7, b=True)
+        k1 = np.multiply(em1, r2, out=em1)
+        k1 *= g
+        np.negative(k1, out=k1)
+        b /= r2
+        b *= np.multiply(dnx, dny, out=r2)
+        k4 = _dot3_into(nx, ny, b4, r2)
+        k4 *= a
+        k4 -= b
+        k4 *= g
+        c2 = np.multiply(a, er, out=r2)
+        c2 += er - 1.0
+        c3 = np.divide(a, er, out=a)
+        c3 -= 1.0 - 1.0 / er
+    else:
+        c2 = er - 1.0
+        c3 = -(1.0 - 1.0 / er)
+    k2 = np.multiply(dny, g, out=dny)
+    k3 = np.multiply(dnx, g, out=dnx)
+    k3 *= c3
+    k2 *= c2
+    return k1, k2, k3, k4
+
+
+def sweep_buffers(params: PhysicalParams) -> int:
+    """Scratch blocks kernel_sums fills: d, which becomes r^2, r and g, and
+    at kappa > 0 three more for d.nx and the screening factors."""
+    return 3 if params.kappa == 0.0 else 6
+
+
+def source_moments(y, nrm, wphi, wdphi, params: PhysicalParams) -> list:
+    """kernel_sums' (N, k) source moments, one per kernel factor, from the
+    (3, N) coordinate rows y (about the sweep's origin) and nrm: [mg] at
+    kappa = 0, else [mg, m4, wdphi, m5]. With c2 = er - 1, c3 = 1/er - 1:
+      mg (g):  c2 wphi ny (3), c2 wphi y.ny, c3 wdphi, c3 wdphi y (3);
+      m4 (f4): er wphi ny (3), -er wphi y.ny, wdphi/er, wphi ny - wdphi y/er (3);
+      m5 (t, swapped pairs): wphi, -wphi y (3), weighted from x.nx on.
+    f1 reads wdphi, and t the rows' m4[:, :4] times -1/er."""
+    er = params.eps2 / params.eps1
+    a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
+    ydn = y[0] * nrm[0] + y[1] * nrm[1] + y[2] * nrm[2]
+    moments = [np.column_stack([*(a * nrm), a * ydn, b, *(b * y)])]
+    if params.kappa == 0.0:
+        return moments
+    wn = wphi * nrm
+    m4 = np.column_stack([*(er * wn), -er * wphi * ydn, wdphi / er, *(wn - wdphi * y / er)])
+    return moments + [m4, wdphi, np.column_stack([wphi, *(-wphi * y)])]
+
+
+def target_factors(x, nx) -> np.ndarray:
+    """(8, T) target weights of kernel_sums from the (3, T) coordinate rows
+    x (positions about the sweep's origin) and nx: x (3), 1, x.nx, nx (3)."""
     xnx = x[0] * nx[0] + x[1] * nx[1] + x[2] * nx[2]
-    return [x[0] * G[0] + x[1] * G[1] + x[2] * G[2] - G[3],
-            xnx * G[4] - (nx[0] * G[5] + nx[1] * G[6] + nx[2] * G[7])]
+    return np.array([*x, np.ones_like(xnx), xnx, *nx])
 
 
-def kernel_sums(scratch, targets, sources, wphi, wdphi, params: PhysicalParams,
-                mask=None, own=None, moments=None):
+def _moment_products(factors, moments, weights, er, swapped=False):
+    """[row1, row2]: the (rows, n) kernel factors times their (n, k) source
+    moments, each taken as moments.T @ factor.T and dropped before the
+    next, contracted with the (8, rows) target weights; g's product G as
+    x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8]."""
+    x, xnx, nx = weights[0:3], weights[4], weights[5:8]
+    p = np.matmul(moments[0].T, factors[0].T)
+    row1 = x[0] * p[0] + x[1] * p[1] + x[2] * p[2] - p[3]
+    row2 = xnx * p[4] - (nx[0] * p[5] + nx[1] * p[6] + nx[2] * p[7])
+    if len(factors) > 1:
+        (f4, f1, t), (m4, wdphi, m5) = factors[1:], moments[1:]
+        del p  # else the next product is allocated before p is released
+        p = np.matmul(m4.T, f4.T)
+        p *= weights
+        p = p.reshape(2, 4, -1).sum(axis=1)
+        row1 += p[0]
+        row2 += p[1]
+        row1 -= np.matmul(wdphi, f1.T)
+        if swapped:
+            p = np.matmul(m5.T, t.T)
+            p *= weights[4:]
+            row2 += p.sum(axis=0)
+        else:
+            p = np.matmul(m4[:, :4].T, t.T)
+            p *= weights[:4]
+            row2 -= p.sum(axis=0) / er
+    return [row1, row2]
+
+
+def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask=None, swapped=None):
     """Weighted row sums of K1..K4 over one block of (target, source) pairs.
 
-    targets and sources are (positions, normals), each a (3, ...) array of
-    coordinate rows (structure of arrays) whose rows broadcast to the block
-    shape (rows, cols). wphi and wdphi broadcast to the same shape. The
-    block is evaluated in views of the flat scratch buffers
-    (kernel_scratch), which must hold rows x cols values. mask, a
-    (rows, cols) index pair, drops pairs that would divide by zero. Returns
-    the per-row sums of K1 wdphi + K2 wphi and of K3 wdphi + K4 wphi; at
-    kappa = 0 the exactly-zero K1 and K4 terms are not evaluated.
-
-    own, given when the targets are sources too, is their (wphi, wdphi) as
-    (rows, 1) columns: each pair is then also evaluated swapped, and the
-    per-column sums of K1(y, x) wdphi(x) + K2(y, x) wphi(x) and of
-    K3(y, x) wdphi(x) + K4(y, x) wphi(x) follow the row sums.
-    moments, (source_moments of the (1, N) sources about an origin, that
-    origin), asks for the kappa = 0 row sums of (rows, 1) targets as one
-    matrix product; wphi and wdphi are then not read.
+    targets is ((3, rows, 1) coordinate rows, (8, rows) target_factors),
+    sources ((3, 1, cols) coordinate rows, (cols, k) source_moments).
+    Returns the row sums of K1 wdphi + K2 wphi and K3 wdphi + K4 wphi.
+    mask, a (rows, cols) index pair, drops pairs that would divide by zero.
+    With g = 1/(4 pi r^3), f4 = a g, f1 = em1 r^2 g (_screening) and
+    t = b g d.nx / r^2: K1 = -f1, K2 = ((er - 1) g + er f4) d.ny,
+    K3 = (f4/er - (1 - 1/er) g) d.nx and K4 = f4 nx.ny - t d.ny. Only d,
+    r^2, d.nx and the factors are evaluated pairwise, in sweep_buffers
+    blocks of the scratch (kernel_scratch); each sum is a product with
+    moments (_moment_products). swapped, given when the targets are
+    sources too, is (cut, the rows' source_moments, the target_factors of
+    the columns from cut on): the factors depend on r and the row's
+    normal alone, so the columns' sums follow from their transposes.
     """
-    (tx, tn), (sx, sn) = targets, sources
+    (tx, weights), (sx, moments) = targets, sources
     shape = np.broadcast(tx[0], sx[0]).shape
-    flat = scratch[:, : shape[0] * shape[1]]
-    d = np.subtract(tx, sx, out=flat[:3].reshape((3,) + shape))
+    buf = scratch[:, : shape[0] * shape[1]].reshape((-1,) + shape)
+    d = np.subtract(tx, sx, out=buf[:3])
     if mask is not None:
         d[(slice(None),) + mask] = ((1.0,), (0.0,), (0.0,))  # a unit placeholder
-    buf = [b.reshape(shape) for b in flat]
-    if moments is not None:
-        return _moment_sums(buf, tx, tn, *moments, mask)
-    k1, k2, k3, k4, *m = pair_kernels(buf, tn, sn, params, swap=own is not None)
-    cols = []
-    if own is not None:
-        # K2(y, x) wphi(x) = m2 (-wphi(x)) exactly; K1 and K4 stay whole
-        # for the row terms, so their column products go through buf[-1]
-        m2, m3 = m
-        owp, owd = own
-        m2 *= -owp
-        m3 *= -owd
-        if k1 is not None:
-            m2 += np.multiply(k1, owd, out=buf[-1])
-            m3 += np.multiply(k4, owp, out=buf[-1])
-        cols = [m2, m3]
-    k2 *= wphi
-    if k1 is not None:
-        k2 += np.multiply(k1, wdphi, out=k1)
-    k3 *= wdphi
-    if k4 is not None:
-        k3 += np.multiply(k4, wphi, out=k4)
-    rows = [k2, k3]
+    screened = params.kappa != 0.0
+    if screened:
+        dnx = _dot3_into(d, weights[5:8, :, None], buf[3], buf[4])
+    r2, b1, b2 = d
+    r2 *= r2  # r^2 = d.d in _dot3_into's order
+    r2 += np.multiply(b1, b1, out=b1)
+    r2 += np.multiply(b2, b2, out=b2)
+    g = _green_cube(r2, b1, b2)
     if mask is not None:
-        for term in rows + cols:
-            term[mask] = 0.0
-    return [term.sum(axis=1) for term in rows] + [term.sum(axis=0) for term in cols]
+        g[mask] = 0.0
+    factors = [g]
+    if screened:
+        em1, f4, t = _screening(b1, params.kappa, buf[4], buf[5], b=True)
+        f4 *= g
+        f1 = np.multiply(em1, r2, out=em1)
+        f1 *= g
+        t *= g
+        t /= r2
+        t *= dnx
+        factors += [f4, f1, t]
+    er = params.eps2 / params.eps1
+    sums = _moment_products(factors, moments, weights, er)
+    if swapped is not None:
+        cut, moments, weights = swapped
+        sums += _moment_products([f[:, cut:].T for f in factors], moments, weights, er, True)
+    return sums
 
 
 def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):
@@ -336,12 +344,7 @@ def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
     k1 = None
     if wdphi is not None:
         er = params.eps2 / params.eps1
-        mkr = np.multiply(b[1], -params.kappa, out=b[1])  # -kappa r
-        a = np.exp(mkr, out=b[3])
-        a *= mkr
-        em1 = np.expm1(mkr, out=b[1])
-        # a = em1 + kr e^{-kr} = (1 + kr) e^{-kr} - 1, O((kr)^2), kr = kappa r
-        np.subtract(em1, a, out=a)
+        em1, a, _ = _screening(b[1], params.kappa, b[1], b[3])
         k1 = np.multiply(r2, em1, out=b[0])
         k1 *= h  # em1 r^2 g = -K1
         a += 1.0 - 1.0 / er

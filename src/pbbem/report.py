@@ -187,9 +187,9 @@ def memory_lower_bound_mb(problem) -> float:
     scratch, near-table gathers and partial sums (solver.workspace_doubles)
     and the vectors in flight. Python objects are not counted, and on the smallest meshes a
     matvec's per-strip and per-chunk objects outweigh its arrays: for
-    level-0 lobi (20 faces) the bound is 36.8 KB and tracemalloc traces a
-    serial-matvec peak of about 44 KB. The OS-level peak is higher still;
-    this figure is reproducible.
+    level-0 lobi (20 faces, eps 1/80) the bound is 26.0 KB and tracemalloc
+    traces a serial-matvec peak of 31.4 KB at kappa = 0 (37.5 and 43.8 KB
+    at 0.125). The OS-level peak is higher still; this one is reproducible.
     """
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]

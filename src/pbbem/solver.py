@@ -30,27 +30,23 @@ Nothing is ever assembled into a matrix. Both schemes store a regular
 rule on every element and each collocation row's near elements. One strip
 sweep (_apply_chunks) is the matvec of both: strip [s, e) of rows is one
 block against source columns [c, N), each row skipping its near elements'
-sources, and its row sums go to rows [s, e). hobi's strips read the whole
-flat regular-rule axis (c = 0), and each task then adds its rows' near
-values from the table of _near_table. lobi's sources are its collocation points,
-one per element, and a row skips only its own (_self_sourced reads this
-from the tables), so pair (i, j) and its swap share every kernel factor:
-its strips read columns [s, T) and also send the swapped pairs' column
-sums to rows [e, T), evaluating each pair once for both orientations.
+sources, and its row sums go to rows [s, e). Every block is products of
+kernel factors with source moments about the problem's origin
+(kernels.kernel_sums). hobi's strips read the whole flat regular-rule axis
+(c = 0), and each task then adds its rows' near values from the table of
+_near_table. lobi's sources are its collocation points, one per element,
+and a row skips only its own (_self_sourced reads this from the tables),
+so pair (i, j) and its swap share every kernel factor: its strips read
+columns [s, T) and also send the swapped pairs' sums to rows [e, T).
 
 The strips form STRIP_CHUNKS chunks, the matvec's fixed work list; each
 chunk sums from zero in strip order and the chunks are added over a fixed
-binary tree. At kappa > 0 a hobi row sums over the full source axis in
-element order, so its bits follow no layout (STRIP_ROWS, STRIP_CHUNKS).
-At kappa = 0 hobi's strips are matrix products, which round by their row
-count, so those bits follow the strip layout, as lobi's do: a function of
-T and N alone, never of the worker count. The solvation energy sums the
-regular rule over every element with the charges as targets, and the
-right-hand side the charges at every collocation point; _strip_layout
-also cuts both into blocks. The energy's blocks are matrix products at
-every kappa (kernels.energy_sums), so its bits follow that layout, a
-function of the charge count and N; each right-hand side row sums the
-full charge axis, so its bits follow no layout.
+binary tree. Matrix products round by their row count, so every matvec's
+bits follow the strip layout, a function of T and N alone, never of the
+worker count. The solvation energy sums the regular rule over every
+element with the charges as targets, in blocks from _strip_layout that are
+products too (kernels.energy_sums), so its bits follow that layout; each
+right-hand side row sums the full charge axis, so its bits follow none.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from .kernels import (
     ENERGY_BUFFERS,
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
-    KERNEL_BUFFERS,
     PAGE_DOUBLES,
     PhysicalParams,
     energy_factors,
@@ -77,6 +72,8 @@ from .kernels import (
     short_buffers,
     source_moments,
     source_terms_at,
+    sweep_buffers,
+    target_factors,
 )
 from .mesh import ChargeSystem, FlatMesh
 from .quadrature import TriangleRule, duffy_rule, gauss_radau_rule
@@ -205,6 +202,7 @@ class DiscretizedProblem:
     reg_nodes: np.ndarray  # (N_f, K) unknowns each face's trace is read from
     pair_face: np.ndarray  # (P,) near faces, row by row
     pair_starts: np.ndarray  # (T + 1,)
+    origin: np.ndarray  # (3,) vertex centroid; moment sums lose digits like |x - origin| / r
     # hobi near table, about 7 entries per row
     near_starts: np.ndarray | None = None  # (T + 1,)
     near_cols: np.ndarray | None = None  # (nnz,)
@@ -256,7 +254,7 @@ def _near_table(mesh: FlatMesh, params: PhysicalParams, rotations,
     for s in range(0, n, NEAR_CHUNK):
         e = min(s + NEAR_CHUNK, n)
         pos, nrm, duf_w[s:e] = _face_frames(node_pos[s:e], node_nrm[s:e], duffy, 3, s)
-        buf = scratch[:, : (e - s) * size].reshape(KERNEL_BUFFERS, e - s, size)
+        buf = scratch[:, : (e - s) * size].reshape(-1, e - s, size)
         np.subtract(x[:, s:e], np.moveaxis(pos, -1, 0), out=buf[:3])
         kernels = pair_kernels(buf, nx[:, s:e], np.moveaxis(nrm, -1, 0), params)
         for part, k in enumerate(kernels):
@@ -280,6 +278,7 @@ def discretize(
 ) -> DiscretizedProblem:
     """Build every geometric and quadrature cache a matvec will read."""
     mesh.validate()
+    origin = mesh.vertices.mean(axis=0)
     if config.scheme == "lobi":
         corners = mesh.vertices[mesh.faces]  # (N_f, 3, 3)
         cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
@@ -301,6 +300,7 @@ def discretize(
             reg_nodes=rows[:-1, None],
             pair_face=rows[:-1],
             pair_starts=rows,
+            origin=origin,
         )
 
     faces = mesh.faces
@@ -332,6 +332,7 @@ def discretize(
         reg_nodes=faces,
         pair_face=order // 3,
         pair_starts=pair_starts,
+        origin=origin,
         **near,
     )
 
@@ -454,19 +455,17 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     near values from the near table (_add_near); a row's regular sum meets
     only zeros in the tree.
     """
-    T = problem.n_collocation
+    T, params = problem.n_collocation, problem.params
     phi, dphi = u[:T], u[T:]
     pos, nrm, wphi, wdphi = _sources(problem, phi, dphi)
     own = _self_sourced(problem)
     bounds, pairs, chunks = _strip_layout(T, None if own else wphi.size)
     # self-sourced targets are the sources, whose coordinate rows are contiguous
     xt, nt = (pos, nrm) if own else (problem.colloc_pos.T, problem.colloc_nrm.T)
-    moments = None
-    if not own and problem.params.kappa == 0.0:
-        # about the vertex centroid: x.G - G' cancels like |x - origin| / r
-        o = problem.mesh.vertices.mean(axis=0)
-        moments = source_moments(pos - o[:, None], nrm, wphi, wdphi, problem.params), o
-    scratch = kernel_scratch(int(pairs.max(initial=0)))
+    o = problem.origin[:, None]
+    moments = source_moments(pos - o, nrm, wphi, wdphi, params)
+    weights = target_factors(xt - o, nt)
+    scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(params))
     # (row, column) of every Q point of every near face in the full (T, N)
     # pair array; strip [s, e) holds entries [q starts[s], q starts[e]) of
     # it, shifted into its block by (s, c)
@@ -484,19 +483,16 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
             near = slice(q * starts[s], q * starts[e])
             row1, row2, *cols = kernel_sums(
                 scratch,
-                (xt[:, s:e, None], nt[:, s:e, None]),
-                (pos[:, None, c:], nrm[:, None, c:]),
-                wphi[c:],
-                wdphi[c:],
-                problem.params,
+                (xt[:, s:e, None], weights[:, s:e]),
+                (pos[:, None, c:], [m[c:] for m in moments]),
+                params,
                 mask=(near_rows[near] - s, near_cols[near] - c),
-                own=(wphi[s:e, None], wdphi[s:e, None]) if own else None,
-                moments=moments,
+                swapped=(e - s, [m[s:e] for m in moments], weights[:, e:]) if own else None,
             )
             acc[0, s:e] += row1
             acc[1, s:e] += row2
             for sums, col in zip(acc, cols):
-                sums[e:] += col[e - s :]
+                sums[e:] += col
         return acc
 
     with short_buffers():
@@ -512,24 +508,24 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
 
 def workspace_doubles(problem: DiscretizedProblem) -> int:
     """float64 values (int64 indices count as one each) a serial matvec
-    allocates: the flat source axis (_sources: positions, normals and two
-    weighted traces, 8 values per source), KERNEL_BUFFERS blocks of its
-    largest strip plus a page of alignment slack, the near index (two
-    indices per near source), and the (2, T) sums the chunk tree holds at
-    once, one per level and two at the leaves; at kappa = 0 hobi's (N, 8)
-    source moments and 16 values a strip row for their product; for hobi's
-    near table 6 values an entry (_add_near's row index, gathered traces
-    and products). The table itself is a field of the problem."""
-    n = problem.reg_w.size
+    allocates: per source the flat source axis (_sources, 8 values) and
+    its source_moments (8, or 20 at kappa > 0); per target 8 weights;
+    sweep_buffers blocks of the largest strip and a page of alignment
+    slack; 16 values for each row of a strip and each column its swapped
+    pairs reach (a product with moments, its contraction and the sums);
+    two indices per near source; the (2, T) sums the chunk tree holds at
+    once, one per level and two at the leaves; and for hobi's near table
+    6 values an entry (_add_near's gathers and products)."""
+    n, t, params = problem.reg_w.size, problem.n_collocation, problem.params
     own = _self_sourced(problem)
-    bounds, pairs, _ = _strip_layout(problem.n_collocation, None if own else n)
-    scratch = KERNEL_BUFFERS * int(pairs.max(initial=0)) + PAGE_DOUBLES
+    bounds, pairs, _ = _strip_layout(t, None if own else n)
+    scratch = sweep_buffers(params) * int(pairs.max(initial=0)) + PAGE_DOUBLES
+    reach = t - bounds[:-1] if own else np.diff(bounds)
+    moments = (8 if params.kappa == 0.0 else 20) * n + 8 * t + 16 * int(reach.max(initial=0))
     near = problem.pair_face.size * problem.reg_w.shape[1]
     held = (STRIP_CHUNKS - 1).bit_length() + 2
-    if not own and problem.params.kappa == 0.0:
-        scratch += 8 * n + 16 * int(np.diff(bounds).max(initial=0))
-    scratch += 0 if problem.near_cols is None else 6 * problem.near_cols.size
-    return 8 * n + scratch + 2 * near + held * 2 * problem.n_collocation
+    table = 0 if problem.near_cols is None else 6 * problem.near_cols.size
+    return 8 * n + moments + scratch + 2 * near + table + held * 2 * t
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
@@ -796,7 +792,7 @@ def solvation_energy(
     block of charges from _strip_layout is a few elementwise passes over
     functions of r and small matrix products with the sources' factors,
     built once per call (energy_factors, energy_sums), positions taken
-    about the vertex centroid. The products round by their row count, so
+    about the problem's origin. The products round by their row count, so
     the bits follow the strip layout, a function of the charge count and N
     alone. K1 and K2 do not read a target normal.
     """
@@ -808,7 +804,7 @@ def solvation_energy(
         problem.reg_pos.reshape(-1, 3).T,
         problem.reg_nrm.reshape(-1, 3).T,
         *_weights(problem, solution.phi, solution.dphi_dn),
-        problem.mesh.vertices.mean(axis=0),
+        problem.origin,
         problem.params,
     )
     bounds, pairs, _ = _strip_layout(len(charges), problem.reg_w.size)

@@ -10,9 +10,7 @@ from pbbem.kernels import (
     KCAL_MOL_PER_E2_ANG,
     PhysicalParams,
     SingularityError,
-    kernel_scratch,
     kernel_values_d,
-    pair_kernels,
     source_terms_at,
 )
 from pbbem.mesh import ChargeSystem
@@ -141,33 +139,6 @@ def test_swap_symmetry():
         assert k4 == pytest.approx(s4, rel=1e-13, abs=1e-18)
         assert k3 == pytest.approx(-s2, rel=1e-12, abs=1e-18)
         assert k2 == pytest.approx(-s3, rel=1e-12, abs=1e-18)
-
-
-@pytest.mark.parametrize("params", [SALTY, WATER], ids=["kappa>0", "kappa=0"])
-def test_swapped_pair_kernels_are_exact(params):
-    """Within one medium, pair (y, x) has the displacement -(x - y) and the
-    normals traded. Each orientation's K1..K4 from pair_kernels(swap=True)
-    equals kernel_values_d on that ordered pair bit for bit: K1 and K4 are
-    shared, and the swapped K2 and K3 are -m2 and -m3."""
-    rng = np.random.default_rng(23)
-    m = 200
-    d = rng.uniform(-2.0, 2.0, (m, 3))
-    nx = rng.normal(size=(m, 3))
-    nx /= np.linalg.norm(nx, axis=1)[:, None]
-    ny = rng.normal(size=(m, 3))
-    ny /= np.linalg.norm(ny, axis=1)[:, None]
-    forward = kernel_values_d(d, nx, ny, params)
-    swapped = kernel_values_d(-d, ny, nx, params)
-    buf = list(kernel_scratch(m))
-    for i in range(3):
-        buf[i][...] = d[:, i]
-    k1, k2, k3, k4, m2, m3 = pair_kernels(
-        buf, nx.T, ny.T, params, drop_zeros=False, swap=True
-    )
-    for got, want in zip((k1, k2, k3, k4), forward):
-        assert np.array_equal(got, want)
-    for got, want in zip((k1, -m2, -m3, k4), swapped):
-        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

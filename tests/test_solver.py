@@ -429,12 +429,10 @@ def _block_outputs(problem, u):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
-    """The RHS is bitwise equal for any row block size at every kappa, and
-    so is hobi's matvec at kappa > 0: each of their rows sums over the full
-    source (or charge) axis. lobi's matvec follows the strip layout, and
-    so do hobi's at kappa = 0 and the energy at every kappa, whose matrix
-    products round by the strip's row count, so those are evaluated at the
-    fixed one."""
+    """The RHS is bitwise equal for any row block size at every kappa:
+    each of its rows sums over the full charge axis. Every matvec and the
+    energy follow the strip layout, since their matrix products round by
+    the strip's row count, so those are evaluated at the fixed one."""
     mesh = icosahedral_sphere(1)
     for params in SCREENED_AND_NOT:
         problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
@@ -446,8 +444,7 @@ def test_results_do_not_depend_on_target_block(monkeypatch, scheme):
                 layout.setattr(pbbem.solver, "STRIP_ROWS", rows)
                 layout.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
                 got = list(_block_outputs(problem, u))
-            if scheme == "lobi" or params.kappa == 0.0:
-                got[0] = _apply(problem, u)
+            got[0] = _apply(problem, u)
             got[2] = _energy(problem, u)
             for got_part, want in zip(got, reference):
                 assert np.array_equal(got_part, want)
@@ -484,38 +481,93 @@ def _reference_row_sums(xt, nt, src, snrm, wphi, wdphi, params, skip=None):
     return acc1, acc2
 
 
-def _reference_moment_sums(xt, nt, src, snrm, wphi, wdphi, params, skip, origin):
-    """The kappa = 0 regular sums as the moment contraction, written out:
-    per strip of _strip_layout, g = 1/(4 pi r^3) (zero at the skipped
-    pairs) times the (N, 8) moments of the sources about origin, then the
-    row sums x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8], x about origin.
-    Only the layout is shared with the code."""
-    er = params.eps2 / params.eps1
-    a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
-    y = src - origin
-    ydn = y[:, 0] * snrm[:, 0] + y[:, 1] * snrm[:, 1] + y[:, 2] * snrm[:, 2]
-    moments = np.stack(
-        [a * snrm[:, 0], a * snrm[:, 1], a * snrm[:, 2], a * ydn,
-         b, b * y[:, 0], b * y[:, 1], b * y[:, 2]], axis=1,
-    )
-    t = xt.shape[0]
-    acc1, acc2 = np.empty(t), np.empty(t)
-    bounds = pbbem.solver._strip_layout(t, src.shape[0])[0]
-    starts, cols = skip
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        d = xt[s:e, None, :] - src[None, :, :]
-        rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
-        pair = (rows, cols[starts[s] : starts[e]])
-        d[pair] = (1.0, 0.0, 0.0)
-        r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
-        g = 1.0 / (r2 * FOUR_PI * np.sqrt(r2))
-        g[pair] = 0.0
-        G = g @ moments
-        x, n = xt[s:e] - origin, nt[s:e]
-        xn = x[:, 0] * n[:, 0] + x[:, 1] * n[:, 1] + x[:, 2] * n[:, 2]
-        acc1[s:e] = x[:, 0] * G[:, 0] + x[:, 1] * G[:, 1] + x[:, 2] * G[:, 2] - G[:, 3]
-        acc2[s:e] = xn * G[:, 4] - (n[:, 0] * G[:, 5] + n[:, 1] * G[:, 6] + n[:, 2] * G[:, 7])
-    return acc1, acc2
+def _reference_moment_sums(problem, wphi, wdphi):
+    """(2, T) regular sums as the moment contraction, written out. Per
+    strip of _strip_layout, from d = x - y: g = 1/(4 pi r^3) (zero at the
+    skipped pairs) and at kappa > 0 f4 = a g, f1 = em1 r^2 g and
+    t = b g d.nx / r^2; each factor times the sources' moments about the
+    problem's origin, the products contracted with the targets' x, x.nx
+    and nx about it. If self-sourced, each strip also sends the swapped
+    pairs' sums past its leading square to their columns, and the chunks
+    add over the binary chunk tree. Only the layout is shared with the code."""
+    params, t = problem.params, problem.n_collocation
+    er, kappa = params.eps2 / params.eps1, params.kappa
+    q = problem.reg_w.shape[1]
+    own = problem.scheme == "lobi"  # self-sourced
+    src = problem.reg_pos.reshape(-1, 3)
+    y, ny = (src - problem.origin).T, problem.reg_nrm.reshape(-1, 3).T
+    ydn = y[0] * ny[0] + y[1] * ny[1] + y[2] * ny[2]
+    c2, c3 = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
+    mg = np.stack([*(c2 * ny), c2 * ydn, c3, *(c3 * y)], axis=1)
+    wn = wphi * ny
+    m4 = np.stack([*(er * wn), -er * wphi * ydn, wdphi / er, *(wn - wdphi * y / er)], axis=1)
+    m5 = np.stack([wphi, *(-wphi * y)], axis=1)
+    xt, nt = problem.colloc_pos, problem.colloc_nrm.T
+    x = (xt - problem.origin).T
+    w = np.array([*x, np.ones(t), x[0] * nt[0] + x[1] * nt[1] + x[2] * nt[2], *nt])
+    bounds, _, chunks = pbbem.solver._strip_layout(t, None if own else src.shape[0])
+    starts = problem.pair_starts * q
+    near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
+
+    def sums(factors, sources, targets, swapped=False):
+        """The targets' two sums from the factors, each (sources, targets)."""
+        moments = [m[sources] for m in (mg, m4, m5, wdphi)]
+        wt = w[:, targets]
+        x, xnx, n = wt[0:3], wt[4], wt[5:8]
+        p = moments[0].T @ factors[0]
+        s1 = x[0] * p[0] + x[1] * p[1] + x[2] * p[2] - p[3]
+        s2 = xnx * p[4] - (n[0] * p[5] + n[1] * p[6] + n[2] * p[7])
+        if kappa != 0.0:
+            p = (moments[1].T @ factors[1]) * wt
+            s1 += ((p[0] + p[1]) + p[2]) + p[3]
+            s2 += ((p[4] + p[5]) + p[6]) + p[7]
+            s1 -= moments[3] @ factors[2]
+            if swapped:
+                p = (moments[2].T @ factors[3]) * wt[4:]
+                s2 += ((p[0] + p[1]) + p[2]) + p[3]
+            else:
+                p = (moments[1][:, :4].T @ factors[3]) * wt[:4]
+                s2 -= (((p[0] + p[1]) + p[2]) + p[3]) / er
+        return s1, s2
+
+    def chunk_sums(k):
+        acc = np.zeros((2, t))
+        for i in range(chunks[k], chunks[k + 1]):
+            s, e = bounds[i], bounds[i + 1]
+            c = s if own else 0
+            d = xt[s:e, None, :] - src[None, c:, :]
+            rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
+            pair = (rows, near[starts[s] : starts[e]] - c)
+            d[pair] = (1.0, 0.0, 0.0)
+            r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+            g = 1.0 / (r2 * FOUR_PI * np.sqrt(r2))
+            g[pair] = 0.0
+            f = [g]
+            if kappa != 0.0:
+                n = nt[:, s:e, None]
+                dnx = d[..., 0] * n[0] + d[..., 1] * n[1] + d[..., 2] * n[2]
+                mkr = np.sqrt(r2) * -kappa
+                ekr = np.exp(mkr) * mkr
+                em1 = np.expm1(mkr)
+                a = em1 - ekr
+                b = mkr * ekr + a + a + a
+                f += [a * g, em1 * r2 * g, b * g / r2 * dnx]
+            row1, row2 = sums([a.T for a in f], slice(c, None), slice(s, e))
+            acc[0, s:e] += row1
+            acc[1, s:e] += row2
+            if own:
+                col1, col2 = sums([a[:, e - s :] for a in f], slice(s, e), slice(e, None), True)
+                acc[0, e:] += col1
+                acc[1, e:] += col2
+        return acc
+
+    def node(a, b):
+        if b - a == 1:
+            return chunk_sums(a)
+        m = (a + b) // 2
+        return node(a, m) + node(m, b)
+
+    return node(0, STRIP_CHUNKS)
 
 
 def _table_near_sums(problem, phi, dphi):
@@ -550,7 +602,7 @@ def _reference_matvec(problem, u, moments=False, near_sums=_table_near_sums):
         wphi, wdphi, params, (problem.pair_starts * q, near),
     )
     if moments:
-        acc1, acc2 = _reference_moment_sums(*sources, problem.mesh.vertices.mean(axis=0))
+        acc1, acc2 = _reference_moment_sums(problem, wphi, wdphi)
     else:
         acc1, acc2 = _reference_row_sums(*sources)
     if problem.near_coef is not None:
@@ -559,54 +611,6 @@ def _reference_matvec(problem, u, moments=False, near_sums=_table_near_sums):
         acc2 += near2
     out1 = phi - acc1 / (0.5 * (1.0 + er))
     out2 = dphi - acc2 / (0.5 * (1.0 + 1.0 / er))
-    return np.concatenate([out1, out2])
-
-
-def _reference_strip_matvec(problem, u):
-    """The lobi operator with every ordered pair's K1..K4 from
-    kernel_values_d, summed in the documented strip order: each chunk from
-    zero, strip by strip, the strip's row sums into its rows [s, e), then
-    the column sums of its swapped pairs into rows [e, T); chunks added
-    over the binary chunk tree. It shares the layout with the code, not
-    the swap identities."""
-    t = problem.n_collocation
-    params = problem.params
-    er = params.eps2 / params.eps1
-    phi, dphi = u[:t], u[t:]
-    x, n = problem.colloc_pos, problem.colloc_nrm
-    wphi, wdphi = problem.reg_w[:, 0] * phi, problem.reg_w[:, 0] * dphi
-    bounds, _, chunks = pbbem.solver._strip_layout(t)
-
-    def chunk_sums(c):
-        acc = np.zeros((2, t))
-        for k in range(chunks[c], chunks[c + 1]):
-            s, e = bounds[k], bounds[k + 1]
-            d = x[s:e, None, :] - x[None, s:, :]
-            own = (np.arange(e - s), np.arange(e - s))  # the self pairs
-            d[own] = (1.0, 0.0, 0.0)
-            k1, k2, k3, k4 = kernel_values_d(d, n[s:e, None, :], n[None, s:, :], params)
-            s1, s2, s3, s4 = kernel_values_d(-d, n[None, s:, :], n[s:e, None, :], params)
-            rows1 = k1 * wdphi[s:] + k2 * wphi[s:]
-            rows2 = k3 * wdphi[s:] + k4 * wphi[s:]
-            cols1 = s1 * wdphi[s:e, None] + s2 * wphi[s:e, None]
-            cols2 = s3 * wdphi[s:e, None] + s4 * wphi[s:e, None]
-            for term in (rows1, rows2, cols1, cols2):
-                term[own] = 0.0
-            acc[0, s:e] += rows1.sum(axis=1)
-            acc[1, s:e] += rows2.sum(axis=1)
-            acc[0, e:] += cols1.sum(axis=0)[e - s :]
-            acc[1, e:] += cols2.sum(axis=0)[e - s :]
-        return acc
-
-    def node(a, b):
-        if b - a == 1:
-            return chunk_sums(a)
-        m = (a + b) // 2
-        return node(a, m) + node(m, b)
-
-    acc = node(0, STRIP_CHUNKS)
-    out1 = phi - acc[0] / (0.5 * (1.0 + er))
-    out2 = dphi - acc[1] / (0.5 * (1.0 + 1.0 / er))
     return np.concatenate([out1, out2])
 
 
@@ -627,44 +631,38 @@ def _assert_near_four_kernel_sums(problem, u, got):
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
-    """The structure-of-arrays sweeps, which skip the exactly-zero K1 and K4
-    at kappa = 0, reproduce four-kernel sums bit for bit: hobi's row sweep
-    with its near-list skip and its near table added entry by entry, and
-    lobi's strip sweep, which evaluates each pair once for both
-    orientations. hobi's kappa = 0 strips sum by one product over source
-    moments instead, whose rounding differs: they equal the moment
-    reference bit for bit and the four-kernel sums within 1e-12 per half.
-    hobi's table is within 1e-14 of its Duffy pairs summed one by one."""
+    """Both schemes' sweeps sum every strip as products of kernel factors
+    with source moments, lobi's with the swapped pairs' column sums: the
+    matvec equals that contraction written out (_reference_moment_sums)
+    bit for bit, with hobi's near table added entry by entry, and it is
+    within 1e-12 per half of the four-kernel sums (kernel_values_d, K1 and
+    K4 evaluated even where they are exactly zero). hobi's table is within
+    1e-14 of its Duffy pairs summed one by one."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
     u = np.random.default_rng(11).standard_normal(problem.n_unknowns)
     got = _apply(problem, u)
-    if scheme == "lobi":
-        assert np.array_equal(got, _reference_strip_matvec(problem, u))
-    elif params.kappa > 0.0:
-        assert np.array_equal(got, _reference_matvec(problem, u))
-    else:
-        assert np.array_equal(got, _reference_matvec(problem, u, moments=True))
-        _assert_near_four_kernel_sums(problem, u, got)
+    assert np.array_equal(got, _reference_matvec(problem, u, moments=True))
+    _assert_near_four_kernel_sums(problem, u, got)
     if scheme == "hobi":
-        moments = params.kappa == 0.0
-        pairs = _reference_matvec(problem, u, moments, duffy_near_sums)
+        pairs = _reference_matvec(problem, u, True, duffy_near_sums)
         assert np.abs(got - pairs).max() <= 1e-14 * np.abs(pairs).max()
 
 
-def test_unscreened_hobi_sums_do_not_lose_digits_off_the_origin():
-    """The kappa = 0 moment sums x.G - G' cancel like |x - origin| / r, so
-    they are taken about the vertex centroid: on a level-3 mesh translated
-    by (100, -50, 30) A they stay within 1e-12 of the four-kernel sums per
-    half (about the coordinate origin they drift to ~1e-11)."""
+@pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_moment_sums_keep_their_digits_off_the_origin(scheme, params):
+    """The moment sums x.A - B cancel like |x - origin| / r, so they are
+    taken about the vertex centroid: on a level-3 mesh translated by
+    (100, -50, 30) A every matvec stays within 1e-12 of the four-kernel
+    sums per half (about the coordinate origin they drift to ~1e-11)."""
     mesh = icosahedral_sphere(3)
     moved = FlatMesh(
         vertices=mesh.vertices + [100.0, -50.0, 30.0], normals=mesh.normals, faces=mesh.faces
     )
-    params = SCREENED_AND_NOT[1]
-    problem = discretize(moved, params, NO_CHARGES, SolverConfig(scheme="hobi"))
+    problem = discretize(moved, params, NO_CHARGES, SolverConfig(scheme=scheme))
     u = np.random.default_rng(3).standard_normal(problem.n_unknowns)
-    _assert_near_four_kernel_sums(problem, u, matvec_hobi(problem, u))
+    _assert_near_four_kernel_sums(problem, u, _apply(problem, u))
 
 
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
@@ -1142,13 +1140,12 @@ def test_parallel_matvec_bitwise_deterministic():
     """The partitioned operator must reproduce the serial sweep bitwise.
     hobi level 2 has 162 vertices in strips of 8 rows (the last of 2);
     lobi level 1 has 80 faces in strips of 51 and 29 rows; level 2 has 320
-    in 15 strips of 12 to 62 rows and a last one of 4. All at kappa > 0,
-    and hobi also at kappa = 0, where its strips sum by matrix products."""
+    in 15 strips of 12 to 62 rows and a last one of 4. Both schemes at
+    kappa > 0 and at kappa = 0."""
     rng = np.random.default_rng(6)
-    unscreened = SCREENED_AND_NOT[1]
     for scheme, level, params in (
-        ("hobi", 1, MIXED), ("hobi", 2, MIXED), ("lobi", 1, MIXED), ("lobi", 2, MIXED),
-        ("hobi", 1, unscreened), ("hobi", 2, unscreened),
+        (scheme, level, params)
+        for scheme in ("hobi", "lobi") for level in (1, 2) for params in SCREENED_AND_NOT
     ):
         problem = discretize(
             icosahedral_sphere(level), params, CENTERED_UNIT, SolverConfig(scheme=scheme)
@@ -1254,12 +1251,15 @@ def _blas_uses(func) -> list[str]:
 
 def test_worker_task_blas_use_is_the_moment_product():
     """Workers fork from a parent that may have started BLAS threads. The
-    one BLAS call a worker makes is the kappa = 0 strip's (rows, N) @
-    (N, 8) moment product, whose bits do not follow the BLAS thread count
-    (next test); no linalg, einsum or dot (README, Determinism and
+    BLAS calls a worker makes are a strip's products of kernel factors
+    with source moments, (k, n) @ (n, rows) or, for lobi's swapped pairs,
+    (k, rows) @ (rows, n), whose bits do not follow the BLAS thread count
+    (the tests below); no linalg, einsum or dot (README, Determinism and
     parallelism)."""
     assert _blas_uses(pbbem.solver.gmres_solve)  # the walk sees BLAS uses
-    assert _blas_uses(pbbem.solver._worker_part) == ["pbbem.kernels._moment_sums: matmul"]
+    assert _blas_uses(pbbem.solver._worker_part) == [
+        "pbbem.kernels._moment_products: matmul"
+    ] * 5
 
 
 def test_energy_blas_use_is_its_strip_products():
@@ -1278,14 +1278,16 @@ import numpy as np
 from pbbem.kernels import PhysicalParams
 from pbbem.mesh import ChargeSystem, icosahedral_sphere
 from pbbem.solver import (SolverConfig, SurfaceSolution, discretize, make_operator,
-                          matvec_hobi, solvation_energy)
+                          solvation_energy)
 
-params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=float(sys.argv[1]))
+scheme, kappa = sys.argv[1], float(sys.argv[2])
+params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=kappa)
 rng = np.random.default_rng(4)
 charges = ChargeSystem(rng.uniform(-0.5, 0.5, (40, 3)), rng.uniform(-1.0, 1.0, 40))
-problem = discretize(icosahedral_sphere(2), params, charges, SolverConfig())
+problem = discretize(icosahedral_sphere(2), params, charges, SolverConfig(scheme=scheme))
 u = np.random.default_rng(5).standard_normal(problem.n_unknowns)
-serial = matvec_hobi(problem, u)
+with make_operator(problem, SolverConfig(workers=1)) as op:
+    serial = op(u)
 a = np.random.default_rng(6).standard_normal((600, 600))
 a @ a  # large enough for OpenBLAS to run on every thread it may use
 with make_operator(problem, SolverConfig(workers=2)) as op:
@@ -1296,7 +1298,7 @@ print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest() for x in (serial, po
 """
 
 
-def _blas_thread_digests(kappa: float) -> list[list[str]]:
+def _blas_thread_digests(scheme: str, kappa: float) -> list[list[str]]:
     """The digests BLAS_THREADS_SCRIPT prints under OPENBLAS_NUM_THREADS=1
     and =2: discretize with the serial matvec, the 2-worker one and the
     energy of 40 scattered charges, each time."""
@@ -1306,7 +1308,7 @@ def _blas_thread_digests(kappa: float) -> list[list[str]]:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", BLAS_THREADS_SCRIPT, str(kappa)],
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT, scheme, str(kappa)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -1314,8 +1316,8 @@ def _blas_thread_digests(kappa: float) -> list[list[str]]:
     return digests
 
 
-def _assert_blas_thread_digests_agree(kappa: float):
-    one, two = _blas_thread_digests(kappa)
+def _assert_blas_thread_digests_agree(scheme: str, kappa: float):
+    one, two = _blas_thread_digests(scheme, kappa)
     assert one == two and one[0] == one[1] and len(one) == 3
 
 
@@ -1325,7 +1327,7 @@ def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
     after the parent ran a multi-threaded product, and the energy the
     parent then sums, have the same bits under OPENBLAS_NUM_THREADS=1 and
     =2."""
-    _assert_blas_thread_digests_agree(0.0)
+    _assert_blas_thread_digests_agree("hobi", 0.0)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
@@ -1335,7 +1337,16 @@ def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
     level-2 matvec, serial and pooled, and the energy, whose K1 product
     runs only here, have the same bits under OPENBLAS_NUM_THREADS=1 and
     =2."""
-    _assert_blas_thread_digests_agree(0.125)
+    _assert_blas_thread_digests_agree("hobi", 0.125)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+def test_lobi_matvec_bits_do_not_follow_blas_threads(kappa):
+    """lobi's strips also take the transposed products of the swapped
+    pairs, (k, rows) @ (rows, n): the level-2 matvec, serial and pooled,
+    and the energy have the same bits under OPENBLAS_NUM_THREADS=1 and =2."""
+    _assert_blas_thread_digests_agree("lobi", kappa)
 
 
 @pytest.mark.parametrize("floor", ["default", "none"])
@@ -1365,7 +1376,7 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
         colloc_pos=points, colloc_nrm=normals,
         reg_pos=points[:, None], reg_nrm=normals[:, None], reg_w=np.ones((n, 1)),
         reg_bary=np.ones((1, 1)), reg_nodes=np.arange(n)[:, None],
-        pair_face=np.arange(n), pair_starts=np.arange(n + 1),
+        pair_face=np.arange(n), pair_starts=np.arange(n + 1), origin=points.mean(axis=0),
     )
     evaluated = np.zeros((n, n), int)
     real_kernel_sums = pbbem.solver.kernel_sums
