@@ -18,7 +18,6 @@ from .mesh import (
     icosahedral_sphere,
     parse_charges,
     parse_msms,
-    radial_project,
     write_msms,
 )
 from .report import RunReport
@@ -69,7 +68,6 @@ __all__ = [
     "parse_charges",
     "partition_targets",
     "parse_msms",
-    "radial_project",
     "solvation_energy",
     "solve",
     "surface_potential_error",

@@ -15,16 +15,16 @@ reporting, and the kernels use its reciprocal. Differences of the screened
 and unscreened terms are evaluated through expm1 so the large cancelling
 parts never meet in floating point.
 
-pair_kernels writes K1..K4 pairwise, in a fixed set of KERNEL_BUFFERS
-scratch arrays (out=), for the near table and the tests; kernel_values_d
-takes arrays of any broadcast shape. The regular sweeps never evaluate a
-kernel pairwise. Each kernel is a function of r times a polynomial of
-degree at most 2 in d = x - y (kernel_sums), so kernel_sums evaluates only
-d, r^2, d.nx and a few functions of r in scratch allocated once per sweep
-(kernel_scratch), and takes every row sum as a product of such a factor
-with source_moments, contracted with the target_factors; where the
-targets are sources too (lobi), the factors' transposes give the swapped
-pairs' sums. Products round by their row count. At kappa = 0,
+kernel_values_d evaluates K1..K4 pairwise on arrays of any broadcast
+shape, for hobi's near table, the tests and the benchmark's kernel probe.
+The regular sweeps never evaluate a kernel pairwise. Each kernel is a
+function of r times a polynomial of degree at most 2 in d = x - y
+(kernel_sums), so kernel_sums evaluates only d, r^2, d.nx and a few
+functions of r in scratch allocated once per sweep (kernel_scratch), and
+takes every row sum as a product of such a factor with source_moments,
+contracted with the target_factors; where the targets are sources too
+(lobi), the factors' transposes give the swapped pairs' sums. Products
+round by their row count. At kappa = 0,
 expm1(-0) = -0 makes K1, K4 and every factor but g = 1/(4 pi r^3)
 exactly zero, so they are not evaluated. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
@@ -50,7 +50,8 @@ FOUR_PI = 4.0 * np.pi
 # unit-free.
 KCAL_MOL_PER_E2_ANG = 332.0716
 
-# float64 buffers, each one block of pair values, that pair_kernels fills
+# float64 buffers, each one block of pair values, that source_terms_at fills
+# (kernel_scratch's default count)
 KERNEL_BUFFERS = 8
 # and that energy_sums uses: r^2, r and g, and one more where kappa > 0
 ENERGY_BUFFERS = 4
@@ -145,49 +146,6 @@ def _green_cube(r2, r, g):
     return np.divide(1.0, g, out=g)
 
 
-def pair_kernels(buf, nx, ny, params: PhysicalParams, drop_zeros=True):
-    """K1..K4 for the pairs whose displacements x - y sit in buf[0], buf[1], buf[2].
-
-    buf is a sequence of KERNEL_BUFFERS equal-shape float64 arrays, all
-    overwritten; nx and ny are 3-tuples of target and source normal
-    components that broadcast to that shape. Returns (k1, k2, k3, k4),
-    views into buf, with None, if drop_zeros, for K1 and K4 at kappa = 0,
-    where both are exactly zero. Every operation is elementwise, so no
-    value depends on the blocking; g, a and b are kernel_sums' factors.
-    """
-    b0, b1, b2, r2, b4, dny, dnx, b7 = buf
-    er = params.eps2 / params.eps1
-    _dot3_into(buf[:3], buf[:3], r2, b4)
-    _dot3_into(buf[:3], ny, dny, b4)
-    _dot3_into(buf[:3], nx, dnx, b4)
-    g = _green_cube(r2, b0, b1)
-
-    k1 = k4 = None
-    if params.kappa != 0.0 or not drop_zeros:
-        em1, a, b = _screening(b0, params.kappa, b2, b7, b=True)
-        k1 = np.multiply(em1, r2, out=em1)
-        k1 *= g
-        np.negative(k1, out=k1)
-        b /= r2
-        b *= np.multiply(dnx, dny, out=r2)
-        k4 = _dot3_into(nx, ny, b4, r2)
-        k4 *= a
-        k4 -= b
-        k4 *= g
-        c2 = np.multiply(a, er, out=r2)
-        c2 += er - 1.0
-        c3 = np.divide(a, er, out=a)
-        c3 -= 1.0 - 1.0 / er
-    else:
-        c2 = er - 1.0
-        c3 = -(1.0 - 1.0 / er)
-    k2 = np.multiply(dny, g, out=dny)
-    k3 = np.multiply(dnx, g, out=dnx)
-    k3 *= c3
-    k2 *= c2
-    return k1, k2, k3, k4
-
-
 def sweep_buffers(params: PhysicalParams) -> int:
     """Scratch blocks kernel_sums fills: d, which becomes r^2, r and g, and
     at kappa > 0 three more for d.nx and the screening factors."""
@@ -249,7 +207,7 @@ def _moment_products(factors, moments, weights, er, swapped=False):
     return [row1, row2]
 
 
-def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask=None, swapped=None):
+def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped=None):
     """Weighted row sums of K1..K4 over one block of (target, source) pairs.
 
     targets is ((3, rows, 1) coordinate rows, (8, rows) target_factors),
@@ -270,8 +228,7 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask=None, sw
     shape = np.broadcast(tx[0], sx[0]).shape
     buf = scratch[:, : shape[0] * shape[1]].reshape((-1,) + shape)
     d = np.subtract(tx, sx, out=buf[:3])
-    if mask is not None:
-        d[(slice(None),) + mask] = ((1.0,), (0.0,), (0.0,))  # a unit placeholder
+    d[(slice(None),) + mask] = ((1.0,), (0.0,), (0.0,))  # a unit placeholder
     screened = params.kappa != 0.0
     if screened:
         dnx = _dot3_into(d, weights[5:8, :, None], buf[3], buf[4])
@@ -280,8 +237,7 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask=None, sw
     r2 += np.multiply(b1, b1, out=b1)
     r2 += np.multiply(b2, b2, out=b2)
     g = _green_cube(r2, b1, b2)
-    if mask is not None:
-        g[mask] = 0.0
+    g[mask] = 0.0
     factors = [g]
     if screened:
         em1, f4, t = _screening(b1, params.kappa, buf[4], buf[5], b=True)
@@ -358,21 +314,47 @@ def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
 
 
 def kernel_values_d(d, nx, ny, params: PhysicalParams):
-    """K1..K4 from precomputed displacements d = x - y, all (..., 3).
-
-    The separation lets callers mask coincident pairs in d before any
-    division happens. Everything is elementwise, so results do not depend on
-    how the inputs were blocked or partitioned; (3,) inputs, one pair, give
-    0-d arrays.
+    """K1..K4 for the pairs with displacements d = x - y and normals nx, ny,
+    arrays of shape (..., 3) that broadcast together; (3,) inputs, one
+    pair, give 0-d arrays. Every operation is elementwise, so no value
+    depends on how the pairs were blocked; g, a and b are kernel_sums'
+    factors. At kappa = 0, where K1 and K4 are exactly zero, they are
+    returned as zeros and not evaluated. Callers mask a coincident pair by
+    overwriting its displacement before the call.
     """
-    d, nx, ny = (np.asarray(a, dtype=float) for a in (d, nx, ny))
-    shape = np.broadcast_shapes(d.shape, nx.shape, ny.shape)[:-1]
-    scratch = np.empty((KERNEL_BUFFERS,) + shape)
-    buf = [scratch[i, ...] for i in range(KERNEL_BUFFERS)]  # views, 0-d too
-    for i in range(3):
-        buf[i][...] = d[..., i]
-    nx, ny = (np.moveaxis(a, -1, 0) for a in (nx, ny))
-    return pair_kernels(buf, nx, ny, params, drop_zeros=False)
+    d, nx, ny = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in (d, nx, ny))
+    shape = np.broadcast_shapes(d.shape, nx.shape, ny.shape)[1:]
+    r2, dny, dnx, tmp, r, g = (np.empty(shape) for _ in range(6))
+    er = params.eps2 / params.eps1
+    _dot3_into(d, d, r2, tmp)
+    _dot3_into(d, ny, dny, tmp)
+    _dot3_into(d, nx, dnx, tmp)
+    _green_cube(r2, r, g)
+
+    if params.kappa == 0.0:
+        k1, k4 = np.zeros(shape), np.zeros(shape)
+        c2 = er - 1.0
+        c3 = -(1.0 - 1.0 / er)
+    else:
+        em1, a, b = _screening(r, params.kappa, np.empty(shape), np.empty(shape), b=True)
+        k1 = np.multiply(em1, r2, out=em1)
+        k1 *= g
+        np.negative(k1, out=k1)
+        b /= r2
+        b *= np.multiply(dnx, dny, out=r2)
+        k4 = _dot3_into(nx, ny, tmp, r2)
+        k4 *= a
+        k4 -= b
+        k4 *= g
+        c2 = np.multiply(a, er, out=r2)
+        c2 += er - 1.0
+        c3 = np.divide(a, er, out=a)
+        c3 -= 1.0 - 1.0 / er
+    k2 = np.multiply(dny, g, out=dny)
+    k3 = np.multiply(dnx, g, out=dnx)
+    k3 *= c3
+    k2 *= c2
+    return k1, k2, k3, k4
 
 
 def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSystem,

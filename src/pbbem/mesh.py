@@ -325,23 +325,3 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray):
     new_faces = np.array([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
     return np.concatenate([verts, mid]), new_faces.transpose(2, 0, 1).reshape(-1, 3)
 
-
-def radial_project(
-    mesh: FlatMesh,
-    center: tuple[float, float, float],
-    radius: float,
-) -> FlatMesh:
-    """Snap every vertex onto the sphere |x - center| = radius.
-
-    Normals become exactly radial. Projecting twice is a no-op.
-    """
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    c = np.asarray(center, dtype=float)
-    d = mesh.vertices - c
-    lengths = np.linalg.norm(d, axis=1)
-    zero = np.nonzero(lengths < 1e-300)[0]
-    if zero.size:
-        raise ValueError(f"vertex {zero[0]} coincides with the center")
-    n = d / lengths[:, None]
-    return FlatMesh(vertices=c + radius * n, normals=n, faces=mesh.faces)

@@ -68,7 +68,7 @@ from .kernels import (
     energy_sums,
     kernel_scratch,
     kernel_sums,
-    pair_kernels,
+    kernel_values_d,
     short_buffers,
     source_moments,
     source_terms_at,
@@ -91,7 +91,7 @@ STRIP_ROWS = 8
 STRIP_MIN_PAIRS = 1 << 12
 STRIP_CHUNKS = 16
 # rotated elements per chunk of _near_table's Duffy frames: a level-3 hobi
-# discretize traces a 5.1 MB peak at 512, 7.0 MB at 1024, 14.1 MB unchunked
+# discretize traces a 4.7 MB peak at 512, 6.0 MB at 1024, 11.7 MB unchunked
 NEAR_CHUNK = 512
 
 # every config's default regular rule: one instance, verified once
@@ -114,6 +114,15 @@ class WorkerDied(RuntimeError):
     """A matvec worker process ended before it returned its part."""
 
 
+def _check_int(name: str, value, high: int | None = None):
+    """Raise a ValueError naming the field unless value is an int (NumPy
+    ints pass, bools fail) in [1, high], or at least 1 if high is None."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1 or (high is not None and value > high)):
+        bound = ">= 1" if high is None else f"in [1, {high}]"
+        raise ValueError(f"{name} must be an int {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs. Defaults reproduce the reference setup everywhere."""
@@ -131,19 +140,13 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _check_int("restart", self.restart)
+        _check_int("max_iterations", self.max_iterations)
+        if self.workers is not None:
+            _check_int("workers", self.workers)
         if not isinstance(rule := self.regular_rule, TriangleRule):
             raise ValueError(f"regular_rule must be a TriangleRule, got {rule!r}")
-        n = self.duffy_points
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= 32:
-            raise ValueError(f"duffy_points must be an int in [1, 32], got {n!r}")
+        _check_int("duffy_points", self.duffy_points, 32)
 
     def worker_count(self) -> int:
         if self.workers is not None:
@@ -245,22 +248,17 @@ def _near_table(mesh: FlatMesh, params: PhysicalParams, rotations,
     1998). Element e (face e // 3, vertex x = rotations[e, 0] at node 1) gets
     sum_d K(x, y_d) w_d bary_dj per kernel K1..K4 and node j; entry
     (x, rotations[e, j]) adds these in element (face) order."""
-    n, size = len(node_pos), len(duffy)
+    n = len(node_pos)
     bary = _barycentric(duffy.points)
-    duf_w = np.empty((n, size))
-    coef = np.zeros((4, n, 3))
-    scratch = kernel_scratch(min(n, NEAR_CHUNK) * size)
-    x, nx = (a[rotations[:, 0]].T[:, :, None] for a in (mesh.vertices, mesh.normals))
+    duf_w = np.empty((n, len(duffy)))
+    coef = np.empty((4, n, 3))
+    x, nx = (a[rotations[:, 0], None] for a in (mesh.vertices, mesh.normals))
     for s in range(0, n, NEAR_CHUNK):
         e = min(s + NEAR_CHUNK, n)
         pos, nrm, duf_w[s:e] = _face_frames(node_pos[s:e], node_nrm[s:e], duffy, 3, s)
-        buf = scratch[:, : (e - s) * size].reshape(-1, e - s, size)
-        np.subtract(x[:, s:e], np.moveaxis(pos, -1, 0), out=buf[:3])
-        kernels = pair_kernels(buf, nx[:, s:e], np.moveaxis(nrm, -1, 0), params)
-        for part, k in enumerate(kernels):
-            if k is not None:  # K1 and K4 are exactly zero at kappa = 0
-                k *= duf_w[s:e]
-                coef[part, s:e] = k @ bary
+        for part, k in enumerate(kernel_values_d(x[s:e] - pos, nx[s:e], nrm, params)):
+            k *= duf_w[s:e]
+            coef[part, s:e] = k @ bary
     # entry keys t N_v + v, in element order; bincount sums in that order
     nv = mesh.n_vertices
     keys, entry = np.unique((rotations[:, :1] * nv + rotations).reshape(-1),

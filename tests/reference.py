@@ -2,7 +2,7 @@
 
 g0 and g_kappa evaluate one point pair in plain scalar arithmetic. The
 finite-difference kernel tests and the acceptance gate difference them to
-check K1..K4, so they share no code with kernels.pair_kernels.
+check K1..K4, so they share no code with kernels.kernel_values_d.
 subdivide is the face-by-face loop that mesh._subdivide replaces with
 array code. nodes_from_vertex_data is the per-rotation curved-node fit that
 geometry.curved_nodes replaces with one arc per mesh edge, and flat_area

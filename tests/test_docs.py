@@ -1,9 +1,12 @@
-"""The README's code runs as written and prints what its comments say."""
+"""The README's code runs as written and prints what its comments say, and
+the package exports every name it lists."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+import pbbem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +30,7 @@ def test_library_use_block_runs_and_prints_its_energy(capsys):
     assert prints[c].endswith("# matvecs = iterations")
     iterations, matvecs = (int(word) for word in printed[c].split())
     assert iterations == matvecs
+
+
+def test_every_listed_name_resolves_on_the_package():
+    assert [name for name in pbbem.__all__ if not hasattr(pbbem, name)] == []

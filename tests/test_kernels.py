@@ -334,6 +334,17 @@ def test_kernel_values_d_batch_equals_single_pairs():
         for kb, ks in zip(batched, single):
             assert ks.shape == ()
             assert float(kb[i]) == float(ks)  # same elementwise operations, bitwise
+    # the near table's shape: (n, 1, 3) target normals against (n, q, 3)
+    # displacements and source normals, sign bits of zeros included
+    d = (x - y).reshape(8, 5, 3)
+    nx, ny = nx[::5, None], ny.reshape(8, 5, 3)
+    for params in (WATER, SALTY):
+        batched = kernel_values_d(d, nx, ny, params)
+        for i, j in np.ndindex(8, 5):
+            single = kernel_values_d(d[i, j], nx[i, 0], ny[i, j], params)
+            for kb, ks in zip(batched, single):
+                assert kb.shape == (8, 5) and ks.shape == ()
+                assert kb[i, j].tobytes() == ks.tobytes()
 
 
 def test_kernel_values_d_masking_contract():

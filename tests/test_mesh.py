@@ -14,7 +14,6 @@ from pbbem.mesh import (
     icosahedral_sphere,
     parse_charges,
     parse_msms,
-    radial_project,
     write_msms,
 )
 
@@ -230,53 +229,6 @@ def test_flat_area_below_sphere_area_and_converging():
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_generated_meshes_validate(level):
     icosahedral_sphere(level, radius=2.0).validate()
-
-
-def test_radial_project_examples():
-    mesh = icosahedral_sphere(0)
-    scaled = FlatMesh(
-        vertices=mesh.vertices * 0.97,
-        normals=mesh.normals,
-        faces=mesh.faces,
-    )
-    projected = radial_project(scaled, (0.0, 0.0, 0.0), 1.0)
-    assert np.abs(np.linalg.norm(projected.vertices, axis=1) - 1.0).max() <= 1e-14
-    assert np.abs(projected.normals - projected.vertices).max() <= 1e-14
-
-
-def test_radial_project_single_vertex_value():
-    mesh = icosahedral_sphere(0)
-    moved = FlatMesh(
-        vertices=np.where(
-            (np.arange(mesh.n_vertices) == 0)[:, None],
-            mesh.vertices * 0.999,
-            mesh.vertices,
-        ),
-        normals=mesh.normals,
-        faces=mesh.faces,
-    )
-    back = radial_project(moved, (0.0, 0.0, 0.0), 1.0)
-    assert np.abs(back.vertices[0] - mesh.vertices[0]).max() <= 1e-14
-
-
-def test_radial_project_idempotent():
-    mesh = icosahedral_sphere(1, radius=2.0)
-    again = radial_project(mesh, (0.0, 0.0, 0.0), 2.0)
-    assert np.abs(again.vertices - mesh.vertices).max() <= 1e-14
-    assert np.abs(again.normals - mesh.normals).max() <= 1e-14
-
-
-def test_radial_project_center_vertex_error():
-    mesh = icosahedral_sphere(0)
-    at_center = FlatMesh(
-        vertices=np.where(
-            (np.arange(mesh.n_vertices) == 0)[:, None], 0.0, mesh.vertices
-        ),
-        normals=mesh.normals,
-        faces=mesh.faces,
-    )
-    with pytest.raises(ValueError):
-        radial_project(at_center, (0.0, 0.0, 0.0), 1.0)
 
 
 def test_parse_charges_examples():
