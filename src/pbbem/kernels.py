@@ -19,18 +19,21 @@ kernel_values_d evaluates K1..K4 pairwise on arrays of any broadcast
 shape, for hobi's near table, the tests and the benchmark's kernel probe.
 The regular sweeps never evaluate a kernel pairwise. Each kernel is a
 function of r times a polynomial of degree at most 2 in d = x - y
-(kernel_sums), so kernel_sums evaluates only d, r^2, d.nx and a few
-functions of r in scratch allocated once per sweep (kernel_scratch), and
-takes every row sum as a product of such a factor with source_moments,
-contracted with the target_factors; where the targets are sources too
-(lobi), the factors' transposes give the swapped pairs' sums. Products
-round by their row count. At kappa = 0,
+(kernel_sums), so kernel_sums forms no d: it takes r^2 and d.nx as small
+products of per-target rows with per-source columns (square_factors,
+target_factors), evaluates a few functions of r in scratch allocated once
+per sweep (kernel_scratch), and takes every row sum as a product of such a
+factor with source_moments, contracted with the target weights; where the
+targets are sources too (lobi), the factors' transposes give the swapped
+pairs' sums. Products round by their row count. Positions are taken
+about an origin: the product r^2 = |x|^2 - 2 x.y + |y|^2 and the moment
+sums both lose digits as |x|/r grows. At kappa = 0,
 expm1(-0) = -0 makes K1, K4 and every factor but g = 1/(4 pi r^3)
 exactly zero, so they are not evaluated. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
 +-0.0, so every moment and row sum is +-0.0 and the operator is exactly
 the identity. The solvation energy reads only K1 and K2, and energy_sums
-takes r^2 as a product too (energy_factors).
+takes r^2 from the same factors (energy_factors).
 """
 
 from __future__ import annotations
@@ -147,8 +150,8 @@ def _green_cube(r2, r, g):
 
 
 def sweep_buffers(params: PhysicalParams) -> int:
-    """Scratch blocks kernel_sums fills: d, which becomes r^2, r and g, and
-    at kappa > 0 three more for d.nx and the screening factors."""
+    """Scratch blocks kernel_sums fills: r^2, r and g, and at kappa > 0
+    three more for d.nx and the screening factors."""
     return 3 if params.kappa == 0.0 else 6
 
 
@@ -171,11 +174,30 @@ def source_moments(y, nrm, wphi, wdphi, params: PhysicalParams) -> list:
     return moments + [m4, wdphi, np.column_stack([wphi, *(-wphi * y)])]
 
 
-def target_factors(x, nx) -> np.ndarray:
-    """(8, T) target weights of kernel_sums from the (3, T) coordinate rows
-    x (positions about the sweep's origin) and nx: x (3), 1, x.nx, nx (3)."""
+def square_factors(x, y, origin):
+    """(rows, cols): the (n, 5) rows [|x|^2, x, 1] of the (3, n) coordinate
+    rows x and the (5, N) columns [1, -2 y, |y|^2] of the (3, N) rows y
+    (views do), both taken about origin, whose product is r^2 = |x - y|^2.
+    The scaling by -2 is exact, so cols[1:4] * -0.5 is y - origin bit for
+    bit, and cols[:4] times target_factors' rows is d.nx."""
+    o = origin[:, None]
+    x = x - o
+    xx = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
+    cols = np.empty((5, y.shape[1]))
+    y = np.subtract(y, o, out=cols[1:4])
+    _dot3_into(y, y, cols[4], cols[0])
+    cols[0] = 1.0
+    y *= -2.0
+    return np.column_stack([xx, *x, np.ones_like(xx)]), cols
+
+
+def target_factors(x, nx):
+    """(weights, rows) of kernel_sums' targets from the (3, T) coordinate
+    rows x (positions about the sweep's origin) and nx: the (8, T) weights
+    x (3), 1, x.nx, nx (3) and the (T, 4) rows [x.nx, nx/2], whose product
+    with square_factors' columns [1, -2 y] is d.nx (halving is exact)."""
     xnx = x[0] * nx[0] + x[1] * nx[1] + x[2] * nx[2]
-    return np.array([*x, np.ones_like(xnx), xnx, *nx])
+    return np.array([*x, np.ones_like(xnx), xnx, *nx]), np.column_stack([xnx, *(0.5 * nx)])
 
 
 def _moment_products(factors, moments, weights, er, swapped=False):
@@ -210,37 +232,32 @@ def _moment_products(factors, moments, weights, er, swapped=False):
 def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped=None):
     """Weighted row sums of K1..K4 over one block of (target, source) pairs.
 
-    targets is ((3, rows, 1) coordinate rows, (8, rows) target_factors),
-    sources ((3, 1, cols) coordinate rows, (cols, k) source_moments).
-    Returns the row sums of K1 wdphi + K2 wphi and K3 wdphi + K4 wphi.
-    mask, a (rows, cols) index pair, drops pairs that would divide by zero.
-    With g = 1/(4 pi r^3), f4 = a g, f1 = em1 r^2 g (_screening) and
-    t = b g d.nx / r^2: K1 = -f1, K2 = ((er - 1) g + er f4) d.ny,
-    K3 = (f4/er - (1 - 1/er) g) d.nx and K4 = f4 nx.ny - t d.ny. Only d,
-    r^2, d.nx and the factors are evaluated pairwise, in sweep_buffers
-    blocks of the scratch (kernel_scratch); each sum is a product with
+    targets is ((rows, 5) square_factors rows, (rows, 4) and (8, rows)
+    target_factors), sources ((5, cols) square_factors columns, (cols, k)
+    source_moments). Returns the row sums of K1 wdphi + K2 wphi and
+    K3 wdphi + K4 wphi. mask, a (rows, cols) index pair, drops pairs that
+    would divide by zero. With g = 1/(4 pi r^3), f4 = a g,
+    f1 = em1 r^2 g (_screening) and t = b g d.nx / r^2: K1 = -f1,
+    K2 = ((er - 1) g + er f4) d.ny, K3 = (f4/er - (1 - 1/er) g) d.nx and
+    K4 = f4 nx.ny - t d.ny. r^2 and d.nx are each one product of the rows
+    with the columns, the factors are evaluated pairwise in sweep_buffers
+    blocks of the scratch (kernel_scratch), and each sum is a product with
     moments (_moment_products). swapped, given when the targets are
-    sources too, is (cut, the rows' source_moments, the target_factors of
+    sources too, is (cut, the rows' source_moments, the target weights of
     the columns from cut on): the factors depend on r and the row's
     normal alone, so the columns' sums follow from their transposes.
     """
-    (tx, weights), (sx, moments) = targets, sources
-    shape = np.broadcast(tx[0], sx[0]).shape
+    (xr, nr, weights), (yc, moments) = targets, sources
+    shape = (len(xr), yc.shape[1])
     buf = scratch[:, : shape[0] * shape[1]].reshape((-1,) + shape)
-    d = np.subtract(tx, sx, out=buf[:3])
-    d[(slice(None),) + mask] = ((1.0,), (0.0,), (0.0,))  # a unit placeholder
-    screened = params.kappa != 0.0
-    if screened:
-        dnx = _dot3_into(d, weights[5:8, :, None], buf[3], buf[4])
-    r2, b1, b2 = d
-    r2 *= r2  # r^2 = d.d in _dot3_into's order
-    r2 += np.multiply(b1, b1, out=b1)
-    r2 += np.multiply(b2, b2, out=b2)
-    g = _green_cube(r2, b1, b2)
+    r2 = np.matmul(xr, yc, out=buf[0])
+    r2[mask] = 1.0  # a placeholder: g is zeroed there
+    g = _green_cube(r2, buf[1], buf[2])
     g[mask] = 0.0
     factors = [g]
-    if screened:
-        em1, f4, t = _screening(b1, params.kappa, buf[4], buf[5], b=True)
+    if params.kappa != 0.0:
+        dnx = np.matmul(nr, yc[:4], out=buf[3])
+        em1, f4, t = _screening(buf[1], params.kappa, buf[4], buf[5], b=True)
         f4 *= g
         f1 = np.multiply(em1, r2, out=em1)
         f1 *= g
@@ -259,27 +276,20 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
 def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):
     """(targets, sources), the factors of energy_sums, from (n, 3) target
     positions x, the (3, N) source coordinate rows pos and nrm (views do),
-    and the source weights; positions are taken about origin. targets is the
-    (n, 5) rows [|x|^2, x, 1]; sources holds the (5, N) columns
-    [1, -2 y, |y|^2], whose product with targets is r^2, the (N, 4)
-    moments c wphi ny (3 columns) and c wphi y.ny, with c = er - 1 at
-    kappa = 0 and er otherwise, and wdphi, or None at kappa = 0. Both are
-    built in place, so the call holds 9 values a source beyond its inputs."""
+    and the source weights; positions are taken about origin. targets is
+    square_factors' (n, 5) rows; sources holds its (5, N) columns, the
+    (N, 4) moments c wphi ny (3 columns) and c wphi y.ny, with c = er - 1
+    at kappa = 0 and er otherwise, and wdphi, or None at kappa = 0."""
     er = params.eps2 / params.eps1
     screened = params.kappa != 0.0
-    x = (x - origin).T
-    xx = x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
-    targets = np.column_stack([xx, *x, np.ones_like(xx)])
-    r2_cols, moments = np.empty((5, pos.shape[1])), np.empty((pos.shape[1], 4))
-    y = np.subtract(pos, origin[:, None], out=r2_cols[1:4])
-    ydn = _dot3_into(y, nrm, r2_cols[4], r2_cols[0])
-    a = np.multiply(wphi, er if screened else er - 1.0, out=r2_cols[0])
+    targets, r2_cols = square_factors(x.T, pos, origin)
+    y2 = r2_cols[1:4]  # -2 y, whose products with nrm are exact doubles of y's
+    ydn = -0.5 * (y2[0] * nrm[0] + y2[1] * nrm[1] + y2[2] * nrm[2])
+    a = wphi * (er if screened else er - 1.0)
+    moments = np.empty((pos.shape[1], 4))
     for k in range(3):  # one column at a time: a strided (3, N) output is ~3x slower
         np.multiply(a, nrm[k], out=moments[:, k])
     np.multiply(a, ydn, out=moments[:, 3])
-    _dot3_into(y, y, r2_cols[4], r2_cols[0])
-    r2_cols[0] = 1.0
-    y *= -2.0
     return targets, (r2_cols, moments, wdphi if screened else None)
 
 

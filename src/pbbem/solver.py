@@ -69,9 +69,9 @@ from .kernels import (
     kernel_scratch,
     kernel_sums,
     kernel_values_d,
-    short_buffers,
     source_moments,
     source_terms_at,
+    square_factors,
     sweep_buffers,
     target_factors,
 )
@@ -350,18 +350,6 @@ def _weights(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
     return tuple((w * _interp(v[nodes], bary)).reshape(-1) for v in (phi, dphi))
 
 
-def _sources(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
-    """(pos, nrm, wphi, wdphi): the regular rule's flat source axis.
-
-    pos and nrm are (3, N) coordinate rows, contiguous per coordinate.
-    """
-    return (
-        np.ascontiguousarray(problem.reg_pos.reshape(-1, 3).T),
-        np.ascontiguousarray(problem.reg_nrm.reshape(-1, 3).T),
-        *_weights(problem, phi, dphi),
-    )
-
-
 def _add_near(problem: DiscretizedProblem, phi, dphi, lo, hi, acc):
     """Add rows [lo, hi)'s near values from the hobi near table to acc[:, lo:hi],
     each row's K1 dphi + K2 phi and K3 dphi + K4 phi summed in table order
@@ -455,14 +443,13 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     """
     T, params = problem.n_collocation, problem.params
     phi, dphi = u[:T], u[T:]
-    pos, nrm, wphi, wdphi = _sources(problem, phi, dphi)
+    wphi, wdphi = _weights(problem, phi, dphi)
     own = _self_sourced(problem)
     bounds, pairs, chunks = _strip_layout(T, None if own else wphi.size)
-    # self-sourced targets are the sources, whose coordinate rows are contiguous
-    xt, nt = (pos, nrm) if own else (problem.colloc_pos.T, problem.colloc_nrm.T)
-    o = problem.origin[:, None]
-    moments = source_moments(pos - o, nrm, wphi, wdphi, params)
-    weights = target_factors(xt - o, nt)
+    pos, nrm = (a.reshape(-1, 3).T for a in (problem.reg_pos, problem.reg_nrm))
+    xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
+    moments = source_moments(ycols[1:4] * -0.5, nrm, wphi, wdphi, params)
+    weights, nrows = target_factors(xrows[:, 1:4].T, problem.colloc_nrm.T)
     scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(params))
     # (row, column) of every Q point of every near face in the full (T, N)
     # pair array; strip [s, e) holds entries [q starts[s], q starts[e]) of
@@ -481,8 +468,8 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
             near = slice(q * starts[s], q * starts[e])
             row1, row2, *cols = kernel_sums(
                 scratch,
-                (xt[:, s:e, None], weights[:, s:e]),
-                (pos[:, None, c:], [m[c:] for m in moments]),
+                (xrows[s:e], nrows[s:e], weights[:, s:e]),
+                (ycols[:, c:], [m[c:] for m in moments]),
                 params,
                 mask=(near_rows[near] - s, near_cols[near] - c),
                 swapped=(e - s, [m[s:e] for m in moments], weights[:, e:]) if own else None,
@@ -493,11 +480,7 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
                 sums[e:] += col
         return acc
 
-    with short_buffers():
-        nodes = [
-            (a, b, _tree_sum(a, b, chunk))
-            for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)
-        ]
+    nodes = [(a, b, _tree_sum(a, b, chunk)) for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)]
     if problem.near_coef is not None:
         for a, b, sums in nodes:
             _add_near(problem, phi, dphi, bounds[chunks[a]], bounds[chunks[b]], sums)
@@ -506,8 +489,9 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
 
 def workspace_doubles(problem: DiscretizedProblem) -> int:
     """float64 values (int64 indices count as one each) a serial matvec
-    allocates: per source the flat source axis (_sources, 8 values) and
-    its source_moments (8, or 20 at kappa > 0); per target 8 weights;
+    allocates: per source its weights (_weights, 2 values), 5 r^2 columns
+    (square_factors) and its source_moments (8, or 20 at kappa > 0); per
+    target 5 r^2 rows, 8 weights and 4 d.nx rows (target_factors);
     sweep_buffers blocks of the largest strip and a page of alignment
     slack; 16 values for each row of a strip and each column its swapped
     pairs reach (a product with moments, its contraction and the sums);
@@ -519,11 +503,11 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     bounds, pairs, _ = _strip_layout(t, None if own else n)
     scratch = sweep_buffers(params) * int(pairs.max(initial=0)) + PAGE_DOUBLES
     reach = t - bounds[:-1] if own else np.diff(bounds)
-    moments = (8 if params.kappa == 0.0 else 20) * n + 8 * t + 16 * int(reach.max(initial=0))
+    moments = (8 if params.kappa == 0.0 else 20) * n + 17 * t + 16 * int(reach.max(initial=0))
     near = problem.pair_face.size * problem.reg_w.shape[1]
     held = (STRIP_CHUNKS - 1).bit_length() + 2
     table = 0 if problem.near_cols is None else 6 * problem.near_cols.size
-    return 8 * n + moments + scratch + 2 * near + table + held * 2 * t
+    return 7 * n + moments + scratch + 2 * near + table + held * 2 * t
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ import pbbem.solver
 from pbbem.kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
-    KERNEL_BUFFERS,
     PhysicalParams,
     kernel_values_d,
     source_terms_at,
@@ -474,11 +473,12 @@ def _reference_row_sums(xt, nt, src, snrm, wphi, wdphi, params, skip=None):
 
 def _reference_moment_sums(problem, wphi, wdphi):
     """(2, T) regular sums as the moment contraction, written out. Per
-    strip of _strip_layout, from d = x - y: g = 1/(4 pi r^3) (zero at the
-    skipped pairs) and at kappa > 0 f4 = a g, f1 = em1 r^2 g and
-    t = b g d.nx / r^2; each factor times the sources' moments about the
-    problem's origin, the products contracted with the targets' x, x.nx
-    and nx about it. If self-sourced, each strip also sends the swapped
+    strip of _strip_layout, with positions about the problem's origin,
+    r^2 = [|x|^2, x, 1] @ [1, -2 y, |y|^2] and d.nx = [x.nx, nx/2] @ [1, -2 y]:
+    g = 1/(4 pi r^3) (zero at the skipped pairs) and at kappa > 0
+    f4 = a g, f1 = em1 r^2 g and t = b g d.nx / r^2; each factor times the
+    sources' moments, the products contracted with the targets' x, x.nx
+    and nx. If self-sourced, each strip also sends the swapped
     pairs' sums past its leading square to their columns, and the chunks
     add over the binary chunk tree. Only the layout is shared with the code."""
     params, t = problem.params, problem.n_collocation
@@ -493,9 +493,13 @@ def _reference_moment_sums(problem, wphi, wdphi):
     wn = wphi * ny
     m4 = np.stack([*(er * wn), -er * wphi * ydn, wdphi / er, *(wn - wdphi * y / er)], axis=1)
     m5 = np.stack([wphi, *(-wphi * y)], axis=1)
-    xt, nt = problem.colloc_pos, problem.colloc_nrm.T
-    x = (xt - problem.origin).T
-    w = np.array([*x, np.ones(t), x[0] * nt[0] + x[1] * nt[1] + x[2] * nt[2], *nt])
+    nt = problem.colloc_nrm.T
+    x = (problem.colloc_pos - problem.origin).T
+    xnx = x[0] * nt[0] + x[1] * nt[1] + x[2] * nt[2]
+    w = np.array([*x, np.ones(t), xnx, *nt])
+    xr = np.stack([x[0] * x[0] + x[1] * x[1] + x[2] * x[2], *x, np.ones(t)], axis=1)
+    nr = np.stack([xnx, *(nt / 2)], axis=1)
+    yc = np.stack([np.ones(y.shape[1]), *(-2 * y), y[0] * y[0] + y[1] * y[1] + y[2] * y[2]])
     bounds, _, chunks = pbbem.solver._strip_layout(t, None if own else src.shape[0])
     starts = problem.pair_starts * q
     near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
@@ -526,17 +530,15 @@ def _reference_moment_sums(problem, wphi, wdphi):
         for i in range(chunks[k], chunks[k + 1]):
             s, e = bounds[i], bounds[i + 1]
             c = s if own else 0
-            d = xt[s:e, None, :] - src[None, c:, :]
             rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
             pair = (rows, near[starts[s] : starts[e]] - c)
-            d[pair] = (1.0, 0.0, 0.0)
-            r2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+            r2 = xr[s:e] @ yc[:, c:]
+            r2[pair] = 1.0
             g = 1.0 / (r2 * FOUR_PI * np.sqrt(r2))
             g[pair] = 0.0
             f = [g]
             if kappa != 0.0:
-                n = nt[:, s:e, None]
-                dnx = d[..., 0] * n[0] + d[..., 1] * n[1] + d[..., 2] * n[2]
+                dnx = nr[s:e] @ yc[:4, c:]
                 mkr = np.sqrt(r2) * -kappa
                 ekr = np.exp(mkr) * mkr
                 em1 = np.expm1(mkr)
@@ -656,6 +658,43 @@ def test_moment_sums_keep_their_digits_off_the_origin(scheme, params):
     _assert_near_four_kernel_sums(problem, u, _apply(problem, u))
 
 
+@pytest.mark.parametrize("scheme, level", [("lobi", 4), ("hobi", 3)])
+def test_strip_products_keep_their_digits(monkeypatch, scheme, level):
+    """kernel_sums takes r^2 = |x|^2 - 2 x.y + |y|^2 and d.nx = x.nx - y.nx
+    as products of per-target rows with per-source columns, positions about
+    the origin. On a mesh translated by (100, -50, 30) A, every pair of 8
+    strips spread over the sweep stays within 4 eps (|x|^2 + |y|^2) of d.d
+    and 4 eps (|x| + |y|) of d.nx, with d = x - y formed elementwise from
+    the same positions (3.0 and 1.5 eps measured over every strip), and no
+    pair the strip keeps has r^2 <= 0."""
+    mesh = icosahedral_sphere(level)
+    moved = FlatMesh(
+        vertices=mesh.vertices + [100.0, -50.0, 30.0], normals=mesh.normals, faces=mesh.faces
+    )
+    problem = discretize(moved, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
+    strips = []
+    real_kernel_sums = pbbem.solver.kernel_sums
+
+    def recording(scratch, targets, sources, *args, mask, **kw):
+        strips.append((*targets[:2], sources[0], mask))
+        return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
+
+    monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
+    pbbem.solver._apply_chunks(problem, np.ones(problem.n_unknowns), 0, STRIP_CHUNKS)
+    eps = np.finfo(float).eps
+    for k in np.linspace(0, len(strips) - 1, 8).astype(int):
+        rows, nrows, cols, mask = strips[k]  # [|x|^2, x, 1], [x.nx, nx/2], [1, -2 y, |y|^2]
+        x, nx, y = rows[:, 1:4], 2 * nrows[:, 1:4], (-0.5 * cols[1:4]).T
+        d = x[:, None] - y[None]
+        r2, dnx = rows @ cols, nrows @ cols[:4]
+        xx, yy = rows[:, :1], cols[4]
+        assert np.all(np.abs(r2 - (d * d).sum(axis=2)) <= 4 * eps * (xx + yy))
+        dnx_d = (d * nx[:, None]).sum(axis=2)
+        assert np.all(np.abs(dnx - dnx_d) <= 4 * eps * (np.sqrt(xx) + np.sqrt(yy)))
+        r2[mask] = np.inf
+        assert r2.min() > 0.0
+
+
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
@@ -690,7 +729,8 @@ def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
     """One matvec task holds one set of scratch buffers, sized by its
     largest strip. Doubling the chunks adds less than one source row of one
     buffer plus one (2, T) partial sum of the deeper chunk tree to the
-    traced peak, which stays near KERNEL_BUFFERS blocks."""
+    traced peak, which stays within half a block of what workspace_doubles
+    counts for a whole serial matvec (0.91-1.02 of it at levels 1-3)."""
     mesh = icosahedral_sphere(2)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
     u = np.random.default_rng(13).standard_normal(problem.n_unknowns)
@@ -710,7 +750,7 @@ def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < n_sources * 8 + node_bytes
-    assert peaks[1] < (KERNEL_BUFFERS + 4) * block_bytes
+    assert peaks[1] < pbbem.solver.workspace_doubles(problem) * 8 + block_bytes // 2
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
@@ -1242,15 +1282,16 @@ def _blas_uses(func) -> list[str]:
 
 def test_worker_task_blas_use_is_the_moment_product():
     """Workers fork from a parent that may have started BLAS threads. The
-    BLAS calls a worker makes are a strip's products of kernel factors
-    with source moments, (k, n) @ (n, rows) or, for lobi's swapped pairs,
-    (k, rows) @ (rows, n), whose bits do not follow the BLAS thread count
-    (the tests below); no linalg, einsum or dot (README, Determinism and
-    parallelism)."""
+    BLAS calls a worker makes are a strip's r^2 and d.nx products,
+    (rows, 5) @ (5, n) and (rows, 4) @ (4, n), and its products of kernel
+    factors with source moments, (k, n) @ (n, rows) or, for lobi's swapped
+    pairs, (k, rows) @ (rows, n), whose bits do not follow the BLAS thread
+    count (the tests below); no linalg, einsum or dot (README, Determinism
+    and parallelism)."""
     assert _blas_uses(pbbem.solver.gmres_solve)  # the walk sees BLAS uses
     assert _blas_uses(pbbem.solver._worker_part) == [
-        "pbbem.kernels._moment_products: matmul"
-    ] * 5
+        "pbbem.kernels.kernel_sums: matmul"
+    ] * 2 + ["pbbem.kernels._moment_products: matmul"] * 5
 
 
 def test_energy_blas_use_is_its_strip_products():
@@ -1373,8 +1414,9 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
     real_kernel_sums = pbbem.solver.kernel_sums
 
     def recording(scratch, targets, sources, *args, mask, **kw):
-        i = targets[0][0].ravel().astype(int)
-        j = sources[0][0].ravel().astype(int)
+        # the rows [|x|^2, x, 1] and columns [1, -2 y, |y|^2] hold positions about the origin
+        i = np.rint(targets[0][:, 1] + problem.origin[0]).astype(int)
+        j = np.rint(sources[0][1] * -0.5 + problem.origin[0]).astype(int)
         seen = np.ones((i.size, j.size), int)
         seen[mask] = 0
         evaluated[np.ix_(i, j)] += seen
@@ -1397,14 +1439,16 @@ def test_hobi_strips_evaluate_each_regular_pair_once(monkeypatch):
     Q sources of each face incident to the row's vertex, which never are."""
     problem = discretize(icosahedral_sphere(1), MIXED, NO_CHARGES, SolverConfig())
     t, (nf, q) = problem.n_collocation, problem.reg_w.shape
-    row_of = {tuple(x): i for i, x in enumerate(problem.colloc_pos)}
-    col_of = {tuple(y): j for j, y in enumerate(problem.reg_pos.reshape(-1, 3))}
+    # kernel_sums reads positions about the origin, from the rows
+    # [|x|^2, x, 1] and the columns [1, -2 y, |y|^2]; halving is exact
+    row_of = {tuple(x): i for i, x in enumerate(problem.colloc_pos - problem.origin)}
+    col_of = {tuple(y): j for j, y in enumerate(problem.reg_pos.reshape(-1, 3) - problem.origin)}
     evaluated = np.zeros((t, nf * q), int)
     real_kernel_sums = pbbem.solver.kernel_sums
 
     def recording(scratch, targets, sources, *args, mask, **kw):
-        xs = targets[0].reshape(3, -1).T
-        ys = sources[0].reshape(3, -1).T
+        xs = targets[0][:, 1:4]
+        ys = (sources[0][1:4] * -0.5).T
         if all(tuple(y) in col_of for y in ys):  # a regular block, not Duffy
             i = [row_of[tuple(x)] for x in xs]
             j = [col_of[tuple(y)] for y in ys]
