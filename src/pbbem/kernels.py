@@ -21,11 +21,13 @@ The regular sweeps never evaluate a kernel pairwise. Each kernel is a
 function of r times a polynomial of degree at most 2 in d = x - y
 (kernel_sums), so kernel_sums forms no d: it takes r^2 and d.nx as small
 products of per-target rows with per-source columns (square_factors,
-target_factors), evaluates a few functions of r in scratch allocated once
-per sweep (kernel_scratch), and takes every row sum as a product of such a
-factor with source_moments, contracted with the target weights; where the
+target_factors), evaluates a few functions of r over one tile of at most
+TILE x TILE pairs (solver.TILE) in scratch allocated once per sweep
+(kernel_scratch), and takes every row sum as a product of such a factor
+with source_moments, contracted with the target weights; where the
 targets are sources too (lobi), the factors' transposes give the swapped
-pairs' sums. Products round by their row count. Positions are taken
+pairs' sums, so a tile's products are square in both orientations.
+Products round by their sizes. Positions are taken
 about an origin: the product r^2 = |x|^2 - 2 x.y + |y|^2 and the moment
 sums both lose digits as |x|/r grows. At kappa = 0,
 expm1(-0) = -0 makes K1, K4 and every factor but g = 1/(4 pi r^3)
@@ -122,15 +124,24 @@ def kernel_scratch(size: int, count: int = KERNEL_BUFFERS) -> np.ndarray:
     return raw[start : start + count * size].reshape(count, size)
 
 
-def _screening(r, kappa, em1, a, b=False):
+def _screening(r, kappa, em1, a, b=False, from_em1=False):
     """em1 = expm1(-kr) and a = (1 + kr) e^{-kr} - 1, kr = kappa r, into
     the buffers em1 (r's too, unless b) and a; if b, also
     b = (3 + 3 kr + kr^2) e^{-kr} - 3 = 3 a + kr^2 e^{-kr} into r's buffer.
-    a and b are O((kr)^2), written so the constant parts cancel exactly."""
+    a and b are O((kr)^2), written so the constant parts cancel exactly.
+    e^{-kr} is an exp pass, or with from_em1 (the sweep; em1 must not be
+    r's buffer) 1 + em1, equal to it within a rounding: on a 192 x 192
+    tile np.exp took 1.09 ns an element and the add 0.33 ns (2-CPU Xeon).
+    The near table and the energy keep the exp pass and their bits."""
     mkr = np.multiply(r, -kappa, out=r)
-    e = np.exp(mkr, out=a)
-    e *= mkr  # -kr e^{-kr}
-    np.expm1(mkr, out=em1)
+    if from_em1:
+        np.expm1(mkr, out=em1)
+        e = np.add(em1, 1.0, out=a)
+        e *= mkr  # -kr e^{-kr}
+    else:
+        e = np.exp(mkr, out=a)
+        e *= mkr
+        np.expm1(mkr, out=em1)  # last: em1 may be mkr's buffer
     if b:
         mkr *= e
     np.subtract(em1, e, out=a)
@@ -159,14 +170,15 @@ def source_moments(y, nrm, wphi, wdphi, params: PhysicalParams) -> list:
     """kernel_sums' (N, k) source moments, one per kernel factor, from the
     (3, N) coordinate rows y (about the sweep's origin) and nrm: [mg] at
     kappa = 0, else [mg, m4, wdphi, m5]. With c2 = er - 1, c3 = 1/er - 1:
-      mg (g):  c2 wphi ny (3), c2 wphi y.ny, c3 wdphi, c3 wdphi y (3);
+      mg (g):  c2 wphi ny (3), -c2 wphi y.ny, c3 wdphi, -c3 wdphi y (3);
       m4 (f4): er wphi ny (3), -er wphi y.ny, wdphi/er, wphi ny - wdphi y/er (3);
       m5 (t, swapped pairs): wphi, -wphi y (3), weighted from x.nx on.
-    f1 reads wdphi, and t the rows' m4[:, :4] times -1/er."""
+    mg and m4 share the target weights [x, 1, x.nx, nx] (mg carries the
+    signs), f1 reads wdphi, and t the rows' m4[:, :4] times -1/er."""
     er = params.eps2 / params.eps1
     a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
     ydn = y[0] * nrm[0] + y[1] * nrm[1] + y[2] * nrm[2]
-    moments = [np.column_stack([*(a * nrm), a * ydn, b, *(b * y)])]
+    moments = [np.column_stack([*(a * nrm), -a * ydn, b, *(-b * y)])]
     if params.kappa == 0.0:
         return moments
     wn = wphi * nrm
@@ -202,22 +214,19 @@ def target_factors(x, nx):
 
 def _moment_products(factors, moments, weights, er, swapped=False):
     """[row1, row2]: the (rows, n) kernel factors times their (n, k) source
-    moments, each taken as moments.T @ factor.T and dropped before the
-    next, contracted with the (8, rows) target weights; g's product G as
-    x.G[:3] - G[3] and (x.nx) G[4] - nx.G[5:8]."""
-    x, xnx, nx = weights[0:3], weights[4], weights[5:8]
+    moments, each taken as moments.T @ factor.T, contracted with the
+    (8, rows) target weights [x, 1, x.nx, nx]: g's and f4's products are
+    added first, so the two sums are the weighted halves of one (8, rows)
+    array, each added in order."""
     p = np.matmul(moments[0].T, factors[0].T)
-    row1 = x[0] * p[0] + x[1] * p[1] + x[2] * p[2] - p[3]
-    row2 = xnx * p[4] - (nx[0] * p[5] + nx[1] * p[6] + nx[2] * p[7])
     if len(factors) > 1:
         (f4, f1, t), (m4, wdphi, m5) = factors[1:], moments[1:]
-        del p  # else the next product is allocated before p is released
-        p = np.matmul(m4.T, f4.T)
-        p *= weights
-        p = p.reshape(2, 4, -1).sum(axis=1)
-        row1 += p[0]
-        row2 += p[1]
+        p += np.matmul(m4.T, f4.T)
+    p *= weights
+    row1, row2 = p.reshape(2, 4, -1).sum(axis=1)
+    if len(factors) > 1:
         row1 -= np.matmul(wdphi, f1.T)
+        del p  # else the next product is allocated before p is released
         if swapped:
             p = np.matmul(m5.T, t.T)
             p *= weights[4:]
@@ -230,7 +239,7 @@ def _moment_products(factors, moments, weights, er, swapped=False):
 
 
 def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped=None):
-    """Weighted row sums of K1..K4 over one block of (target, source) pairs.
+    """Weighted row sums of K1..K4 over one tile of (target, source) pairs.
 
     targets is ((rows, 5) square_factors rows, (rows, 4) and (8, rows)
     target_factors), sources ((5, cols) square_factors columns, (cols, k)
@@ -243,9 +252,9 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     with the columns, the factors are evaluated pairwise in sweep_buffers
     blocks of the scratch (kernel_scratch), and each sum is a product with
     moments (_moment_products). swapped, given when the targets are
-    sources too, is (cut, the rows' source_moments, the target weights of
-    the columns from cut on): the factors depend on r and the row's
-    normal alone, so the columns' sums follow from their transposes.
+    sources too, is (the rows' source_moments, the columns' target
+    weights): the factors depend on r and the row's normal alone, so the
+    columns' sums follow from their transposes, also returned.
     """
     (xr, nr, weights), (yc, moments) = targets, sources
     shape = (len(xr), yc.shape[1])
@@ -257,7 +266,7 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     factors = [g]
     if params.kappa != 0.0:
         dnx = np.matmul(nr, yc[:4], out=buf[3])
-        em1, f4, t = _screening(buf[1], params.kappa, buf[4], buf[5], b=True)
+        em1, f4, t = _screening(buf[1], params.kappa, buf[4], buf[5], True, True)
         f4 *= g
         f1 = np.multiply(em1, r2, out=em1)
         f1 *= g
@@ -268,8 +277,8 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     er = params.eps2 / params.eps1
     sums = _moment_products(factors, moments, weights, er)
     if swapped is not None:
-        cut, moments, weights = swapped
-        sums += _moment_products([f[:, cut:].T for f in factors], moments, weights, er, True)
+        moments, weights = swapped
+        sums += _moment_products([f.T for f in factors], moments, weights, er, True)
     return sums
 
 
@@ -294,14 +303,15 @@ def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):
 
 
 def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
-    """Row sums of K1 wdphi + K2 wphi for a block of rows of the targets
-    against all the sources of energy_factors. buf holds ENERGY_BUFFERS
-    flat blocks of at least rows x N values. r^2 is one (rows, 5) @ (5, N)
+    """Row sums of K1 wdphi + K2 wphi for a tile: a block of rows of the
+    targets against a block of columns of energy_factors' sources (each
+    of its three parts sliced alike). buf holds ENERGY_BUFFERS flat
+    blocks of at least rows x cols values. r^2 is one (rows, 5) @ (5, cols)
     product; with g = 1/(4 pi r^3), K1 = -em1 r^2 g and K2 = h d.ny,
     h = g ((er - 1) + er a), so the row sums are
     x.H[:3] - H[3] - (em1 r^2 g) @ wdphi with H = h @ moments (h = g and
     no K1 at kappa = 0, where em1 = -0 makes K1 exactly zero). The
-    products round by their row count."""
+    products round by their sizes."""
     r2_cols, moments, wdphi = sources
     shape = (len(targets), r2_cols.shape[1])
     b = [flat.reshape(shape) for flat in buf[:, : shape[0] * shape[1]]]

@@ -185,11 +185,12 @@ def memory_lower_bound_mb(problem) -> float:
     the mesh's own vertex arrays; lobi's regular rule is a view of its
     centroids), plus the arrays a serial matvec allocates: its kernel
     scratch, near-table gathers and partial sums (solver.workspace_doubles)
-    and the vectors in flight. Python objects are not counted, and on the smallest meshes a
-    matvec's per-strip and per-chunk objects outweigh its arrays: for
-    level-0 lobi (20 faces, eps 1/80) the bound is 26.0 KB and tracemalloc
-    traces a serial-matvec peak of 31.4 KB at kappa = 0 (37.5 and 43.8 KB
-    at 0.125). The OS-level peak is higher still; this one is reproducible.
+    and the vectors in flight. Python objects are not counted, and on the
+    smallest meshes a matvec's per-tile and per-chunk objects outweigh its
+    arrays: for level-0 lobi (20 faces, eps 1/80) the bound is 30.2 KB and
+    tracemalloc traces a serial-matvec peak of 32.3 KB at kappa = 0 (41.7
+    and 44.3 KB at 0.125). The OS-level peak is higher still; this one is
+    reproducible.
     """
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]

@@ -27,26 +27,28 @@ traces. ``assemble_rhs``, ``make_operator`` and ``gmres_solve`` stay public
 for callers that time or wrap the steps one by one.
 
 Nothing is ever assembled into a matrix. Both schemes store a regular
-rule on every element and each collocation row's near elements. One strip
-sweep (_apply_chunks) is the matvec of both: strip [s, e) of rows is one
-block against source columns [c, N), each row skipping its near elements'
-sources, and its row sums go to rows [s, e). Every block is products of
-kernel factors with source moments about the problem's origin
-(kernels.kernel_sums). hobi's strips read the whole flat regular-rule axis
-(c = 0), and each task then adds its rows' near values from the table of
-_near_table. lobi's sources are its collocation points, one per element,
-and a row skips only its own (_self_sourced reads this from the tables),
-so pair (i, j) and its swap share every kernel factor: its strips read
-columns [s, T) and also send the swapped pairs' sums to rows [e, T).
+rule on every element and each collocation row's near elements. One tiled
+sweep (_apply_chunks) is the matvec of both: the (T, N) pairs of rows and
+regular-rule sources are cut into tiles of at most TILE x TILE pairs
+(_tile_layout), each evaluated as one block, each row skipping its near
+elements' sources, and its row sums go to its rows. Every tile is products
+of kernel factors with source moments about the problem's origin
+(kernels.kernel_sums). hobi sweeps every tile of the rectangle, and the
+operator then adds each row's near values from the table of _near_table.
+lobi's sources are its collocation points, one per element, and a row
+skips only its own (_self_sourced reads this from the tables), so pair
+(i, j) and its swap share every kernel factor: lobi sweeps the tiles
+(I, J >= I) of the square, and an off-diagonal tile also sends the swapped
+pairs' sums, square products of the factors' transposes, to its columns.
 
-The strips form STRIP_CHUNKS chunks, the matvec's fixed work list; each
-chunk sums from zero in strip order and the chunks are added over a fixed
-binary tree. Matrix products round by their row count, so every matvec's
-bits follow the strip layout, a function of T and N alone, never of the
-worker count. The solvation energy sums the regular rule over every
-element with the charges as targets, in blocks from _strip_layout that are
-products too (kernels.energy_sums), so its bits follow that layout; each
-right-hand side row sums the full charge axis, so its bits follow none.
+The tiles form STRIP_CHUNKS chunks, the matvec's fixed work list; each
+chunk sums from zero in tile order and the chunks are added over a fixed
+binary tree. Matrix products round by their sizes, so every matvec's bits
+follow the tile layout, a function of T and N alone, never of the worker
+count. The solvation energy sums the regular rule over every element with
+the charges as targets, in tiles of the same layout that are products too
+(kernels.energy_sums), so its bits follow that layout; each right-hand
+side row sums the full charge axis, so its bits follow none.
 """
 
 from __future__ import annotations
@@ -80,15 +82,13 @@ from .quadrature import TriangleRule, duffy_rule, gauss_radau_rule
 
 SCHEMES = ("hobi", "lobi")
 
-# The strip sweep's layout, a function of the number of rows T and of
-# sources N alone (N = T if self-sourced): a strip has at least STRIP_ROWS
-# rows and at most max(STRIP_ROWS * N, STRIP_MIN_PAIRS) pairs, and the
-# strips form STRIP_CHUNKS chunks of near-equal pair count. The floor keeps
-# small meshes' strips large enough that the fixed interpreter cost of a
-# block (~100 us on a 2-CPU Xeon host) does not outweigh its kernel work;
-# from N = 512 on it is inactive.
-STRIP_ROWS = 8
-STRIP_MIN_PAIRS = 1 << 12
+# The kernel sweep's layout, a function of the number of rows T and of
+# sources N alone (N = T if self-sourced): tiles of at most TILE x TILE
+# pairs, whose six scratch blocks (1.8 MB) stay in a 2 MB L2 cache and
+# whose kernel work outweighs a tile's fixed interpreter cost (30-45 us at
+# kappa > 0 on a 2-CPU Xeon host), in STRIP_CHUNKS chunks of near-equal
+# pair count.
+TILE = 192
 STRIP_CHUNKS = 16
 # rotated elements per chunk of _near_table's Duffy frames: a level-3 hobi
 # discretize traces a 4.7 MB peak at 512, 6.0 MB at 1024, 11.7 MB unchunked
@@ -350,24 +350,23 @@ def _weights(problem: DiscretizedProblem, phi: np.ndarray, dphi: np.ndarray):
     return tuple((w * _interp(v[nodes], bary)).reshape(-1) for v in (phi, dphi))
 
 
-def _add_near(problem: DiscretizedProblem, phi, dphi, lo, hi, acc):
-    """Add rows [lo, hi)'s near values from the hobi near table to acc[:, lo:hi],
-    each row's K1 dphi + K2 phi and K3 dphi + K4 phi summed in table order
-    (bincount adds in input order), so no bit depends on a task's rows."""
-    starts = problem.near_starts[lo : hi + 1]
-    rows = np.repeat(np.arange(hi - lo), np.diff(starts))
-    cols = problem.near_cols[starts[0] : starts[-1]]
-    c1, c2, c3, c4 = problem.near_coef[:, starts[0] : starts[-1]]
-    p, dp = phi[cols], dphi[cols]
-    acc[0, lo:hi] += np.bincount(rows, c1 * dp + c2 * p, minlength=hi - lo)
-    acc[1, lo:hi] += np.bincount(rows, c3 * dp + c4 * p, minlength=hi - lo)
+def _add_near(problem: DiscretizedProblem, phi, dphi, acc):
+    """Add every row's near values from the hobi near table to the (2, T)
+    sums acc, each row's K1 dphi + K2 phi and K3 dphi + K4 phi summed in
+    table order (bincount adds in input order)."""
+    t = problem.n_collocation
+    rows = np.repeat(np.arange(t), np.diff(problem.near_starts))
+    c1, c2, c3, c4 = problem.near_coef
+    p, dp = phi[problem.near_cols], dphi[problem.near_cols]
+    acc[0] += np.bincount(rows, c1 * dp + c2 * p, minlength=t)
+    acc[1] += np.bincount(rows, c3 * dp + c4 * p, minlength=t)
 
 
 def _self_sourced(problem: DiscretizedProblem) -> bool:
     """Whether the regular rule's sources are the collocation points, one
     per element, each row skipping only its own (lobi). Pair (i, j) and its
-    swap (j, i) then share every factor, and a strip need only read the
-    columns from its own first row on."""
+    swap (j, i) then share every factor, and the sweep need only read the
+    tiles on and above the diagonal."""
     T = problem.n_collocation
     own = np.arange(T + 1)
     return (
@@ -379,33 +378,50 @@ def _self_sourced(problem: DiscretizedProblem) -> bool:
     )
 
 
-def _strip_layout(t: int, n: int | None = None):
-    """(bounds, pairs, chunks): the strip sweep of t rows over n sources,
-    or over the rows themselves if n is None (self-sourced). Every blocked
-    kernel sum takes its row blocks from here: the matvec, the solvation
-    energy (charges over sources) and the right-hand side (points over
-    charges; with n = 0 all rows form one strip).
+def _tile_layout(t: int, n: int | None = None):
+    """(tiles, pairs, chunks): the tiled sweep of t rows over n sources,
+    or over the rows themselves if n is None (self-sourced). The matvec
+    and the solvation energy (charges over sources) take their blocks from
+    here.
 
-    Strip k is rows [bounds[k], bounds[k+1]), as many as the pair budget
-    allows, evaluated as one block of pairs[k] values against columns
-    [c, n), where c = 0, or c = bounds[k] and n = t if self-sourced. Then
-    inside the block's leading square each orientation is a row entry of
-    its own; past it, pair (i, j) is evaluated once and also serves (j, i).
-    Chunk c is strips [chunks[c], chunks[c+1]): a strip goes to the chunk
-    in which the middle of its pairs falls when the running pair count is
-    cut into STRIP_CHUNKS equal parts. Nothing here reads a worker count.
+    Row tile I is rows [I h, (I + 1) h), h = min(TILE, t), and column tile
+    J columns [J w, (J + 1) w), the last of each fewer: w = h if
+    self-sourced, else TILE^2 // h, so a short row axis gets wide tiles and
+    no tile holds more than TILE^2 pairs. Tile k, tiles[k] = (s, e, c, d),
+    is rows [s, e) against columns [c, d), pairs[k] = (e - s) (d - c)
+    values; tiles run row tile by row tile, columns ascending. If
+    self-sourced, only the tiles J >= I are listed: a diagonal tile
+    evaluates each orientation of its pairs as a row entry of its own, and
+    an off-diagonal tile's pair (i, j) also serves (j, i). Chunk c is tiles
+    [chunks[c], chunks[c+1]): a tile goes to the chunk in which the middle
+    of its pairs falls when the running pair count is cut into
+    STRIP_CHUNKS equal parts. Nothing here reads a worker count.
     """
-    budget = max(STRIP_ROWS * (t if n is None else n), STRIP_MIN_PAIRS)
-    bounds = [0]
-    while bounds[-1] < t:
-        cols = t - bounds[-1] if n is None else n
-        rows = budget // cols if cols else t
-        bounds.append(bounds[-1] + min(t - bounds[-1], rows))
-    bounds = np.array(bounds)
-    pairs = np.diff(bounds) * (t - bounds[:-1] if n is None else n)
+    h = max(min(TILE, t), 1)
+    m = t if n is None else n
+    w = h if n is None else TILE * TILE // h
+    rows, cols = np.arange(0, t, h), np.arange(0, m, w)
+    i, j = (a.reshape(-1) for a in np.meshgrid(rows, cols, indexing="ij"))
+    if n is None:
+        i, j = i[j >= i], j[j >= i]
+    tiles = np.column_stack([i, np.minimum(i + h, t), j, np.minimum(j + w, m)])
+    pairs = (tiles[:, 1] - tiles[:, 0]) * (tiles[:, 3] - tiles[:, 2])
     middles = np.cumsum(pairs) - pairs / 2
     cuts = np.arange(STRIP_CHUNKS + 1) * (pairs.sum() / STRIP_CHUNKS)
-    return bounds, pairs, np.searchsorted(middles, cuts)
+    return tiles, pairs, np.searchsorted(middles, cuts)
+
+
+def _tile_masks(tiles, rows, cols):
+    """For the tiles (s, e, c, d) of one row tile, c ascending, and the
+    entries (rows[i], cols[i]) in its rows, each inside one of the tiles:
+    per tile, the index pair (rows - s, cols - c) of its entries, in entry
+    order. Built once per row tile, so a tile pays no search of its own."""
+    key = np.searchsorted(tiles[:, 2], cols, "right") - 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ends = np.searchsorted(key, np.arange(len(tiles) + 1))
+    r, c = rows[order] - tiles[0, 0], cols[order] - tiles[key, 2]
+    return [(r[a:b], c[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _tree_nodes(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -430,61 +446,64 @@ def _tree_sum(a: int, b: int, known):
 
 
 def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
-    """Chunks [lo, hi) of the strip sweep as [(a, b, sums)] over the
+    """Chunks [lo, hi) of the tiled sweep as [(a, b, sums)] over the
     largest chunk-tree nodes in [lo, hi); sums is (2, T) kernel sums.
 
-    Each chunk sums from zero, strip by strip in order: strip [s, e) adds
-    its row sums, each row skipping its near sources, to rows [s, e); if
-    self-sourced, its swapped pairs' column sums to rows [e, T). Nodes add
-    their halves, so the root, however the chunks were split, holds the
-    same sums in one fixed association. hobi's nodes then add their rows'
-    near values from the near table (_add_near); a row's regular sum meets
-    only zeros in the tree.
+    Each chunk sums from zero, tile by tile in order: tile (s, e, c, d)
+    adds its row sums, each row skipping its near sources, to rows [s, e);
+    if self-sourced and off the diagonal, its swapped pairs' sums to rows
+    [c, d). Nodes add their halves, so the root, however the chunks were
+    split, holds the same sums in one fixed association.
     """
     T, params = problem.n_collocation, problem.params
     phi, dphi = u[:T], u[T:]
     wphi, wdphi = _weights(problem, phi, dphi)
     own = _self_sourced(problem)
-    bounds, pairs, chunks = _strip_layout(T, None if own else wphi.size)
+    tiles, pairs, chunks = _tile_layout(T, None if own else wphi.size)
     pos, nrm = (a.reshape(-1, 3).T for a in (problem.reg_pos, problem.reg_nrm))
     xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
     moments = source_moments(ycols[1:4] * -0.5, nrm, wphi, wdphi, params)
     weights, nrows = target_factors(xrows[:, 1:4].T, problem.colloc_nrm.T)
     scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(params))
     # (row, column) of every Q point of every near face in the full (T, N)
-    # pair array; strip [s, e) holds entries [q starts[s], q starts[e]) of
-    # it, shifted into its block by (s, c)
+    # pair array; row tile [s, e) holds entries [q starts[s], q starts[e])
     starts, q = problem.pair_starts, problem.reg_w.shape[1]
     near_rows = np.repeat(np.arange(T), q * np.diff(starts))
     near_cols = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
+    bounds = tiles.tolist()  # Python ints slice faster
+    built = {}  # the last row tile's (first tile, tile masks), kept across chunks
+
+    def row_masks(s, e):
+        if s not in built:
+            built.clear()
+            first, end = np.searchsorted(tiles[:, 0], [s, e])
+            near = slice(q * starts[s], q * starts[e])
+            built[s] = first, _tile_masks(tiles[first:end], near_rows[near], near_cols[near])
+        return built[s]
 
     def chunk(a, b):
         if b - a > 1:
             return None
         acc = np.zeros((2, T))
         for k in range(chunks[a], chunks[b]):
-            s, e = bounds[k], bounds[k + 1]
-            c = s if own else 0
-            near = slice(q * starts[s], q * starts[e])
+            s, e, c, d = bounds[k]
+            first, masks = row_masks(s, e)
+            swap = own and c != s
             row1, row2, *cols = kernel_sums(
                 scratch,
                 (xrows[s:e], nrows[s:e], weights[:, s:e]),
-                (ycols[:, c:], [m[c:] for m in moments]),
+                (ycols[:, c:d], [m[c:d] for m in moments]),
                 params,
-                mask=(near_rows[near] - s, near_cols[near] - c),
-                swapped=(e - s, [m[s:e] for m in moments], weights[:, e:]) if own else None,
+                mask=masks[k - first],
+                swapped=([m[s:e] for m in moments], weights[:, c:d]) if swap else None,
             )
             acc[0, s:e] += row1
             acc[1, s:e] += row2
             for sums, col in zip(acc, cols):
-                sums[e:] += col
+                sums[c:d] += col
         return acc
 
-    nodes = [(a, b, _tree_sum(a, b, chunk)) for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)]
-    if problem.near_coef is not None:
-        for a, b, sums in nodes:
-            _add_near(problem, phi, dphi, bounds[chunks[a]], bounds[chunks[b]], sums)
-    return nodes
+    return [(a, b, _tree_sum(a, b, chunk)) for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)]
 
 
 def workspace_doubles(problem: DiscretizedProblem) -> int:
@@ -492,22 +511,26 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     allocates: per source its weights (_weights, 2 values), 5 r^2 columns
     (square_factors) and its source_moments (8, or 20 at kappa > 0); per
     target 5 r^2 rows, 8 weights and 4 d.nx rows (target_factors);
-    sweep_buffers blocks of the largest strip and a page of alignment
-    slack; 16 values for each row of a strip and each column its swapped
-    pairs reach (a product with moments, its contraction and the sums);
-    two indices per near source; the (2, T) sums the chunk tree holds at
-    once, one per level and two at the leaves; and for hobi's near table
-    6 values an entry (_add_near's gathers and products)."""
+    sweep_buffers blocks of the largest tile (TILE^2 pairs at most, so
+    this term does not grow with the mesh) and a page of alignment slack;
+    16 values for each row of a tile and, if self-sourced, each of its
+    columns (a product with moments, its contraction and the sums); two
+    indices per near source, and two more per near source of a row tile
+    (its tile masks); the (2, T) sums the chunk tree holds at once, one
+    per level and two at the leaves; and for hobi's near table 6 values an
+    entry (_add_near's gathers and products)."""
     n, t, params = problem.reg_w.size, problem.n_collocation, problem.params
     own = _self_sourced(problem)
-    bounds, pairs, _ = _strip_layout(t, None if own else n)
+    tiles, pairs, _ = _tile_layout(t, None if own else n)
     scratch = sweep_buffers(params) * int(pairs.max(initial=0)) + PAGE_DOUBLES
-    reach = t - bounds[:-1] if own else np.diff(bounds)
+    reach = tiles[:, 1] - tiles[:, 0] + (tiles[:, 3] - tiles[:, 2] if own else 0)
     moments = (8 if params.kappa == 0.0 else 20) * n + 17 * t + 16 * int(reach.max(initial=0))
-    near = problem.pair_face.size * problem.reg_w.shape[1]
+    starts = problem.pair_starts * problem.reg_w.shape[1]
+    row_tile = starts[tiles[:, 1]] - starts[tiles[:, 0]]
+    near = 2 * starts[-1] + 2 * int(row_tile.max(initial=0))
     held = (STRIP_CHUNKS - 1).bit_length() + 2
     table = 0 if problem.near_cols is None else 6 * problem.near_cols.size
-    return 7 * n + moments + scratch + 2 * near + table + held * 2 * t
+    return 7 * n + moments + scratch + near + table + held * 2 * t
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
@@ -531,6 +554,15 @@ def _jump_coefficients(params: PhysicalParams) -> tuple[float, float]:
     return 0.5 * (1.0 + er), 0.5 * (1.0 + 1.0 / er)
 
 
+def _rhs_bounds(t: int, q: int) -> np.ndarray:
+    """Row blocks of the right-hand side, t points over q charges: each
+    row sums the whole charge axis, so a block is as many rows as half a
+    tile of pairs allows, at least one; its KERNEL_BUFFERS blocks then hold
+    less than the sweep's scratch (9 rows of 2000 charges took 10 ms, 18
+    rows 11 ms, on a 2-CPU Xeon host). No bit depends on them."""
+    return np.append(np.arange(0, t, max(1, TILE * TILE // (2 * max(q, 1)))), t)
+
+
 def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
     """Source vector (S1/alpha1, S2/alpha2)/eps1 at the collocation points.
 
@@ -538,7 +570,7 @@ def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
     the solve returns the physical surface traces directly; each equation
     is divided by its jump coefficient, as in the operator.
     """
-    bounds = _strip_layout(problem.n_collocation, len(problem.charges))[0]
+    bounds = _rhs_bounds(problem.n_collocation, len(problem.charges))
     s1, s2 = source_terms_at(
         problem.colloc_pos, problem.colloc_nrm, problem.charges, bounds
     )
@@ -582,12 +614,13 @@ def _worker_part(u: np.ndarray, lo: int, hi: int):
 class _Operator:
     """Callable matvec, optionally fanned out over a fork pool.
 
-    The STRIP_CHUNKS chunks of the strip sweep are split into one
+    The STRIP_CHUNKS chunks of the tiled sweep are split into one
     contiguous range per worker, of at most STRIP_CHUNKS workers
     (partition_targets). Their sums are added over the fixed chunk tree,
     each worker returning the largest nodes inside its range, so no bit
     depends on the worker count. A dead worker raises WorkerDied, and
-    matvecs counts the applications.
+    matvecs counts the applications. hobi's near values are added to the
+    summed tree's root, after each row's regular sum, in the parent.
     """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
@@ -628,6 +661,8 @@ class _Operator:
         self.matvecs += 1
         nodes = {(a, b): sums for part in self._parts(u) for a, b, sums in part}
         acc = _tree_sum(0, STRIP_CHUNKS, lambda a, b: nodes.get((a, b)))
+        if problem.near_coef is not None:
+            _add_near(problem, u[:T], u[T:], acc)
         alpha1, alpha2 = _jump_coefficients(problem.params)
         out1 = u[:T] - acc[0] / alpha1
         out2 = u[T:] - acc[1] / alpha2
@@ -771,13 +806,21 @@ def solvation_energy(
     E = (1/2) sum_k q_k * Int_Gamma [K1(x_k, y) dphi/dn + K2(x_k, y) phi] dS,
     integrated with the regular rule on every element, the charges as
     targets; charges are strictly interior so no pair is singular. Each
-    block of charges from _strip_layout is a few elementwise passes over
-    functions of r and small matrix products with the sources' factors,
-    built once per call (energy_factors, energy_sums), positions taken
-    about the problem's origin. The products round by their row count, so
-    the bits follow the strip layout, a function of the charge count and N
-    alone. K1 and K2 do not read a target normal.
+    tile of _tile_layout (charges over sources) is a few elementwise passes
+    over functions of r and small matrix products with the sources'
+    factors, built once per call (energy_factors, energy_sums), positions
+    taken about the problem's origin; each charge adds its tiles in column
+    order. The products round by their sizes, so the bits follow the tile
+    layout, a function of the charge count and N alone. K1 and K2 do not
+    read a target normal. Raises ValueError unless both traces have one
+    value per collocation point: another problem's solution would index
+    the wrong unknowns.
     """
+    t = problem.n_collocation
+    shapes = (np.shape(solution.phi), np.shape(solution.dphi_dn))
+    if shapes != ((t,), (t,)):
+        raise ValueError(f"expected traces of length {t}, got phi of shape {shapes[0]}"
+                         f" and dphi_dn of shape {shapes[1]}")
     charges = problem.charges
     # the rule's points are read in place: copies of them, 6 values a
     # source, would outweigh a one-charge energy's 4-block scratch
@@ -789,11 +832,13 @@ def solvation_energy(
         problem.origin,
         problem.params,
     )
-    bounds, pairs, _ = _strip_layout(len(charges), problem.reg_w.size)
+    tiles, pairs, _ = _tile_layout(len(charges), problem.reg_w.size)
     scratch = kernel_scratch(int(pairs.max(initial=0)), ENERGY_BUFFERS)
-    rows = np.empty(len(charges))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        rows[s:e] = energy_sums(scratch, targets[s:e], sources, problem.params)
+    r2_cols, moments, wdphi = sources
+    rows = np.zeros(len(charges))
+    for s, e, c, d in tiles:
+        tile = (r2_cols[:, c:d], moments[c:d], None if wdphi is None else wdphi[c:d])
+        rows[s:e] += energy_sums(scratch, targets[s:e], tile, problem.params)
     total = 0.0
     for q, row in zip(charges.charges, rows):
         total += q * row

@@ -278,11 +278,11 @@ def test_source_terms_reject_charge_on_surface_point():
 
 
 def test_source_terms_error_names_global_point_index(monkeypatch):
-    """The RHS is summed in the row blocks of the strip layout; the error
-    still counts from row 0."""
-    monkeypatch.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
-    bounds = pbbem.solver._strip_layout(30, 2)[0]
-    assert list(bounds) == [0, 8, 16, 24, 30]  # point 21 is row 5 of block 2
+    """The RHS is summed in row blocks of at most TILE^2 / 2 pairs; the
+    error still counts from row 0."""
+    monkeypatch.setattr(pbbem.solver, "TILE", 4)
+    bounds = pbbem.solver._rhs_bounds(30, 2)
+    assert list(bounds) == [0, 4, 8, 12, 16, 20, 24, 28, 30]  # point 21 is row 1 of block 5
     charges = ChargeSystem(
         positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], charges=[1.0, 1.0]
     )

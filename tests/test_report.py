@@ -274,10 +274,10 @@ def test_memory_bound_counts_shared_arrays_once():
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_memory_bound_covers_traced_matvec(scheme, level):
     """The bound counts what a serial matvec allocates (the flat source
-    axis, the sources' moments and the targets' weights, the strip sweep's
-    scratch, strip products and near index, and the chunk sums), so it is
-    at least the traced peak of one matvec of either scheme, screened or
-    not."""
+    axis, the sources' moments and the targets' weights, the tiled sweep's
+    scratch, tile products, near index and tile masks, and the chunk
+    sums), so it is at least the traced peak of one matvec of either
+    scheme, screened or not."""
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
     matvec = matvec_hobi if scheme == "hobi" else matvec_lobi
     for kappa in (0.0, 0.125):

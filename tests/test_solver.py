@@ -23,6 +23,7 @@ from pbbem.kernels import (
     PhysicalParams,
     kernel_values_d,
     source_terms_at,
+    sweep_buffers,
 )
 from pbbem.kirkwood import SphereProblem, kirkwood_centered
 from pbbem.mesh import (
@@ -36,7 +37,7 @@ from pbbem.mesh import (
 from pbbem.geometry import DegenerateArcError, DegenerateElementError, frames_at
 from pbbem.solver import (
     STRIP_CHUNKS,
-    STRIP_ROWS,
+    TILE,
     GmresBreakdown,
     GmresNonConvergence,
     SolverConfig,
@@ -320,7 +321,7 @@ def test_lobi_operator_has_a_unit_diagonal():
 
     er = MIXED.eps2 / MIXED.eps1
     alpha1, alpha2 = 0.5 * (1.0 + er), 0.5 * (1.0 + 1.0 / er)
-    bounds = pbbem.solver._strip_layout(problem.n_collocation, len(SCATTERED))[0]
+    bounds = pbbem.solver._rhs_bounds(problem.n_collocation, len(SCATTERED))
     s1, s2 = source_terms_at(problem.colloc_pos, problem.colloc_nrm, SCATTERED, bounds)
     expected = np.concatenate([s1 / (MIXED.eps1 * alpha1), s2 / (MIXED.eps1 * alpha2)])
     assert np.array_equal(assemble_rhs(problem), expected)
@@ -424,18 +425,18 @@ def _apply(problem, u):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_rhs_does_not_depend_on_strip_layout(monkeypatch, scheme):
-    """The RHS is bitwise equal for any strip layout at every kappa: each
-    of its rows sums over the full charge axis. The matvec and the energy
-    round by the strip's row count, so their bits follow the fixed layout;
-    the worker-count tests check those."""
+    """The RHS is bitwise equal for any tile size at every kappa: each of
+    its rows sums over the full charge axis, in row blocks of at most
+    TILE^2 / 2 pairs (1, 4 and 384 rows of 3 charges below). The matvec and
+    the energy round by their tiles' sizes, so their bits follow the fixed
+    layout; the worker-count tests check those."""
     mesh = icosahedral_sphere(1)
     for params in SCREENED_AND_NOT:
         problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
         reference = assemble_rhs(problem)
-        for rows, chunks in zip((1, 5, 48), (1, 3, 16)):
+        for tile, chunks in zip((1, 5, 48), (1, 3, 16)):
             with monkeypatch.context() as layout:
-                layout.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
-                layout.setattr(pbbem.solver, "STRIP_ROWS", rows)
+                layout.setattr(pbbem.solver, "TILE", tile)
                 layout.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
                 assert np.array_equal(assemble_rhs(problem), reference)
 
@@ -473,14 +474,15 @@ def _reference_row_sums(xt, nt, src, snrm, wphi, wdphi, params, skip=None):
 
 def _reference_moment_sums(problem, wphi, wdphi):
     """(2, T) regular sums as the moment contraction, written out. Per
-    strip of _strip_layout, with positions about the problem's origin,
+    tile of _tile_layout, with positions about the problem's origin,
     r^2 = [|x|^2, x, 1] @ [1, -2 y, |y|^2] and d.nx = [x.nx, nx/2] @ [1, -2 y]:
     g = 1/(4 pi r^3) (zero at the skipped pairs) and at kappa > 0
-    f4 = a g, f1 = em1 r^2 g and t = b g d.nx / r^2; each factor times the
-    sources' moments, the products contracted with the targets' x, x.nx
-    and nx. If self-sourced, each strip also sends the swapped
-    pairs' sums past its leading square to their columns, and the chunks
-    add over the binary chunk tree. Only the layout is shared with the code."""
+    f4 = a g, f1 = em1 r^2 g and t = b g d.nx / r^2, with e^(-kr) taken as
+    1 + em1; each factor times the sources' moments, g's and f4's products
+    added and contracted with the targets' [x, 1, x.nx, nx] (g's moments
+    carry the signs). If self-sourced, each tile off the diagonal also sends the
+    swapped pairs' sums to its columns, and the chunks add over the binary
+    chunk tree. Only the layout is shared with the code."""
     params, t = problem.params, problem.n_collocation
     er, kappa = params.eps2 / params.eps1, params.kappa
     q = problem.reg_w.shape[1]
@@ -489,7 +491,7 @@ def _reference_moment_sums(problem, wphi, wdphi):
     y, ny = (src - problem.origin).T, problem.reg_nrm.reshape(-1, 3).T
     ydn = y[0] * ny[0] + y[1] * ny[1] + y[2] * ny[2]
     c2, c3 = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
-    mg = np.stack([*(c2 * ny), c2 * ydn, c3, *(c3 * y)], axis=1)
+    mg = np.stack([*(c2 * ny), -c2 * ydn, c3, *(-c3 * y)], axis=1)
     wn = wphi * ny
     m4 = np.stack([*(er * wn), -er * wphi * ydn, wdphi / er, *(wn - wdphi * y / er)], axis=1)
     m5 = np.stack([wphi, *(-wphi * y)], axis=1)
@@ -500,7 +502,7 @@ def _reference_moment_sums(problem, wphi, wdphi):
     xr = np.stack([x[0] * x[0] + x[1] * x[1] + x[2] * x[2], *x, np.ones(t)], axis=1)
     nr = np.stack([xnx, *(nt / 2)], axis=1)
     yc = np.stack([np.ones(y.shape[1]), *(-2 * y), y[0] * y[0] + y[1] * y[1] + y[2] * y[2]])
-    bounds, _, chunks = pbbem.solver._strip_layout(t, None if own else src.shape[0])
+    tiles, _, chunks = pbbem.solver._tile_layout(t, None if own else src.shape[0])
     starts = problem.pair_starts * q
     near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
 
@@ -508,14 +510,13 @@ def _reference_moment_sums(problem, wphi, wdphi):
         """The targets' two sums from the factors, each (sources, targets)."""
         moments = [m[sources] for m in (mg, m4, m5, wdphi)]
         wt = w[:, targets]
-        x, xnx, n = wt[0:3], wt[4], wt[5:8]
         p = moments[0].T @ factors[0]
-        s1 = x[0] * p[0] + x[1] * p[1] + x[2] * p[2] - p[3]
-        s2 = xnx * p[4] - (n[0] * p[5] + n[1] * p[6] + n[2] * p[7])
         if kappa != 0.0:
-            p = (moments[1].T @ factors[1]) * wt
-            s1 += ((p[0] + p[1]) + p[2]) + p[3]
-            s2 += ((p[4] + p[5]) + p[6]) + p[7]
+            p = p + moments[1].T @ factors[1]
+        p = p * wt
+        s1 = ((p[0] + p[1]) + p[2]) + p[3]
+        s2 = ((p[4] + p[5]) + p[6]) + p[7]
+        if kappa != 0.0:
             s1 -= moments[3] @ factors[2]
             if swapped:
                 p = (moments[2].T @ factors[3]) * wt[4:]
@@ -527,31 +528,31 @@ def _reference_moment_sums(problem, wphi, wdphi):
 
     def chunk_sums(k):
         acc = np.zeros((2, t))
-        for i in range(chunks[k], chunks[k + 1]):
-            s, e = bounds[i], bounds[i + 1]
-            c = s if own else 0
-            rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
-            pair = (rows, near[starts[s] : starts[e]] - c)
-            r2 = xr[s:e] @ yc[:, c:]
+        for s, e, c, d in tiles[chunks[k] : chunks[k + 1]]:
+            rows = np.repeat(np.arange(s, e), np.diff(starts[s : e + 1]))
+            cols = near[starts[s] : starts[e]]
+            inside = (c <= cols) & (cols < d)
+            pair = (rows[inside] - s, cols[inside] - c)
+            r2 = xr[s:e] @ yc[:, c:d]
             r2[pair] = 1.0
             g = 1.0 / (r2 * FOUR_PI * np.sqrt(r2))
             g[pair] = 0.0
             f = [g]
             if kappa != 0.0:
-                dnx = nr[s:e] @ yc[:4, c:]
+                dnx = nr[s:e] @ yc[:4, c:d]
                 mkr = np.sqrt(r2) * -kappa
-                ekr = np.exp(mkr) * mkr
                 em1 = np.expm1(mkr)
+                ekr = (em1 + 1.0) * mkr
                 a = em1 - ekr
                 b = mkr * ekr + a + a + a
                 f += [a * g, em1 * r2 * g, b * g / r2 * dnx]
-            row1, row2 = sums([a.T for a in f], slice(c, None), slice(s, e))
+            row1, row2 = sums([a.T for a in f], slice(c, d), slice(s, e))
             acc[0, s:e] += row1
             acc[1, s:e] += row2
-            if own:
-                col1, col2 = sums([a[:, e - s :] for a in f], slice(s, e), slice(e, None), True)
-                acc[0, e:] += col1
-                acc[1, e:] += col2
+            if own and c != s:
+                col1, col2 = sums(f, slice(s, e), slice(c, d), True)
+                acc[0, c:d] += col1
+                acc[1, c:d] += col2
         return acc
 
     def node(a, b):
@@ -624,7 +625,7 @@ def _assert_near_four_kernel_sums(problem, u, got):
 @pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_sweep_bitwise_equals_four_kernel_reference(scheme, params):
-    """Both schemes' sweeps sum every strip as products of kernel factors
+    """Both schemes' sweeps sum every tile as products of kernel factors
     with source moments, lobi's with the swapped pairs' column sums: the
     matvec equals that contraction written out (_reference_moment_sums)
     bit for bit, with hobi's near table added entry by entry, and it is
@@ -663,10 +664,9 @@ def test_strip_products_keep_their_digits(monkeypatch, scheme, level):
     """kernel_sums takes r^2 = |x|^2 - 2 x.y + |y|^2 and d.nx = x.nx - y.nx
     as products of per-target rows with per-source columns, positions about
     the origin. On a mesh translated by (100, -50, 30) A, every pair of 8
-    strips spread over the sweep stays within 4 eps (|x|^2 + |y|^2) of d.d
+    tiles spread over the sweep stays within 4 eps (|x|^2 + |y|^2) of d.d
     and 4 eps (|x| + |y|) of d.nx, with d = x - y formed elementwise from
-    the same positions (3.0 and 1.5 eps measured over every strip), and no
-    pair the strip keeps has r^2 <= 0."""
+    the same positions, and no pair the tile keeps has r^2 <= 0."""
     mesh = icosahedral_sphere(level)
     moved = FlatMesh(
         vertices=mesh.vertices + [100.0, -50.0, 30.0], normals=mesh.normals, faces=mesh.faces
@@ -727,10 +727,10 @@ def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
     """One matvec task holds one set of scratch buffers, sized by its
-    largest strip. Doubling the chunks adds less than one source row of one
+    largest tile. Doubling the chunks adds less than one source row of one
     buffer plus one (2, T) partial sum of the deeper chunk tree to the
     traced peak, which stays within half a block of what workspace_doubles
-    counts for a whole serial matvec (0.91-1.02 of it at levels 1-3)."""
+    counts for a whole serial matvec (0.95-1.04 of it at levels 1-3)."""
     mesh = icosahedral_sphere(2)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
     u = np.random.default_rng(13).standard_normal(problem.n_unknowns)
@@ -738,7 +738,7 @@ def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
     t = problem.n_collocation
     task, sizes = pbbem.solver._apply_chunks, (STRIP_CHUNKS // 4, STRIP_CHUNKS // 2)
     node_bytes = 2 * t * 8
-    _, pairs, _ = pbbem.solver._strip_layout(t, None if scheme == "lobi" else n_sources)
+    _, pairs, _ = pbbem.solver._tile_layout(t, None if scheme == "lobi" else n_sources)
     block_bytes = int(pairs.max()) * 8
     peaks = []
     for size in sizes:
@@ -865,14 +865,47 @@ def test_energy_zero_charges(scheme):
     assert solvation_energy(problem, solution) == 0.0
 
 
+def test_energy_rejects_a_solution_of_another_problem(born_hobi_l2):
+    """Traces of another length, a finer or a coarser problem's solution,
+    raise a ValueError naming both lengths: a level-3 solution on the
+    level-2 problem used to return -81.98085 kcal/mol (the right answer is
+    -81.98132), and a shorter one an IndexError."""
+    problem, solution = born_hobi_l2
+    for n in (642, 42):
+        for phi, dphi in ((np.ones(n), np.ones(n)), (solution.phi, np.ones(n))):
+            with pytest.raises(ValueError, match=(
+                rf"^expected traces of length 162, got phi of shape \({phi.size},\)"
+                rf" and dphi_dn of shape \({n},\)$"
+            )):
+                solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
+
+
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_sweep_scratch_does_not_grow_with_the_mesh(scheme):
+    """workspace_doubles' block term, sweep_buffers blocks of the largest
+    tile, is the same at levels 3 and 5 (hobi: 642 and 10242 rows over
+    5120 and 81920 sources; lobi: 1280 and 20480 faces): sweep_buffers
+    TILE^2 values, where an 8-row strip over every source grew with N."""
+    for params in SCREENED_AND_NOT:
+        blocks = []
+        for level in (3, 5):
+            faces = 20 * 4**level
+            sizes = (faces // 2 + 2, 4 * faces) if scheme == "hobi" else (faces, None)
+            blocks.append(sweep_buffers(params) * int(pbbem.solver._tile_layout(*sizes)[1].max()))
+        assert blocks == [sweep_buffers(params) * TILE**2] * 2
+
+
 def test_strip_layout_without_sources_or_rows():
-    """No sources (an empty ChargeSystem's RHS): all rows form one strip of
-    zero pairs. No rows (an empty energy): no strip."""
-    bounds, pairs, chunks = pbbem.solver._strip_layout(642, 0)
-    assert list(bounds) == [0, 642] and list(pairs) == [0]
-    assert chunks[0] == 0 and np.all(np.diff(chunks) >= 0)
-    bounds, pairs, _ = pbbem.solver._strip_layout(0, 5120)
-    assert list(bounds) == [0] and pairs.size == 0
+    """No sources: no tile, and every chunk is empty. No rows (an empty
+    energy): no tile. The RHS of an empty ChargeSystem is one row block of
+    zero pairs."""
+    tiles, pairs, chunks = pbbem.solver._tile_layout(642, 0)
+    assert tiles.shape == (0, 4) and pairs.size == 0
+    assert list(chunks) == [0] * (STRIP_CHUNKS + 1)
+    for n in (None, 5120):
+        tiles, pairs, _ = pbbem.solver._tile_layout(0, n)
+        assert tiles.shape == (0, 4) and pairs.size == 0
+    assert list(pbbem.solver._rhs_bounds(642, 0)) == [0, 642]
 
 
 # ---------------------------------------------------------------------------
@@ -1167,17 +1200,21 @@ def test_partition_property(n, w):
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-def test_parallel_matvec_bitwise_deterministic():
+def test_parallel_matvec_bitwise_deterministic(monkeypatch):
     """The partitioned operator must reproduce the serial sweep bitwise.
-    hobi level 2 has 162 vertices in strips of 8 rows (the last of 2);
-    lobi level 1 has 80 faces in strips of 51 and 29 rows; level 2 has 320
-    in 15 strips of 12 to 62 rows and a last one of 4. Both schemes at
-    kappa > 0 and at kappa = 0."""
+    With the default TILE, hobi level 2 (162 rows over 1280 sources) has
+    5 tiles of 162 x 227 and one of 162 x 145, and lobi level 2 (320
+    faces) 3 tiles; levels 1 have one tile each. With TILE = 24 (forked
+    workers inherit it) the same meshes have 10 to 378 tiles, so chunks
+    hold several and row tiles span chunks. Both schemes at kappa > 0 and
+    at kappa = 0."""
     rng = np.random.default_rng(6)
-    for scheme, level, params in (
-        (scheme, level, params)
-        for scheme in ("hobi", "lobi") for level in (1, 2) for params in SCREENED_AND_NOT
+    for tile, scheme, level, params in (
+        (tile, scheme, level, params)
+        for tile in (TILE, 24) for scheme in ("hobi", "lobi") for level in (1, 2)
+        for params in SCREENED_AND_NOT
     ):
+        monkeypatch.setattr(pbbem.solver, "TILE", tile)
         problem = discretize(
             icosahedral_sphere(level), params, CENTERED_UNIT, SolverConfig(scheme=scheme)
         )
@@ -1193,7 +1230,7 @@ def test_parallel_matvec_bitwise_deterministic():
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_energy_bits_do_not_follow_the_worker_count():
-    """The energy of 40 charges, four strips of matrix products, has the
+    """The energy of 40 charges, one tile of matrix products, has the
     same bits after solves on 1, 2 and 4 workers, at kappa 0 and > 0."""
     rng = np.random.default_rng(9)
     charges = ChargeSystem(rng.uniform(-1.0, 1.0, (40, 3)), rng.uniform(-1.0, 1.0, 40))
@@ -1209,7 +1246,7 @@ def test_energy_bits_do_not_follow_the_worker_count():
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_parallel_matvec_tolerates_empty_ranges():
     """More workers than non-empty chunks: hobi's 12 vertices and lobi's 20
-    faces each form one strip, so 15 of the 16 chunks are empty."""
+    faces each form one tile, so 15 of the 16 chunks are empty."""
     mesh = icosahedral_sphere(0)
     for scheme in ("hobi", "lobi"):
         problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme=scheme))
@@ -1312,11 +1349,11 @@ from pbbem.mesh import ChargeSystem, icosahedral_sphere
 from pbbem.solver import (SolverConfig, SurfaceSolution, discretize, make_operator,
                           solvation_energy)
 
-scheme, kappa = sys.argv[1], float(sys.argv[2])
+scheme, kappa, level = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
 params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=kappa)
 rng = np.random.default_rng(4)
 charges = ChargeSystem(rng.uniform(-0.5, 0.5, (40, 3)), rng.uniform(-1.0, 1.0, 40))
-problem = discretize(icosahedral_sphere(2), params, charges, SolverConfig(scheme=scheme))
+problem = discretize(icosahedral_sphere(level), params, charges, SolverConfig(scheme=scheme))
 u = np.random.default_rng(5).standard_normal(problem.n_unknowns)
 with make_operator(problem, SolverConfig(workers=1)) as op:
     serial = op(u)
@@ -1330,17 +1367,17 @@ print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest() for x in (serial, po
 """
 
 
-def _blas_thread_digests(scheme: str, kappa: float) -> list[list[str]]:
+def _blas_thread_digests(scheme: str, kappa: float, level: int) -> list[list[str]]:
     """The digests BLAS_THREADS_SCRIPT prints under OPENBLAS_NUM_THREADS=1
-    and =2: discretize with the serial matvec, the 2-worker one and the
-    energy of 40 scattered charges, each time."""
+    and =2: discretize on the level-`level` sphere with the serial matvec,
+    the 2-worker one and the energy of 40 scattered charges, each time."""
     package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", BLAS_THREADS_SCRIPT, scheme, str(kappa)],
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT, scheme, str(kappa), str(level)],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -1348,8 +1385,8 @@ def _blas_thread_digests(scheme: str, kappa: float) -> list[list[str]]:
     return digests
 
 
-def _assert_blas_thread_digests_agree(scheme: str, kappa: float):
-    one, two = _blas_thread_digests(scheme, kappa)
+def _assert_blas_thread_digests_agree(scheme: str, kappa: float, level: int = 2):
+    one, two = _blas_thread_digests(scheme, kappa, level)
     assert one == two and one[0] == one[1] and len(one) == 3
 
 
@@ -1375,30 +1412,40 @@ def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 @pytest.mark.parametrize("kappa", [0.0, 0.125])
 def test_lobi_matvec_bits_do_not_follow_blas_threads(kappa):
-    """lobi's strips also take the transposed products of the swapped
-    pairs, (k, rows) @ (rows, n): the level-2 matvec, serial and pooled,
-    and the energy have the same bits under OPENBLAS_NUM_THREADS=1 and =2."""
-    _assert_blas_thread_digests_agree("lobi", kappa)
+    """lobi's off-diagonal tiles also take the transposed products of the
+    swapped pairs, (k, rows) @ (rows, cols): the matvec, serial and pooled,
+    and the energy have the same bits under OPENBLAS_NUM_THREADS=1 and =2,
+    on the level-2 mesh (T = 320: tiles of 192 and 128 rows) and on the
+    level-3 one (T = 1280: 21 of its 28 tiles are full TILE x TILE
+    squares)."""
+    for level in (2, 3):
+        _assert_blas_thread_digests_agree("lobi", kappa, level)
 
 
-@pytest.mark.parametrize("floor", ["default", "none"])
+@pytest.mark.parametrize("tile", ["default", "none"])
 @pytest.mark.parametrize("n", [1, 7, 20, 321, 700])
-def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
+def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, tile):
     """Run the chunk task on n distinct points and record every pair the
-    kernel evaluates. The strips tile [0, n) with at least STRIP_ROWS rows
-    (the last may have fewer) and at most max(STRIP_ROWS n, STRIP_MIN_PAIRS)
-    pairs. Each ordered pair (i, j), i != j, takes its values from exactly
-    one evaluation: its own, or that of (j, i) when i lies past j's strip.
-    So each unordered pair is evaluated once, except inside a strip's
-    leading square, where each orientation is evaluated on its own."""
-    if floor == "none":
-        monkeypatch.setattr(pbbem.solver, "STRIP_MIN_PAIRS", 0)
-    bounds, pairs, chunks = pbbem.solver._strip_layout(n)
-    assert bounds[0] == 0 and bounds[-1] == n
+    kernel evaluates; tile "none" replaces the default TILE by 8, so every
+    n but 1 and 7 spans several tiles. The row tiles cut [0, n) into runs
+    of TILE rows (the last may have fewer), and the tiles are the squares
+    (I, J >= I) of those runs, each of at most TILE^2 pairs. Each ordered
+    pair (i, j), i != j, takes its values from exactly one evaluation: its
+    own, or that of (j, i) when i's row tile lies past j's. So each
+    unordered pair is evaluated once, except inside a diagonal tile, where
+    each orientation is evaluated on its own."""
+    if tile == "none":
+        monkeypatch.setattr(pbbem.solver, "TILE", 8)
+    size = pbbem.solver.TILE
+    tiles, pairs, chunks = pbbem.solver._tile_layout(n)
+    bounds = np.append(np.arange(0, n, size), n)
     rows = np.diff(bounds)
-    assert np.all(rows[:-1] >= STRIP_ROWS) and rows[-1] >= 1
-    assert np.all(pairs <= max(STRIP_ROWS * n, pbbem.solver.STRIP_MIN_PAIRS))
-    assert chunks[0] == 0 and chunks[-1] == rows.size and np.all(np.diff(chunks) >= 0)
+    assert np.all(rows[:-1] == size) and 1 <= rows[-1] <= size
+    blocks = [(s, e, c, d) for i, (s, e) in enumerate(zip(bounds[:-1], bounds[1:]))
+              for c, d in zip(bounds[i:-1], bounds[i + 1 :])]
+    assert tiles.tolist() == [list(b) for b in blocks]
+    assert np.all(pairs <= size * size)
+    assert chunks[0] == 0 and chunks[-1] == len(tiles) and np.all(np.diff(chunks) >= 0)
 
     points = np.column_stack([np.arange(n, dtype=float), np.zeros(n), np.ones(n)])
     normals = points / np.linalg.norm(points, axis=1)[:, None]
@@ -1424,11 +1471,11 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, floor):
 
     monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
     pbbem.solver._apply_chunks(problem, np.ones(2 * n), 0, STRIP_CHUNKS)
-    strip_end = np.repeat(bounds[1:], rows)  # end of the strip holding each row
-    past = np.arange(n)[:, None] >= strip_end[None, :]  # i past j's strip
+    row_tile = np.repeat(np.arange(rows.size), rows)  # the row tile holding each row
+    past = row_tile[:, None] > row_tile[None, :]  # i's row tile past j's
     served = evaluated + np.where(past, evaluated.T, 0)
     assert np.array_equal(served, 1 - np.eye(n, dtype=int))
-    square = strip_end[:, None] == strip_end[None, :]
+    square = row_tile[:, None] == row_tile[None, :]
     assert np.all((evaluated + evaluated.T)[~square] == 1)
     assert np.all(evaluated[square & ~np.eye(n, dtype=bool)] == 1)
 
@@ -1470,7 +1517,7 @@ def test_strip_chunks_hold_equal_pair_counts(level):
     """At benchmark sizes (level 4: 5120 faces; level 5: 20480) the chunks'
     pair counts agree within 10%."""
     n = 20 * 4**level
-    _, pairs, chunks = pbbem.solver._strip_layout(n)
+    _, pairs, chunks = pbbem.solver._tile_layout(n)
     per_chunk = np.array([pairs[a:b].sum() for a, b in zip(chunks[:-1], chunks[1:])])
     assert per_chunk.sum() == pairs.sum()
     assert per_chunk.max() - per_chunk.min() <= 0.1 * per_chunk.max()
@@ -1614,18 +1661,20 @@ def test_zero_charge_solve_is_trivial():
 def test_lobi_matvec_cost_scales_quadratically():
     """Work per refinement (4x the unknowns), once counted and once timed.
 
-    The strip layout's pair count is deterministic: about T(T+1)/2, each
-    unordered pair once plus the strips' leading squares. Its growth per
-    doubling of the mesh size must be quadratic in T. The timing takes the
-    min of 7 matvecs at levels 3 and 4, where the pair work outweighs the
-    fixed interpreter cost per strip; the two levels' repeats alternate, so
-    a drift in the host's load reaches both minima instead of the ratio."""
+    The tile layout's pair count is deterministic: about T(T+1)/2, each
+    unordered pair once plus the diagonal tiles' second orientations,
+    T TILE / 2 pairs. Counted at levels 4 and 5, where those are under
+    10% (at levels 2 and 3 they are 52% and 14%), its growth per doubling
+    of the mesh size must be quadratic in T. The timing takes the min of 7
+    matvecs at levels 3 and 4, where the pair work outweighs the fixed
+    interpreter cost per tile; the two levels' repeats alternate, so a
+    drift in the host's load reaches both minima instead of the ratio."""
     pairs = {}
-    for level in (2, 3):
+    for level in (4, 5):
         t = 20 * 4**level
-        pairs[level] = int(pbbem.solver._strip_layout(t)[1].sum())
+        pairs[level] = int(pbbem.solver._tile_layout(t)[1].sum())
         assert t * (t + 1) / 2 <= pairs[level] <= 1.1 * t * (t + 1) / 2
-    assert 2.5 <= np.sqrt(pairs[3] / pairs[2]) <= 5.5
+    assert 2.5 <= np.sqrt(pairs[5] / pairs[4]) <= 5.5
 
     problems = {}
     for level in (3, 4):
