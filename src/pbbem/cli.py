@@ -258,6 +258,8 @@ def cmd_solve(parser, args) -> int:
 
 def cmd_convergence(parser, args) -> int:
     schemes = [s for s in args.schemes.split(",") if s]
+    if not schemes:
+        parser.error("no scheme given: --schemes takes a comma list from {hobi,lobi}")
     for scheme in schemes:
         if scheme not in SCHEMES:
             parser.error(f"unknown scheme {scheme!r}")

@@ -27,9 +27,13 @@ TILE x TILE pairs (solver.TILE) in scratch allocated once per sweep
 with source_moments, contracted with the target weights; where the
 targets are sources too (lobi), the factors' transposes give the swapped
 pairs' sums, so a tile's products are square in both orientations.
-Products round by their sizes. Positions are taken
+The interior source terms (source_terms_at) take r^2 and d.nx from the
+same factors, with the charges as columns, and their sums as products
+with the charges. Products round by their sizes, so every regular sum's
+bits follow its tiles. Positions are taken
 about an origin: the product r^2 = |x|^2 - 2 x.y + |y|^2 and the moment
-sums both lose digits as |x|/r grows. At kappa = 0,
+sums both lose digits as |x|/r grows. Every e^(-kappa r) is 1 + em1
+(_screening). At kappa = 0,
 expm1(-0) = -0 makes K1, K4 and every factor but g = 1/(4 pi r^3)
 exactly zero, so they are not evaluated. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
@@ -40,7 +44,6 @@ takes r^2 from the same factors (energy_factors).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +58,11 @@ FOUR_PI = 4.0 * np.pi
 # unit-free.
 KCAL_MOL_PER_E2_ANG = 332.0716
 
-# float64 buffers, each one block of pair values, that source_terms_at fills
-# (kernel_scratch's default count)
-KERNEL_BUFFERS = 8
-# and that energy_sums uses: r^2, r and g, and one more where kappa > 0
-ENERGY_BUFFERS = 4
+# float64 buffers, each one block of pair values, that energy_sums uses:
+# r^2, r and g, and em1 and a where kappa > 0
+ENERGY_BUFFERS = 5
+# and that source_terms_at uses: r^2 (then d.nx), r and g
+SOURCE_BUFFERS = 3
 
 # float64 values in a 4096-byte page; kernel_scratch allocates one extra
 PAGE_DOUBLES = 512
@@ -103,19 +106,7 @@ def _dot3_into(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-@contextmanager
-def short_buffers():
-    """Shrink NumPy's iterator buffer, which would otherwise take several
-    rows of a block with fewer than ~4096 columns at once and make every
-    broadcast operation on it ~3x slower. No result depends on its size."""
-    size = np.setbufsize(16)
-    try:
-        yield
-    finally:
-        np.setbufsize(size)
-
-
-def kernel_scratch(size: int, count: int = KERNEL_BUFFERS) -> np.ndarray:
+def kernel_scratch(size: int, count: int) -> np.ndarray:
     """count flat float64 buffers for blocks of up to `size` pairs,
     starting on a page boundary: where the heap put them moved a level-3
     hobi solve by up to ~25% between processes on a 2-CPU Xeon host."""
@@ -124,24 +115,18 @@ def kernel_scratch(size: int, count: int = KERNEL_BUFFERS) -> np.ndarray:
     return raw[start : start + count * size].reshape(count, size)
 
 
-def _screening(r, kappa, em1, a, b=False, from_em1=False):
+def _screening(r, kappa, em1, a, b=False):
     """em1 = expm1(-kr) and a = (1 + kr) e^{-kr} - 1, kr = kappa r, into
-    the buffers em1 (r's too, unless b) and a; if b, also
+    the buffers em1 and a, neither r's; if b, also
     b = (3 + 3 kr + kr^2) e^{-kr} - 3 = 3 a + kr^2 e^{-kr} into r's buffer.
     a and b are O((kr)^2), written so the constant parts cancel exactly.
-    e^{-kr} is an exp pass, or with from_em1 (the sweep; em1 must not be
-    r's buffer) 1 + em1, equal to it within a rounding: on a 192 x 192
-    tile np.exp took 1.09 ns an element and the add 0.33 ns (2-CPU Xeon).
-    The near table and the energy keep the exp pass and their bits."""
+    e^{-kr} is taken as 1 + em1, equal to an exp pass within a rounding
+    and cheaper: on a 192 x 192 tile np.exp took 1.09 ns an element and
+    the add 0.33 ns (2-CPU Xeon)."""
     mkr = np.multiply(r, -kappa, out=r)
-    if from_em1:
-        np.expm1(mkr, out=em1)
-        e = np.add(em1, 1.0, out=a)
-        e *= mkr  # -kr e^{-kr}
-    else:
-        e = np.exp(mkr, out=a)
-        e *= mkr
-        np.expm1(mkr, out=em1)  # last: em1 may be mkr's buffer
+    np.expm1(mkr, out=em1)
+    e = np.add(em1, 1.0, out=a)
+    e *= mkr  # -kr e^{-kr}
     if b:
         mkr *= e
     np.subtract(em1, e, out=a)
@@ -204,12 +189,11 @@ def square_factors(x, y, origin):
 
 
 def target_factors(x, nx):
-    """(weights, rows) of kernel_sums' targets from the (3, T) coordinate
-    rows x (positions about the sweep's origin) and nx: the (8, T) weights
-    x (3), 1, x.nx, nx (3) and the (T, 4) rows [x.nx, nx/2], whose product
-    with square_factors' columns [1, -2 y] is d.nx (halving is exact)."""
+    """The (T, 4) rows [x.nx, nx/2] of the (3, T) coordinate rows x
+    (positions about the sweep's origin) and nx, whose product with
+    square_factors' columns [1, -2 y] is d.nx (halving is exact)."""
     xnx = x[0] * nx[0] + x[1] * nx[1] + x[2] * nx[2]
-    return np.array([*x, np.ones_like(xnx), xnx, *nx]), np.column_stack([xnx, *(0.5 * nx)])
+    return np.column_stack([xnx, *(0.5 * nx)])
 
 
 def _moment_products(factors, moments, weights, er, swapped=False):
@@ -241,11 +225,11 @@ def _moment_products(factors, moments, weights, er, swapped=False):
 def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped=None):
     """Weighted row sums of K1..K4 over one tile of (target, source) pairs.
 
-    targets is ((rows, 5) square_factors rows, (rows, 4) and (8, rows)
-    target_factors), sources ((5, cols) square_factors columns, (cols, k)
-    source_moments). Returns the row sums of K1 wdphi + K2 wphi and
-    K3 wdphi + K4 wphi. mask, a (rows, cols) index pair, drops pairs that
-    would divide by zero. With g = 1/(4 pi r^3), f4 = a g,
+    targets is ((rows, 5) square_factors rows, (rows, 4) target_factors
+    rows, the (8, rows) target weights [x, 1, x.nx, nx]), sources
+    ((5, cols) square_factors columns, (cols, k) source_moments). Returns
+    the row sums of K1 wdphi + K2 wphi and K3 wdphi + K4 wphi. mask, a
+    (rows, cols) index pair, drops pairs that would divide by zero. With g = 1/(4 pi r^3), f4 = a g,
     f1 = em1 r^2 g (_screening) and t = b g d.nx / r^2: K1 = -f1,
     K2 = ((er - 1) g + er f4) d.ny, K3 = (f4/er - (1 - 1/er) g) d.nx and
     K4 = f4 nx.ny - t d.ny. r^2 and d.nx are each one product of the rows
@@ -266,7 +250,7 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     factors = [g]
     if params.kappa != 0.0:
         dnx = np.matmul(nr, yc[:4], out=buf[3])
-        em1, f4, t = _screening(buf[1], params.kappa, buf[4], buf[5], True, True)
+        em1, f4, t = _screening(buf[1], params.kappa, buf[4], buf[5], True)
         f4 *= g
         f1 = np.multiply(em1, r2, out=em1)
         f1 *= g
@@ -320,7 +304,7 @@ def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
     k1 = None
     if wdphi is not None:
         er = params.eps2 / params.eps1
-        em1, a, _ = _screening(b[1], params.kappa, b[1], b[3])
+        em1, a, _ = _screening(b[1], params.kappa, b[4], b[3])
         k1 = np.multiply(r2, em1, out=b[0])
         k1 *= h  # em1 r^2 g = -K1
         a += 1.0 - 1.0 / er
@@ -378,38 +362,39 @@ def kernel_values_d(d, nx, ny, params: PhysicalParams):
 
 
 def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSystem,
-                    bounds=None):
+                    origin: np.ndarray, tiles: np.ndarray):
     """(S1, S2) at many surface points: (m, 3) -> pair of (m,).
 
     S1 = sum_k q_k G0(x, y_k) and S2 = sum_k q_k dG0(x, y_k)/dn_x, the
     unscaled interior sources; the solver applies the dielectric scaling
-    when it assembles a right-hand side. Block k is points [bounds[k],
-    bounds[k+1]) against every charge (default: one block), evaluated
-    from coordinate rows (structure of arrays) in views of one
-    kernel_scratch; each point sums over the full charge axis, so no
-    result depends on the blocks.
+    when it assembles a right-hand side. tiles[k] = (s, e, c, d) is points
+    [s, e) against charges [c, d), and each point adds its tiles in order.
+    A tile is products, like kernel_sums: r^2 and d.nx from square_factors
+    and target_factors, positions about origin, then with
+    g = 1/(4 pi r^3), S1 = (r^2 g) @ q and S2 = -(g d.nx) @ q, in
+    SOURCE_BUFFERS blocks of one kernel_scratch. The products round by
+    their sizes, so the bits follow the tiles. A pair with
+    r^2 <= 4 eps (|x|^2 + |y|^2), where a product r^2 cannot be told apart
+    from zero, raises SingularityError naming the point and the charge.
     """
-    pt, nt, yt = (np.ascontiguousarray(np.transpose(a), dtype=float)
-                  for a in (points, normals, charges.positions))
-    m, q = pt.shape[1], charges.charges
-    s1, s2 = np.empty(m), np.empty(m)
-    bounds = (0, m) if bounds is None else bounds
-    scratch = kernel_scratch(int(np.diff(bounds).max(initial=0)) * q.size)
-    with short_buffers():
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            flat = scratch[:, : (e - s) * q.size].reshape(KERNEL_BUFFERS, e - s, q.size)
-            d, (r2, tmp, dnx, r, t) = flat[:3], flat[3:]
-            np.subtract(pt[:, s:e, None], yt[:, None], out=d)
-            _dot3_into(d, d, r2, tmp)
-            if r2.min(initial=np.inf) < 1e-300:
-                i, j = np.argwhere(r2 < 1e-300)[0]
-                raise SingularityError(f"surface point {s + i} coincides with charge {j}")
-            _dot3_into(d, nt[:, s:e, None], dnx, tmp)
-            np.sqrt(r2, out=r)
-            # q / (4 pi r) and -q dnx / (4 pi r^3)
-            s1[s:e] = np.divide(q, np.multiply(r, FOUR_PI, out=t), out=t).sum(axis=1)
-            den = np.multiply(r2, FOUR_PI, out=tmp)
-            den *= r
-            np.multiply(dnx, -q, out=dnx)
-            s2[s:e] = np.divide(dnx, den, out=dnx).sum(axis=1)
-    return s1, s2
+    x, nx = (np.transpose(np.asarray(a, dtype=float)) for a in (points, normals))
+    rows, cols = square_factors(x, np.transpose(charges.positions), origin)
+    nrows, q = target_factors(rows[:, 1:4].T, nx), charges.charges
+    sums = np.zeros((2, len(rows)))
+    pairs = (tiles[:, 1] - tiles[:, 0]) * (tiles[:, 3] - tiles[:, 2])
+    scratch = kernel_scratch(int(pairs.max(initial=0)), SOURCE_BUFFERS)
+    band = 4.0 * np.finfo(float).eps
+    for s, e, c, d in tiles.tolist():
+        xr, yc = rows[s:e], cols[:, c:d]
+        buf = scratch[:, : (e - s) * (d - c)].reshape(-1, e - s, d - c)
+        r2 = np.matmul(xr, yc, out=buf[0])
+        if r2.min() <= band * (xr[:, 0].max() + yc[4].max()):
+            near = np.argwhere(r2 <= band * (xr[:, :1] + yc[4]))
+            if len(near):
+                i, j = near[0]
+                raise SingularityError(f"surface point {s + i} coincides with charge {c + j}")
+        g = _green_cube(r2, buf[1], buf[2])
+        sums[0, s:e] += np.matmul(np.multiply(r2, g, out=buf[1]), q[c:d])
+        dnx = np.matmul(nrows[s:e], yc[:4], out=buf[0])
+        sums[1, s:e] -= np.matmul(np.multiply(dnx, g, out=dnx), q[c:d])
+    return sums[0], sums[1]

@@ -300,13 +300,15 @@ def icosahedral_sphere(
     """
     if not 0 <= level <= 7:
         raise ValueError(f"refinement level must be in [0, 7], got {level}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    c = np.asarray(center, dtype=float)
+    if c.shape != (3,) or not np.isfinite(c).all():
+        raise ValueError(f"center must be 3 finite coordinates, got {center}")
     verts, faces = _icosahedron()
     for _ in range(level):
         verts, faces = _subdivide(verts, faces)
     # verts stay on the unit sphere throughout; scale and shift once
-    c = np.asarray(center, dtype=float)
     return FlatMesh(vertices=c + radius * verts, normals=verts.copy(), faces=faces)
 
 

@@ -45,10 +45,11 @@ The tiles form STRIP_CHUNKS chunks, the matvec's fixed work list; each
 chunk sums from zero in tile order and the chunks are added over a fixed
 binary tree. Matrix products round by their sizes, so every matvec's bits
 follow the tile layout, a function of T and N alone, never of the worker
-count. The solvation energy sums the regular rule over every element with
-the charges as targets, in tiles of the same layout that are products too
-(kernels.energy_sums), so its bits follow that layout; each right-hand
-side row sums the full charge axis, so its bits follow none.
+count. The solvation energy (the charges over the regular rule's
+sources, kernels.energy_sums) and the right-hand side (the rows over the
+charges, kernels.source_terms_at) are products over tiles of the same
+layout, each row adding its tiles in order, so every regular sum rounds
+by _tile_layout alone.
 """
 
 from __future__ import annotations
@@ -380,9 +381,9 @@ def _self_sourced(problem: DiscretizedProblem) -> bool:
 
 def _tile_layout(t: int, n: int | None = None):
     """(tiles, pairs, chunks): the tiled sweep of t rows over n sources,
-    or over the rows themselves if n is None (self-sourced). The matvec
-    and the solvation energy (charges over sources) take their blocks from
-    here.
+    or over the rows themselves if n is None (self-sourced). The matvec,
+    the solvation energy (charges over sources) and the right-hand side
+    (rows over charges) take their blocks from here.
 
     Row tile I is rows [I h, (I + 1) h), h = min(TILE, t), and column tile
     J columns [J w, (J + 1) w), the last of each fewer: w = h if
@@ -463,7 +464,9 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     pos, nrm = (a.reshape(-1, 3).T for a in (problem.reg_pos, problem.reg_nrm))
     xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
     moments = source_moments(ycols[1:4] * -0.5, nrm, wphi, wdphi, params)
-    weights, nrows = target_factors(xrows[:, 1:4].T, problem.colloc_nrm.T)
+    x, nx = xrows[:, 1:4].T, problem.colloc_nrm.T
+    nrows = target_factors(x, nx)
+    weights = np.array([*x, np.ones(T), nrows[:, 0], *nx])  # [x, 1, x.nx, nx]
     scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(params))
     # (row, column) of every Q point of every near face in the full (T, N)
     # pair array; row tile [s, e) holds entries [q starts[s], q starts[e])
@@ -554,25 +557,19 @@ def _jump_coefficients(params: PhysicalParams) -> tuple[float, float]:
     return 0.5 * (1.0 + er), 0.5 * (1.0 + 1.0 / er)
 
 
-def _rhs_bounds(t: int, q: int) -> np.ndarray:
-    """Row blocks of the right-hand side, t points over q charges: each
-    row sums the whole charge axis, so a block is as many rows as half a
-    tile of pairs allows, at least one; its KERNEL_BUFFERS blocks then hold
-    less than the sweep's scratch (9 rows of 2000 charges took 10 ms, 18
-    rows 11 ms, on a 2-CPU Xeon host). No bit depends on them."""
-    return np.append(np.arange(0, t, max(1, TILE * TILE // (2 * max(q, 1)))), t)
-
-
 def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
     """Source vector (S1/alpha1, S2/alpha2)/eps1 at the collocation points.
 
     The 1/eps1 scaling pairs with the exterior-to-interior kernel ratio so
     the solve returns the physical surface traces directly; each equation
-    is divided by its jump coefficient, as in the operator.
+    is divided by its jump coefficient, as in the operator. The sums are
+    products over the tiles of _tile_layout (points over charges), positions
+    about the problem's origin (kernels.source_terms_at).
     """
-    bounds = _rhs_bounds(problem.n_collocation, len(problem.charges))
+    charges = problem.charges
+    tiles, _, _ = _tile_layout(problem.n_collocation, len(charges))
     s1, s2 = source_terms_at(
-        problem.colloc_pos, problem.colloc_nrm, problem.charges, bounds
+        problem.colloc_pos, problem.colloc_nrm, charges, problem.origin, tiles
     )
     alpha1, alpha2 = _jump_coefficients(problem.params)
     eps1 = problem.params.eps1
@@ -823,7 +820,7 @@ def solvation_energy(
                          f" and dphi_dn of shape {shapes[1]}")
     charges = problem.charges
     # the rule's points are read in place: copies of them, 6 values a
-    # source, would outweigh a one-charge energy's 4-block scratch
+    # source, would outweigh a one-charge energy's 5-block scratch
     targets, sources = energy_factors(
         charges.positions,
         problem.reg_pos.reshape(-1, 3).T,

@@ -198,6 +198,13 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "unknown scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schemes", ["", ","])
+    def test_no_convergence_scheme(self, schemes, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convergence", "--schemes", schemes])
+        assert excinfo.value.code == 2
+        assert "no scheme given" in capsys.readouterr().err
+
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -226,6 +233,12 @@ class TestRuntimeErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: MeshFormatError:")
+
+    def test_non_finite_sphere_radius(self, charges_file, capsys):
+        rc = main(["solve", "--sphere", "1,nan", "--charges", charges_file])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: radius must be finite and positive, got nan")
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

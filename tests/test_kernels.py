@@ -232,9 +232,15 @@ def test_k2_close_range_limit_on_unit_sphere():
 # source terms
 
 
+def tiled_terms(points, normals, charges, origin=(0.0, 0.0, 0.0)):
+    """source_terms_at over the solver's tiles of the points and charges."""
+    tiles = pbbem.solver._tile_layout(len(points), len(charges))[0]
+    return source_terms_at(points, normals, charges, np.asarray(origin), tiles)
+
+
 def terms_at_point(x, nx, charges):
     """(S1, S2) at the single point x with normal nx."""
-    s1, s2 = source_terms_at(np.reshape(x, (1, 3)), np.reshape(nx, (1, 3)), charges)
+    s1, s2 = tiled_terms(np.reshape(x, (1, 3)), np.reshape(nx, (1, 3)), charges)
     return float(s1[0]), float(s2[0])
 
 
@@ -272,17 +278,16 @@ def test_source_terms_superposition():
 def test_source_terms_reject_charge_on_surface_point():
     charges = ChargeSystem(positions=[[1.0, 0.0, 0.0]], charges=[1.0])
     with pytest.raises(SingularityError):
-        source_terms_at(
-            np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]), charges
-        )
+        tiled_terms(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]), charges)
 
 
 def test_source_terms_error_names_global_point_index(monkeypatch):
-    """The RHS is summed in row blocks of at most TILE^2 / 2 pairs; the
-    error still counts from row 0."""
+    """The RHS is summed in tiles of at most TILE^2 pairs; the error still
+    counts from point 0."""
     monkeypatch.setattr(pbbem.solver, "TILE", 4)
-    bounds = pbbem.solver._rhs_bounds(30, 2)
-    assert list(bounds) == [0, 4, 8, 12, 16, 20, 24, 28, 30]  # point 21 is row 1 of block 5
+    tiles = pbbem.solver._tile_layout(30, 2)[0]
+    # point 21 is row 1 of tile 5
+    assert tiles.tolist() == [[s, min(s + 4, 30), 0, 2] for s in range(0, 30, 4)]
     charges = ChargeSystem(
         positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], charges=[1.0, 1.0]
     )
@@ -291,7 +296,29 @@ def test_source_terms_error_names_global_point_index(monkeypatch):
     points[27] = (0.0, 0.0, 0.0)
     normals = np.tile([[0.0, 1.0, 0.0]], (30, 1))
     with pytest.raises(SingularityError, match="point 21 coincides with charge 1"):
-        source_terms_at(points, normals, charges, bounds)
+        source_terms_at(points, normals, charges, np.zeros(3), tiles)
+
+
+@pytest.mark.parametrize("offset, singular", [(1e-7, True), (1e-5, False)])
+def test_source_terms_reject_a_point_in_the_rounding_band(monkeypatch, offset, singular):
+    """A product r^2 = |x|^2 - 2 x.y + |y|^2 cannot be told apart from zero
+    within 4 eps (|x|^2 + |y|^2): about the origin, a point 1e-7 from a
+    charge at |y| = 100 (r^2 = 1e-14 against a band of 1.8e-11) raises,
+    naming charge 5 of a later column tile (TILE = 4: tiles of 4 charges),
+    and a point 1e-5 away (r^2 = 1e-10) gives finite sums."""
+    monkeypatch.setattr(pbbem.solver, "TILE", 4)
+    positions = np.zeros((6, 3))
+    positions[:, 0] = [0.0, 10.0, 20.0, 30.0, 40.0, 100.0]
+    charges = ChargeSystem(positions=positions, charges=np.ones(6))
+    points = np.tile([[0.0, 50.0, 0.0]], (10, 1))
+    points[6] = (100.0, offset, 0.0)
+    normals = np.tile([[0.0, 1.0, 0.0]], (10, 1))
+    if singular:
+        with pytest.raises(SingularityError, match="point 6 coincides with charge 5"):
+            tiled_terms(points, normals, charges)
+    else:
+        s1, s2 = tiled_terms(points, normals, charges)
+        assert np.isfinite(s1).all() and np.isfinite(s2).all()
 
 
 def test_source_terms_at_matches_scalar_form():
@@ -301,7 +328,7 @@ def test_source_terms_at_matches_scalar_form():
     )
     points = rng.uniform(1.0, 2.0, (7, 3))
     normals = np.array([unit(v) for v in rng.normal(size=(7, 3))])
-    s1, s2 = source_terms_at(points, normals, charges)
+    s1, s2 = tiled_terms(points, normals, charges)
     for i in range(7):
         a = b = 0.0
         for q, y in zip(charges.charges, charges.positions):

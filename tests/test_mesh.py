@@ -211,6 +211,17 @@ def test_icosphere_level_guard(level):
         icosahedral_sphere(level)
 
 
+@pytest.mark.parametrize(
+    "radius, center, name",
+    [(np.nan, (0.0, 0.0, 0.0), "radius"), (np.inf, (0.0, 0.0, 0.0), "radius"),
+     (-1.0, (0.0, 0.0, 0.0), "radius"), (1.0, (0.0, np.nan, 0.0), "center"),
+     (1.0, (np.inf, 0.0, 0.0), "center"), (1.0, (0.0, 0.0), "center")],
+)
+def test_icosphere_rejects_a_bad_radius_or_center_by_name(radius, center, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        icosahedral_sphere(1, radius=radius, center=center)
+
+
 def test_icosphere_valences_level1():
     mesh = icosahedral_sphere(1)
     valence = np.bincount(mesh.faces.reshape(-1))

@@ -56,7 +56,7 @@ from pbbem.solver import (
     surface_potential_error,
 )
 from pbbem.quadrature import duffy_rule
-from reference import duffy_near_sums, duffy_pairs, gmres_givens
+from reference import duffy_near_sums, duffy_pairs, g0, gmres_givens
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
 MIXED = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.5)
@@ -321,8 +321,10 @@ def test_lobi_operator_has_a_unit_diagonal():
 
     er = MIXED.eps2 / MIXED.eps1
     alpha1, alpha2 = 0.5 * (1.0 + er), 0.5 * (1.0 + 1.0 / er)
-    bounds = pbbem.solver._rhs_bounds(problem.n_collocation, len(SCATTERED))
-    s1, s2 = source_terms_at(problem.colloc_pos, problem.colloc_nrm, SCATTERED, bounds)
+    tiles = pbbem.solver._tile_layout(problem.n_collocation, len(SCATTERED))[0]
+    s1, s2 = source_terms_at(
+        problem.colloc_pos, problem.colloc_nrm, SCATTERED, problem.origin, tiles
+    )
     expected = np.concatenate([s1 / (MIXED.eps1 * alpha1), s2 / (MIXED.eps1 * alpha2)])
     assert np.array_equal(assemble_rhs(problem), expected)
 
@@ -425,20 +427,46 @@ def _apply(problem, u):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_rhs_does_not_depend_on_strip_layout(monkeypatch, scheme):
-    """The RHS is bitwise equal for any tile size at every kappa: each of
-    its rows sums over the full charge axis, in row blocks of at most
-    TILE^2 / 2 pairs (1, 4 and 384 rows of 3 charges below). The matvec and
-    the energy round by their tiles' sizes, so their bits follow the fixed
-    layout; the worker-count tests check those."""
+    """The RHS, like the matvec and the energy, is products over the tiles
+    of _tile_layout, which round by their sizes: for any tile size (1, 5
+    and 48 below: tiles of 1 x 1, 5 x 3 and up to 48 x 3 pairs) it stays within
+    1e-14 of the default layout's, relative to its largest value per
+    half, at every kappa. Its bits follow the fixed layout, never the
+    worker count."""
     mesh = icosahedral_sphere(1)
     for params in SCREENED_AND_NOT:
         problem = discretize(mesh, params, SCATTERED, SolverConfig(scheme=scheme))
-        reference = assemble_rhs(problem)
+        reference = assemble_rhs(problem).reshape(2, -1)
+        scale = np.abs(reference).max(axis=1, keepdims=True)
         for tile, chunks in zip((1, 5, 48), (1, 3, 16)):
             with monkeypatch.context() as layout:
                 layout.setattr(pbbem.solver, "TILE", tile)
                 layout.setattr(pbbem.solver, "STRIP_CHUNKS", chunks)
-                assert np.array_equal(assemble_rhs(problem), reference)
+                rhs = assemble_rhs(problem).reshape(2, -1)
+            assert np.all(np.abs(rhs - reference) <= 1e-14 * scale)
+
+
+def test_rhs_matches_scalar_greens_functions_off_the_origin():
+    """On the level-3 hobi sphere moved by (100, -50, 30) A, with 40
+    charges scattered inside it, the RHS (products about the problem's
+    origin, the vertex centroid) stays within 1e-14 of sums of
+    reference.g0, G0 and its normal derivative -G0 d.nx / r^2, relative
+    to its largest value per half (1.5e-15 and 3.2e-15 measured)."""
+    shift = np.array([100.0, -50.0, 30.0])
+    mesh = icosahedral_sphere(3, center=shift)
+    rng = np.random.default_rng(8)
+    charges = ChargeSystem(shift + rng.uniform(-0.5, 0.5, (40, 3)), rng.uniform(-1, 1, 40))
+    problem = discretize(mesh, MIXED, charges, SolverConfig(scheme="hobi"))
+    expected = np.zeros((2, problem.n_collocation))
+    for i, (x, nx) in enumerate(zip(problem.colloc_pos, problem.colloc_nrm)):
+        for q, y in zip(charges.charges, charges.positions):
+            d = x - y
+            expected[:, i] += q * g0(x, y) * np.array([1.0, -float(d @ nx) / float(d @ d)])
+    er = MIXED.eps2 / MIXED.eps1
+    expected /= MIXED.eps1 * np.array([[0.5 * (1.0 + er)], [0.5 * (1.0 + 1.0 / er)]])
+    got = assemble_rhs(problem).reshape(2, -1)
+    scale = np.abs(expected).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - expected) <= 1e-14 * scale)
 
 
 def _node_sum(values, bary):
@@ -896,16 +924,14 @@ def test_sweep_scratch_does_not_grow_with_the_mesh(scheme):
 
 
 def test_strip_layout_without_sources_or_rows():
-    """No sources: no tile, and every chunk is empty. No rows (an empty
-    energy): no tile. The RHS of an empty ChargeSystem is one row block of
-    zero pairs."""
+    """No sources (or an empty ChargeSystem's RHS): no tile, and every
+    chunk is empty. No rows (an empty energy): no tile."""
     tiles, pairs, chunks = pbbem.solver._tile_layout(642, 0)
     assert tiles.shape == (0, 4) and pairs.size == 0
     assert list(chunks) == [0] * (STRIP_CHUNKS + 1)
     for n in (None, 5120):
         tiles, pairs, _ = pbbem.solver._tile_layout(0, n)
         assert tiles.shape == (0, 4) and pairs.size == 0
-    assert list(pbbem.solver._rhs_bounds(642, 0)) == [0, 642]
 
 
 # ---------------------------------------------------------------------------
@@ -1340,14 +1366,21 @@ def test_energy_blas_use_is_its_strip_products():
     ] * 3
 
 
+def test_rhs_blas_use_is_its_tile_products():
+    """The RHS's BLAS calls, made in the parent, are a tile's r^2 and d.nx
+    products and its two products with the charges (their bits under 1
+    and 2 BLAS threads: next tests)."""
+    assert _blas_uses(pbbem.solver.assemble_rhs) == ["pbbem.kernels.source_terms_at: matmul"] * 4
+
+
 BLAS_THREADS_SCRIPT = """
 import hashlib
 import sys
 import numpy as np
 from pbbem.kernels import PhysicalParams
 from pbbem.mesh import ChargeSystem, icosahedral_sphere
-from pbbem.solver import (SolverConfig, SurfaceSolution, discretize, make_operator,
-                          solvation_energy)
+from pbbem.solver import (SolverConfig, SurfaceSolution, assemble_rhs, discretize,
+                          make_operator, solvation_energy)
 
 scheme, kappa, level = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
 params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=kappa)
@@ -1363,14 +1396,17 @@ with make_operator(problem, SolverConfig(workers=2)) as op:
     pooled = op(u)
 t = problem.n_collocation
 energy = solvation_energy(problem, SurfaceSolution(u[:t], u[t:], 0, 0.0))
-print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest() for x in (serial, pooled, energy)))
+rhs = assemble_rhs(problem)
+print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest()
+        for x in (serial, pooled, energy, rhs)))
 """
 
 
 def _blas_thread_digests(scheme: str, kappa: float, level: int) -> list[list[str]]:
     """The digests BLAS_THREADS_SCRIPT prints under OPENBLAS_NUM_THREADS=1
     and =2: discretize on the level-`level` sphere with the serial matvec,
-    the 2-worker one and the energy of 40 scattered charges, each time."""
+    the 2-worker one, and the energy and the RHS of 40 scattered charges,
+    each time."""
     package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -1387,14 +1423,14 @@ def _blas_thread_digests(scheme: str, kappa: float, level: int) -> list[list[str
 
 def _assert_blas_thread_digests_agree(scheme: str, kappa: float, level: int = 2):
     one, two = _blas_thread_digests(scheme, kappa, level)
-    assert one == two and one[0] == one[1] and len(one) == 3
+    assert one == two and one[0] == one[1] and len(one) == 4
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
     """The level-2 kappa = 0 hobi matvec, serial and with 2 workers forked
-    after the parent ran a multi-threaded product, and the energy the
-    parent then sums, have the same bits under OPENBLAS_NUM_THREADS=1 and
+    after the parent ran a multi-threaded product, and the energy and the
+    RHS the parent then sums, have the same bits under OPENBLAS_NUM_THREADS=1 and
     =2."""
     _assert_blas_thread_digests_agree("hobi", 0.0)
 
@@ -1403,8 +1439,8 @@ def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
 def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
     """At kappa > 0 the near table's K1 and K4 coefficients are nonzero,
     and discretize forms every near coefficient with a BLAS product: the
-    level-2 matvec, serial and pooled, and the energy, whose K1 product
-    runs only here, have the same bits under OPENBLAS_NUM_THREADS=1 and
+    level-2 matvec, serial and pooled, the energy, whose K1 product runs
+    only here, and the RHS have the same bits under OPENBLAS_NUM_THREADS=1 and
     =2."""
     _assert_blas_thread_digests_agree("hobi", 0.125)
 
@@ -1414,7 +1450,7 @@ def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
 def test_lobi_matvec_bits_do_not_follow_blas_threads(kappa):
     """lobi's off-diagonal tiles also take the transposed products of the
     swapped pairs, (k, rows) @ (rows, cols): the matvec, serial and pooled,
-    and the energy have the same bits under OPENBLAS_NUM_THREADS=1 and =2,
+    the energy and the RHS have the same bits under OPENBLAS_NUM_THREADS=1 and =2,
     on the level-2 mesh (T = 320: tiles of 192 and 128 rows) and on the
     level-3 one (T = 1280: 21 of its 28 tiles are full TILE x TILE
     squares)."""
