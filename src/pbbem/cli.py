@@ -83,6 +83,18 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _parse_schemes(text: str) -> list[str]:
+    schemes = [s for s in text.split(",") if s]
+    if not schemes:
+        raise argparse.ArgumentTypeError(
+            "no scheme given: --schemes takes a comma list from {hobi,lobi}"
+        )
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise argparse.ArgumentTypeError(f"unknown scheme {scheme!r}")
+    return schemes
+
+
 def _add_physics_args(sub):
     sub.add_argument("--eps1", type=float, default=1.0, help="interior dielectric")
     sub.add_argument("--eps2", type=float, default=80.0, help="exterior dielectric")
@@ -125,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--charge-position", type=_parse_triple, default=(0.0, 0.0, 0.0),
                      metavar="X,Y,Z", help="single charge location (0.9,0,0 etc.)")
     sub.add_argument("--charge-value", type=float, default=1.0, help="charge (e_c)")
-    sub.add_argument("--schemes", default="hobi",
-                     help="comma list from {hobi,lobi}")
+    sub.add_argument("--schemes", type=_parse_schemes, default=["hobi"],
+                     metavar="S1,S2", help="comma list from {hobi,lobi}")
     _add_physics_args(sub)
     sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
     _add_output_args(sub)
@@ -257,18 +269,12 @@ def cmd_solve(parser, args) -> int:
 
 
 def cmd_convergence(parser, args) -> int:
-    schemes = [s for s in args.schemes.split(",") if s]
-    if not schemes:
-        parser.error("no scheme given: --schemes takes a comma list from {hobi,lobi}")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            parser.error(f"unknown scheme {scheme!r}")
     charges = ChargeSystem(
         positions=[args.charge_position], charges=[args.charge_value]
     )
     params = PhysicalParams(eps1=args.eps1, eps2=args.eps2, kappa=args.kappa)
     reports: list[RunReport] = []
-    for scheme in schemes:
+    for scheme in args.schemes:
         config = SolverConfig(
             scheme=scheme, tolerance=args.tol, workers=args.workers
         )

@@ -23,18 +23,21 @@ function of r times a polynomial of degree at most 2 in d = x - y
 products of per-target rows with per-source columns (square_factors,
 target_factors), evaluates a few functions of r over one tile of at most
 TILE x TILE pairs (solver.TILE) in scratch allocated once per sweep
-(kernel_scratch), and takes every row sum as a product of such a factor
-with source_moments, contracted with the target weights; where the
+plan (kernel_scratch), and takes every row sum as a product of such a
+factor with source_moments, contracted with the target weights; where the
 targets are sources too (lobi), the factors' transposes give the swapped
 pairs' sums, so a tile's products are square in both orientations.
 The interior source terms (source_terms_at) take r^2 and d.nx from the
 same factors, with the charges as columns, and their sums as products
 with the charges. Products round by their sizes, so every regular sum's
-bits follow its tiles. Positions are taken
+bits follow its tiles. Every kernel carries the constant 1/(4 pi); the
+regular sums take it on the per-source side, once a call (the moments,
+the energy's factors, the charges), so their pairwise factors have
+g = 1/r^3 (_green_cube) and skip a pass a pair. Positions are taken
 about an origin: the product r^2 = |x|^2 - 2 x.y + |y|^2 and the moment
 sums both lose digits as |x|/r grows. Every e^(-kappa r) is 1 + em1
 (_screening). At kappa = 0,
-expm1(-0) = -0 makes K1, K4 and every factor but g = 1/(4 pi r^3)
+expm1(-0) = -0 makes K1, K4 and every factor but g
 exactly zero, so they are not evaluated. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
 +-0.0, so every moment and row sum is +-0.0 and the operator is exactly
@@ -138,10 +141,11 @@ def _screening(r, kappa, em1, a, b=False):
 
 
 def _green_cube(r2, r, g):
-    """g = 1/(4 pi r^3), the factor of K2 and K3, from r2 = r^2; r = sqrt(r2)
-    is left in r."""
-    np.multiply(r2, FOUR_PI, out=g)
-    g *= np.sqrt(r2, out=r)
+    """g = 1/r^3 from r2 = r^2, the factor of K2 and K3 but for their
+    1/(4 pi), which the regular sums' moments carry; r = sqrt(r2) is left
+    in r."""
+    np.sqrt(r2, out=r)
+    np.multiply(r2, r, out=g)
     return np.divide(1.0, g, out=g)
 
 
@@ -154,13 +158,16 @@ def sweep_buffers(params: PhysicalParams) -> int:
 def source_moments(y, nrm, wphi, wdphi, params: PhysicalParams) -> list:
     """kernel_sums' (N, k) source moments, one per kernel factor, from the
     (3, N) coordinate rows y (about the sweep's origin) and nrm: [mg] at
-    kappa = 0, else [mg, m4, wdphi, m5]. With c2 = er - 1, c3 = 1/er - 1:
+    kappa = 0, else [mg, m4, wdphi, m5]. wphi and wdphi are first divided
+    by 4 pi, the kernels' constant, so every moment carries it and
+    kernel_sums' factors leave it out. With c2 = er - 1, c3 = 1/er - 1:
       mg (g):  c2 wphi ny (3), -c2 wphi y.ny, c3 wdphi, -c3 wdphi y (3);
       m4 (f4): er wphi ny (3), -er wphi y.ny, wdphi/er, wphi ny - wdphi y/er (3);
       m5 (t, swapped pairs): wphi, -wphi y (3), weighted from x.nx on.
     mg and m4 share the target weights [x, 1, x.nx, nx] (mg carries the
     signs), f1 reads wdphi, and t the rows' m4[:, :4] times -1/er."""
     er = params.eps2 / params.eps1
+    wphi, wdphi = wphi / FOUR_PI, wdphi / FOUR_PI
     a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
     ydn = y[0] * nrm[0] + y[1] * nrm[1] + y[2] * nrm[2]
     moments = [np.column_stack([*(a * nrm), -a * ydn, b, *(-b * y)])]
@@ -229,10 +236,12 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     rows, the (8, rows) target weights [x, 1, x.nx, nx]), sources
     ((5, cols) square_factors columns, (cols, k) source_moments). Returns
     the row sums of K1 wdphi + K2 wphi and K3 wdphi + K4 wphi. mask, a
-    (rows, cols) index pair, drops pairs that would divide by zero. With g = 1/(4 pi r^3), f4 = a g,
-    f1 = em1 r^2 g (_screening) and t = b g d.nx / r^2: K1 = -f1,
-    K2 = ((er - 1) g + er f4) d.ny, K3 = (f4/er - (1 - 1/er) g) d.nx and
-    K4 = f4 nx.ny - t d.ny. r^2 and d.nx are each one product of the rows
+    (rows, cols) index pair, drops pairs that would divide by zero; an
+    empty one costs no pass. With g = 1/r^3, f4 = a g,
+    f1 = em1 r^2 g (_screening) and t = b g d.nx / r^2, 4 pi times the
+    kernels are K1 = -f1, K2 = ((er - 1) g + er f4) d.ny,
+    K3 = (f4/er - (1 - 1/er) g) d.nx and K4 = f4 nx.ny - t d.ny; the 1/(4 pi)
+    rides on the moments. r^2 and d.nx are each one product of the rows
     with the columns, the factors are evaluated pairwise in sweep_buffers
     blocks of the scratch (kernel_scratch), and each sum is a product with
     moments (_moment_products). swapped, given when the targets are
@@ -244,9 +253,12 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     shape = (len(xr), yc.shape[1])
     buf = scratch[:, : shape[0] * shape[1]].reshape((-1,) + shape)
     r2 = np.matmul(xr, yc, out=buf[0])
-    r2[mask] = 1.0  # a placeholder: g is zeroed there
+    masked = len(mask[0]) > 0
+    if masked:
+        r2[mask] = 1.0  # a placeholder: g is zeroed there
     g = _green_cube(r2, buf[1], buf[2])
-    g[mask] = 0.0
+    if masked:
+        g[mask] = 0.0
     factors = [g]
     if params.kappa != 0.0:
         dnx = np.matmul(nr, yc[:4], out=buf[3])
@@ -271,19 +283,21 @@ def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):
     positions x, the (3, N) source coordinate rows pos and nrm (views do),
     and the source weights; positions are taken about origin. targets is
     square_factors' (n, 5) rows; sources holds its (5, N) columns, the
-    (N, 4) moments c wphi ny (3 columns) and c wphi y.ny, with c = er - 1
-    at kappa = 0 and er otherwise, and wdphi, or None at kappa = 0."""
+    (N, 4) moments c wphi ny (3 columns) and c wphi y.ny, with
+    c = (er - 1)/(4 pi) at kappa = 0 and er/(4 pi) otherwise, and
+    wdphi/(4 pi), or None at kappa = 0: the moments carry the kernels'
+    1/(4 pi), so energy_sums' g is 1/r^3."""
     er = params.eps2 / params.eps1
     screened = params.kappa != 0.0
     targets, r2_cols = square_factors(x.T, pos, origin)
     y2 = r2_cols[1:4]  # -2 y, whose products with nrm are exact doubles of y's
     ydn = -0.5 * (y2[0] * nrm[0] + y2[1] * nrm[1] + y2[2] * nrm[2])
-    a = wphi * (er if screened else er - 1.0)
+    a = wphi * ((er if screened else er - 1.0) / FOUR_PI)
     moments = np.empty((pos.shape[1], 4))
     for k in range(3):  # one column at a time: a strided (3, N) output is ~3x slower
         np.multiply(a, nrm[k], out=moments[:, k])
     np.multiply(a, ydn, out=moments[:, 3])
-    return targets, (r2_cols, moments, wdphi if screened else None)
+    return targets, (r2_cols, moments, wdphi / FOUR_PI if screened else None)
 
 
 def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
@@ -291,8 +305,9 @@ def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
     targets against a block of columns of energy_factors' sources (each
     of its three parts sliced alike). buf holds ENERGY_BUFFERS flat
     blocks of at least rows x cols values. r^2 is one (rows, 5) @ (5, cols)
-    product; with g = 1/(4 pi r^3), K1 = -em1 r^2 g and K2 = h d.ny,
-    h = g ((er - 1) + er a), so the row sums are
+    product; with g = 1/r^3 (the sources' factors carry 1/(4 pi)),
+    4 pi K1 = -em1 r^2 g and 4 pi K2 = h d.ny, h = g ((er - 1) + er a), so
+    the row sums are
     x.H[:3] - H[3] - (em1 r^2 g) @ wdphi with H = h @ moments (h = g and
     no K1 at kappa = 0, where em1 = -0 makes K1 exactly zero). The
     products round by their sizes."""
@@ -306,7 +321,7 @@ def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
         er = params.eps2 / params.eps1
         em1, a, _ = _screening(b[1], params.kappa, b[4], b[3])
         k1 = np.multiply(r2, em1, out=b[0])
-        k1 *= h  # em1 r^2 g = -K1
+        k1 *= h  # em1 r^2 g = -4 pi K1
         a += 1.0 - 1.0 / er
         h = np.multiply(a, h, out=a)  # h / er: the moments carry er
     H = np.matmul(h, moments).T
@@ -322,7 +337,8 @@ def kernel_values_d(d, nx, ny, params: PhysicalParams):
     arrays of shape (..., 3) that broadcast together; (3,) inputs, one
     pair, give 0-d arrays. Every operation is elementwise, so no value
     depends on how the pairs were blocked; g, a and b are kernel_sums'
-    factors. At kappa = 0, where K1 and K4 are exactly zero, they are
+    factors, g divided by 4 pi here, so the values are the kernels' own.
+    At kappa = 0, where K1 and K4 are exactly zero, they are
     returned as zeros and not evaluated. Callers mask a coincident pair by
     overwriting its displacement before the call.
     """
@@ -334,6 +350,7 @@ def kernel_values_d(d, nx, ny, params: PhysicalParams):
     _dot3_into(d, ny, dny, tmp)
     _dot3_into(d, nx, dnx, tmp)
     _green_cube(r2, r, g)
+    g /= FOUR_PI
 
     if params.kappa == 0.0:
         k1, k4 = np.zeros(shape), np.zeros(shape)
@@ -370,8 +387,8 @@ def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSyst
     when it assembles a right-hand side. tiles[k] = (s, e, c, d) is points
     [s, e) against charges [c, d), and each point adds its tiles in order.
     A tile is products, like kernel_sums: r^2 and d.nx from square_factors
-    and target_factors, positions about origin, then with
-    g = 1/(4 pi r^3), S1 = (r^2 g) @ q and S2 = -(g d.nx) @ q, in
+    and target_factors, positions about origin, then with g = 1/r^3 and
+    the charges divided by 4 pi once, S1 = (r^2 g) @ q and S2 = -(g d.nx) @ q, in
     SOURCE_BUFFERS blocks of one kernel_scratch. The products round by
     their sizes, so the bits follow the tiles. A pair with
     r^2 <= 4 eps (|x|^2 + |y|^2), where a product r^2 cannot be told apart
@@ -379,7 +396,7 @@ def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSyst
     """
     x, nx = (np.transpose(np.asarray(a, dtype=float)) for a in (points, normals))
     rows, cols = square_factors(x, np.transpose(charges.positions), origin)
-    nrows, q = target_factors(rows[:, 1:4].T, nx), charges.charges
+    nrows, q = target_factors(rows[:, 1:4].T, nx), charges.charges / FOUR_PI
     sums = np.zeros((2, len(rows)))
     pairs = (tiles[:, 1] - tiles[:, 0]) * (tiles[:, 3] - tiles[:, 2])
     scratch = kernel_scratch(int(pairs.max(initial=0)), SOURCE_BUFFERS)

@@ -183,14 +183,16 @@ def memory_lower_bound_mb(problem) -> float:
     array field of the problem: the regular frames, the near lists, hobi's
     near table) and the mesh arrays, each buffer once (hobi collocates at
     the mesh's own vertex arrays; lobi's regular rule is a view of its
-    centroids), plus the arrays a serial matvec allocates: its kernel
-    scratch, near-table gathers and partial sums (solver.workspace_doubles)
-    and the vectors in flight. Python objects are not counted, and on the
-    smallest meshes a matvec's per-tile and per-chunk objects outweigh its
-    arrays: for level-0 lobi (20 faces, eps 1/80) the bound is 30.2 KB and
-    tracemalloc traces a serial-matvec peak of 32.3 KB at kappa = 0 (41.7
-    and 44.3 KB at 0.125). The OS-level peak is higher still; this one is
-    reproducible.
+    centroids), plus what a serial operator holds for its matvecs
+    (solver.workspace_doubles): persistent, once, its sweep plan's factors,
+    weights, tile masks and kernel scratch; per call the sources' weights
+    and moments, tile products, near-table gathers and partial sums; and
+    the vectors in flight. Python objects are not counted. On the smallest
+    meshes they are a large share: for level-0 lobi (20 faces, eps 1/80)
+    the bound is 30.2 KB, and tracemalloc traces a peak of 27.8 KB for a
+    serial matvec that builds its plan and 7.8 KB for one that reuses it
+    at kappa = 0 (bound 41.8 KB; 40.6 and 11.2 KB at 0.125). The OS-level
+    peak is higher still; this one is reproducible.
     """
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]

@@ -33,13 +33,22 @@ regular-rule sources are cut into tiles of at most TILE x TILE pairs
 (_tile_layout), each evaluated as one block, each row skipping its near
 elements' sources, and its row sums go to its rows. Every tile is products
 of kernel factors with source moments about the problem's origin
-(kernels.kernel_sums). hobi sweeps every tile of the rectangle, and the
+(kernels.kernel_sums); the moments carry the kernels' 1/(4 pi), so the
+factors' g is 1/r^3. hobi sweeps every tile of the rectangle, and the
 operator then adds each row's near values from the table of _near_table.
 lobi's sources are its collocation points, one per element, and a row
 skips only its own (_self_sourced reads this from the tables), so pair
 (i, j) and its swap share every kernel factor: lobi sweeps the tiles
 (I, J >= I) of the square, and an off-diagonal tile also sends the swapped
 pairs' sums, square products of the factors' transposes, to its columns.
+
+All of this but the moments is fixed by the geometry, so it is built once
+into a sweep plan (_sweep_plan): the layout, the rows' and columns'
+factors and weights, every tile's views and near-pair mask, and the
+scratch. A serial operator builds its plan at its first matvec and a
+pool's workers each build their own as they start, never the parent; a
+matvec task then forms only u's moments (_sweep_moments) and sweeps
+(_apply_chunks).
 
 The tiles form STRIP_CHUNKS chunks, the matvec's fixed work list; each
 chunk sums from zero in tile order and the chunks are added over a fixed
@@ -97,6 +106,9 @@ NEAR_CHUNK = 512
 
 # every config's default regular rule: one instance, verified once
 _REGULAR_RULE = gauss_radau_rule()
+# the mask of every plan tile without near pairs, most of a large mesh's
+# tiles: one shared pair of empty indices instead of two views a tile
+_NO_PAIRS = (np.empty(0, np.intp),) * 2
 
 
 class GmresNonConvergence(RuntimeError):
@@ -416,13 +428,77 @@ def _tile_masks(tiles, rows, cols):
     """For the tiles (s, e, c, d) of one row tile, c ascending, and the
     entries (rows[i], cols[i]) in its rows, each inside one of the tiles:
     per tile, the index pair (rows - s, cols - c) of its entries, in entry
-    order. Built once per row tile, so a tile pays no search of its own."""
+    order."""
     key = np.searchsorted(tiles[:, 2], cols, "right") - 1
     order = np.argsort(key, kind="stable")
     key = key[order]
     ends = np.searchsorted(key, np.arange(len(tiles) + 1))
     r, c = rows[order] - tiles[0, 0], cols[order] - tiles[key, 2]
     return [(r[a:b], c[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepPlan:
+    """Everything the tiled sweep reads that does not depend on u, built
+    once by _sweep_plan in the process that sweeps.
+
+    tiles[k], tile k (s, e, c, d) of _tile_layout, is (rows, columns,
+    mask). rows, shared by its row tile, is (s, e, (square_factors rows,
+    target_factors rows, (8, rows) weights [x, 1, x.nx, nx])); columns,
+    shared by its column tile, (c, d, square_factors' columns, and if
+    self-sourced the columns' weights, else None); mask the (rows, cols)
+    index pair of its near pairs (_tile_masks). The arrays are views.
+    Chunk c is tiles [chunks[c], chunks[c + 1]).
+    """
+
+    problem: DiscretizedProblem
+    cols: np.ndarray  # (5, N) [1, -2 y, |y|^2], positions about the origin
+    tiles: tuple
+    chunks: tuple
+    scratch: np.ndarray  # kernel_scratch: sweep_buffers blocks of the largest tile
+
+
+def _sweep_plan(problem: DiscretizedProblem) -> _SweepPlan:
+    """The plan of problem's sweep under the TILE and STRIP_CHUNKS of the
+    moment it is built. Each row tile indexes its rows' near sources once
+    and groups them by column tile (_tile_masks), so a tile pays no search."""
+    T = problem.n_collocation
+    own = _self_sourced(problem)
+    pos = problem.reg_pos.reshape(-1, 3).T
+    layout, pairs, chunks = _tile_layout(T, None if own else pos.shape[1])
+    xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
+    x, nx = xrows[:, 1:4].T, problem.colloc_nrm.T
+    nrows = target_factors(x, nx)
+    weights = np.array([*x, np.ones(T), nrows[:, 0], *nx])  # [x, 1, x.nx, nx]
+    bounds = layout.tolist()  # Python ints slice faster
+    columns = {c: (c, d, ycols[:, c:d], weights[:, c:d] if own else None)
+               for _, _, c, d in bounds}
+    # the first tile of each row tile, and the end of the last
+    firsts = np.flatnonzero(np.diff(layout[:, 0], prepend=-1)).tolist() + [len(bounds)]
+    starts, q = problem.pair_starts, problem.reg_w.shape[1]
+    tiles = []
+    for first, end in zip(firsts[:-1], firsts[1:]):
+        s, e = bounds[first][:2]
+        # (row, column) in the (T, N) pair array of every Q point of every
+        # near face of rows [s, e)
+        rows = np.repeat(np.arange(s, e), q * np.diff(starts[s : e + 1]))
+        near = (problem.pair_face[starts[s] : starts[e], None] * q + np.arange(q)).reshape(-1)
+        row_tile = (s, e, (xrows[s:e], nrows[s:e], weights[:, s:e]))
+        masks = _tile_masks(layout[first:end], rows, near)
+        for (_, _, c, _), mask in zip(bounds[first:end], masks):
+            tiles.append((row_tile, columns[c], mask if len(mask[0]) else _NO_PAIRS))
+    scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(problem.params))
+    return _SweepPlan(problem, ycols, tuple(tiles), tuple(chunks.tolist()), scratch)
+
+
+def _sweep_moments(plan: _SweepPlan, u: np.ndarray) -> list:
+    """The sources' moments of u (kernels.source_moments), the one part of
+    a matvec's sweep that reads u."""
+    problem = plan.problem
+    T = problem.n_collocation
+    wphi, wdphi = _weights(problem, u[:T], u[T:])
+    nrm = problem.reg_nrm.reshape(-1, 3).T
+    return source_moments(plan.cols[1:4] * -0.5, nrm, wphi, wdphi, problem.params)
 
 
 def _tree_nodes(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -446,9 +522,10 @@ def _tree_sum(a: int, b: int, known):
     return sums
 
 
-def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
-    """Chunks [lo, hi) of the tiled sweep as [(a, b, sums)] over the
-    largest chunk-tree nodes in [lo, hi); sums is (2, T) kernel sums.
+def _apply_chunks(plan: _SweepPlan, moments: list, lo: int, hi: int):
+    """Chunks [lo, hi) of the tiled sweep of plan over the sources'
+    moments (_sweep_moments) as [(a, b, sums)] over the largest chunk-tree
+    nodes in [lo, hi); sums is (2, T) kernel sums.
 
     Each chunk sums from zero, tile by tile in order: tile (s, e, c, d)
     adds its row sums, each row skipping its near sources, to rows [s, e);
@@ -456,53 +533,27 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
     [c, d). Nodes add their halves, so the root, however the chunks were
     split, holds the same sums in one fixed association.
     """
-    T, params = problem.n_collocation, problem.params
-    phi, dphi = u[:T], u[T:]
-    wphi, wdphi = _weights(problem, phi, dphi)
-    own = _self_sourced(problem)
-    tiles, pairs, chunks = _tile_layout(T, None if own else wphi.size)
-    pos, nrm = (a.reshape(-1, 3).T for a in (problem.reg_pos, problem.reg_nrm))
-    xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
-    moments = source_moments(ycols[1:4] * -0.5, nrm, wphi, wdphi, params)
-    x, nx = xrows[:, 1:4].T, problem.colloc_nrm.T
-    nrows = target_factors(x, nx)
-    weights = np.array([*x, np.ones(T), nrows[:, 0], *nx])  # [x, 1, x.nx, nx]
-    scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(params))
-    # (row, column) of every Q point of every near face in the full (T, N)
-    # pair array; row tile [s, e) holds entries [q starts[s], q starts[e])
-    starts, q = problem.pair_starts, problem.reg_w.shape[1]
-    near_rows = np.repeat(np.arange(T), q * np.diff(starts))
-    near_cols = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
-    bounds = tiles.tolist()  # Python ints slice faster
-    built = {}  # the last row tile's (first tile, tile masks), kept across chunks
-
-    def row_masks(s, e):
-        if s not in built:
-            built.clear()
-            first, end = np.searchsorted(tiles[:, 0], [s, e])
-            near = slice(q * starts[s], q * starts[e])
-            built[s] = first, _tile_masks(tiles[first:end], near_rows[near], near_cols[near])
-        return built[s]
+    T, params = plan.problem.n_collocation, plan.problem.params
 
     def chunk(a, b):
         if b - a > 1:
             return None
         acc = np.zeros((2, T))
-        for k in range(chunks[a], chunks[b]):
-            s, e, c, d = bounds[k]
-            first, masks = row_masks(s, e)
-            swap = own and c != s
-            row1, row2, *cols = kernel_sums(
-                scratch,
-                (xrows[s:e], nrows[s:e], weights[:, s:e]),
-                (ycols[:, c:d], [m[c:d] for m in moments]),
+        for (s, e, targets), (c, d, cols, col_weights), mask in plan.tiles[
+            plan.chunks[a] : plan.chunks[b]
+        ]:
+            swap = col_weights is not None and c != s  # self-sourced, off the diagonal
+            row1, row2, *col_sums = kernel_sums(
+                plan.scratch,
+                targets,
+                (cols, [m[c:d] for m in moments]),
                 params,
-                mask=masks[k - first],
-                swapped=([m[s:e] for m in moments], weights[:, c:d]) if swap else None,
+                mask=mask,
+                swapped=([m[s:e] for m in moments], col_weights) if swap else None,
             )
             acc[0, s:e] += row1
             acc[1, s:e] += row2
-            for sums, col in zip(acc, cols):
+            for sums, col in zip(acc, col_sums):
                 sums[c:d] += col
         return acc
 
@@ -510,30 +561,35 @@ def _apply_chunks(problem: DiscretizedProblem, u: np.ndarray, lo: int, hi: int):
 
 
 def workspace_doubles(problem: DiscretizedProblem) -> int:
-    """float64 values (int64 indices count as one each) a serial matvec
-    allocates: per source its weights (_weights, 2 values), 5 r^2 columns
-    (square_factors) and its source_moments (8, or 20 at kappa > 0); per
-    target 5 r^2 rows, 8 weights and 4 d.nx rows (target_factors);
-    sweep_buffers blocks of the largest tile (TILE^2 pairs at most, so
-    this term does not grow with the mesh) and a page of alignment slack;
-    16 values for each row of a tile and, if self-sourced, each of its
-    columns (a product with moments, its contraction and the sums); two
-    indices per near source, and two more per near source of a row tile
-    (its tile masks); the (2, T) sums the chunk tree holds at once, one
-    per level and two at the leaves; and for hobi's near table 6 values an
-    entry (_add_near's gathers and products)."""
+    """float64 values (int64 indices count as one each) a serial operator
+    holds for its matvecs.
+
+    Persistent, in the plan it builds once (_sweep_plan): per source 5 r^2
+    columns (square_factors); per target 5 r^2 rows, 8 weights and 4 d.nx
+    rows (target_factors); two mask indices per near source (_tile_masks);
+    and sweep_buffers blocks of the largest tile (TILE^2 pairs at most, so
+    this term does not grow with the mesh) and a page of alignment slack.
+    Per call: per source its weights (_weights, 2 values) and its
+    source_moments (8, or 21 at kappa > 0); 16 values for each row of a
+    tile and, if self-sourced, each of its columns (a product with
+    moments, its contraction and the sums); the (2, T) sums the chunk tree
+    holds at once, one per level and two at the leaves; and for hobi's
+    near table 6 values an entry (_add_near's gathers and products). The
+    plan's build briefly holds one row tile's near entries twice more,
+    counted with the per-call part."""
     n, t, params = problem.reg_w.size, problem.n_collocation, problem.params
     own = _self_sourced(problem)
     tiles, pairs, _ = _tile_layout(t, None if own else n)
-    scratch = sweep_buffers(params) * int(pairs.max(initial=0)) + PAGE_DOUBLES
-    reach = tiles[:, 1] - tiles[:, 0] + (tiles[:, 3] - tiles[:, 2] if own else 0)
-    moments = (8 if params.kappa == 0.0 else 20) * n + 17 * t + 16 * int(reach.max(initial=0))
     starts = problem.pair_starts * problem.reg_w.shape[1]
+    scratch = sweep_buffers(params) * int(pairs.max(initial=0)) + PAGE_DOUBLES
+    plan = 5 * n + 17 * t + 2 * int(starts[-1]) + scratch
+    reach = tiles[:, 1] - tiles[:, 0] + (tiles[:, 3] - tiles[:, 2] if own else 0)
     row_tile = starts[tiles[:, 1]] - starts[tiles[:, 0]]
-    near = 2 * starts[-1] + 2 * int(row_tile.max(initial=0))
     held = (STRIP_CHUNKS - 1).bit_length() + 2
     table = 0 if problem.near_cols is None else 6 * problem.near_cols.size
-    return 7 * n + moments + scratch + near + table + held * 2 * t
+    per_call = ((10 if params.kappa == 0.0 else 23) * n + 16 * int(reach.max(initial=0))
+                + 2 * int(row_tile.max(initial=0)) + held * 2 * t + table)
+    return plan + per_call
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
@@ -595,17 +651,18 @@ def partition_targets(n_targets: int, n_workers: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # parallel operator: fork workers inherit the problem, write disjoint rows
 
-_worker_problem: DiscretizedProblem | None = None
+_worker_plan: _SweepPlan | None = None  # a pool worker's, never its parent's
 
 
 def _adopt(problem: DiscretizedProblem):
-    """Pool initializer: a fork child inherits its argument unpickled."""
-    global _worker_problem
-    _worker_problem = problem
+    """Pool initializer: a fork child inherits its argument unpickled and
+    builds the sweep's plan once, in its own memory."""
+    global _worker_plan
+    _worker_plan = _sweep_plan(problem)
 
 
 def _worker_part(u: np.ndarray, lo: int, hi: int):
-    return _apply_chunks(_worker_problem, u, lo, hi)
+    return _apply_chunks(_worker_plan, _sweep_moments(_worker_plan, u), lo, hi)
 
 
 class _Operator:
@@ -617,11 +674,15 @@ class _Operator:
     each worker returning the largest nodes inside its range, so no bit
     depends on the worker count. A dead worker raises WorkerDied, and
     matvecs counts the applications. hobi's near values are added to the
-    summed tree's root, after each row's regular sum, in the parent.
+    summed tree's root, after each row's regular sum, in the parent. A
+    serial operator builds its sweep plan at its first call and keeps it;
+    a pooled one's workers each build their own (_adopt), and the parent
+    builds none.
     """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
         self._problem = problem
+        self._plan = None
         self._ranges = [(0, STRIP_CHUNKS)]
         self._pool = None
         self.matvecs = 0
@@ -640,7 +701,10 @@ class _Operator:
 
     def _parts(self, u: np.ndarray) -> list:
         if self._pool is None:
-            return [_apply_chunks(self._problem, u, lo, hi) for lo, hi in self._ranges]
+            if self._plan is None:
+                self._plan = _sweep_plan(self._problem)
+            moments = _sweep_moments(self._plan, u)
+            return [_apply_chunks(self._plan, moments, lo, hi) for lo, hi in self._ranges]
         futures = [self._pool.submit(_worker_part, u, lo, hi) for lo, hi in self._ranges]
         from concurrent.futures.process import BrokenProcessPool
 

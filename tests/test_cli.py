@@ -205,6 +205,17 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "no scheme given" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schemes", ["", ",", "hibi", "hobi,hibi"])
+    def test_bad_schemes_print_the_convergence_usage(self, schemes, capsys):
+        """--schemes is checked while the subcommand's arguments are
+        parsed, so the usage printed is that of pbbem convergence."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convergence", "--schemes", schemes])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pbbem convergence ")
+        assert "pbbem convergence: error: argument --schemes: " in err
+
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

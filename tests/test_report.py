@@ -270,14 +270,15 @@ def test_memory_bound_counts_shared_arrays_once():
     assert extra_mb == pytest.approx(48 * mesh.n_faces / 1e6, rel=1e-9)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_memory_bound_covers_traced_matvec(scheme, level):
-    """The bound counts what a serial matvec allocates (the flat source
-    axis, the sources' moments and the targets' weights, the tiled sweep's
-    scratch, tile products, near index and tile masks, and the chunk
-    sums), so it is at least the traced peak of one matvec of either
-    scheme, screened or not."""
+    """The bound counts what a serial operator holds and allocates (its
+    sweep plan's factors, weights, tile masks and scratch, and per call
+    the sources' weights and moments, tile products, chunk sums and near
+    gathers), so it is at least the traced peak of one matvec of either
+    scheme, screened or not, plan build included (matvec_hobi and
+    matvec_lobi open a new operator each call)."""
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
     matvec = matvec_hobi if scheme == "hobi" else matvec_lobi
     for kappa in (0.0, 0.125):

@@ -425,6 +425,13 @@ def _apply(problem, u):
     return (matvec_hobi if problem.scheme == "hobi" else matvec_lobi)(problem, u)
 
 
+def _sweep(problem, u, lo=0, hi=STRIP_CHUNKS):
+    """Chunks [lo, hi) of u's sweep from a plan built for this call, as a
+    pool worker builds one when it starts and then runs a task."""
+    plan = pbbem.solver._sweep_plan(problem)
+    return pbbem.solver._apply_chunks(plan, pbbem.solver._sweep_moments(plan, u), lo, hi)
+
+
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_rhs_does_not_depend_on_strip_layout(monkeypatch, scheme):
     """The RHS, like the matvec and the energy, is products over the tiles
@@ -504,9 +511,10 @@ def _reference_moment_sums(problem, wphi, wdphi):
     """(2, T) regular sums as the moment contraction, written out. Per
     tile of _tile_layout, with positions about the problem's origin,
     r^2 = [|x|^2, x, 1] @ [1, -2 y, |y|^2] and d.nx = [x.nx, nx/2] @ [1, -2 y]:
-    g = 1/(4 pi r^3) (zero at the skipped pairs) and at kappa > 0
+    g = 1/r^3 (zero at the skipped pairs) and at kappa > 0
     f4 = a g, f1 = em1 r^2 g and t = b g d.nx / r^2, with e^(-kr) taken as
-    1 + em1; each factor times the sources' moments, g's and f4's products
+    1 + em1; each factor times the sources' moments, built from wphi and
+    wdphi divided by 4 pi (the kernels' constant), g's and f4's products
     added and contracted with the targets' [x, 1, x.nx, nx] (g's moments
     carry the signs). If self-sourced, each tile off the diagonal also sends the
     swapped pairs' sums to its columns, and the chunks add over the binary
@@ -516,6 +524,7 @@ def _reference_moment_sums(problem, wphi, wdphi):
     q = problem.reg_w.shape[1]
     own = problem.scheme == "lobi"  # self-sourced
     src = problem.reg_pos.reshape(-1, 3)
+    wphi, wdphi = wphi / FOUR_PI, wdphi / FOUR_PI
     y, ny = (src - problem.origin).T, problem.reg_nrm.reshape(-1, 3).T
     ydn = y[0] * ny[0] + y[1] * ny[1] + y[2] * ny[2]
     c2, c3 = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
@@ -563,7 +572,7 @@ def _reference_moment_sums(problem, wphi, wdphi):
             pair = (rows[inside] - s, cols[inside] - c)
             r2 = xr[s:e] @ yc[:, c:d]
             r2[pair] = 1.0
-            g = 1.0 / (r2 * FOUR_PI * np.sqrt(r2))
+            g = 1.0 / (r2 * np.sqrt(r2))
             g[pair] = 0.0
             f = [g]
             if kappa != 0.0:
@@ -708,7 +717,7 @@ def test_strip_products_keep_their_digits(monkeypatch, scheme, level):
         return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
 
     monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
-    pbbem.solver._apply_chunks(problem, np.ones(problem.n_unknowns), 0, STRIP_CHUNKS)
+    _sweep(problem, np.ones(problem.n_unknowns))
     eps = np.finfo(float).eps
     for k in np.linspace(0, len(strips) - 1, 8).astype(int):
         rows, nrows, cols, mask = strips[k]  # [|x|^2, x, 1], [x.nx, nx/2], [1, -2 y, |y|^2]
@@ -754,17 +763,18 @@ def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
-    """One matvec task holds one set of scratch buffers, sized by its
-    largest tile. Doubling the chunks adds less than one source row of one
-    buffer plus one (2, T) partial sum of the deeper chunk tree to the
-    traced peak, which stays within half a block of what workspace_doubles
-    counts for a whole serial matvec (0.95-1.04 of it at levels 1-3)."""
+    """A worker's plan holds one set of scratch buffers, sized by its
+    largest tile. Traced over the plan's build and one task, doubling the
+    chunks adds less than one source row of one buffer plus one (2, T)
+    partial sum of the deeper chunk tree to the peak, which stays within
+    half a block of what workspace_doubles counts for a whole serial
+    matvec (0.96-1.06 of it at levels 1-3)."""
     mesh = icosahedral_sphere(2)
     problem = discretize(mesh, MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
     u = np.random.default_rng(13).standard_normal(problem.n_unknowns)
     n_sources = problem.reg_w.size
     t = problem.n_collocation
-    task, sizes = pbbem.solver._apply_chunks, (STRIP_CHUNKS // 4, STRIP_CHUNKS // 2)
+    task, sizes = _sweep, (STRIP_CHUNKS // 4, STRIP_CHUNKS // 2)
     node_bytes = 2 * t * 8
     _, pairs, _ = pbbem.solver._tile_layout(t, None if scheme == "lobi" else n_sources)
     block_bytes = int(pairs.max()) * 8
@@ -1296,6 +1306,71 @@ def test_pool_starts_at_most_one_worker_per_chunk():
     assert 1 < started <= STRIP_CHUNKS
 
 
+def _counting_plans(monkeypatch):
+    """Replace the sweep's plan builder by one that records, in this
+    process, the problem of each plan it builds."""
+    builds, real = [], pbbem.solver._sweep_plan
+
+    def counting(problem):
+        builds.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(pbbem.solver, "_sweep_plan", counting)
+    return builds
+
+
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_serial_operator_builds_its_plan_once(monkeypatch, scheme):
+    """Opening a serial operator builds nothing; its first matvec builds
+    the sweep's plan and the next four sweep from the same one, each with
+    a fresh operator's bits."""
+    problem = discretize(icosahedral_sphere(1), MIXED, NO_CHARGES, SolverConfig(scheme=scheme))
+    vectors = np.random.default_rng(15).standard_normal((5, problem.n_unknowns))
+    expected = [_apply(problem, u) for u in vectors]
+    builds = _counting_plans(monkeypatch)
+    with make_operator(problem, SolverConfig(workers=1)) as op:
+        assert builds == []
+        for u, bits in zip(vectors, expected):
+            assert np.array_equal(op(u), bits)
+    assert builds == [problem]
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_pooled_operator_parent_builds_no_plan(monkeypatch):
+    """A pool's workers each build their own plan as they start; the
+    parent builds none and holds no worker plan, over 3 matvecs that keep
+    the serial bits."""
+    problem = discretize(icosahedral_sphere(2), MIXED, NO_CHARGES, SolverConfig(scheme="lobi"))
+    u = np.random.default_rng(16).standard_normal(problem.n_unknowns)
+    serial = _apply(problem, u)
+    builds = _counting_plans(monkeypatch)
+    with make_operator(problem, SolverConfig(workers=2)) as op:
+        for _ in range(3):
+            assert np.array_equal(op(u), serial)
+    assert builds == []
+    assert pbbem.solver._worker_plan is None
+
+
+def test_operators_on_one_problem_keep_their_own_layouts(monkeypatch):
+    """Two serial operators on one problem, opened and first applied under
+    TILE = 24 and the default TILE, each keep their own layout's bits,
+    alternately applied after TILE is back at its default: a plan belongs
+    to its operator, not to the problem."""
+    problem = discretize(icosahedral_sphere(2), MIXED, NO_CHARGES, SolverConfig(scheme="hobi"))
+    u = np.random.default_rng(17).standard_normal(problem.n_unknowns)
+    operators, bits = [], []
+    for tile in (24, TILE):
+        monkeypatch.setattr(pbbem.solver, "TILE", tile)
+        operators.append(make_operator(problem, SolverConfig(workers=1)))
+        bits.append(operators[-1](u))
+    assert not np.array_equal(*bits)  # the two layouts round differently
+    for _ in range(2):
+        for op, first in zip(operators, bits):
+            assert np.array_equal(op(u), first)
+    monkeypatch.setattr(pbbem.solver, "TILE", 24)
+    assert np.array_equal(_apply(problem, u), bits[0])
+
+
 def _exit_worker(*args):
     os._exit(1)
 
@@ -1506,7 +1581,7 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, tile):
         return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
 
     monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
-    pbbem.solver._apply_chunks(problem, np.ones(2 * n), 0, STRIP_CHUNKS)
+    _sweep(problem, np.ones(2 * n))
     row_tile = np.repeat(np.arange(rows.size), rows)  # the row tile holding each row
     past = row_tile[:, None] > row_tile[None, :]  # i's row tile past j's
     served = evaluated + np.where(past, evaluated.T, 0)
@@ -1541,7 +1616,7 @@ def test_hobi_strips_evaluate_each_regular_pair_once(monkeypatch):
         return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
 
     monkeypatch.setattr(pbbem.solver, "kernel_sums", recording)
-    pbbem.solver._apply_chunks(problem, np.ones(2 * t), 0, STRIP_CHUNKS)
+    _sweep(problem, np.ones(2 * t))
     incident = np.zeros((t, nf), int)
     for f, face in enumerate(problem.mesh.faces):
         incident[face, f] = 1
