@@ -33,6 +33,7 @@ from .report import (
     scaling_to_json,
 )
 from .solver import (
+    REGULAR_RULE,
     SCHEMES,
     GmresNonConvergence,
     SolverConfig,
@@ -220,7 +221,7 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
             solution.phi, oracle.phi(problem.colloc_pos)
         )
     if problem.scheme == "hobi":
-        rule_id, rule_degree = config.regular_rule.name, config.regular_rule.degree
+        rule_id, rule_degree = REGULAR_RULE.name, REGULAR_RULE.degree
     else:
         rule_id, rule_degree = "centroid-1", 1
     return RunReport(
@@ -331,23 +332,19 @@ def cmd_scaling(parser, args) -> int:
         return solution, time.monotonic() - start
 
     # the serial run anchors both the efficiency baseline T1 and the
-    # determinism column, so it always runs even if 1 is not in the list
-    reference, t1 = timed_solve(1)
-    timings = {1: t1}
-    solutions = {1: reference}
-    for workers in args.workers_list:
-        if workers not in timings:
-            solutions[workers], timings[workers] = timed_solve(workers)
+    # determinism column, so it runs first even if 1 is not in the list; a
+    # row names the workers that ran (worker_count caps the request)
+    counts = dict.fromkeys(SolverConfig(workers=w).worker_count() for w in args.workers_list)
+    runs = {w: timed_solve(w) for w in dict.fromkeys([1, *counts])}
+    reference, t1 = runs[1]
     rows = [
         ScalingRow(
             workers=w,
-            time_solve_s=timings[w],
-            efficiency=1.0 if w == 1 else t1 / (w * timings[w]),
-            max_solution_diff=float(
-                np.abs(solutions[w].vector - reference.vector).max()
-            ),
+            time_solve_s=runs[w][1],
+            efficiency=1.0 if w == 1 else t1 / (w * runs[w][1]),
+            max_solution_diff=float(np.abs(runs[w][0].vector - reference.vector).max()),
         )
-        for w in args.workers_list
+        for w in counts
     ]
     problem_desc = {
         "mesh_source": f"icosphere level={level} radius={radius}",

@@ -204,29 +204,29 @@ def target_factors(x, nx):
 
 
 def _moment_products(factors, moments, weights, er, swapped=False):
-    """[row1, row2]: the (rows, n) kernel factors times their (n, k) source
-    moments, each taken as moments.T @ factor.T, contracted with the
-    (8, rows) target weights [x, 1, x.nx, nx]: g's and f4's products are
-    added first, so the two sums are the weighted halves of one (8, rows)
-    array, each added in order."""
+    """The (2, rows) sums [row1, row2]: the (rows, n) kernel factors times
+    their (n, k) source moments, each taken as moments.T @ factor.T,
+    contracted with the (8, rows) target weights [x, 1, x.nx, nx]: g's and
+    f4's products are added first, so the two sums are the weighted halves
+    of one (8, rows) array, each added in order."""
     p = np.matmul(moments[0].T, factors[0].T)
     if len(factors) > 1:
         (f4, f1, t), (m4, wdphi, m5) = factors[1:], moments[1:]
         p += np.matmul(m4.T, f4.T)
     p *= weights
-    row1, row2 = p.reshape(2, 4, -1).sum(axis=1)
+    sums = p.reshape(2, 4, -1).sum(axis=1)
     if len(factors) > 1:
-        row1 -= np.matmul(wdphi, f1.T)
+        sums[0] -= np.matmul(wdphi, f1.T)
         del p  # else the next product is allocated before p is released
         if swapped:
             p = np.matmul(m5.T, t.T)
             p *= weights[4:]
-            row2 += p.sum(axis=0)
+            sums[1] += p.sum(axis=0)
         else:
             p = np.matmul(m4[:, :4].T, t.T)
             p *= weights[:4]
-            row2 -= p.sum(axis=0) / er
-    return [row1, row2]
+            sums[1] -= p.sum(axis=0) / er
+    return sums
 
 
 def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped=None):
@@ -235,9 +235,10 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     targets is ((rows, 5) square_factors rows, (rows, 4) target_factors
     rows, the (8, rows) target weights [x, 1, x.nx, nx]), sources
     ((5, cols) square_factors columns, (cols, k) source_moments). Returns
-    the row sums of K1 wdphi + K2 wphi and K3 wdphi + K4 wphi. mask, a
-    (rows, cols) index pair, drops pairs that would divide by zero; an
-    empty one costs no pass. With g = 1/r^3, f4 = a g,
+    (rows, cols): rows the (2, rows) row sums of K1 wdphi + K2 wphi and
+    K3 wdphi + K4 wphi, cols the swapped pairs' (2, cols) sums, or None
+    unless swapped is given. mask, a (rows, cols) index pair, drops pairs
+    that would divide by zero; an empty one costs no pass. With g = 1/r^3, f4 = a g,
     f1 = em1 r^2 g (_screening) and t = b g d.nx / r^2, 4 pi times the
     kernels are K1 = -f1, K2 = ((er - 1) g + er f4) d.ny,
     K3 = (f4/er - (1 - 1/er) g) d.nx and K4 = f4 nx.ny - t d.ny; the 1/(4 pi)
@@ -247,7 +248,7 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     moments (_moment_products). swapped, given when the targets are
     sources too, is (the rows' source_moments, the columns' target
     weights): the factors depend on r and the row's normal alone, so the
-    columns' sums follow from their transposes, also returned.
+    columns' sums follow from their transposes.
     """
     (xr, nr, weights), (yc, moments) = targets, sources
     shape = (len(xr), yc.shape[1])
@@ -271,11 +272,10 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
         t *= dnx
         factors += [f4, f1, t]
     er = params.eps2 / params.eps1
-    sums = _moment_products(factors, moments, weights, er)
-    if swapped is not None:
-        moments, weights = swapped
-        sums += _moment_products([f.T for f in factors], moments, weights, er, True)
-    return sums
+    rows = _moment_products(factors, moments, weights, er)
+    if swapped is None:
+        return rows, None
+    return rows, _moment_products([f.T for f in factors], *swapped, er, True)
 
 
 def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):

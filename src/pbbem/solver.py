@@ -104,8 +104,11 @@ STRIP_CHUNKS = 16
 # discretize traces a 4.7 MB peak at 512, 6.0 MB at 1024, 11.7 MB unchunked
 NEAR_CHUNK = 512
 
-# every config's default regular rule: one instance, verified once
-_REGULAR_RULE = gauss_radau_rule()
+# hobi's two rules, the paper's: the 4-point rule on every element, and
+# the 16-point Duffy-mapped product rule on each vertex's incident ones;
+# each built and verified once, at import
+REGULAR_RULE = gauss_radau_rule()
+DUFFY_RULE = duffy_rule(4)
 # the mask of every plan tile without near pairs, most of a large mesh's
 # tiles: one shared pair of empty indices instead of two views a tile
 _NO_PAIRS = (np.empty(0, np.intp),) * 2
@@ -127,26 +130,24 @@ class WorkerDied(RuntimeError):
     """A matvec worker process ended before it returned its part."""
 
 
-def _check_int(name: str, value, high: int | None = None):
-    """Raise a ValueError naming the field unless value is an int (NumPy
-    ints pass, bools fail) in [1, high], or at least 1 if high is None."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1 or (high is not None and value > high)):
-        bound = ">= 1" if high is None else f"in [1, {high}]"
-        raise ValueError(f"{name} must be an int {bound}, got {value!r}")
+def _check_int(name: str, value):
+    """Raise a ValueError naming the field unless value is an int >= 1
+    (NumPy ints pass, bools fail)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs. Defaults reproduce the reference setup everywhere."""
+    """Solver knobs, plain values that compare and hash by value; defaults
+    reproduce the reference setup. hobi's rules are no knobs (REGULAR_RULE,
+    DUFFY_RULE)."""
 
     scheme: str = "hobi"
     tolerance: float = 1e-6
     restart: int = 100
     max_iterations: int = 1000
     workers: int | None = None  # None: every CPU this process may run on
-    regular_rule: TriangleRule = _REGULAR_RULE
-    duffy_points: int = 4
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -157,16 +158,15 @@ class SolverConfig:
         _check_int("max_iterations", self.max_iterations)
         if self.workers is not None:
             _check_int("workers", self.workers)
-        if not isinstance(rule := self.regular_rule, TriangleRule):
-            raise ValueError(f"regular_rule must be a TriangleRule, got {rule!r}")
-        _check_int("duffy_points", self.duffy_points, 32)
 
     def worker_count(self) -> int:
-        if self.workers is not None:
-            return self.workers
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+        """The matvec workers that run: workers, or every CPU this process
+        may run on, at most STRIP_CHUNKS, past which a worker holds no chunk."""
+        count = self.workers
+        if count is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            count = len(affinity(0)) if affinity else os.cpu_count() or 1
+        return min(count, STRIP_CHUNKS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,21 +254,20 @@ def _face_frames(node_pos, node_nrm, rule: TriangleRule, per_face: int, first=0)
     return pos, nrm, rule.weights * jac
 
 
-def _near_table(mesh: FlatMesh, params: PhysicalParams, rotations,
-                duffy: TriangleRule, node_pos, node_nrm):
+def _near_table(mesh: FlatMesh, params: PhysicalParams, rotations, node_pos, node_nrm):
     """The near table's fields of DiscretizedProblem, built once since the near
     values are linear in the vertex traces (Canino et al., J. Comput. Phys. 146,
     1998). Element e (face e // 3, vertex x = rotations[e, 0] at node 1) gets
-    sum_d K(x, y_d) w_d bary_dj per kernel K1..K4 and node j; entry
-    (x, rotations[e, j]) adds these in element (face) order."""
+    sum_d K(x, y_d) w_d bary_dj over DUFFY_RULE's points d per kernel K1..K4
+    and node j; entry (x, rotations[e, j]) adds these in element (face) order."""
     n = len(node_pos)
-    bary = _barycentric(duffy.points)
-    duf_w = np.empty((n, len(duffy)))
+    bary = _barycentric(DUFFY_RULE.points)
+    duf_w = np.empty((n, len(DUFFY_RULE)))
     coef = np.empty((4, n, 3))
     x, nx = (a[rotations[:, 0], None] for a in (mesh.vertices, mesh.normals))
     for s in range(0, n, NEAR_CHUNK):
         e = min(s + NEAR_CHUNK, n)
-        pos, nrm, duf_w[s:e] = _face_frames(node_pos[s:e], node_nrm[s:e], duffy, 3, s)
+        pos, nrm, duf_w[s:e] = _face_frames(node_pos[s:e], node_nrm[s:e], DUFFY_RULE, 3, s)
         for part, k in enumerate(kernel_values_d(x[s:e] - pos, nx[s:e], nrm, params)):
             k *= duf_w[s:e]
             coef[part, s:e] = k @ bary
@@ -320,9 +319,8 @@ def discretize(
     rotations = np.stack([np.roll(faces, -k, axis=1) for k in range(3)], 1).reshape(-1, 3)
     node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, faces)
 
-    rule = config.regular_rule
-    reg_pos, reg_nrm, reg_w = _face_frames(node_pos[:, 0], node_nrm[:, 0], rule, 1)
-    near = _near_table(mesh, params, rotations, duffy_rule(config.duffy_points),
+    reg_pos, reg_nrm, reg_w = _face_frames(node_pos[:, 0], node_nrm[:, 0], REGULAR_RULE, 1)
+    near = _near_table(mesh, params, rotations,
                        *(a.reshape(-1, 10, 3) for a in (node_pos, node_nrm)))
 
     # a stable sort by vertex keeps each row's faces ascending
@@ -339,7 +337,7 @@ def discretize(
         reg_pos=reg_pos,
         reg_nrm=reg_nrm,
         reg_w=reg_w,
-        reg_bary=_barycentric(rule.points),
+        reg_bary=_barycentric(REGULAR_RULE.points),
         reg_nodes=faces,
         pair_face=order // 3,
         pair_starts=pair_starts,
@@ -399,7 +397,8 @@ def _tile_layout(t: int, n: int | None = None):
 
     Row tile I is rows [I h, (I + 1) h), h = min(TILE, t), and column tile
     J columns [J w, (J + 1) w), the last of each fewer: w = h if
-    self-sourced, else TILE^2 // h, so a short row axis gets wide tiles and
+    self-sourced, else TILE^2 // h, so a short row axis gets wide tiles,
+    and a column axis shorter than TILE tall ones (w = n, h = TILE^2 // n);
     no tile holds more than TILE^2 pairs. Tile k, tiles[k] = (s, e, c, d),
     is rows [s, e) against columns [c, d), pairs[k] = (e - s) (d - c)
     values; tiles run row tile by row tile, columns ascending. If
@@ -413,6 +412,8 @@ def _tile_layout(t: int, n: int | None = None):
     h = max(min(TILE, t), 1)
     m = t if n is None else n
     w = h if n is None else TILE * TILE // h
+    if 0 < m < TILE:
+        w, h = m, TILE * TILE // m
     rows, cols = np.arange(0, t, h), np.arange(0, m, w)
     i, j = (a.reshape(-1) for a in np.meshgrid(rows, cols, indexing="ij"))
     if n is None:
@@ -543,7 +544,7 @@ def _apply_chunks(plan: _SweepPlan, moments: list, lo: int, hi: int):
             plan.chunks[a] : plan.chunks[b]
         ]:
             swap = col_weights is not None and c != s  # self-sourced, off the diagonal
-            row1, row2, *col_sums = kernel_sums(
+            rows, col_sums = kernel_sums(
                 plan.scratch,
                 targets,
                 (cols, [m[c:d] for m in moments]),
@@ -551,10 +552,9 @@ def _apply_chunks(plan: _SweepPlan, moments: list, lo: int, hi: int):
                 mask=mask,
                 swapped=([m[s:e] for m in moments], col_weights) if swap else None,
             )
-            acc[0, s:e] += row1
-            acc[1, s:e] += row2
-            for sums, col in zip(acc, col_sums):
-                sums[c:d] += col
+            acc[:, s:e] += rows
+            if col_sums is not None:
+                acc[:, c:d] += col_sums
         return acc
 
     return [(a, b, _tree_sum(a, b, chunk)) for a, b in _tree_nodes(0, STRIP_CHUNKS, lo, hi)]
@@ -669,9 +669,9 @@ class _Operator:
     """Callable matvec, optionally fanned out over a fork pool.
 
     The STRIP_CHUNKS chunks of the tiled sweep are split into one
-    contiguous range per worker, of at most STRIP_CHUNKS workers
-    (partition_targets). Their sums are added over the fixed chunk tree,
-    each worker returning the largest nodes inside its range, so no bit
+    contiguous range per worker (partition_targets), of at most
+    STRIP_CHUNKS workers (SolverConfig.worker_count). Their sums are added
+    over the fixed chunk tree, each worker returning the largest nodes inside its range, so no bit
     depends on the worker count. A dead worker raises WorkerDied, and
     matvecs counts the applications. hobi's near values are added to the
     summed tree's root, after each row's regular sum, in the parent. A
@@ -691,7 +691,7 @@ class _Operator:
             # imported here: the module costs a serial solve ~1.3 MB of RSS
             from concurrent.futures import ProcessPoolExecutor
 
-            self._ranges = partition_targets(STRIP_CHUNKS, min(workers, STRIP_CHUNKS))
+            self._ranges = partition_targets(STRIP_CHUNKS, workers)
             self._pool = ProcessPoolExecutor(
                 len(self._ranges),
                 mp_context=multiprocessing.get_context("fork"),

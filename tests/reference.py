@@ -13,8 +13,6 @@ duffy_pairs rebuilds hobi's Duffy frames pair by pair, which the solver
 folds into its near table, and duffy_near_sums sums them pair by pair.
 """
 
-from math import isqrt
-
 import numpy as np
 
 from pbbem.geometry import (
@@ -26,8 +24,8 @@ from pbbem.geometry import (
     frames_at,
 )
 from pbbem.kernels import FOUR_PI, SingularityError, kernel_values_d
-from pbbem.quadrature import duffy_rule
 from pbbem.solver import (
+    DUFFY_RULE,
     GmresBreakdown,
     GmresNonConvergence,
     SolverConfig,
@@ -228,9 +226,9 @@ def duffy_pairs(problem):
     rotated so that it is local node 1, gverts[p] its rotated vertex order;
     each row's pairs ascend by face. pos and nrm are (P, D, 3), w the
     (P, D) weight x Jacobian and bary the (D, 3) linear vertex weights of
-    the rule of problem.duf_w's D points."""
+    the solver's DUFFY_RULE, D points."""
     mesh = problem.mesh
-    rule = duffy_rule(isqrt(problem.duf_w.shape[1]))
+    rule = DUFFY_RULE
     node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, mesh.faces)
     pos, nrm, jac = frames_at(
         node_pos.reshape(-1, 10, 3), node_nrm.reshape(-1, 10, 3), rule.points

@@ -344,6 +344,18 @@ class TestScaling:
         stdout = capsys.readouterr().out
         assert "workers=8" in stdout
 
+    def test_rows_name_the_workers_that_run(self, monkeypatch, tmp_path):
+        """A request past STRIP_CHUNKS (here 2) runs STRIP_CHUNKS workers, and
+        its row and efficiency say so; requests that run alike share a row."""
+        monkeypatch.setattr(pbbem.solver, "STRIP_CHUNKS", 2)
+        out = tmp_path / "scal.json"
+        rc = main(["scaling", "--sphere", "0,2.0", "--workers-list", "1,2,5",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())["scaling"]
+        assert [r["workers"] for r in rows] == [1, 2]
+        assert rows[1]["max_solution_diff"] == 0.0
+
     def test_workers_flag_is_rejected(self, capsys):
         """scaling reads --workers-list only, so --workers is no option of it."""
         with pytest.raises(SystemExit) as info:

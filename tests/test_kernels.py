@@ -286,8 +286,9 @@ def test_source_terms_error_names_global_point_index(monkeypatch):
     counts from point 0."""
     monkeypatch.setattr(pbbem.solver, "TILE", 4)
     tiles = pbbem.solver._tile_layout(30, 2)[0]
-    # point 21 is row 1 of tile 5
-    assert tiles.tolist() == [[s, min(s + 4, 30), 0, 2] for s in range(0, 30, 4)]
+    # two charges, a short column axis: tall tiles of 16 // 2 = 8 rows, so
+    # point 21 is row 5 of tile 2
+    assert tiles.tolist() == [[s, min(s + 8, 30), 0, 2] for s in range(0, 30, 8)]
     charges = ChargeSystem(
         positions=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], charges=[1.0, 1.0]
     )

@@ -24,7 +24,7 @@ from pbbem.report import (
     scaling_to_json,
     strip_timings,
 )
-from pbbem.solver import SolverConfig, discretize, matvec_hobi, matvec_lobi
+from pbbem.solver import SolverConfig, discretize, make_operator
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -277,10 +277,13 @@ def test_memory_bound_covers_traced_matvec(scheme, level):
     sweep plan's factors, weights, tile masks and scratch, and per call
     the sources' weights and moments, tile products, chunk sums and near
     gathers), so it is at least the traced peak of one matvec of either
-    scheme, screened or not, plan build included (matvec_hobi and
-    matvec_lobi open a new operator each call)."""
+    scheme, screened or not, plan build included (each call opens a new
+    serial operator)."""
     charges = ChargeSystem(positions=np.zeros((0, 3)), charges=np.zeros(0))
-    matvec = matvec_hobi if scheme == "hobi" else matvec_lobi
+
+    def matvec(problem, u):
+        with make_operator(problem, SolverConfig(workers=1)) as op:
+            return op(u)
     for kappa in (0.0, 0.125):
         water = PhysicalParams(eps1=1.0, eps2=80.0, kappa=kappa)
         problem = discretize(

@@ -7,7 +7,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,8 @@ from pbbem.mesh import (
 )
 from pbbem.geometry import DegenerateArcError, DegenerateElementError, frames_at
 from pbbem.solver import (
+    DUFFY_RULE,
+    REGULAR_RULE,
     STRIP_CHUNKS,
     TILE,
     GmresBreakdown,
@@ -55,7 +57,6 @@ from pbbem.solver import (
     solve,
     surface_potential_error,
 )
-from pbbem.quadrature import duffy_rule
 from reference import duffy_near_sums, duffy_pairs, g0, gmres_givens
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
@@ -113,18 +114,18 @@ def test_solver_config_validation():
     assert SolverConfig().worker_count() >= 1
 
 
-def test_solver_config_rejects_bad_rules():
-    """A Duffy point count outside [1, 32] or not an int, and a regular
-    rule that is not a TriangleRule, fail when the config is made, naming
-    the field, instead of later inside discretize."""
-    for bad in (0, 33, -1, 4.0, True, "4", None):
-        with pytest.raises(ValueError, match="^duffy_points must be an int in"):
-            SolverConfig(duffy_points=bad)
-    for bad in (None, "gauss-radau", duffy_rule(2).points):
-        with pytest.raises(ValueError, match="^regular_rule must be a TriangleRule"):
-            SolverConfig(regular_rule=bad)
-    assert SolverConfig(duffy_points=np.int64(32)).duffy_points == 32
-    assert SolverConfig(duffy_points=1, regular_rule=duffy_rule(3)).duffy_points == 1
+def test_solver_config_holds_plain_values_and_no_rules():
+    """The quadrature rules are the solver's constants, not config fields,
+    so configs built from equal values compare and hash equal, and a rule
+    keyword is an unknown argument."""
+    names = [f.name for f in fields(SolverConfig)]
+    assert names == ["scheme", "tolerance", "restart", "max_iterations", "workers"]
+    a = SolverConfig(scheme="lobi", tolerance=1e-8, restart=20, max_iterations=50, workers=2)
+    b = SolverConfig(scheme="lobi", tolerance=1e-8, restart=20, max_iterations=50, workers=2)
+    assert a == b and hash(a) == hash(b) and a != SolverConfig(scheme="lobi")
+    for field, value in (("regular_rule", REGULAR_RULE), ("duffy_points", 4)):
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: value})
 
 
 def test_default_worker_count_follows_affinity(monkeypatch):
@@ -132,10 +133,20 @@ def test_default_worker_count_follows_affinity(monkeypatch):
     assert SolverConfig().worker_count() == 1
 
 
+def test_worker_count_is_at_most_the_chunk_count(monkeypatch):
+    """A worker beyond the STRIP_CHUNKS-th would hold no chunk, so the count
+    a report reads is the count that runs: 64 usable CPUs or workers=64
+    give STRIP_CHUNKS. Starts no process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert SolverConfig().worker_count() == STRIP_CHUNKS
+    assert SolverConfig(workers=64).worker_count() == STRIP_CHUNKS
+    assert SolverConfig(workers=STRIP_CHUNKS - 1).worker_count() == STRIP_CHUNKS - 1
+
+
 def test_array_holding_records_compare_by_identity():
     """Records that hold arrays compare and hash by identity, so == on a
-    config, `in` on a list of meshes and hash() never touch an array; every
-    default config shares one read-only, once-verified regular rule."""
+    config, `in` on a list of meshes and hash() never touch an array; the
+    solver's two rules are read-only and verified once, at import."""
     mesh = icosahedral_sphere(0)
     assert mesh in [mesh] and mesh not in [icosahedral_sphere(0)]
     assert CENTERED_UNIT == CENTERED_UNIT != replace(CENTERED_UNIT)
@@ -146,10 +157,9 @@ def test_array_holding_records_compare_by_identity():
     assert len({mesh, CENTERED_UNIT, problem, solution}) == 4
     assert SolverConfig() == SolverConfig()
     assert hash(SolverConfig()) == hash(SolverConfig())
-    rule = SolverConfig().regular_rule
-    assert rule is SolverConfig(scheme="lobi").regular_rule
-    assert rule == rule != replace(rule)
-    assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
+    for rule in (REGULAR_RULE, DUFFY_RULE):
+        assert rule == rule != replace(rule)
+        assert not (rule.points.flags.writeable or rule.weights.flags.writeable)
 
 
 def test_discretize_counts_and_collocation():
@@ -301,11 +311,11 @@ def test_identity_medium_collapses_to_identity():
     params = PhysicalParams(eps1=3.0, eps2=3.0, kappa=0.0)
     mesh = icosahedral_sphere(1)
     rng = np.random.default_rng(0)
-    for scheme, apply in (("hobi", matvec_hobi), ("lobi", matvec_lobi)):
+    for scheme in ("hobi", "lobi"):
         problem = discretize(mesh, params, NO_CHARGES, SolverConfig(scheme=scheme))
         for _ in range(10):
             u = rng.standard_normal(problem.n_unknowns)
-            assert np.abs(apply(problem, u) - u).max() == 0.0
+            assert np.abs(_apply(problem, u) - u).max() == 0.0
 
 
 def test_lobi_operator_has_a_unit_diagonal():
@@ -343,7 +353,7 @@ def test_matvec_rejects_wrong_length():
     mesh = icosahedral_sphere(0)
     problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
     with pytest.raises(ValueError, match="length"):
-        matvec_lobi(problem, np.zeros(problem.n_unknowns + 2))
+        _apply(problem, np.zeros(problem.n_unknowns + 2))
 
 
 def test_lobi_matvec_against_naive_loop():
@@ -372,7 +382,7 @@ def test_lobi_matvec_against_naive_loop():
             o2 -= (k3 * dphi[j] + k4 * phi[j]) * w
         expected[i] = phi[i] + o1 / (0.5 * (1.0 + er))
         expected[t + i] = dphi[i] + o2 / (0.5 * (1.0 + 1.0 / er))
-    got = matvec_lobi(problem, u)
+    got = _apply(problem, u)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -417,12 +427,14 @@ def test_hobi_matvec_against_naive_loop(level):
                 o2 -= (k3 * dp + k4 * p) * w
         expected[i] = phi[i] + o1 / (0.5 * (1.0 + er))
         expected[t + i] = dphi[i] + o2 / (0.5 * (1.0 + 1.0 / er))
-    got = matvec_hobi(problem, u)
+    got = _apply(problem, u)
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def _apply(problem, u):
-    return (matvec_hobi if problem.scheme == "hobi" else matvec_lobi)(problem, u)
+    """One matvec of a new serial operator, which builds its own plan."""
+    with make_operator(problem, SolverConfig(workers=1)) as op:
+        return op(u)
 
 
 def _sweep(problem, u, lo=0, hi=STRIP_CHUNKS):
@@ -933,6 +945,33 @@ def test_sweep_scratch_does_not_grow_with_the_mesh(scheme):
         assert blocks == [sweep_buffers(params) * TILE**2] * 2
 
 
+def test_tile_layout_gives_a_short_axis_long_tiles():
+    """A short row axis gets wide tiles and a short column axis tall ones,
+    and no tile holds more than TILE^2 pairs. At the benchmark workloads'
+    sizes the matvec (hobi 642 rows x 5120 sources, lobi 5120 faces), the
+    energy (1 or 2000 charges x 5120 sources) and the 2000-charge RHS (642
+    points x 2000 charges) keep tiles of min(TILE, t) rows and TILE^2 //
+    rows columns, while a one-charge RHS is one tile."""
+    for t, n in ((642, 5120), (5120, None), (1, 5120), (2000, 5120), (642, 2000)):
+        h = min(TILE, t)
+        m, w = (t, h) if n is None else (n, TILE * TILE // h)
+        expected = [[s, min(s + h, t), c, min(c + w, m)]
+                    for s in range(0, t, h) for c in range(0 if n else s, m, w)]
+        assert pbbem.solver._tile_layout(t, n)[0].tolist() == expected
+    for t in (642, 5120):
+        assert pbbem.solver._tile_layout(t, 1)[0].tolist() == [[0, t, 0, 1]]
+    sizes = (1, 2, 7, 100, 191, 192, 193, 500, 5000)
+    for t in sizes:
+        for n in (None, *sizes):
+            tiles, pairs, _ = pbbem.solver._tile_layout(t, n)
+            m = t if n is None else n
+            assert pairs.max() <= TILE * TILE
+            assert tiles[:, 0].min() == tiles[:, 2].min() == 0
+            assert tiles[:, 1].max() == t and tiles[:, 3].max() == m
+            if n is not None:  # every pair once
+                assert pairs.sum() == t * n
+
+
 def test_strip_layout_without_sources_or_rows():
     """No sources (or an empty ChargeSystem's RHS): no tile, and every
     chunk is empty. No rows (an empty energy): no tile."""
@@ -1255,9 +1294,7 @@ def test_parallel_matvec_bitwise_deterministic(monkeypatch):
             icosahedral_sphere(level), params, CENTERED_UNIT, SolverConfig(scheme=scheme)
         )
         u = rng.standard_normal(problem.n_unknowns)
-        serial = matvec_hobi(problem, u) if scheme == "hobi" else matvec_lobi(
-            problem, u
-        )
+        serial = _apply(problem, u)
         for workers in (2, 4, 8, 16):
             config = SolverConfig(scheme=scheme, workers=workers)
             with make_operator(problem, config) as op:
@@ -1680,12 +1717,15 @@ def test_solve_equals_the_three_step_pipeline(monkeypatch, scheme, workers):
 
 
 def test_make_operator_serial_matches_matvec():
+    """A serial operator's later calls, which reuse its plan, give the bits
+    of a new operator's first call."""
     mesh = icosahedral_sphere(0)
     problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
     u = np.linspace(0.0, 1.0, problem.n_unknowns)
     config = SolverConfig(scheme="lobi", workers=1)
     with make_operator(problem, config) as op:
-        assert np.array_equal(op(u), matvec_lobi(problem, u))
+        op(u[::-1].copy())
+        assert np.array_equal(op(u), _apply(problem, u))
 
 
 # ---------------------------------------------------------------------------
@@ -1791,13 +1831,13 @@ def test_lobi_matvec_cost_scales_quadratically():
     for level in (3, 4):
         mesh = icosahedral_sphere(level)
         problems[level] = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
-        matvec_lobi(problems[level], np.ones(problems[level].n_unknowns))  # warm up
+        _apply(problems[level], np.ones(problems[level].n_unknowns))  # warm up
     times = {level: np.inf for level in problems}
     for _ in range(7):
         for level, problem in problems.items():
             u = np.ones(problem.n_unknowns)
             t0 = time.perf_counter()
-            matvec_lobi(problem, u)
+            _apply(problem, u)
             times[level] = min(times[level], time.perf_counter() - t0)
     per_doubling = np.sqrt(times[4] / times[3])
     assert 2.5 <= per_doubling <= 5.5
