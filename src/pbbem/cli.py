@@ -186,8 +186,11 @@ def _load_charges(path: str) -> ChargeSystem:
         return parse_charges(fh.read())
 
 
-def _sphere_oracle(mesh_args, params, charges):
-    """Kirkwood series when the problem is a sphere with interior charges."""
+def _sphere_oracle(mesh_args, params, charges, points):
+    """Kirkwood series when the problem is a sphere with interior charges,
+    the series converged and its potential at points is not identically
+    zero: at a kappa that large every mode underflows, and an error
+    against zeros measures nothing."""
     if mesh_args is None:
         return None
     level, radius = mesh_args
@@ -196,7 +199,7 @@ def _sphere_oracle(mesh_args, params, charges):
     except ValueError:
         return None
     solution = kirkwood_series(problem, n_terms=40)
-    return solution if solution.converged else None
+    return solution if solution.converged and solution.phi(points).any() else None
 
 
 def _write(args, text: str):
@@ -254,7 +257,7 @@ def cmd_solve(parser, args) -> int:
     charges = _load_charges(args.charges)
     params = PhysicalParams(eps1=args.eps1, eps2=args.eps2, kappa=args.kappa)
     config = SolverConfig(scheme=args.scheme, tolerance=args.tol, workers=args.workers)
-    oracle = _sphere_oracle(args.sphere, params, charges)
+    oracle = _sphere_oracle(args.sphere, params, charges, mesh.vertices)
     report = _run_one(mesh, mesh_source, params, charges, config, oracle)
     render = reports_to_json if args.format == "json" else reports_to_csv
     _write(args, render([report]))
@@ -282,7 +285,7 @@ def cmd_convergence(parser, args) -> int:
         previous = None  # (n_faces, phi_error)
         for level in args.levels:
             mesh = icosahedral_sphere(level, radius=args.radius)
-            oracle = _sphere_oracle((level, args.radius), params, charges)
+            oracle = _sphere_oracle((level, args.radius), params, charges, mesh.vertices)
             if oracle is None:
                 raise ValueError(
                     "no converged sphere oracle for this charge placement; "

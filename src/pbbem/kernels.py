@@ -32,7 +32,7 @@ same factors, with the charges as columns, and their sums as products
 with the charges. Products round by their sizes, so every regular sum's
 bits follow its tiles. Every kernel carries the constant 1/(4 pi); the
 regular sums take it on the per-source side, once a call (the moments,
-the energy's factors, the charges), so their pairwise factors have
+the energy's moments, the charges), so their pairwise factors have
 g = 1/r^3 (_green_cube) and skip a pass a pair. Positions are taken
 about an origin: the product r^2 = |x|^2 - 2 x.y + |y|^2 and the moment
 sums both lose digits as |x|/r grows. Every e^(-kappa r) is 1 + em1
@@ -41,8 +41,9 @@ expm1(-0) = -0 makes K1, K4 and every factor but g
 exactly zero, so they are not evaluated. In the identity medium
 (eps1 = eps2, kappa = 0) the factors er - 1 of K2 and 1 - 1/er of K3 are
 +-0.0, so every moment and row sum is +-0.0 and the operator is exactly
-the identity. The solvation energy reads only K1 and K2, and energy_sums
-takes r^2 from the same factors (energy_factors).
+the identity. The solvation energy reads only K1 and K2: its per-charge
+row sums (reaction_terms_at) take r^2 from the same factors, with the
+charges as rows, and are products over tiles like the source terms.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ FOUR_PI = 4.0 * np.pi
 # unit-free.
 KCAL_MOL_PER_E2_ANG = 332.0716
 
-# float64 buffers, each one block of pair values, that energy_sums uses:
-# r^2, r and g, and em1 and a where kappa > 0
-ENERGY_BUFFERS = 5
+# float64 buffers, each one block of pair values, that reaction_terms_at
+# uses: r^2, r and g, and em1 and a where kappa > 0
+REACTION_BUFFERS = 5
 # and that source_terms_at uses: r^2 (then d.nx), r and g
 SOURCE_BUFFERS = 3
 
@@ -88,12 +89,12 @@ class PhysicalParams:
     kappa: float
 
     def __post_init__(self):
-        if not self.eps1 > 0.0:
-            raise ValueError(f"eps1 must be positive, got {self.eps1}")
-        if not self.eps2 > 0.0:
-            raise ValueError(f"eps2 must be positive, got {self.eps2}")
-        if not self.kappa >= 0.0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        for name in ("eps1", "eps2"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa}")
 
     @property
     def eps(self) -> float:
@@ -155,10 +156,11 @@ def sweep_buffers(params: PhysicalParams) -> int:
     return 3 if params.kappa == 0.0 else 6
 
 
-def source_moments(y, nrm, wphi, wdphi, params: PhysicalParams) -> list:
-    """kernel_sums' (N, k) source moments, one per kernel factor, from the
-    (3, N) coordinate rows y (about the sweep's origin) and nrm: [mg] at
-    kappa = 0, else [mg, m4, wdphi, m5]. wphi and wdphi are first divided
+def source_moments(cols, nrm, wphi, wdphi, params: PhysicalParams) -> list:
+    """kernel_sums' (N, k) source moments, one per kernel factor, from
+    square_factors' (5, N) columns, whose y is taken about the sweep's
+    origin, and the (3, N) normal rows nrm: [mg] at kappa = 0, else
+    [mg, m4, wdphi, m5]. wphi and wdphi are first divided
     by 4 pi, the kernels' constant, so every moment carries it and
     kernel_sums' factors leave it out. With c2 = er - 1, c3 = 1/er - 1:
       mg (g):  c2 wphi ny (3), -c2 wphi y.ny, c3 wdphi, -c3 wdphi y (3);
@@ -167,6 +169,7 @@ def source_moments(y, nrm, wphi, wdphi, params: PhysicalParams) -> list:
     mg and m4 share the target weights [x, 1, x.nx, nx] (mg carries the
     signs), f1 reads wdphi, and t the rows' m4[:, :4] times -1/er."""
     er = params.eps2 / params.eps1
+    y = cols[1:4] * -0.5
     wphi, wdphi = wphi / FOUR_PI, wdphi / FOUR_PI
     a, b = (er - 1.0) * wphi, -(1.0 - 1.0 / er) * wdphi
     ydn = y[0] * nrm[0] + y[1] * nrm[1] + y[2] * nrm[2]
@@ -195,12 +198,16 @@ def square_factors(x, y, origin):
     return np.column_stack([xx, *x, np.ones_like(xx)]), cols
 
 
-def target_factors(x, nx):
-    """The (T, 4) rows [x.nx, nx/2] of the (3, T) coordinate rows x
-    (positions about the sweep's origin) and nx, whose product with
-    square_factors' columns [1, -2 y] is d.nx (halving is exact)."""
+def target_factors(rows, nx):
+    """(nrows, weights) from square_factors' (T, 5) rows, whose x is taken
+    about the sweep's origin, and the (3, T) normal rows nx: the (T, 4)
+    rows [x.nx, nx/2], whose product with square_factors' columns [1, -2 y]
+    is d.nx (halving is exact), and kernel_sums' (8, T) target weights
+    [x, 1, x.nx, nx]."""
+    x = rows[:, 1:4].T
     xnx = x[0] * nx[0] + x[1] * nx[1] + x[2] * nx[2]
-    return np.column_stack([xnx, *(0.5 * nx)])
+    weights = np.array([*x, np.ones(len(rows)), xnx, *nx])
+    return np.column_stack([xnx, *(0.5 * nx)]), weights
 
 
 def _moment_products(factors, moments, weights, er, swapped=False):
@@ -278,57 +285,54 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     return rows, _moment_products([f.T for f in factors], *swapped, er, True)
 
 
-def energy_factors(x, pos, nrm, wphi, wdphi, origin, params: PhysicalParams):
-    """(targets, sources), the factors of energy_sums, from (n, 3) target
-    positions x, the (3, N) source coordinate rows pos and nrm (views do),
-    and the source weights; positions are taken about origin. targets is
-    square_factors' (n, 5) rows; sources holds its (5, N) columns, the
-    (N, 4) moments c wphi ny (3 columns) and c wphi y.ny, with
-    c = (er - 1)/(4 pi) at kappa = 0 and er/(4 pi) otherwise, and
-    wdphi/(4 pi), or None at kappa = 0: the moments carry the kernels'
-    1/(4 pi), so energy_sums' g is 1/r^3."""
+def reaction_terms_at(positions, pos, nrm, wphi, wdphi, origin, params: PhysicalParams,
+                      tiles: np.ndarray) -> np.ndarray:
+    """Per-charge row sums of K1 wdphi + K2 wphi: (n, 3) charge positions
+    against the (3, N) source coordinate rows pos and nrm (views do) and
+    the (N,) source weights, positions taken about origin. tiles[k] =
+    (s, e, c, d) is charges [s, e) against sources [c, d), and each charge
+    adds its tiles in order, as in source_terms_at. r^2 is a product of
+    square_factors' rows and columns; the (N, 4) moments are c wphi ny
+    (3 columns) and c wphi y.ny, with c = (er - 1)/(4 pi) at kappa = 0 and
+    er/(4 pi) otherwise, and wdphi is divided by 4 pi: the sources carry
+    the kernels' 1/(4 pi), so g = 1/r^3. With 4 pi K1 = -em1 r^2 g and
+    4 pi K2 = h d.ny, h = g ((er - 1) + er a), a tile's row sums are
+    x.H[:3] - H[3] - (em1 r^2 g) @ wdphi with H = h @ moments (h = g and
+    no K1 at kappa = 0, where em1 = -0 makes K1 exactly zero), in
+    REACTION_BUFFERS blocks of one kernel_scratch. The products round by
+    their sizes, so the bits follow the tiles. Charges are strictly
+    interior, so no pair is singular; K1 and K2 read no target normal."""
     er = params.eps2 / params.eps1
     screened = params.kappa != 0.0
-    targets, r2_cols = square_factors(x.T, pos, origin)
-    y2 = r2_cols[1:4]  # -2 y, whose products with nrm are exact doubles of y's
+    rows, cols = square_factors(np.transpose(positions), pos, origin)
+    y2 = cols[1:4]  # -2 y, whose products with nrm are exact doubles of y's
     ydn = -0.5 * (y2[0] * nrm[0] + y2[1] * nrm[1] + y2[2] * nrm[2])
-    a = wphi * ((er if screened else er - 1.0) / FOUR_PI)
+    cw = wphi * ((er if screened else er - 1.0) / FOUR_PI)
     moments = np.empty((pos.shape[1], 4))
     for k in range(3):  # one column at a time: a strided (3, N) output is ~3x slower
-        np.multiply(a, nrm[k], out=moments[:, k])
-    np.multiply(a, ydn, out=moments[:, 3])
-    return targets, (r2_cols, moments, wdphi / FOUR_PI if screened else None)
-
-
-def energy_sums(buf, targets, sources, params: PhysicalParams) -> np.ndarray:
-    """Row sums of K1 wdphi + K2 wphi for a tile: a block of rows of the
-    targets against a block of columns of energy_factors' sources (each
-    of its three parts sliced alike). buf holds ENERGY_BUFFERS flat
-    blocks of at least rows x cols values. r^2 is one (rows, 5) @ (5, cols)
-    product; with g = 1/r^3 (the sources' factors carry 1/(4 pi)),
-    4 pi K1 = -em1 r^2 g and 4 pi K2 = h d.ny, h = g ((er - 1) + er a), so
-    the row sums are
-    x.H[:3] - H[3] - (em1 r^2 g) @ wdphi with H = h @ moments (h = g and
-    no K1 at kappa = 0, where em1 = -0 makes K1 exactly zero). The
-    products round by their sizes."""
-    r2_cols, moments, wdphi = sources
-    shape = (len(targets), r2_cols.shape[1])
-    b = [flat.reshape(shape) for flat in buf[:, : shape[0] * shape[1]]]
-    r2 = np.matmul(targets, r2_cols, out=b[0])
-    h = _green_cube(r2, b[1], b[2])
-    k1 = None
-    if wdphi is not None:
-        er = params.eps2 / params.eps1
-        em1, a, _ = _screening(b[1], params.kappa, b[4], b[3])
-        k1 = np.multiply(r2, em1, out=b[0])
-        k1 *= h  # em1 r^2 g = -4 pi K1
-        a += 1.0 - 1.0 / er
-        h = np.multiply(a, h, out=a)  # h / er: the moments carry er
-    H = np.matmul(h, moments).T
-    x = targets[:, 1:4].T
-    sums = x[0] * H[0] + x[1] * H[1] + x[2] * H[2] - H[3]
-    if k1 is not None:
-        sums -= np.matmul(k1, wdphi)
+        np.multiply(cw, nrm[k], out=moments[:, k])
+    np.multiply(cw, ydn, out=moments[:, 3])
+    if screened:
+        wdphi = wdphi / FOUR_PI
+    sums = np.zeros(len(rows))
+    pairs = (tiles[:, 1] - tiles[:, 0]) * (tiles[:, 3] - tiles[:, 2])
+    scratch = kernel_scratch(int(pairs.max(initial=0)), REACTION_BUFFERS)
+    for s, e, c, d in tiles.tolist():
+        b = scratch[:, : (e - s) * (d - c)].reshape(-1, e - s, d - c)
+        r2 = np.matmul(rows[s:e], cols[:, c:d], out=b[0])
+        h = _green_cube(r2, b[1], b[2])
+        if screened:
+            em1, a, _ = _screening(b[1], params.kappa, b[4], b[3])
+            k1 = np.multiply(r2, em1, out=b[0])
+            k1 *= h  # em1 r^2 g = -4 pi K1
+            a += 1.0 - 1.0 / er
+            h = np.multiply(a, h, out=a)  # h / er: the moments carry er
+        H = np.matmul(h, moments[c:d]).T
+        x = rows[s:e, 1:4].T
+        row = x[0] * H[0] + x[1] * H[1] + x[2] * H[2] - H[3]
+        if screened:
+            row -= np.matmul(k1, wdphi[c:d])
+        sums[s:e] += row
     return sums
 
 
@@ -396,7 +400,7 @@ def source_terms_at(points: np.ndarray, normals: np.ndarray, charges: ChargeSyst
     """
     x, nx = (np.transpose(np.asarray(a, dtype=float)) for a in (points, normals))
     rows, cols = square_factors(x, np.transpose(charges.positions), origin)
-    nrows, q = target_factors(rows[:, 1:4].T, nx), charges.charges / FOUR_PI
+    (nrows, _), q = target_factors(rows, nx), charges.charges / FOUR_PI
     sums = np.zeros((2, len(rows)))
     pairs = (tiles[:, 1] - tiles[:, 0]) * (tiles[:, 3] - tiles[:, 2])
     scratch = kernel_scratch(int(pairs.max(initial=0)), SOURCE_BUFFERS)

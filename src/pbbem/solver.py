@@ -37,7 +37,7 @@ of kernel factors with source moments about the problem's origin
 factors' g is 1/r^3. hobi sweeps every tile of the rectangle, and the
 operator then adds each row's near values from the table of _near_table.
 lobi's sources are its collocation points, one per element, and a row
-skips only its own (_self_sourced reads this from the tables), so pair
+skips only its own (_self_sourced), so pair
 (i, j) and its swap share every kernel factor: lobi sweeps the tiles
 (I, J >= I) of the square, and an off-diagonal tile also sends the swapped
 pairs' sums, square products of the factors' transposes, to its columns.
@@ -55,10 +55,10 @@ chunk sums from zero in tile order and the chunks are added over a fixed
 binary tree. Matrix products round by their sizes, so every matvec's bits
 follow the tile layout, a function of T and N alone, never of the worker
 count. The solvation energy (the charges over the regular rule's
-sources, kernels.energy_sums) and the right-hand side (the rows over the
-charges, kernels.source_terms_at) are products over tiles of the same
-layout, each row adding its tiles in order, so every regular sum rounds
-by _tile_layout alone.
+sources, kernels.reaction_terms_at) and the right-hand side (the rows
+over the charges, kernels.source_terms_at) are each one kernels call
+over tiles of the same layout, each row adding its tiles in order, so
+every regular sum rounds by _tile_layout alone.
 """
 
 from __future__ import annotations
@@ -71,16 +71,14 @@ import numpy as np
 
 from .geometry import DegenerateElementError, curved_nodes, frames_at
 from .kernels import (
-    ENERGY_BUFFERS,
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
     PAGE_DOUBLES,
     PhysicalParams,
-    energy_factors,
-    energy_sums,
     kernel_scratch,
     kernel_sums,
     kernel_values_d,
+    reaction_terms_at,
     source_moments,
     source_terms_at,
     square_factors,
@@ -378,15 +376,7 @@ def _self_sourced(problem: DiscretizedProblem) -> bool:
     per element, each row skipping only its own (lobi). Pair (i, j) and its
     swap (j, i) then share every factor, and the sweep need only read the
     tiles on and above the diagonal."""
-    T = problem.n_collocation
-    own = np.arange(T + 1)
-    return (
-        problem.reg_w.shape == (T, 1)
-        and np.array_equal(problem.reg_pos[:, 0], problem.colloc_pos)
-        and np.array_equal(problem.reg_nrm[:, 0], problem.colloc_nrm)
-        and np.array_equal(problem.pair_starts, own)
-        and np.array_equal(problem.pair_face, own[:-1])
-    )
+    return problem.scheme == "lobi"
 
 
 def _tile_layout(t: int, n: int | None = None):
@@ -445,7 +435,7 @@ class _SweepPlan:
 
     tiles[k], tile k (s, e, c, d) of _tile_layout, is (rows, columns,
     mask). rows, shared by its row tile, is (s, e, (square_factors rows,
-    target_factors rows, (8, rows) weights [x, 1, x.nx, nx])); columns,
+    target_factors rows and (8, rows) weights)); columns,
     shared by its column tile, (c, d, square_factors' columns, and if
     self-sourced the columns' weights, else None); mask the (rows, cols)
     index pair of its near pairs (_tile_masks). The arrays are views.
@@ -453,7 +443,7 @@ class _SweepPlan:
     """
 
     problem: DiscretizedProblem
-    cols: np.ndarray  # (5, N) [1, -2 y, |y|^2], positions about the origin
+    cols: np.ndarray  # square_factors' (5, N) columns, positions about the origin
     tiles: tuple
     chunks: tuple
     scratch: np.ndarray  # kernel_scratch: sweep_buffers blocks of the largest tile
@@ -468,9 +458,7 @@ def _sweep_plan(problem: DiscretizedProblem) -> _SweepPlan:
     pos = problem.reg_pos.reshape(-1, 3).T
     layout, pairs, chunks = _tile_layout(T, None if own else pos.shape[1])
     xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
-    x, nx = xrows[:, 1:4].T, problem.colloc_nrm.T
-    nrows = target_factors(x, nx)
-    weights = np.array([*x, np.ones(T), nrows[:, 0], *nx])  # [x, 1, x.nx, nx]
+    nrows, weights = target_factors(xrows, problem.colloc_nrm.T)
     bounds = layout.tolist()  # Python ints slice faster
     columns = {c: (c, d, ycols[:, c:d], weights[:, c:d] if own else None)
                for _, _, c, d in bounds}
@@ -499,7 +487,7 @@ def _sweep_moments(plan: _SweepPlan, u: np.ndarray) -> list:
     T = problem.n_collocation
     wphi, wdphi = _weights(problem, u[:T], u[T:])
     nrm = problem.reg_nrm.reshape(-1, 3).T
-    return source_moments(plan.cols[1:4] * -0.5, nrm, wphi, wdphi, problem.params)
+    return source_moments(plan.cols, nrm, wphi, wdphi, problem.params)
 
 
 def _tree_nodes(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -705,10 +693,11 @@ class _Operator:
                 self._plan = _sweep_plan(self._problem)
             moments = _sweep_moments(self._plan, u)
             return [_apply_chunks(self._plan, moments, lo, hi) for lo, hi in self._ranges]
-        futures = [self._pool.submit(_worker_part, u, lo, hi) for lo, hi in self._ranges]
         from concurrent.futures.process import BrokenProcessPool
 
+        # a pool broken before or between the submits raises from submit
         try:
+            futures = [self._pool.submit(_worker_part, u, lo, hi) for lo, hi in self._ranges]
             return [f.result() for f in futures]
         except BrokenProcessPool as exc:
             raise WorkerDied(f"matvec worker died: {exc}") from exc
@@ -867,13 +856,11 @@ def solvation_energy(
     E = (1/2) sum_k q_k * Int_Gamma [K1(x_k, y) dphi/dn + K2(x_k, y) phi] dS,
     integrated with the regular rule on every element, the charges as
     targets; charges are strictly interior so no pair is singular. Each
-    tile of _tile_layout (charges over sources) is a few elementwise passes
-    over functions of r and small matrix products with the sources'
-    factors, built once per call (energy_factors, energy_sums), positions
-    taken about the problem's origin; each charge adds its tiles in column
-    order. The products round by their sizes, so the bits follow the tile
-    layout, a function of the charge count and N alone. K1 and K2 do not
-    read a target normal. Raises ValueError unless both traces have one
+    charge's integral is its row of kernels.reaction_terms_at over the
+    tiles of _tile_layout (charges over sources), positions taken about
+    the problem's origin, so its bits follow the tile layout, a function
+    of the charge count and N alone; the charges' q times their rows are
+    added in charge order. Raises ValueError unless both traces have one
     value per collocation point: another problem's solution would index
     the wrong unknowns.
     """
@@ -883,23 +870,18 @@ def solvation_energy(
         raise ValueError(f"expected traces of length {t}, got phi of shape {shapes[0]}"
                          f" and dphi_dn of shape {shapes[1]}")
     charges = problem.charges
+    tiles, _, _ = _tile_layout(len(charges), problem.reg_w.size)
     # the rule's points are read in place: copies of them, 6 values a
     # source, would outweigh a one-charge energy's 5-block scratch
-    targets, sources = energy_factors(
+    rows = reaction_terms_at(
         charges.positions,
         problem.reg_pos.reshape(-1, 3).T,
         problem.reg_nrm.reshape(-1, 3).T,
         *_weights(problem, solution.phi, solution.dphi_dn),
         problem.origin,
         problem.params,
+        tiles,
     )
-    tiles, pairs, _ = _tile_layout(len(charges), problem.reg_w.size)
-    scratch = kernel_scratch(int(pairs.max(initial=0)), ENERGY_BUFFERS)
-    r2_cols, moments, wdphi = sources
-    rows = np.zeros(len(charges))
-    for s, e, c, d in tiles:
-        tile = (r2_cols[:, c:d], moments[c:d], None if wdphi is None else wdphi[c:d])
-        rows[s:e] += energy_sums(scratch, targets[s:e], tile, problem.params)
     total = 0.0
     for q, row in zip(charges.charges, rows):
         total += q * row

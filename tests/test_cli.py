@@ -159,6 +159,16 @@ class TestSolve:
         assert report.n_faces == 4
         assert report.energy_kcal < 0.0
 
+    def test_all_zero_sphere_oracle_reports_no_error(self, tmp_path, charges_file):
+        """At a kappa where every mode of the series underflows, the
+        oracle's potential is zero and phi_error is null, as for MSMS."""
+        out = tmp_path / "screened.json"
+        rc = main(["solve", "--sphere", "1,2.0", "--charges", charges_file,
+                   "--kappa", "1e300", "--out", str(out)])
+        assert rc == 0
+        (report,) = reports_from_json(out.read_text())
+        assert report.phi_error is None
+
 
 class TestUsageErrors:
     def test_sphere_and_files_conflict(self, charges_file, capsys):
@@ -262,6 +272,19 @@ class TestRuntimeErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: WorkerDied: matvec worker died:")
+
+    def test_non_finite_physical_constant(self, charges_file, capsys):
+        rc = main(["solve", "--sphere", "1,2.0", "--charges", charges_file,
+                   "--eps1", "inf"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: eps1 must be positive and finite, got inf")
+
+    def test_convergence_with_all_zero_oracle(self, capsys):
+        rc = main(["convergence", "--levels", "0,1", "--kappa", "1e300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: no converged sphere oracle")
 
     def test_convergence_without_oracle(self, capsys):
         rc = main(["convergence", "--levels", "0", "--radius", "2.0",

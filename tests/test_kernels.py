@@ -53,12 +53,13 @@ def test_fundamental_solutions_reject_coincident_points():
 
 
 def test_physical_params_validation():
-    with pytest.raises(ValueError):
-        PhysicalParams(eps1=0.0, eps2=80.0, kappa=0.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(eps1=1.0, eps2=-2.0, kappa=0.0)
-    with pytest.raises(ValueError):
-        PhysicalParams(eps1=1.0, eps2=80.0, kappa=-0.1)
+    """A zero, negative or non-finite constant is rejected by name, before
+    a kernel divides by it or a matvec spreads it."""
+    for field, value in [("eps1", 0.0), ("eps2", -2.0), ("kappa", -0.1), ("eps1", np.inf),
+                         ("eps2", np.inf), ("kappa", np.inf), ("eps1", np.nan)]:
+        fields = {"eps1": 1.0, "eps2": 80.0, "kappa": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PhysicalParams(**fields)
 
 
 def test_physical_params_eps_ratio():

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from pbbem.kernels import (
     KCAL_MOL_PER_E2_ANG,
     PhysicalParams,
     kernel_values_d,
+    reaction_terms_at,
     source_terms_at,
     sweep_buffers,
 )
@@ -805,7 +807,9 @@ def test_chunk_task_memory_does_not_grow_with_chunks(scheme):
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_solvation_energy_against_naive_loop(scheme):
-    """The blocked energy sweep vs an explicit charge x source double loop."""
+    """The tiled energy vs an explicit charge x source double loop: each
+    charge's row of reaction_terms_at, under the solver's layout and one
+    of several column tiles a charge, and the total."""
     mesh = icosahedral_sphere(1)
     problem = discretize(mesh, MIXED, SCATTERED, SolverConfig(scheme=scheme))
     rng = np.random.default_rng(8)
@@ -820,11 +824,21 @@ def test_solvation_energy_against_naive_loop(scheme):
     w = problem.reg_w.reshape(-1)
     wphi = w * bary_phi.T.reshape(-1)
     wdphi = w * bary_dphi.T.reshape(-1)
-    total = 0.0
+    total, rows = 0.0, []
     for x, q in zip(problem.charges.positions, problem.charges.charges):
+        row = 0.0
         for j in range(src.shape[0]):
             k1, k2, _, _ = kernel_values_d(x - src[j], (0.0, 0.0, 1.0), snrm[j], MIXED)
+            row += k1 * wdphi[j] + k2 * wphi[j]
             total += q * (k1 * wdphi[j] + k2 * wphi[j])
+        rows.append(row)
+    n = len(src)
+    for tiles in (pbbem.solver._tile_layout(len(SCATTERED), n)[0],
+                  np.array([[0, len(SCATTERED), c, min(c + 70, n)] for c in range(0, n, 70)])):
+        got_rows = reaction_terms_at(SCATTERED.positions, src.T, snrm.T, wphi, wdphi,
+                                     problem.origin, MIXED, tiles)
+        for got_row, row in zip(got_rows, rows, strict=True):
+            assert got_row == pytest.approx(row, rel=1e-13)
     expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
     got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
     assert got == pytest.approx(expected, rel=1e-13)
@@ -1422,9 +1436,24 @@ def test_dead_worker_raises_instead_of_hanging(monkeypatch, scheme):
     monkeypatch.setattr(pbbem.solver, "_worker_part", _exit_worker)
     with make_operator(problem, SolverConfig(workers=2)) as op:
         start = time.monotonic()
-        with pytest.raises(WorkerDied, match="^matvec worker died: A process in the"):
+        with pytest.raises(WorkerDied, match="^matvec worker died: ") as info:
             op(np.ones(problem.n_unknowns))
         assert time.monotonic() - start < 5.0
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def test_matvec_on_a_broken_pool_raises_worker_died(monkeypatch):
+    """Once a worker died the pool is broken and submit itself raises; a
+    second matvec reports that as WorkerDied too."""
+    problem = discretize(icosahedral_sphere(1), WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
+    monkeypatch.setattr(pbbem.solver, "_worker_part", _exit_worker)
+    with make_operator(problem, SolverConfig(workers=2)) as op:
+        for _ in range(2):
+            with pytest.raises(WorkerDied, match="^matvec worker died: ") as info:
+                op(np.ones(problem.n_unknowns))
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
     assert multiprocessing.active_children() == []
 
 
@@ -1470,11 +1499,11 @@ def test_worker_task_blas_use_is_the_moment_product():
 
 
 def test_energy_blas_use_is_its_strip_products():
-    """The energy's BLAS calls, made in the parent, are a strip's r^2
-    product and its row sums' products with the sources' factors (their
-    bits under 1 and 2 BLAS threads: next tests)."""
+    """The energy's BLAS calls, made in the parent, are a tile's r^2
+    product and its row sums' products with the sources' moments and
+    wdphi (their bits under 1 and 2 BLAS threads: next tests)."""
     assert sorted(_blas_uses(pbbem.solver.solvation_energy)) == [
-        "pbbem.kernels.energy_sums: matmul"
+        "pbbem.kernels.reaction_terms_at: matmul"
     ] * 3
 
 
