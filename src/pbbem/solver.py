@@ -63,8 +63,8 @@ every regular sum rounds by _tile_layout alone.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -643,8 +643,8 @@ _worker_plan: _SweepPlan | None = None  # a pool worker's, never its parent's
 
 
 def _adopt(problem: DiscretizedProblem):
-    """Pool initializer: a fork child inherits its argument unpickled and
-    builds the sweep's plan once, in its own memory."""
+    """A forked worker's first step: the child inherits problem unpickled
+    and builds the sweep's plan once, in its own memory."""
     global _worker_plan
     _worker_plan = _sweep_plan(problem)
 
@@ -653,54 +653,145 @@ def _worker_part(u: np.ndarray, lo: int, hi: int):
     return _apply_chunks(_worker_plan, _sweep_moments(_worker_plan, u), lo, hi)
 
 
+def _serve(problem: DiscretizedProblem, lo: int, hi: int, requests: int, replies: int):
+    """A forked worker's life; it never returns. It closes every descriptor
+    it inherited but stdio and its own two pipe ends: a sibling or a later
+    operator's worker holding a parent's write end would keep its reader
+    from ever seeing EOF. Then it builds its plan (_adopt) and answers each
+    request u, 2T raw float64 values, with a 0 byte and the raw (2, T) sums
+    of the chunk-tree nodes of chunks [lo, hi), in order, or with a 1 byte
+    and the pickled exception _worker_part raised, until its requests
+    reach EOF."""
+    code = 1
+    try:
+        keep = sorted({0, 1, 2, requests, replies})
+        for a, b in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
+            os.closerange(a + 1, b)
+        _adopt(problem)
+        inbox, outbox = open(requests, "rb"), open(replies, "wb")
+        u = np.empty(problem.n_unknowns)
+        while inbox.readinto(u) == u.nbytes:
+            try:
+                reply = [b"\0"] + [sums for _, _, sums in _worker_part(u, lo, hi)]
+            except Exception as exc:  # the parent raises it again
+                reply = [b"\1", pickle.dumps(exc)]
+            outbox.writelines(reply)
+            outbox.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 class _Operator:
-    """Callable matvec, optionally fanned out over a fork pool.
+    """Callable matvec, optionally fanned out over forked workers.
 
     The STRIP_CHUNKS chunks of the tiled sweep are split into one
     contiguous range per worker (partition_targets), of at most
     STRIP_CHUNKS workers (SolverConfig.worker_count). Their sums are added
-    over the fixed chunk tree, each worker returning the largest nodes inside its range, so no bit
-    depends on the worker count. A dead worker raises WorkerDied, and
-    matvecs counts the applications. hobi's near values are added to the
-    summed tree's root, after each row's regular sum, in the parent. A
-    serial operator builds its sweep plan at its first call and keeps it;
-    a pooled one's workers each build their own (_adopt), and the parent
-    builds none.
+    over the fixed chunk tree, each worker returning the largest nodes
+    inside its range, so no bit depends on the worker count. hobi's near
+    values are added to the summed tree's root, after each row's regular
+    sum, in the parent. matvecs counts the applications. A serial operator
+    builds its sweep plan at its first call and keeps it.
+
+    A pooled operator forks its workers at its first call (os.fork, so
+    each inherits the problem unpickled) and builds no plan itself. Each
+    worker has two pipes (_serve): the parent writes u to one as 2T raw
+    float64 values and reads the worker's reply from the other, and the
+    worker leaves at EOF on its requests. An exception raised in a worker
+    is raised again in the parent, with its type and message, once every
+    worker has replied. A worker that ends without a reply raises
+    WorkerDied naming its exit status or signal, and so does every later
+    call until close(). A call interrupted mid-exchange ends the workers,
+    and the next call forks new ones. close() ends and reaps every worker;
+    a closed operator answers serially.
     """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
         self._problem = problem
         self._plan = None
         self._ranges = [(0, STRIP_CHUNKS)]
-        self._pool = None
+        self._pooled = workers > 1 and hasattr(os, "fork") and problem.n_collocation > 0
+        self._workers = []  # (pid, request pipe, reply pipe), once forked
+        self._failure = None  # the WorkerDied message, once a worker died
         self.matvecs = 0
-        can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if workers > 1 and can_fork and problem.n_collocation > 0:
-            # imported here: the module costs a serial solve ~1.3 MB of RSS
-            from concurrent.futures import ProcessPoolExecutor
-
+        if self._pooled:
             self._ranges = partition_targets(STRIP_CHUNKS, workers)
-            self._pool = ProcessPoolExecutor(
-                len(self._ranges),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt,
-                initargs=(problem,),
-            )
+
+    def _start(self):
+        try:
+            for lo, hi in self._ranges:
+                requests, to_worker = os.pipe()
+                from_worker, replies = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(self._problem, lo, hi, requests, replies)
+                os.close(requests)
+                os.close(replies)
+                self._workers.append(
+                    (pid, open(to_worker, "wb", buffering=0), open(from_worker, "rb"))
+                )
+        except OSError:
+            self._stop()
+            raise
+
+    def _stop(self) -> list[int]:
+        """Close every worker's pipes, so that it leaves, and reap it; the
+        wait statuses in worker order."""
+        workers, self._workers = self._workers, []
+        for _, to_worker, from_worker in workers:
+            to_worker.close()
+            from_worker.close()
+        return [os.waitpid(pid, 0)[1] for pid, _, _ in workers]
+
+    def _died(self, index: int) -> WorkerDied:
+        code = os.waitstatus_to_exitcode(self._stop()[index])
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        self._failure = f"matvec worker died: worker {index} {how}"
+        return WorkerDied(self._failure)
+
+    def _exchange(self, u: np.ndarray) -> tuple[list, list]:
+        """Send u to every worker, then read every reply: (parts, the
+        exceptions the workers raised)."""
+        data = memoryview(np.ascontiguousarray(u)).cast("B")
+        for index, (_, to_worker, _) in enumerate(self._workers):
+            try:
+                sent = 0
+                while sent < len(data):
+                    sent += to_worker.write(data[sent:])
+            except BrokenPipeError:
+                raise self._died(index) from None
+        parts, errors = [], []
+        for index, ((lo, hi), (_, _, from_worker)) in enumerate(zip(self._ranges, self._workers)):
+            nodes = _tree_nodes(0, STRIP_CHUNKS, lo, hi)
+            sums = np.empty((len(nodes), 2, self._problem.n_collocation))
+            tag = from_worker.read(1)
+            if tag == b"\0" and from_worker.readinto(sums) == sums.nbytes:
+                parts.append([(a, b, s) for (a, b), s in zip(nodes, sums)])
+            elif tag == b"\1":
+                errors.append(pickle.load(from_worker))
+            else:
+                raise self._died(index)
+        return parts, errors
 
     def _parts(self, u: np.ndarray) -> list:
-        if self._pool is None:
+        if self._failure is not None:
+            raise WorkerDied(self._failure)
+        if not self._pooled:
             if self._plan is None:
                 self._plan = _sweep_plan(self._problem)
             moments = _sweep_moments(self._plan, u)
             return [_apply_chunks(self._plan, moments, lo, hi) for lo, hi in self._ranges]
-        from concurrent.futures.process import BrokenProcessPool
-
-        # a pool broken before or between the submits raises from submit
+        if not self._workers:
+            self._start()
         try:
-            futures = [self._pool.submit(_worker_part, u, lo, hi) for lo, hi in self._ranges]
-            return [f.result() for f in futures]
-        except BrokenProcessPool as exc:
-            raise WorkerDied(f"matvec worker died: {exc}") from exc
+            parts, errors = self._exchange(u)
+        except BaseException:  # replies left unread would answer the next call
+            self._stop()
+            raise
+        if errors:
+            raise errors[0]
+        return parts
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         problem = self._problem
@@ -719,9 +810,9 @@ class _Operator:
         return np.concatenate([out1, out2])
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        self._stop()
+        self._pooled = False
+        self._failure = None
 
     def __enter__(self):
         return self

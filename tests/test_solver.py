@@ -1,13 +1,13 @@
 import ast
 import inspect
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -64,7 +64,7 @@ from reference import duffy_near_sums, duffy_pairs, g0, gmres_givens
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
 MIXED = PhysicalParams(eps1=2.0, eps2=80.0, kappa=0.5)
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+HAS_FORK = hasattr(os, "fork")
 
 CENTERED_UNIT = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
 SCATTERED = ChargeSystem(
@@ -1288,7 +1288,7 @@ def test_partition_property(n, w):
     assert max(sizes) - min(sizes) <= 1
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_parallel_matvec_bitwise_deterministic(monkeypatch):
     """The partitioned operator must reproduce the serial sweep bitwise.
     With the default TILE, hobi level 2 (162 rows over 1280 sources) has
@@ -1315,7 +1315,7 @@ def test_parallel_matvec_bitwise_deterministic(monkeypatch):
                 assert np.abs(op(u) - serial).max() == 0.0
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_energy_bits_do_not_follow_the_worker_count():
     """The energy of 40 charges, one tile of matrix products, has the
     same bits after solves on 1, 2 and 4 workers, at kappa 0 and > 0."""
@@ -1330,7 +1330,34 @@ def test_energy_bits_do_not_follow_the_worker_count():
         assert len(energies) == 1
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+def _counting_forks(monkeypatch) -> list[int]:
+    """Replace os.fork by one that records, in this process, the pid of
+    each child it starts."""
+    pids, real = [], os.fork
+
+    def counting():
+        pids.append(real())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def _reaped(pid: int) -> bool:
+    """Whether pid is no child of this process any more, running or not."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _childless() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    return _reaped(-1)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_parallel_matvec_tolerates_empty_ranges():
     """More workers than non-empty chunks: hobi's 12 vertices and lobi's 20
     faces each form one tile, so 15 of the 16 chunks are empty."""
@@ -1343,18 +1370,18 @@ def test_parallel_matvec_tolerates_empty_ranges():
             assert np.abs(op(u) - serial).max() == 0.0
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
-def test_pool_starts_at_most_one_worker_per_chunk():
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
     """A worker beyond the STRIP_CHUNKS-th would only hold an empty range:
     20 requested workers start at most 16 processes and give the serial bits."""
     problem = discretize(icosahedral_sphere(1), MIXED, CENTERED_UNIT, SolverConfig())
     u = np.linspace(-1.0, 1.0, problem.n_unknowns)
     serial = _apply(problem, u)
-    before = len(multiprocessing.active_children())
+    pids = _counting_forks(monkeypatch)
     with make_operator(problem, SolverConfig(workers=20)) as op:
         assert np.array_equal(op(u), serial)
-        started = len(multiprocessing.active_children()) - before
-    assert 1 < started <= STRIP_CHUNKS
+        assert 1 < len(pids) <= STRIP_CHUNKS
+    assert all(_reaped(pid) for pid in pids)
 
 
 def _counting_plans(monkeypatch):
@@ -1386,7 +1413,7 @@ def test_serial_operator_builds_its_plan_once(monkeypatch, scheme):
     assert builds == [problem]
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_pooled_operator_parent_builds_no_plan(monkeypatch):
     """A pool's workers each build their own plan as they start; the
     parent builds none and holds no worker plan, over 3 matvecs that keep
@@ -1426,7 +1453,7 @@ def _exit_worker(*args):
     os._exit(1)
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_dead_worker_raises_instead_of_hanging(monkeypatch, scheme):
     """A worker that exits mid-task fails the matvec within seconds."""
@@ -1434,27 +1461,93 @@ def test_dead_worker_raises_instead_of_hanging(monkeypatch, scheme):
         icosahedral_sphere(1), WATER, CENTERED_UNIT, SolverConfig(scheme=scheme)
     )
     monkeypatch.setattr(pbbem.solver, "_worker_part", _exit_worker)
+    pids = _counting_forks(monkeypatch)
     with make_operator(problem, SolverConfig(workers=2)) as op:
         start = time.monotonic()
-        with pytest.raises(WorkerDied, match="^matvec worker died: ") as info:
+        with pytest.raises(WorkerDied, match="^matvec worker died: worker 0 exited with status 1$"):
             op(np.ones(problem.n_unknowns))
         assert time.monotonic() - start < 5.0
-        assert isinstance(info.value.__cause__, BrokenProcessPool)
-    assert multiprocessing.active_children() == []
+    assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+    assert _childless()
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_matvec_on_a_broken_pool_raises_worker_died(monkeypatch):
-    """Once a worker died the pool is broken and submit itself raises; a
-    second matvec reports that as WorkerDied too."""
+    """Once a worker died the operator forks no new one: a second matvec
+    raises WorkerDied with the first one's message, and close() answers
+    serially again."""
     problem = discretize(icosahedral_sphere(1), WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
+    u = np.ones(problem.n_unknowns)
+    serial = _apply(problem, u)
     monkeypatch.setattr(pbbem.solver, "_worker_part", _exit_worker)
+    pids = _counting_forks(monkeypatch)
     with make_operator(problem, SolverConfig(workers=2)) as op:
         for _ in range(2):
-            with pytest.raises(WorkerDied, match="^matvec worker died: ") as info:
-                op(np.ones(problem.n_unknowns))
-            assert isinstance(info.value.__cause__, BrokenProcessPool)
-    assert multiprocessing.active_children() == []
+            with pytest.raises(WorkerDied, match="^matvec worker died: worker 0 exited with status 1$"):
+                op(u)
+    assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+    assert _childless()
+    assert np.array_equal(op(u), serial)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+def test_killed_worker_names_its_signal(monkeypatch):
+    """A worker killed between matvecs fails the next one within seconds
+    with WorkerDied naming the signal, and every later one alike."""
+    problem = discretize(icosahedral_sphere(1), MIXED, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    u = np.random.default_rng(18).standard_normal(problem.n_unknowns)
+    serial = _apply(problem, u)
+    pids = _counting_forks(monkeypatch)
+    with make_operator(problem, SolverConfig(workers=2)) as op:
+        assert np.array_equal(op(u), serial)
+        os.kill(pids[1], signal.SIGKILL)
+        start = time.monotonic()
+        for _ in range(2):
+            with pytest.raises(WorkerDied, match="^matvec worker died: worker 1 was killed by signal 9$"):
+                op(u)
+        assert time.monotonic() - start < 5.0
+    assert len(pids) == 2 and all(_reaped(pid) for pid in pids)
+    assert np.array_equal(op(u), serial)
+
+
+class _TwoArguments(Exception):
+    """An exception that pickles but cannot be unpickled: its one stored
+    argument does not fill its two parameters."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+@pytest.mark.parametrize(
+    "error, raised",
+    [(ValueError("boom"), (ValueError, "^boom$")),
+     (_TwoArguments("boom", 2), (TypeError, "second"))],
+    ids=["ValueError", "unpicklable"],
+)
+def test_worker_exception_is_raised_in_the_parent(monkeypatch, error, raised):
+    """An exception in one worker's task is raised in the parent with its
+    type and message, and the next matvec still gets every worker's own
+    reply. One the parent cannot read ends the workers, and the next matvec
+    forks new ones."""
+    problem = discretize(icosahedral_sphere(1), MIXED, CENTERED_UNIT, SolverConfig(scheme="lobi"))
+    u = np.random.default_rng(19).standard_normal(problem.n_unknowns)
+    serial = _apply(problem, u)
+    real = pbbem.solver._worker_part
+
+    def failing(v, lo, hi):
+        if v[0] == 0.0 and lo > 0:
+            raise error
+        return real(v, lo, hi)
+
+    monkeypatch.setattr(pbbem.solver, "_worker_part", failing)
+    pids = _counting_forks(monkeypatch)
+    with make_operator(problem, SolverConfig(workers=2)) as op:
+        with pytest.raises(raised[0], match=raised[1]):
+            op(np.zeros(problem.n_unknowns))
+        assert np.array_equal(op(u), serial)
+    assert len(pids) == (2 if raised[0] is ValueError else 4)
+    assert all(_reaped(pid) for pid in pids)
 
 
 BLAS_NAMES = {"dot", "matmul", "einsum", "linalg"}
@@ -1567,7 +1660,7 @@ def _assert_blas_thread_digests_agree(scheme: str, kappa: float, level: int = 2)
     assert one == two and one[0] == one[1] and len(one) == 4
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
     """The level-2 kappa = 0 hobi matvec, serial and with 2 workers forked
     after the parent ran a multi-threaded product, and the energy and the
@@ -1576,7 +1669,7 @@ def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
     _assert_blas_thread_digests_agree("hobi", 0.0)
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
     """At kappa > 0 the near table's K1 and K4 coefficients are nonzero,
     and discretize forms every near coefficient with a BLAS product: the
@@ -1586,7 +1679,7 @@ def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
     _assert_blas_thread_digests_agree("hobi", 0.125)
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 @pytest.mark.parametrize("kappa", [0.0, 0.125])
 def test_lobi_matvec_bits_do_not_follow_blas_threads(kappa):
     """lobi's off-diagonal tiles also take the transposed products of the
@@ -1700,7 +1793,7 @@ def test_strip_chunks_hold_equal_pair_counts(level):
     assert per_chunk.max() - per_chunk.min() <= 0.1 * per_chunk.max()
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_two_pooled_operators_keep_their_own_problems():
     """Each pool's workers hold the problem they were started with."""
     rng = np.random.default_rng(9)
@@ -1720,6 +1813,61 @@ def test_two_pooled_operators_keep_their_own_problems():
                 assert np.array_equal(second(vectors[1]), serial[1])
 
 
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+def test_closing_the_first_opened_pooled_operator_first(monkeypatch):
+    """Each worker keeps none of another operator's pipe ends, so the first
+    of two open pools closes, within seconds, while the second stays open,
+    and reaps its own workers; the second keeps its bits."""
+    problems = [
+        discretize(icosahedral_sphere(1, radius=r), WATER, CENTERED_UNIT, SolverConfig(scheme="lobi"))
+        for r in (1.0, 2.0)
+    ]
+    vectors = [np.linspace(-1.0, 1.0, p.n_unknowns) for p in problems]
+    serial = [_apply(p, u) for p, u in zip(problems, vectors)]
+    pids = _counting_forks(monkeypatch)
+    first = make_operator(problems[0], SolverConfig(workers=2))
+    first(vectors[0])
+    with make_operator(problems[1], SolverConfig(workers=2)) as second:
+        assert np.array_equal(second(vectors[1]), serial[1])
+        closer = threading.Thread(target=first.close)
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive()
+        assert all(_reaped(pid) for pid in pids[:2])
+        assert np.array_equal(second(vectors[1]), serial[1])
+    assert len(pids) == 4 and all(_reaped(pid) for pid in pids)
+
+
+POOL_IMPORTS_SCRIPT = """
+import sys
+import threading
+import numpy as np
+from pbbem.kernels import PhysicalParams
+from pbbem.mesh import ChargeSystem, icosahedral_sphere
+from pbbem.solver import SolverConfig, discretize, solve
+
+config = SolverConfig(scheme="lobi", workers=2)
+problem = discretize(icosahedral_sphere(1), PhysicalParams(1.0, 80.0, 0.125),
+                     ChargeSystem([[0.0, 0.0, 0.0]], [1.0]), config)
+solve(problem, config)
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules),
+      threading.active_count())
+"""
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+def test_pooled_solve_imports_no_executor_and_starts_no_thread():
+    """A 2-worker solve, in a fresh process, imports neither
+    concurrent.futures nor multiprocessing and leaves one thread."""
+    package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORTS_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 1\n"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
 def test_solve_equals_the_three_step_pipeline(monkeypatch, scheme, workers):
@@ -1735,10 +1883,12 @@ def test_solve_equals_the_three_step_pipeline(monkeypatch, scheme, workers):
         return opened[-1]
 
     monkeypatch.setattr(pbbem.solver, "make_operator", kept_operator)
+    pids = _counting_forks(monkeypatch)
     solution = solve(problem, config)
     # the operator is still referenced, so only close() can have ended its pool
     assert len(opened) == 1
-    assert multiprocessing.active_children() == []
+    assert len(pids) == (workers if workers > 1 else 0)
+    assert _childless()
     assert np.array_equal(solution.vector, expected.vector)
     assert solution.iterations == expected.iterations
     assert solution.residual == expected.residual
