@@ -6,7 +6,7 @@ on a triangulated molecular surface. Two discretizations are provided: a
 higher-order scheme on 10-node cubic curved elements with vertex collocation
 and regularized singular quadrature (HOBI), and a low-order centroid
 collocation scheme on flat triangles (LOBI). The operator is applied
-matrix-free and solved with restarted GMRES; Kirkwood sphere series provide
+matrix-free and solved with GMRES; Kirkwood sphere series provide
 analytic references for verification.
 """
 
@@ -35,7 +35,6 @@ from .solver import (
     make_operator,
     matvec_hobi,
     matvec_lobi,
-    partition_targets,
     solvation_energy,
     solve,
     surface_potential_error,
@@ -66,7 +65,6 @@ __all__ = [
     "matvec_hobi",
     "matvec_lobi",
     "parse_charges",
-    "partition_targets",
     "parse_msms",
     "solvation_energy",
     "solve",

@@ -84,6 +84,15 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _parse_levels(text: str) -> list[int]:
+    """--levels: two runs of one level would leave no order between them."""
+    levels = _parse_int_list(text)
+    for k, level in enumerate(levels):
+        if level in levels[:k]:
+            raise argparse.ArgumentTypeError(f"level {level} listed twice")
+    return levels
+
+
 def _parse_schemes(text: str) -> list[str]:
     schemes = [s for s in text.split(",") if s]
     if not schemes:
@@ -132,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("convergence",
                               help="sweep icosphere levels against the sphere oracle")
-    sub.add_argument("--levels", type=_parse_int_list, default=[1, 2, 3],
+    sub.add_argument("--levels", type=_parse_levels, default=[1, 2, 3],
                      metavar="L1,L2,...", help="icosphere subdivision levels")
     sub.add_argument("--radius", type=float, default=2.0, help="sphere radius (Å)")
     sub.add_argument("--charge-position", type=_parse_triple, default=(0.0, 0.0, 0.0),

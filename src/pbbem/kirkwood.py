@@ -67,24 +67,6 @@ def legendre_all(nmax: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def modified_spherical_kn(nmax: int, x: float) -> np.ndarray:
-    """k_0..k_nmax at x > 0, normalized so k_0(x) = exp(-x)/x.
-
-    Upward recurrence k_{n+1} = k_{n-1} + ((2n+1)/x) k_n, which is stable in
-    this direction because k_n grows with n. Only ratios of these enter the
-    expansion, so the omitted pi/2 prefactor is irrelevant.
-    """
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    k = np.empty(nmax + 1)
-    k[0] = np.exp(-x) / x
-    if nmax >= 1:
-        k[1] = k[0] * (1.0 + 1.0 / x)
-    for n in range(1, nmax):
-        k[n + 1] = k[n - 1] + ((2 * n + 1) / x) * k[n]
-    return k
-
-
 def bessel_log_derivative(nmax: int, x: float) -> np.ndarray:
     """L_n = x k_n'(x)/k_n(x) for n = 0..nmax; x = 0 gives the Laplace limit.
 

@@ -83,9 +83,13 @@ class RunReport:
 REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
-def report_from_dict(record: dict) -> RunReport:
+def report_from_dict(record: dict, where: str = "record") -> RunReport:
+    """The report of one record, its cells parsed by field annotation; a
+    missing field is a ValueError naming where the record came from."""
     kwargs = {}
     for f in fields(RunReport):
+        if f.name not in record:
+            raise ValueError(f"{where} has no field {f.name!r}")
         value = record[f.name]
         if value is not None or f.type == "str":
             value = _PARSE[f.type](value)
@@ -100,7 +104,7 @@ def reports_to_json(reports: list[RunReport]) -> str:
 
 def reports_from_json(text: str) -> list[RunReport]:
     payload = json.loads(text)
-    return [report_from_dict(rec) for rec in payload["reports"]]
+    return [report_from_dict(rec, f"reports[{k}]") for k, rec in enumerate(payload["reports"])]
 
 
 def _cell(value) -> str:
@@ -129,12 +133,19 @@ def reports_to_csv(reports: list[RunReport]) -> str:
 
 
 def reports_from_csv(text: str) -> list[RunReport]:
+    """The reports of a CSV table; a row (the header is row 1) with more
+    or fewer cells than columns is a ValueError naming it."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != REPORT_COLUMNS:
         raise ValueError("CSV header does not match REPORT_COLUMNS")
     types = {f.name: f.type for f in fields(RunReport)}
+    width = len(REPORT_COLUMNS)
     out = []
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            what = (f"no field {REPORT_COLUMNS[len(row)]!r}" if len(row) < width
+                    else f"cells past field {REPORT_COLUMNS[-1]!r}")
+            raise ValueError(f"CSV row {number} has {len(row)} cells for {width} columns: {what}")
         # an empty cell is an absent optional number or an empty string
         record = {
             name: (None if cell == "" and types[name] != "str" else cell)

@@ -6,9 +6,10 @@ alpha1 = (1 + er)/2 and alpha2 = (1 + 1/er)/2 with er = eps2/eps1, so the
 operator is the identity minus the kernel sums and its spectrum clusters
 at 1 instead of at two values ~er apart. The unknowns stay the physical
 (phi, dphi/dn). GMRES stops on the larger of the two equations' relative
-residuals, which this row scaling does not change. Each restart cycle
-keeps one Hessenberg matrix and stops at the first inner step whose
-residual, from its Arnoldi relation and no matvec, meets that test.
+residuals, which this row scaling does not change. It runs one Arnoldi
+process of at most GMRES_STEPS steps on one Hessenberg matrix and stops
+at the first step whose residual, from its Arnoldi relation and no
+matvec, meets that test.
 
 Two discretizations of the same well-conditioned second-kind system:
 
@@ -22,7 +23,7 @@ Two discretizations of the same well-conditioned second-kind system:
 One call runs the pipeline: ``problem = discretize(mesh, params, charges,
 config)`` builds the quadrature caches, then ``solve(problem, config)``
 assembles the right-hand side, opens the (optionally pooled) operator, runs
-restarted GMRES on it and closes the pool before returning the surface
+GMRES on it and closes the pool before returning the surface
 traces. ``assemble_rhs``, ``make_operator`` and ``gmres_solve`` stay public
 for callers that time or wrap the steps one by one.
 
@@ -98,6 +99,11 @@ SCHEMES = ("hobi", "lobi")
 # pair count.
 TILE = 192
 STRIP_CHUNKS = 16
+# GMRES's step budget: its basis holds at most GMRES_STEPS + 1 vectors. The
+# second-kind system converges in a few steps (3 to 6 on the benchmark's
+# spheres, at most 36 on a Gaussian molecular surface), so one Arnoldi
+# process without restarts suffices
+GMRES_STEPS = 100
 # rotated elements per chunk of _near_table's Duffy frames: a level-3 hobi
 # discretize traces a 4.7 MB peak at 512, 6.0 MB at 1024, 11.7 MB unchunked
 NEAR_CHUNK = 512
@@ -113,7 +119,8 @@ _NO_PAIRS = (np.empty(0, np.intp),) * 2
 
 
 class GmresNonConvergence(RuntimeError):
-    """GMRES hit its iteration budget; carries the best residual reached."""
+    """GMRES took GMRES_STEPS steps short of the tolerance; carries the best
+    residual reached."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
@@ -121,18 +128,12 @@ class GmresNonConvergence(RuntimeError):
 
 
 class GmresBreakdown(GmresNonConvergence):
-    """GMRES met a non-finite residual or a restart cycle that left it as it was."""
+    """GMRES met a non-finite residual, or a rank-deficient Hessenberg matrix
+    short of the tolerance, from which no later step could recover."""
 
 
 class WorkerDied(RuntimeError):
     """A matvec worker process ended before it returned its part."""
-
-
-def _check_int(name: str, value):
-    """Raise a ValueError naming the field unless value is an int >= 1
-    (NumPy ints pass, bools fail)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,6 @@ class SolverConfig:
 
     scheme: str = "hobi"
     tolerance: float = 1e-6
-    restart: int = 100
-    max_iterations: int = 1000
     workers: int | None = None  # None: every CPU this process may run on
 
     def __post_init__(self):
@@ -152,10 +151,10 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
-        _check_int("restart", self.restart)
-        _check_int("max_iterations", self.max_iterations)
-        if self.workers is not None:
-            _check_int("workers", self.workers)
+        w = self.workers  # NumPy ints pass, bools fail
+        if w is not None and (isinstance(w, bool) or not isinstance(w, (int, np.integer))
+                              or w < 1):
+            raise ValueError(f"workers must be an int >= 1, got {w!r}")
 
     def worker_count(self) -> int:
         """The matvec workers that run: workers, or every CPU this process
@@ -620,44 +619,27 @@ def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
     return np.concatenate([s1 / (eps1 * alpha1), s2 / (eps1 * alpha2)])
 
 
-def partition_targets(n_targets: int, n_workers: int) -> list[tuple[int, int]]:
-    """Split [0, n_targets) into n_workers contiguous ranges, sizes within 1."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if n_targets < 0:
-        raise ValueError(f"n_targets must be >= 0, got {n_targets}")
-    base, extra = divmod(n_targets, n_workers)
-    ranges = []
-    start = 0
-    for w in range(n_workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 # ---------------------------------------------------------------------------
 # parallel operator: fork workers inherit the problem, write disjoint rows
 
-_worker_plan: _SweepPlan | None = None  # a pool worker's, never its parent's
+
+def _partition(n: int, parts: int) -> list[tuple[int, int]]:
+    """[0, n) cut into parts contiguous ranges, sizes within 1, larger first."""
+    base, extra = divmod(n, parts)
+    bounds = [k * base + min(k, extra) for k in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _adopt(problem: DiscretizedProblem):
-    """A forked worker's first step: the child inherits problem unpickled
-    and builds the sweep's plan once, in its own memory."""
-    global _worker_plan
-    _worker_plan = _sweep_plan(problem)
-
-
-def _worker_part(u: np.ndarray, lo: int, hi: int):
-    return _apply_chunks(_worker_plan, _sweep_moments(_worker_plan, u), lo, hi)
+def _worker_part(plan: _SweepPlan, u: np.ndarray, lo: int, hi: int):
+    """A pool worker's reply to u: the chunk-tree nodes of chunks [lo, hi)."""
+    return _apply_chunks(plan, _sweep_moments(plan, u), lo, hi)
 
 
 def _serve(problem: DiscretizedProblem, lo: int, hi: int, requests: int, replies: int):
     """A forked worker's life; it never returns. It closes every descriptor
     it inherited but stdio and its own two pipe ends: a sibling or a later
     operator's worker holding a parent's write end would keep its reader
-    from ever seeing EOF. Then it builds its plan (_adopt) and answers each
+    from ever seeing EOF. Then it builds its own plan and answers each
     request u, 2T raw float64 values, with a 0 byte and the raw (2, T) sums
     of the chunk-tree nodes of chunks [lo, hi), in order, or with a 1 byte
     and the pickled exception _worker_part raised, until its requests
@@ -667,12 +649,12 @@ def _serve(problem: DiscretizedProblem, lo: int, hi: int, requests: int, replies
         keep = sorted({0, 1, 2, requests, replies})
         for a, b in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
             os.closerange(a + 1, b)
-        _adopt(problem)
+        plan = _sweep_plan(problem)
         inbox, outbox = open(requests, "rb"), open(replies, "wb")
         u = np.empty(problem.n_unknowns)
         while inbox.readinto(u) == u.nbytes:
             try:
-                reply = [b"\0"] + [sums for _, _, sums in _worker_part(u, lo, hi)]
+                reply = [b"\0"] + [sums for _, _, sums in _worker_part(plan, u, lo, hi)]
             except Exception as exc:  # the parent raises it again
                 reply = [b"\1", pickle.dumps(exc)]
             outbox.writelines(reply)
@@ -686,7 +668,7 @@ class _Operator:
     """Callable matvec, optionally fanned out over forked workers.
 
     The STRIP_CHUNKS chunks of the tiled sweep are split into one
-    contiguous range per worker (partition_targets), of at most
+    contiguous range per worker (_partition), of at most
     STRIP_CHUNKS workers (SolverConfig.worker_count). Their sums are added
     over the fixed chunk tree, each worker returning the largest nodes
     inside its range, so no bit depends on the worker count. hobi's near
@@ -716,7 +698,7 @@ class _Operator:
         self._failure = None  # the WorkerDied message, once a worker died
         self.matvecs = 0
         if self._pooled:
-            self._ranges = partition_targets(STRIP_CHUNKS, workers)
+            self._ranges = _partition(STRIP_CHUNKS, workers)
 
     def _start(self):
         try:
@@ -831,28 +813,26 @@ def make_operator(problem: DiscretizedProblem, config: SolverConfig) -> _Operato
 
 
 def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
-    """Restarted GMRES with a per-equation residual stopping test.
+    """GMRES with a per-equation residual stopping test, one Arnoldi
+    process of at most GMRES_STEPS steps.
 
-    Arnoldi with modified Gram-Schmidt; iteration count is the total number
-    of inner steps; x starts at 0, so r = b costs no matvec and a solve
-    costs `iterations` matvecs. Reads only tolerance, restart and
-    max_iterations from config.
+    Arnoldi with modified Gram-Schmidt; x starts at 0, so its residual b
+    costs no matvec and a solve costs `iterations` matvecs, one a step.
+    Reads only tolerance from config.
 
     The residual is per equation: max_k ||r_k|| / ||b_k|| over the two
     halves (phi, dphi/dn), a zero b_k measured against ||b|| instead. It
     does not change when either half of the system is scaled, and where
-    neither b_k is zero it is never below ||r|| / ||b||. Each inner step
-    solves min ||beta e1 - Hbar y|| on the (j+1) x j Hessenberg matrix
-    Hbar; the Arnoldi relation A V_j = V_{j+1} Hbar (kept to rounding by
-    modified Gram-Schmidt) makes r - V_{j+1} Hbar y the new b - A x with
-    no matvec. A cycle ends at the first step where that vector's
-    per-equation residual is within the tolerance, when lstsq finds Hbar
-    rank-deficient (it returns no residual), at the restart length or at
-    the budget, and the next starts from that vector. Raises
-    GmresNonConvergence with the best residual if max_iterations is
-    exhausted, and its subclass GmresBreakdown at the first non-finite
-    residual or after a cycle that left the residual unchanged, which
-    every later cycle would repeat (A r = 0, say).
+    neither b_k is zero it is never below ||r|| / ||b||. Step j solves
+    min ||beta e1 - Hbar y|| on the (j+1) x j Hessenberg matrix Hbar; the
+    Arnoldi relation A V_j = V_{j+1} Hbar (kept to rounding by modified
+    Gram-Schmidt) makes b - V_{j+1} Hbar y the residual b - A x of x =
+    V_j y with no matvec. The solve returns at the first step where that
+    residual is within the tolerance. Raises GmresNonConvergence with the
+    best residual after GMRES_STEPS steps short of it, and its subclass
+    GmresBreakdown at the first non-finite residual, or when lstsq finds
+    Hbar rank-deficient short of the tolerance (it returns no residual;
+    A V_j = 0, say), which no later step could mend.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -871,55 +851,42 @@ def gmres_solve(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
 
     def _failure(error: type[GmresNonConvergence], reason: str):
         return error(
-            f"{reason} (matvecs: {total}, best residual {best:.3e}, tolerance {tol:.3e})",
+            f"{reason} (matvecs: {j}, best residual {best:.3e}, tolerance {tol:.3e})",
             best_residual=best,
         )
 
     if norm_b == 0.0:
         return SurfaceSolution(np.zeros(half), np.zeros(half), 0, 0.0)
 
-    x = np.zeros(n)
-    r = b  # b - A x with x = 0, without spending a matvec on A 0
-    rel = _relative(r)
-    total = 0
-    best = np.inf
-    m = config.restart
-    while True:
-        if not np.isfinite(rel):
+    j = 0  # steps taken, one matvec each
+    best = _relative(b)  # 1 unless b is not finite
+    if not np.isfinite(best):
+        raise _failure(GmresBreakdown, "non-finite residual")
+    beta_e1 = norm_b * np.eye(1, GMRES_STEPS + 1)[0]
+    basis = np.zeros((GMRES_STEPS + 1, n))
+    hess = np.zeros((GMRES_STEPS + 1, GMRES_STEPS))
+    basis[0] = b / norm_b
+    for j in range(1, GMRES_STEPS + 1):
+        w = apply(basis[j - 1])
+        # NaN/inf in w reach hess[j, j - 1], checked before lstsq, which rejects them
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i in range(j):
+                hess[i, j - 1] = float(basis[i] @ w)
+                w = w - hess[i, j - 1] * basis[i]
+            hess[j, j - 1] = float(np.linalg.norm(w))
+            if hess[j, j - 1] > 1e-300:
+                basis[j] = w / hess[j, j - 1]
+        if not np.isfinite(hess[: j + 1, j - 1]).all():
             raise _failure(GmresBreakdown, "non-finite residual")
+        y, res = np.linalg.lstsq(hess[: j + 1, :j], beta_e1[: j + 1])[:2]
+        rel = _relative(b - basis[: j + 1].T @ (hess[: j + 1, :j] @ y))
         best = min(best, rel)
         if rel <= tol:
-            return SurfaceSolution(x[:half], x[half:], total, rel)
-        if total >= config.max_iterations:
-            raise _failure(GmresNonConvergence, "no convergence")
-        beta_e1 = float(np.linalg.norm(r)) * np.eye(1, m + 1)[0]
-        basis = np.zeros((m + 1, n))
-        hess = np.zeros((m + 1, m))
-        basis[0] = r / beta_e1[0]
-        j = 0
-        while True:
-            w = apply(basis[j])
-            # NaN/inf in w reach hess[j + 1, j], checked before lstsq, which rejects them
-            with np.errstate(invalid="ignore", over="ignore"):
-                for i in range(j + 1):
-                    hess[i, j] = float(basis[i] @ w)
-                    w = w - hess[i, j] * basis[i]
-                hess[j + 1, j] = float(np.linalg.norm(w))
-                if hess[j + 1, j] > 1e-300:
-                    basis[j + 1] = w / hess[j + 1, j]
-            total += 1
-            j += 1
-            if not np.isfinite(hess[: j + 1, j - 1]).all():
-                raise _failure(GmresBreakdown, "non-finite residual")
-            y, res = np.linalg.lstsq(hess[: j + 1, :j], beta_e1[: j + 1])[:2]
-            r_j = r - basis[: j + 1].T @ (hess[: j + 1, :j] @ y)
-            rel = _relative(r_j)
-            if rel <= tol or not res.size or j == m or total >= config.max_iterations:
-                break
-        if np.array_equal(r_j, r):  # every later cycle would repeat this one
-            raise _failure(GmresBreakdown, "no progress in a cycle")
-        x = x + basis[:j].T @ y
-        r = r_j
+            x = basis[:j].T @ y
+            return SurfaceSolution(x[:half], x[half:], j, rel)
+        if not res.size:
+            raise _failure(GmresBreakdown, "rank-deficient Hessenberg matrix")
+    raise _failure(GmresNonConvergence, "no convergence")
 
 
 def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:

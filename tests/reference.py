@@ -3,11 +3,12 @@
 g0 and g_kappa evaluate one point pair in plain scalar arithmetic. The
 finite-difference kernel tests and the acceptance gate difference them to
 check K1..K4, so they share no code with kernels.kernel_values_d.
+modified_spherical_kn is the upward Bessel recurrence that
+kirkwood.bessel_log_derivative's ratio recurrence is checked against.
 subdivide is the face-by-face loop that mesh._subdivide replaces with
 array code. nodes_from_vertex_data is the per-rotation curved-node fit that
 geometry.curved_nodes replaces with one arc per mesh edge, and flat_area
-the area of the flat triangles. gmres_givens is restarted GMRES on a Givens-rotated Hessenberg
-matrix, solved by back substitution where solver.gmres_solve runs a
+the area of the flat triangles. gmres_givens is GMRES on a Givens-rotated Hessenberg matrix, solved by back substitution where solver.gmres_solve runs a
 least-squares solve on the unrotated one; both stop on the same test.
 duffy_pairs rebuilds hobi's Duffy frames pair by pair, which the solver
 folds into its near table, and duffy_near_sums sums them pair by pair.
@@ -26,6 +27,7 @@ from pbbem.geometry import (
 from pbbem.kernels import FOUR_PI, SingularityError, kernel_values_d
 from pbbem.solver import (
     DUFFY_RULE,
+    GMRES_STEPS,
     GmresBreakdown,
     GmresNonConvergence,
     SolverConfig,
@@ -49,6 +51,24 @@ def g_kappa(x, y, kappa: float) -> float:
     if r < 1e-300:
         raise SingularityError("g_kappa evaluated at coincident points")
     return float(np.exp(-kappa * r)) / (FOUR_PI * r)
+
+
+def modified_spherical_kn(nmax: int, x: float) -> np.ndarray:
+    """k_0..k_nmax at x > 0, normalized so k_0(x) = exp(-x)/x.
+
+    Upward recurrence k_{n+1} = k_{n-1} + ((2n+1)/x) k_n, which is stable in
+    this direction because k_n grows with n. Only ratios of these enter the
+    log derivative, so the omitted pi/2 prefactor is irrelevant.
+    """
+    if x <= 0.0:
+        raise ValueError(f"argument must be positive, got {x}")
+    k = np.empty(nmax + 1)
+    k[0] = np.exp(-x) / x
+    if nmax >= 1:
+        k[1] = k[0] * (1.0 + 1.0 / x)
+    for n in range(1, nmax):
+        k[n + 1] = k[n - 1] + ((2 * n + 1) / x) * k[n]
+    return k
 
 
 def subdivide(verts: np.ndarray, faces: np.ndarray):
@@ -108,26 +128,26 @@ def flat_area(mesh) -> float:
 
 
 def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
-    """Restarted GMRES with a per-equation residual stopping test.
+    """GMRES with a per-equation residual stopping test, one Arnoldi
+    process of at most GMRES_STEPS steps.
 
-    Arnoldi with modified Gram-Schmidt and Givens rotations; iteration count
-    is the total number of inner steps; x starts at 0, so r = b costs no
-    matvec and a solve costs `iterations` matvecs. Reads only tolerance,
-    restart and max_iterations from config.
+    Arnoldi with modified Gram-Schmidt and Givens rotations; x starts at 0,
+    so its residual b costs no matvec and a solve costs `iterations`
+    matvecs. Reads only tolerance from config.
 
     The residual is per equation: max_k ||r_k|| / ||b_k|| over the two
     halves (phi, dphi/dn), a zero b_k measured against ||b|| instead. It
     does not change when either half of the system is scaled, and where
-    neither b_k is zero it is never below ||r|| / ||b||. Each inner step
-    back-substitutes the rotated system for y and forms r - V_{j+1} Hbar
+    neither b_k is zero it is never below ||r|| / ||b||. Each step
+    back-substitutes the rotated system for y and forms b - V_{j+1} Hbar
     y, with Hbar the (j+1) x j Hessenberg matrix before its rotations: the
     Arnoldi relation A V_j = V_{j+1} Hbar, which modified Gram-Schmidt
-    keeps to rounding, makes this b - A x without another matvec. A cycle
-    ends at the first step where that vector's per-equation residual is
-    within the tolerance, at the restart length or when the budget runs
-    out, and closes on that vector. Raises GmresNonConvergence with the
-    best residual if max_iterations is exhausted, and its subclass
-    GmresBreakdown at the first non-finite residual.
+    keeps to rounding, makes this b - A x without another matvec. The
+    solve returns at the first step where that vector's per-equation
+    residual is within the tolerance. Raises GmresNonConvergence with the
+    best residual after GMRES_STEPS steps short of it, and its subclass
+    GmresBreakdown at the first non-finite residual or a zero rotated
+    diagonal entry (Hbar rank-deficient).
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -138,86 +158,64 @@ def gmres_givens(apply, b: np.ndarray, config: SolverConfig) -> SurfaceSolution:
     norm_b = float(np.linalg.norm(b))
     scales = [float(np.linalg.norm(b[h])) or norm_b for h in halves]
     tol = config.tolerance
+    m = GMRES_STEPS
 
     def _relative(r: np.ndarray) -> float:
         # np.max, unlike max(), returns a NaN in either half
         parts = [float(np.linalg.norm(r[h])) / s for h, s in zip(halves, scales)]
         return float(np.max(parts))
 
-    def _solution(x: np.ndarray, its: int, rel: float) -> SurfaceSolution:
-        return SurfaceSolution(
-            phi=x[:half], dphi_dn=x[half:], iterations=its, residual=rel
-        )
-
-    def _breakdown(matvecs: int) -> GmresBreakdown:
-        return GmresBreakdown(
-            f"non-finite residual (matvecs: {matvecs}, "
-            f"best residual {best:.3e}, tolerance {tol:.3e})",
+    def _failure(error, reason: str, matvecs: int):
+        return error(
+            f"{reason} (matvecs: {matvecs}, best residual {best:.3e}, tolerance {tol:.3e})",
             best_residual=best,
         )
 
     if norm_b == 0.0:
-        return _solution(np.zeros(n), 0, 0.0)
+        return SurfaceSolution(np.zeros(half), np.zeros(half), 0, 0.0)
 
-    x = np.zeros(n)
-    r = b  # b - A x with x = 0, without spending a matvec on A 0
-    total = 0
-    best = np.inf
-    m = config.restart
-    while True:
-        rel = _relative(r)
-        if not np.isfinite(rel):
-            raise _breakdown(total)
+    best = _relative(b)
+    if not np.isfinite(best):
+        raise _failure(GmresBreakdown, "non-finite residual", 0)
+    basis = np.zeros((m + 1, n))
+    hess = np.zeros((m + 1, m))
+    arnoldi = np.zeros((m + 1, m))  # hess before the rotations
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    basis[0] = b / norm_b
+    g[0] = norm_b
+    for j in range(m):
+        w = apply(basis[j])
+        for i in range(j + 1):
+            hess[i, j] = float(basis[i] @ w)
+            w = w - hess[i, j] * basis[i]
+        hess[j + 1, j] = float(np.linalg.norm(w))
+        if hess[j + 1, j] > 1e-300:
+            basis[j + 1] = w / hess[j + 1, j]
+        arnoldi[: j + 2, j] = hess[: j + 2, j]
+        for i in range(j):
+            tmp = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
+            hess[i + 1, j] = -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j]
+            hess[i, j] = tmp
+        denom = float(np.hypot(hess[j, j], hess[j + 1, j]))
+        if not np.isfinite(denom):
+            raise _failure(GmresBreakdown, "non-finite residual", j + 1)
+        if denom == 0.0:
+            raise _failure(GmresBreakdown, "rank-deficient Hessenberg matrix", j + 1)
+        cs[j] = hess[j, j] / denom
+        sn[j] = hess[j + 1, j] / denom
+        hess[j, j] = denom
+        hess[j + 1, j] = 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] = cs[j] * g[j]
+        y = np.linalg.solve(np.triu(hess[: j + 1, : j + 1]), g[: j + 1])
+        rel = _relative(b - basis[: j + 2].T @ (arnoldi[: j + 2, : j + 1] @ y))
         best = min(best, rel)
         if rel <= tol:
-            return _solution(x, total, rel)
-        if total >= config.max_iterations:
-            raise GmresNonConvergence(
-                f"no convergence in {total} iterations "
-                f"(best residual {best:.3e}, tolerance {tol:.3e})",
-                best_residual=best,
-            )
-        beta = float(np.linalg.norm(r))
-        basis = np.zeros((m + 1, n))
-        hess = np.zeros((m + 1, m))
-        arnoldi = np.zeros((m + 1, m))  # hess before the rotations
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        basis[0] = r / beta
-        g[0] = beta
-        j = 0
-        while j < m and total < config.max_iterations:
-            w = apply(basis[j])
-            for i in range(j + 1):
-                hess[i, j] = float(basis[i] @ w)
-                w = w - hess[i, j] * basis[i]
-            hess[j + 1, j] = float(np.linalg.norm(w))
-            if hess[j + 1, j] > 1e-300:
-                basis[j + 1] = w / hess[j + 1, j]
-            arnoldi[: j + 2, j] = hess[: j + 2, j]
-            for i in range(j):
-                tmp = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
-                hess[i + 1, j] = -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j]
-                hess[i, j] = tmp
-            denom = float(np.hypot(hess[j, j], hess[j + 1, j]))
-            cs[j] = hess[j, j] / denom
-            sn[j] = hess[j + 1, j] / denom
-            hess[j, j] = denom
-            hess[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total += 1
-            j += 1
-            if not np.isfinite(g[j]):
-                raise _breakdown(total)
-            y = np.linalg.solve(np.triu(hess[:j, :j]), g[:j])
-            r_j = r - basis[: j + 1].T @ (arnoldi[: j + 1, :j] @ y)
-            if _relative(r_j) <= tol:
-                break
-        x = x + basis[:j].T @ y
-        r = r_j
-
+            x = basis[: j + 1].T @ y
+            return SurfaceSolution(x[:half], x[half:], j + 1, rel)
+    raise _failure(GmresNonConvergence, "no convergence", m)
 
 
 def duffy_pairs(problem):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import pbbem
+import pbbem.cli
 import pbbem.solver
 from pbbem.cli import main
 from pbbem.mesh import write_msms
@@ -32,6 +33,10 @@ EXACT_BORN_A2 = -81.98017625
 
 def _exit_worker(*args):
     os._exit(1)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the arguments were checked")
 
 
 @pytest.fixture()
@@ -224,6 +229,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: pbbem convergence ")
         assert "pbbem convergence: error: argument --schemes: " in err
+
+    @pytest.mark.parametrize("levels", ["1,1", "0,2,0"])
+    def test_repeated_convergence_level(self, levels, monkeypatch, capsys):
+        """A level listed twice is a usage error naming it, before any solve."""
+        monkeypatch.setattr(pbbem.cli, "_run_one", _no_solve)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convergence", "--levels", levels])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pbbem convergence ")
+        level = levels.split(",")[0]
+        assert f"error: argument --levels: level {level} listed twice" in err
 
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,9 +10,9 @@ from pbbem.kirkwood import (
     kirkwood_centered,
     kirkwood_series,
     legendre_all,
-    modified_spherical_kn,
 )
 from pbbem.mesh import ChargeSystem
+from reference import modified_spherical_kn
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
 SALTY = PhysicalParams(eps1=1.0, eps2=80.0, kappa=1.0)

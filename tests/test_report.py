@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import tracemalloc
 
@@ -100,9 +102,6 @@ def test_matvec_count_round_trips():
     assert reports_from_json(reports_to_json([report])) == [report]
     assert reports_from_csv(reports_to_csv([report])) == [report]
     assert json.loads(reports_to_json([report]))["reports"][0]["matvecs"] == 132
-    import csv
-    import io
-
     row = list(csv.reader(io.StringIO(reports_to_csv([report]))))[1]
     assert row[REPORT_COLUMNS.index("matvecs")] == "132"
     assert strip_timings(report).matvecs == 132
@@ -119,9 +118,6 @@ def test_none_fields_serialize_as_null_and_empty():
     report = sample_report(phi_error=None, observed_order=None)
     payload = json.loads(reports_to_json([report]))
     assert payload["reports"][0]["phi_error"] is None
-    import csv
-    import io
-
     row = list(csv.reader(io.StringIO(reports_to_csv([report]))))[1]
     assert row[REPORT_COLUMNS.index("phi_error")] == ""
     assert row[REPORT_COLUMNS.index("observed_order")] == ""
@@ -141,6 +137,36 @@ def test_csv_header_mismatch_rejected():
     bad = good.replace("mesh_source", "mesh_src", 1)
     with pytest.raises(ValueError, match="header"):
         reports_from_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [(20, "CSV row 3 has 20 cells for 21 columns: no field 'memory_lower_bound_mb'$"),
+     (2, "CSV row 3 has 2 cells for 21 columns: no field 'n_faces'$"),
+     (0, "CSV row 3 has 0 cells for 21 columns: no field 'mesh_source'$"),
+     (22, "CSV row 3 has 22 cells for 21 columns: cells past field 'memory_lower_bound_mb'$")],
+    ids=["one-short", "two-cells", "empty", "one-long"],
+)
+def test_csv_row_of_the_wrong_width_names_row_and_field(cells, message):
+    """A row shorter than the header, or longer, is a ValueError naming
+    the row (the header is row 1) and the field it misses or overruns,
+    never a KeyError or extra cells dropped."""
+    text = reports_to_csv([sample_report()])
+    row = next(csv.reader(io.StringIO(text.splitlines()[1])))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((row + ["1"])[:cells])
+    text += buf.getvalue()
+    with pytest.raises(ValueError, match=f"^{message}"):
+        reports_from_csv(text)
+
+
+def test_json_record_without_a_field_names_record_and_field():
+    payload = json.loads(reports_to_json([sample_report(), sample_report()]))
+    del payload["reports"][1]["mesh_source"]
+    with pytest.raises(ValueError, match=r"^reports\[1\] has no field 'mesh_source'$"):
+        reports_from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match="^record has no field 'n_vertices'$"):
+        report_from_dict({"mesh_source": "sphere"})
 
 
 def test_report_from_dict_coerces_string_cells():

@@ -39,6 +39,7 @@ from pbbem.mesh import (
 from pbbem.geometry import DegenerateArcError, DegenerateElementError, frames_at
 from pbbem.solver import (
     DUFFY_RULE,
+    GMRES_STEPS,
     REGULAR_RULE,
     STRIP_CHUNKS,
     TILE,
@@ -54,11 +55,11 @@ from pbbem.solver import (
     make_operator,
     matvec_hobi,
     matvec_lobi,
-    partition_targets,
     solvation_energy,
     solve,
     surface_potential_error,
 )
+from pbbem.solver import _partition
 from reference import duffy_near_sums, duffy_pairs, g0, gmres_givens
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
@@ -101,31 +102,28 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="tolerance"):
         SolverConfig(tolerance=1.5)
-    with pytest.raises(ValueError, match="restart"):
-        SolverConfig(restart=0)
-    with pytest.raises(ValueError, match="max_iterations"):
-        SolverConfig(max_iterations=0)
     with pytest.raises(ValueError, match="workers"):
         SolverConfig(workers=0)
-    for field in ("restart", "max_iterations", "workers"):
-        for bad in (2.5, 10.5, True, "4"):
-            with pytest.raises(ValueError, match=f"^{field} must be an int >= 1"):
-                SolverConfig(**{field: bad})
-        assert getattr(SolverConfig(**{field: np.int64(7)}), field) == 7
+    for bad in (2.5, 10.5, True, "4"):
+        with pytest.raises(ValueError, match="^workers must be an int >= 1"):
+            SolverConfig(workers=bad)
+    assert SolverConfig(workers=np.int64(7)).workers == 7
     assert SolverConfig(workers=3).worker_count() == 3
     assert SolverConfig().worker_count() >= 1
 
 
 def test_solver_config_holds_plain_values_and_no_rules():
-    """The quadrature rules are the solver's constants, not config fields,
-    so configs built from equal values compare and hash equal, and a rule
-    keyword is an unknown argument."""
+    """The quadrature rules and GMRES's step budget are the solver's
+    constants, not config fields, so configs built from equal values
+    compare and hash equal, and a rule, restart or budget keyword is an
+    unknown argument."""
     names = [f.name for f in fields(SolverConfig)]
-    assert names == ["scheme", "tolerance", "restart", "max_iterations", "workers"]
-    a = SolverConfig(scheme="lobi", tolerance=1e-8, restart=20, max_iterations=50, workers=2)
-    b = SolverConfig(scheme="lobi", tolerance=1e-8, restart=20, max_iterations=50, workers=2)
+    assert names == ["scheme", "tolerance", "workers"]
+    a = SolverConfig(scheme="lobi", tolerance=1e-8, workers=2)
+    b = SolverConfig(scheme="lobi", tolerance=1e-8, workers=2)
     assert a == b and hash(a) == hash(b) and a != SolverConfig(scheme="lobi")
-    for field, value in (("regular_rule", REGULAR_RULE), ("duffy_points", 4)):
+    for field, value in (("regular_rule", REGULAR_RULE), ("duffy_points", 4),
+                         ("restart", 2), ("max_iterations", 3)):
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: value})
 
@@ -1001,12 +999,12 @@ def test_strip_layout_without_sources_or_rows():
 # GMRES
 
 
-def _perturbed_identity(n, seed, spread, **config):
+def _perturbed_identity(n, seed, spread):
     """(a, b, config): I plus spread times a seeded normal matrix, tolerance 1e-12."""
     rng = np.random.default_rng(seed)
     a = np.eye(n) + spread * rng.standard_normal((n, n))
     b = rng.standard_normal(n)
-    return a, b, SolverConfig(tolerance=1e-12, workers=1, **config)
+    return a, b, SolverConfig(tolerance=1e-12, workers=1)
 
 
 def _two_clusters(zero_half):
@@ -1033,15 +1031,6 @@ def test_gmres_solves_dense_example():
     assert sol.residual <= 1e-12
 
 
-def test_gmres_restart_path():
-    a, b, config = _perturbed_identity(
-        12, seed=4, spread=0.1, restart=3, max_iterations=500
-    )
-    sol = gmres_solve(lambda v: a @ v, b, config)
-    assert np.abs(a @ sol.vector - b).max() <= 1e-10
-    assert sol.iterations > 3  # had to restart at least once
-
-
 def test_gmres_identity_converges_in_one_step():
     b = np.array([1.0, -2.0, 0.5, 3.0])
     sol = gmres_solve(lambda v: v, b, SolverConfig(workers=1))
@@ -1050,29 +1039,26 @@ def test_gmres_identity_converges_in_one_step():
 
 
 def test_one_cycle_solve_spends_one_matvec_per_iteration():
-    """The zero start vector costs no matvec, and the cycle closes on the
+    """The zero start vector costs no matvec, and the solve ends on the
     Arnoldi residual, not on another one. solve() reports the operator's
     own count."""
     mesh = icosahedral_sphere(1, radius=2.0)
     config = SolverConfig(scheme="hobi", workers=1)
     problem = discretize(mesh, WATER, CENTERED_UNIT, config)
     sol = solve(problem, config)
-    assert sol.iterations < config.restart  # converged inside the first cycle
     assert sol.matvecs == sol.iterations
     assert gmres_solve(lambda v: v, assemble_rhs(problem), config).matvecs is None
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
-def test_restarted_solve_closes_cycles_on_the_arnoldi_residual(scheme):
-    """Restarted every 2 steps, a solve still spends one matvec per
-    iteration; the returned vector's true per-equation residual, from one
-    extra matvec, is within the tolerance, and the reported residual
-    matches it to rounding (gaps of 5e-17 and 2e-17 against residuals of
-    4e-11 and 2e-12). 1 and 2 workers report the same bits."""
-    config = SolverConfig(scheme=scheme, restart=2, tolerance=1e-10, workers=1)
+def test_solve_ends_on_the_arnoldi_residual(scheme):
+    """At tolerance 1e-10 a solve spends one matvec per iteration; the
+    returned vector's true per-equation residual, from one extra matvec,
+    is within the tolerance, and the reported residual matches it to
+    rounding. 1 and 2 workers report the same bits."""
+    config = SolverConfig(scheme=scheme, tolerance=1e-10, workers=1)
     problem = discretize(icosahedral_sphere(1, radius=2.0), MIXED, SCATTERED, config)
     sol = solve(problem, config)
-    assert sol.iterations > 2  # restarted at least once
     assert sol.matvecs == sol.iterations
     b = assemble_rhs(problem)
     with make_operator(problem, SolverConfig(workers=1)) as op:
@@ -1086,7 +1072,7 @@ def test_restarted_solve_closes_cycles_on_the_arnoldi_residual(scheme):
     # abs is pinned: approx's default 1e-12 would exceed both residuals
     assert sol.residual == pytest.approx(true, rel=1e-6, abs=1e-15)
     if HAS_FORK:
-        pooled_config = SolverConfig(scheme=scheme, restart=2, tolerance=1e-10, workers=2)
+        pooled_config = SolverConfig(scheme=scheme, tolerance=1e-10, workers=2)
         pooled = solve(problem, pooled_config)
         assert pooled.residual == sol.residual
         assert np.array_equal(pooled.vector, sol.vector)
@@ -1167,11 +1153,11 @@ def test_screened_lobi_sphere_matvec_count():
 
 
 @pytest.mark.parametrize(
-    "system", ["dense", "restart-3", "two-clusters", "two-clusters-zero-half", "born-hobi"]
+    "system", ["dense", "two-clusters", "two-clusters-zero-half", "born-hobi"]
 )
 def test_gmres_equals_the_givens_loop(system):
-    """Each inner step's y from a least-squares solve on the one Hessenberg
-    matrix ends each cycle at the step where the Givens-rotated loop's
+    """Each step's y from a least-squares solve on the one Hessenberg
+    matrix ends the solve at the step where the Givens-rotated loop's
     back-substituted y does, on the same per-equation test: the same
     iteration count, and x equal to 1e-12 relative."""
     if system == "born-hobi":
@@ -1181,9 +1167,6 @@ def test_gmres_equals_the_givens_loop(system):
     else:
         a, b, config = {
             "dense": lambda: _perturbed_identity(8, seed=3, spread=0.3),
-            "restart-3": lambda: _perturbed_identity(
-                12, seed=4, spread=0.1, restart=3, max_iterations=500
-            ),
             "two-clusters": lambda: _two_clusters(False),
             "two-clusters-zero-half": lambda: _two_clusters(True),
         }[system]()
@@ -1208,14 +1191,29 @@ def test_gmres_odd_length_rejected():
 
 
 def test_gmres_nonconvergence_carries_best_residual():
+    """A system that needs more than GMRES_STEPS steps raises
+    GmresNonConvergence after exactly GMRES_STEPS matvecs, carrying the
+    smallest residual of any step, as does the Givens-rotated loop."""
     rng = np.random.default_rng(5)
-    n = 20
+    n = 2 * GMRES_STEPS
     a = np.eye(n) + 2.5 * rng.standard_normal((n, n))  # genuinely hard
     b = rng.standard_normal(n)
-    config = SolverConfig(tolerance=1e-14, max_iterations=3, workers=1)
-    with pytest.raises(GmresNonConvergence) as info:
-        gmres_solve(lambda v: a @ v, b, config)
-    assert 0.0 < info.value.best_residual <= 1.0
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return a @ v
+
+    config = SolverConfig(workers=1)
+    with pytest.raises(GmresNonConvergence, match=rf"^no convergence \(matvecs: {GMRES_STEPS},"
+                       ) as info:
+        gmres_solve(counted, b, config)
+    assert type(info.value) is GmresNonConvergence
+    assert len(calls) == GMRES_STEPS
+    assert config.tolerance < info.value.best_residual < 1.0
+    with pytest.raises(GmresNonConvergence) as oracle:
+        gmres_givens(lambda v: a @ v, b, config)
+    assert info.value.best_residual == pytest.approx(oracle.value.best_residual, rel=1e-9)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1241,18 +1239,21 @@ def test_gmres_stops_at_first_non_finite_residual(value):
 
 
 def test_gmres_fails_after_one_cycle_without_progress():
-    """An operator that returns zero leaves the residual unchanged, so
-    every restart would repeat the cycle: the first one raises
-    GmresBreakdown after 1 matvec."""
+    """An operator that returns zero makes the Hessenberg matrix
+    rank-deficient, which no later step could mend: GmresBreakdown after
+    1 matvec, from either loop."""
     calls = []
 
     def zero(v):
         calls.append(1)
         return 0 * v
 
-    with pytest.raises(GmresBreakdown, match=r"no progress in a cycle \(matvecs: 1,"):
-        gmres_solve(zero, np.ones(6), SolverConfig(workers=1))
-    assert len(calls) == 1
+    for loop in (gmres_solve, gmres_givens):
+        calls.clear()
+        with pytest.raises(GmresBreakdown,
+                           match=r"^rank-deficient Hessenberg matrix \(matvecs: 1,"):
+            loop(zero, np.ones(6), SolverConfig(workers=1))
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1260,14 +1261,10 @@ def test_gmres_fails_after_one_cycle_without_progress():
 
 
 def test_partition_examples():
-    assert partition_targets(10, 3) == [(0, 4), (4, 7), (7, 10)]
-    assert partition_targets(7, 1) == [(0, 7)]
-    assert partition_targets(3, 5) == [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)]
-    assert partition_targets(0, 2) == [(0, 0), (0, 0)]
-    with pytest.raises(ValueError):
-        partition_targets(5, 0)
-    with pytest.raises(ValueError):
-        partition_targets(-1, 2)
+    assert _partition(10, 3) == [(0, 4), (4, 7), (7, 10)]
+    assert _partition(7, 1) == [(0, 7)]
+    assert _partition(3, 5) == [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)]
+    assert _partition(0, 2) == [(0, 0), (0, 0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1276,7 +1273,7 @@ def test_partition_examples():
     w=st.integers(min_value=1, max_value=17),
 )
 def test_partition_property(n, w):
-    ranges = partition_targets(n, w)
+    ranges = _partition(n, w)
     assert len(ranges) == w
     assert ranges[0][0] == 0
     assert ranges[-1][1] == n
@@ -1416,8 +1413,7 @@ def test_serial_operator_builds_its_plan_once(monkeypatch, scheme):
 @pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_pooled_operator_parent_builds_no_plan(monkeypatch):
     """A pool's workers each build their own plan as they start; the
-    parent builds none and holds no worker plan, over 3 matvecs that keep
-    the serial bits."""
+    parent builds none, over 3 matvecs that keep the serial bits."""
     problem = discretize(icosahedral_sphere(2), MIXED, NO_CHARGES, SolverConfig(scheme="lobi"))
     u = np.random.default_rng(16).standard_normal(problem.n_unknowns)
     serial = _apply(problem, u)
@@ -1426,7 +1422,6 @@ def test_pooled_operator_parent_builds_no_plan(monkeypatch):
         for _ in range(3):
             assert np.array_equal(op(u), serial)
     assert builds == []
-    assert pbbem.solver._worker_plan is None
 
 
 def test_operators_on_one_problem_keep_their_own_layouts(monkeypatch):
@@ -1535,10 +1530,10 @@ def test_worker_exception_is_raised_in_the_parent(monkeypatch, error, raised):
     serial = _apply(problem, u)
     real = pbbem.solver._worker_part
 
-    def failing(v, lo, hi):
+    def failing(plan, v, lo, hi):
         if v[0] == 0.0 and lo > 0:
             raise error
-        return real(v, lo, hi)
+        return real(plan, v, lo, hi)
 
     monkeypatch.setattr(pbbem.solver, "_worker_part", failing)
     pids = _counting_forks(monkeypatch)
