@@ -17,6 +17,7 @@ import numpy as np
 from .kernels import PhysicalParams
 from .kirkwood import SphereProblem, kirkwood_series
 from .mesh import (
+    MAX_LEVEL,
     ChargeSystem,
     FlatMesh,
     icosahedral_sphere,
@@ -85,9 +86,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_levels(text: str) -> list[int]:
-    """--levels: two runs of one level would leave no order between them."""
+    """--levels, each in [0, MAX_LEVEL] and once: two runs of one level have no order."""
     levels = _parse_int_list(text)
     for k, level in enumerate(levels):
+        if not 0 <= level <= MAX_LEVEL:
+            raise argparse.ArgumentTypeError(f"level {level} is not in [0, {MAX_LEVEL}]")
         if level in levels[:k]:
             raise argparse.ArgumentTypeError(f"level {level} listed twice")
     return levels
@@ -137,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_args(sub)
     sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
     _add_output_args(sub)
-    sub.set_defaults(func=cmd_solve)
+    sub.set_defaults(func=cmd_solve, parser=sub)
 
     sub = commands.add_parser("convergence",
                               help="sweep icosphere levels against the sphere oracle")
@@ -152,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_args(sub)
     sub.add_argument("--workers", type=int, default=None, help="matvec worker count")
     _add_output_args(sub)
-    sub.set_defaults(func=cmd_convergence)
+    sub.set_defaults(func=cmd_convergence, parser=sub)
 
     # no abbreviations, or --workers would be read as --workers-list
     sub = commands.add_parser("scaling", allow_abbrev=False,
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="W1,W2,...")
     _add_physics_args(sub)
     _add_output_args(sub)
-    sub.set_defaults(func=cmd_scaling)
+    sub.set_defaults(func=cmd_scaling, parser=sub)
 
     return parser
 
@@ -188,6 +191,14 @@ def _load_mesh(parser, args) -> tuple[FlatMesh, str]:
     with open(args.face) as fh:
         face_text = fh.read()
     return parse_msms(vert_text, face_text), f"msms {args.vert} {args.face}"
+
+
+def _config(parser, **values) -> SolverConfig:
+    """SolverConfig(**values); a value it rejects is a usage error."""
+    try:
+        return SolverConfig(**values)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _load_charges(path: str) -> ChargeSystem:
@@ -262,10 +273,10 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
 
 
 def cmd_solve(parser, args) -> int:
+    config = _config(parser, scheme=args.scheme, tolerance=args.tol, workers=args.workers)
     mesh, mesh_source = _load_mesh(parser, args)
     charges = _load_charges(args.charges)
     params = PhysicalParams(eps1=args.eps1, eps2=args.eps2, kappa=args.kappa)
-    config = SolverConfig(scheme=args.scheme, tolerance=args.tol, workers=args.workers)
     oracle = _sphere_oracle(args.sphere, params, charges, mesh.vertices)
     report = _run_one(mesh, mesh_source, params, charges, config, oracle)
     render = reports_to_json if args.format == "json" else reports_to_csv
@@ -282,15 +293,12 @@ def cmd_solve(parser, args) -> int:
 
 
 def cmd_convergence(parser, args) -> int:
-    charges = ChargeSystem(
-        positions=[args.charge_position], charges=[args.charge_value]
-    )
+    configs = [_config(parser, scheme=scheme, tolerance=args.tol, workers=args.workers)
+               for scheme in args.schemes]
+    charges = ChargeSystem(positions=[args.charge_position], charges=[args.charge_value])
     params = PhysicalParams(eps1=args.eps1, eps2=args.eps2, kappa=args.kappa)
     reports: list[RunReport] = []
-    for scheme in args.schemes:
-        config = SolverConfig(
-            scheme=scheme, tolerance=args.tol, workers=args.workers
-        )
+    for config in configs:
         previous = None  # (n_faces, phi_error)
         for level in args.levels:
             mesh = icosahedral_sphere(level, radius=args.radius)
@@ -328,6 +336,8 @@ def cmd_convergence(parser, args) -> int:
 
 
 def cmd_scaling(parser, args) -> int:
+    serial, *requested = (_config(parser, scheme=args.scheme, tolerance=args.tol, workers=w)
+                          for w in [1, *args.workers_list])
     level, radius = args.sphere
     mesh = icosahedral_sphere(level, radius=radius)
     if args.charges is not None:
@@ -335,18 +345,17 @@ def cmd_scaling(parser, args) -> int:
     else:
         charges = ChargeSystem(positions=[[0.0, 0.0, 0.0]], charges=[1.0])
     params = PhysicalParams(eps1=args.eps1, eps2=args.eps2, kappa=args.kappa)
-    problem = discretize(mesh, params, charges, SolverConfig(scheme=args.scheme))
+    problem = discretize(mesh, params, charges, serial)
 
     def timed_solve(workers: int):
-        config = SolverConfig(tolerance=args.tol, workers=workers)
         start = time.monotonic()
-        solution = solve(problem, config)
+        solution = solve(problem, dataclasses.replace(serial, workers=workers))
         return solution, time.monotonic() - start
 
     # the serial run anchors both the efficiency baseline T1 and the
     # determinism column, so it runs first even if 1 is not in the list; a
     # row names the workers that ran (worker_count caps the request)
-    counts = dict.fromkeys(SolverConfig(workers=w).worker_count() for w in args.workers_list)
+    counts = dict.fromkeys(config.worker_count() for config in requested)
     runs = {w: timed_solve(w) for w in dict.fromkeys([1, *counts])}
     reference, t1 = runs[1]
     rows = [
@@ -385,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)  # usage errors print the subcommand's usage
     except _RUNTIME_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

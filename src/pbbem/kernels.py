@@ -244,29 +244,29 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     ((5, cols) square_factors columns, (cols, k) source_moments). Returns
     (rows, cols): rows the (2, rows) row sums of K1 wdphi + K2 wphi and
     K3 wdphi + K4 wphi, cols the swapped pairs' (2, cols) sums, or None
-    unless swapped is given. mask, a (rows, cols) index pair, drops pairs
-    that would divide by zero; an empty one costs no pass. With g = 1/r^3, f4 = a g,
-    f1 = em1 r^2 g (_screening) and t = b g d.nx / r^2, 4 pi times the
-    kernels are K1 = -f1, K2 = ((er - 1) g + er f4) d.ny,
-    K3 = (f4/er - (1 - 1/er) g) d.nx and K4 = f4 nx.ny - t d.ny; the 1/(4 pi)
-    rides on the moments. r^2 and d.nx are each one product of the rows
-    with the columns, the factors are evaluated pairwise in sweep_buffers
-    blocks of the scratch (kernel_scratch), and each sum is a product with
-    moments (_moment_products). swapped, given when the targets are
-    sources too, is (the rows' source_moments, the columns' target
-    weights): the factors depend on r and the row's normal alone, so the
-    columns' sums follow from their transposes.
+    unless swapped is given. mask, a 1-D array of flat indices into the
+    (rows, cols) block, drops pairs that would divide by zero; an empty
+    one costs no pass. With g = 1/r^3, f4 = a g, f1 = em1 r^2 g
+    (_screening) and t = b g d.nx / r^2, 4 pi times the kernels are
+    K1 = -f1, K2 = ((er - 1) g + er f4) d.ny, K3 = (f4/er - (1 - 1/er) g) d.nx
+    and K4 = f4 nx.ny - t d.ny; the 1/(4 pi) rides on the moments. r^2 and
+    d.nx are each one product of the rows with the columns, the factors
+    are evaluated pairwise in sweep_buffers blocks of the scratch
+    (kernel_scratch), and each sum is a product with moments
+    (_moment_products). swapped, given when the targets are sources too,
+    is (the rows' source_moments, the columns' target weights): the
+    factors depend on r and the row's normal alone, so the columns' sums
+    follow from their transposes.
     """
     (xr, nr, weights), (yc, moments) = targets, sources
     shape = (len(xr), yc.shape[1])
     buf = scratch[:, : shape[0] * shape[1]].reshape((-1,) + shape)
     r2 = np.matmul(xr, yc, out=buf[0])
-    masked = len(mask[0]) > 0
-    if masked:
-        r2[mask] = 1.0  # a placeholder: g is zeroed there
+    if mask.size:
+        np.put(r2, mask, 1.0)  # a placeholder: g is zeroed there
     g = _green_cube(r2, buf[1], buf[2])
-    if masked:
-        g[mask] = 0.0
+    if mask.size:
+        np.put(g, mask, 0.0)
     factors = [g]
     if params.kappa != 0.0:
         dnx = np.matmul(nr, yc[:4], out=buf[3])

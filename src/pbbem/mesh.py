@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_LEVEL = 7  # the finest icosphere: 327,680 faces, 163,842 vertices
+
 
 class MeshFormatError(ValueError):
     """A mesh or charge file could not be parsed."""
@@ -298,8 +300,8 @@ def icosahedral_sphere(
     quadruples the face count by edge-midpoint splitting followed by radial
     projection. Normals are exact: radial from the center.
     """
-    if not 0 <= level <= 7:
-        raise ValueError(f"refinement level must be in [0, 7], got {level}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"refinement level must be in [0, {MAX_LEVEL}], got {level}")
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     c = np.asarray(center, dtype=float)

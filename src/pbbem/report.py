@@ -22,6 +22,7 @@ optional fields are JSON null / empty CSV cells.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -33,9 +34,6 @@ import numpy as np
 from .solver import workspace_doubles
 
 _TIMING_FIELDS = ("time_discretize_s", "time_solve_s", "time_energy_s")
-
-# field annotations are strings under `from __future__ import annotations`
-_PARSE = {"str": str, "int": int, "float": float, "float | None": float}
 
 
 @dataclass(frozen=True)
@@ -83,16 +81,27 @@ class RunReport:
 REPORT_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
+def _number(value, kind: type, what: str):
+    """value, a str or a number, as a kind (int or float); a str that does
+    not spell one, a bool or a float for an int is a ValueError naming what."""
+    if isinstance(value, (str, kind, int)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):
+            return kind(value)
+    raise ValueError(f"{what} is not {'an int' if kind is int else 'a float'}: {value!r}")
+
+
 def report_from_dict(record: dict, where: str = "record") -> RunReport:
     """The report of one record, its cells parsed by field annotation; a
-    missing field is a ValueError naming where the record came from."""
+    missing or bad cell is a ValueError naming the record and the field."""
     kwargs = {}
     for f in fields(RunReport):
         if f.name not in record:
             raise ValueError(f"{where} has no field {f.name!r}")
         value = record[f.name]
-        if value is not None or f.type == "str":
-            value = _PARSE[f.type](value)
+        if f.type == "str":
+            value = str(value)
+        elif value is not None:  # annotations are strings: "int", "float", "float | None"
+            value = _number(value, int if f.type == "int" else float, f"{where} field {f.name!r}")
         kwargs[f.name] = value
     return RunReport(**kwargs)
 
@@ -134,7 +143,7 @@ def reports_to_csv(reports: list[RunReport]) -> str:
 
 def reports_from_csv(text: str) -> list[RunReport]:
     """The reports of a CSV table; a row (the header is row 1) with more
-    or fewer cells than columns is a ValueError naming it."""
+    or fewer cells than columns, or a bad cell, is a ValueError naming it."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != REPORT_COLUMNS:
         raise ValueError("CSV header does not match REPORT_COLUMNS")
@@ -151,7 +160,7 @@ def reports_from_csv(text: str) -> list[RunReport]:
             name: (None if cell == "" and types[name] != "str" else cell)
             for name, cell in zip(REPORT_COLUMNS, row)
         }
-        out.append(report_from_dict(record))
+        out.append(report_from_dict(record, f"CSV row {number}"))
     return out
 
 
@@ -191,20 +200,20 @@ def memory_lower_bound_mb(problem) -> float:
     """Deterministic lower bound on solver peak memory, in Mbytes.
 
     Counts array buffers only. It sums the discretization caches (every
-    array field of the problem: the regular frames, the near lists, hobi's
+    array field of the problem: the regular frames and their nodes, hobi's
     near table) and the mesh arrays, each buffer once (hobi collocates at
     the mesh's own vertex arrays; lobi's regular rule is a view of its
     centroids), plus what a serial operator holds for its matvecs
     (solver.workspace_doubles): persistent, once, its sweep plan's factors,
-    weights, tile masks and kernel scratch; per call the sources' weights
-    and moments, tile products, near-table gathers and partial sums; and
-    the vectors in flight. Python objects are not counted. On the smallest
-    meshes they are a large share: for level-0 lobi (20 faces, eps 1/80)
-    the bound is 30.2 KB, and tracemalloc traces a peak of 27.8 KB for a
-    serial matvec that builds its plan and 7.8 KB for one that reuses it
-    at kappa = 0 (bound 41.8 KB; 40.6 and 11.2 KB at 0.125). The OS-level
-    peak is higher still; this one is reproducible.
-    """
+    weights, tiles, near pairs and kernel scratch; per call the sources'
+    weights and moments, tile products, near-table gathers and partial
+    sums, or the plan build's sort; and the vectors in flight. Python
+    objects are not counted. On the smallest meshes they are a large
+    share: for level-0 lobi (20 faces, eps 1/80) the bound is 30.3 KB, and
+    tracemalloc traces a peak of 27.4 KB for a serial matvec that builds
+    its plan and 8.0 KB for one that reuses it at kappa = 0 (bound 42.0 KB;
+    40.7 and 12.0 KB at 0.125). The OS-level peak is higher still; this
+    one is reproducible."""
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]
     arrays += [mesh.vertices, mesh.normals, mesh.faces]

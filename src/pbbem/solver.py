@@ -28,7 +28,8 @@ traces. ``assemble_rhs``, ``make_operator`` and ``gmres_solve`` stay public
 for callers that time or wrap the steps one by one.
 
 Nothing is ever assembled into a matrix. Both schemes store a regular
-rule on every element and each collocation row's near elements. One tiled
+rule on every element and the unknowns its trace reads (reg_nodes); a
+collocation row's near elements are those whose trace reads it. One tiled
 sweep (_apply_chunks) is the matvec of both: the (T, N) pairs of rows and
 regular-rule sources are cut into tiles of at most TILE x TILE pairs
 (_tile_layout), each evaluated as one block, each row skipping its near
@@ -38,18 +39,18 @@ of kernel factors with source moments about the problem's origin
 factors' g is 1/r^3. hobi sweeps every tile of the rectangle, and the
 operator then adds each row's near values from the table of _near_table.
 lobi's sources are its collocation points, one per element, and a row
-skips only its own (_self_sourced), so pair
-(i, j) and its swap share every kernel factor: lobi sweeps the tiles
-(I, J >= I) of the square, and an off-diagonal tile also sends the swapped
-pairs' sums, square products of the factors' transposes, to its columns.
+skips only its own (_self_sourced), so pair (i, j) and its swap share
+every kernel factor: lobi sweeps the tiles (I, J >= I) of the square, and
+an off-diagonal tile also sends the swapped pairs' sums, square products
+of the factors' transposes, to its columns.
 
 All of this but the moments is fixed by the geometry, so it is built once
-into a sweep plan (_sweep_plan): the layout, the rows' and columns'
-factors and weights, every tile's views and near-pair mask, and the
-scratch. A serial operator builds its plan at its first matvec and a
-pool's workers each build their own as they start, never the parent; a
-matvec task then forms only u's moments (_sweep_moments) and sweeps
-(_apply_chunks).
+into a sweep plan (_sweep_plan): the rows' and columns' factors and
+weights, the tiles as one integer array, their near pairs as flat indices
+(_near_pairs), and the scratch. A serial operator builds its plan at its
+first matvec and a pool's workers each build their own as they start,
+never the parent; a matvec task then forms only u's moments
+(_sweep_moments) and sweeps (_apply_chunks).
 
 The tiles form STRIP_CHUNKS chunks, the matvec's fixed work list; each
 chunk sums from zero in tile order and the chunks are added over a fixed
@@ -113,9 +114,6 @@ NEAR_CHUNK = 512
 # each built and verified once, at import
 REGULAR_RULE = gauss_radau_rule()
 DUFFY_RULE = duffy_rule(4)
-# the mask of every plan tile without near pairs, most of a large mesh's
-# tiles: one shared pair of empty indices instead of two views a tile
-_NO_PAIRS = (np.empty(0, np.intp),) * 2
 
 
 class GmresNonConvergence(RuntimeError):
@@ -192,10 +190,8 @@ class DiscretizedProblem:
     Collocation points are mesh vertices for hobi and flat centroids for
     lobi. The regular rule on face f reads its traces from unknowns
     reg_nodes[f] (hobi: the 4-point rule, K = 3 vertices; lobi: Q = K = 1,
-    the centroid). Row t's near faces, pair_face[pair_starts[t]:
-    pair_starts[t+1]], are sorted by face, so each row accumulates in face
-    order no matter which worker owns it: lobi's own face, or hobi's
-    incident faces. hobi's near table (_near_table) holds their Duffy
+    the centroid); row t's near faces are those whose reg_nodes hold t
+    (_near_pairs). hobi's near table (_near_table) holds their Duffy
     integrals as compressed rows: row t's entries i in [near_starts[t],
     near_starts[t+1]) are vertices near_cols[i], ascending, with K1..K4
     coefficients near_coef[:, i]. duf_w[3 f + k] is the Duffy rule's weight
@@ -213,8 +209,6 @@ class DiscretizedProblem:
     reg_w: np.ndarray  # (N_f, Q) rule weight x Jacobian
     reg_bary: np.ndarray  # (Q, K)
     reg_nodes: np.ndarray  # (N_f, K) unknowns each face's trace is read from
-    pair_face: np.ndarray  # (P,) near faces, row by row
-    pair_starts: np.ndarray  # (T + 1,)
     origin: np.ndarray  # (3,) vertex centroid; moment sums lose digits like |x - origin| / r
     # hobi near table, about 7 entries per row
     near_starts: np.ndarray | None = None  # (T + 1,)
@@ -292,7 +286,6 @@ def discretize(
         two_area = np.linalg.norm(cross, axis=1)
         centroids = corners.mean(axis=1)
         normals = cross / two_area[:, None]
-        rows = np.arange(mesh.n_faces + 1, dtype=np.int64)
         return DiscretizedProblem(
             mesh=mesh,
             params=params,
@@ -304,9 +297,7 @@ def discretize(
             reg_nrm=normals[:, None],
             reg_w=(0.5 * two_area)[:, None],
             reg_bary=np.ones((1, 1)),
-            reg_nodes=rows[:-1, None],
-            pair_face=rows[:-1],
-            pair_starts=rows,
+            reg_nodes=np.arange(mesh.n_faces)[:, None],
             origin=origin,
         )
 
@@ -320,10 +311,6 @@ def discretize(
     near = _near_table(mesh, params, rotations,
                        *(a.reshape(-1, 10, 3) for a in (node_pos, node_nrm)))
 
-    # a stable sort by vertex keeps each row's faces ascending
-    order = np.argsort(rotations[:, 0], kind="stable")
-    pair_starts = np.searchsorted(rotations[order, 0], np.arange(mesh.n_vertices + 1))
-
     return DiscretizedProblem(
         mesh=mesh,
         params=params,
@@ -336,8 +323,6 @@ def discretize(
         reg_w=reg_w,
         reg_bary=_barycentric(REGULAR_RULE.points),
         reg_nodes=faces,
-        pair_face=order // 3,
-        pair_starts=pair_starts,
         origin=origin,
         **near,
     )
@@ -414,69 +399,66 @@ def _tile_layout(t: int, n: int | None = None):
     return tiles, pairs, np.searchsorted(middles, cuts)
 
 
-def _tile_masks(tiles, rows, cols):
-    """For the tiles (s, e, c, d) of one row tile, c ascending, and the
-    entries (rows[i], cols[i]) in its rows, each inside one of the tiles:
-    per tile, the index pair (rows - s, cols - c) of its entries, in entry
-    order."""
-    key = np.searchsorted(tiles[:, 2], cols, "right") - 1
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    ends = np.searchsorted(key, np.arange(len(tiles) + 1))
-    r, c = rows[order] - tiles[0, 0], cols[order] - tiles[key, 2]
-    return [(r[a:b], c[a:b]) for a, b in zip(ends[:-1], ends[1:])]
-
-
 @dataclass(frozen=True, eq=False)
 class _SweepPlan:
     """Everything the tiled sweep reads that does not depend on u, built
     once by _sweep_plan in the process that sweeps.
 
-    tiles[k], tile k (s, e, c, d) of _tile_layout, is (rows, columns,
-    mask). rows, shared by its row tile, is (s, e, (square_factors rows,
-    target_factors rows and (8, rows) weights)); columns,
-    shared by its column tile, (c, d, square_factors' columns, and if
-    self-sourced the columns' weights, else None); mask the (rows, cols)
-    index pair of its near pairs (_tile_masks). The arrays are views.
-    Chunk c is tiles [chunks[c], chunks[c + 1]).
-    """
+    tiles[k] = (s, e, c, d, a, b) is tile k of _tile_layout, rows [s, e)
+    against columns [c, d), whose near pairs are near[a:b], pair (i, j) as
+    the flat index (i - s) (d - c) + j - c into the tile's block. Chunk c
+    is tiles [chunks[c], chunks[c + 1])."""
 
     problem: DiscretizedProblem
+    rows: np.ndarray  # square_factors' (T, 5) rows
+    nrows: np.ndarray  # target_factors' (T, 4) d.nx rows
+    weights: np.ndarray  # (8, T) target weights
     cols: np.ndarray  # square_factors' (5, N) columns, positions about the origin
-    tiles: tuple
+    tiles: np.ndarray  # (K, 6) ints
+    near: np.ndarray  # (P,) flat indices, tile by tile
     chunks: tuple
     scratch: np.ndarray  # kernel_scratch: sweep_buffers blocks of the largest tile
 
 
+def _near_pairs(problem: DiscretizedProblem, layout: np.ndarray):
+    """(tiles, near) of _SweepPlan for the tiles of layout.
+
+    Row t's near sources, the ones its sweep skips, are the regular rule's
+    points on every face f whose reg_nodes[f] hold t: hobi's incident
+    faces, lobi's own face. Each pair's tile follows from the row and
+    column tile starts, taken per face node and per source, and one stable
+    sort groups the pairs by tile, each tile's in face order."""
+    # row tile I starts at tile firsts[I]; row tile 0 holds every column tile
+    firsts = np.flatnonzero(np.diff(layout[:, 0], prepend=-1))
+    row_starts, (col_starts, col_ends) = layout[firsts, 0], layout[layout[:, 0] == 0, 2:].T
+    nodes, (nf, q) = problem.reg_nodes, problem.reg_w.shape
+    sources = np.arange(nf * q).reshape(nf, q)
+    i = np.searchsorted(row_starts, nodes, "right") - 1  # (N_f, K) row tiles
+    j = np.searchsorted(col_starts, sources, "right") - 1  # (N_f, Q) column tiles
+    base = firsts - np.searchsorted(col_starts, layout[firsts, 2])  # tile (I, J) is base[I] + J
+    tile = (base[i][:, :, None] + j[:, None, :]).reshape(-1)
+    order = np.argsort(tile, kind="stable")
+    counts = np.bincount(tile, minlength=len(layout))
+    del tile  # so that at most two near-pair arrays are held besides near
+    flat = (nodes - row_starts[i])[:, :, None] * (col_ends - col_starts)[j][:, None, :]
+    flat += (sources - col_starts[j])[:, None, :]
+    ends = np.cumsum(counts)
+    return np.column_stack([layout, ends - counts, ends]), flat.reshape(-1)[order]
+
+
 def _sweep_plan(problem: DiscretizedProblem) -> _SweepPlan:
     """The plan of problem's sweep under the TILE and STRIP_CHUNKS of the
-    moment it is built. Each row tile indexes its rows' near sources once
-    and groups them by column tile (_tile_masks), so a tile pays no search."""
+    moment it is built; its near pairs from _near_pairs."""
     T = problem.n_collocation
     own = _self_sourced(problem)
     pos = problem.reg_pos.reshape(-1, 3).T
     layout, pairs, chunks = _tile_layout(T, None if own else pos.shape[1])
     xrows, ycols = square_factors(problem.colloc_pos.T, pos, problem.origin)
     nrows, weights = target_factors(xrows, problem.colloc_nrm.T)
-    bounds = layout.tolist()  # Python ints slice faster
-    columns = {c: (c, d, ycols[:, c:d], weights[:, c:d] if own else None)
-               for _, _, c, d in bounds}
-    # the first tile of each row tile, and the end of the last
-    firsts = np.flatnonzero(np.diff(layout[:, 0], prepend=-1)).tolist() + [len(bounds)]
-    starts, q = problem.pair_starts, problem.reg_w.shape[1]
-    tiles = []
-    for first, end in zip(firsts[:-1], firsts[1:]):
-        s, e = bounds[first][:2]
-        # (row, column) in the (T, N) pair array of every Q point of every
-        # near face of rows [s, e)
-        rows = np.repeat(np.arange(s, e), q * np.diff(starts[s : e + 1]))
-        near = (problem.pair_face[starts[s] : starts[e], None] * q + np.arange(q)).reshape(-1)
-        row_tile = (s, e, (xrows[s:e], nrows[s:e], weights[:, s:e]))
-        masks = _tile_masks(layout[first:end], rows, near)
-        for (_, _, c, _), mask in zip(bounds[first:end], masks):
-            tiles.append((row_tile, columns[c], mask if len(mask[0]) else _NO_PAIRS))
+    tiles, near = _near_pairs(problem, layout)
     scratch = kernel_scratch(int(pairs.max(initial=0)), sweep_buffers(problem.params))
-    return _SweepPlan(problem, ycols, tuple(tiles), tuple(chunks.tolist()), scratch)
+    return _SweepPlan(problem, xrows, nrows, weights, ycols, tiles, near,
+                      tuple(chunks.tolist()), scratch)
 
 
 def _sweep_moments(plan: _SweepPlan, u: np.ndarray) -> list:
@@ -521,25 +503,23 @@ def _apply_chunks(plan: _SweepPlan, moments: list, lo: int, hi: int):
     [c, d). Nodes add their halves, so the root, however the chunks were
     split, holds the same sums in one fixed association.
     """
-    T, params = plan.problem.n_collocation, plan.problem.params
+    T, params, own = plan.problem.n_collocation, plan.problem.params, _self_sourced(plan.problem)
 
     def chunk(a, b):
         if b - a > 1:
             return None
         acc = np.zeros((2, T))
-        for (s, e, targets), (c, d, cols, col_weights), mask in plan.tiles[
-            plan.chunks[a] : plan.chunks[b]
-        ]:
-            swap = col_weights is not None and c != s  # self-sourced, off the diagonal
-            rows, col_sums = kernel_sums(
+        for s, e, c, d, first, end in plan.tiles[plan.chunks[a] : plan.chunks[b]].tolist():
+            swap = own and c != s  # off the diagonal
+            row_sums, col_sums = kernel_sums(
                 plan.scratch,
-                targets,
-                (cols, [m[c:d] for m in moments]),
+                (plan.rows[s:e], plan.nrows[s:e], plan.weights[:, s:e]),
+                (plan.cols[:, c:d], [m[c:d] for m in moments]),
                 params,
-                mask=mask,
-                swapped=([m[s:e] for m in moments], col_weights) if swap else None,
+                mask=plan.near[first:end],
+                swapped=([m[s:e] for m in moments], plan.weights[:, c:d]) if swap else None,
             )
-            acc[:, s:e] += rows
+            acc[:, s:e] += row_sums
             if col_sums is not None:
                 acc[:, c:d] += col_sums
         return acc
@@ -553,29 +533,28 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
 
     Persistent, in the plan it builds once (_sweep_plan): per source 5 r^2
     columns (square_factors); per target 5 r^2 rows, 8 weights and 4 d.nx
-    rows (target_factors); two mask indices per near source (_tile_masks);
-    and sweep_buffers blocks of the largest tile (TILE^2 pairs at most, so
-    this term does not grow with the mesh) and a page of alignment slack.
-    Per call: per source its weights (_weights, 2 values) and its
-    source_moments (8, or 21 at kappa > 0); 16 values for each row of a
-    tile and, if self-sourced, each of its columns (a product with
+    rows (target_factors); 6 ints a tile and one per near source
+    (_near_pairs); and sweep_buffers blocks of the largest tile (TILE^2
+    pairs at most, so this term does not grow with the mesh) and a page of
+    alignment slack. Per call: per source its weights (_weights, 2 values)
+    and its source_moments (8, or 21 at kappa > 0); 16 values for each row
+    of a tile and, if self-sourced, each of its columns (a product with
     moments, its contraction and the sums); the (2, T) sums the chunk tree
     holds at once, one per level and two at the leaves; and for hobi's
     near table 6 values an entry (_add_near's gathers and products). The
-    plan's build briefly holds one row tile's near entries twice more,
+    plan's build briefly holds 3 values a near source and 10 a tile more,
     counted with the per-call part."""
     n, t, params = problem.reg_w.size, problem.n_collocation, problem.params
     own = _self_sourced(problem)
     tiles, pairs, _ = _tile_layout(t, None if own else n)
-    starts = problem.pair_starts * problem.reg_w.shape[1]
+    near = problem.reg_nodes.size * problem.reg_w.shape[1]
     scratch = sweep_buffers(params) * int(pairs.max(initial=0)) + PAGE_DOUBLES
-    plan = 5 * n + 17 * t + 2 * int(starts[-1]) + scratch
+    plan = 5 * n + 17 * t + near + 6 * len(tiles) + scratch
     reach = tiles[:, 1] - tiles[:, 0] + (tiles[:, 3] - tiles[:, 2] if own else 0)
-    row_tile = starts[tiles[:, 1]] - starts[tiles[:, 0]]
     held = (STRIP_CHUNKS - 1).bit_length() + 2
     table = 0 if problem.near_cols is None else 6 * problem.near_cols.size
     per_call = ((10 if params.kappa == 0.0 else 23) * n + 16 * int(reach.max(initial=0))
-                + 2 * int(row_tile.max(initial=0)) + held * 2 * t + table)
+                + 3 * near + 10 * len(tiles) + held * 2 * t + table)
     return plan + per_call
 
 

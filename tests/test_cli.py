@@ -242,6 +242,40 @@ class TestUsageErrors:
         level = levels.split(",")[0]
         assert f"error: argument --levels: level {level} listed twice" in err
 
+    @pytest.mark.parametrize("flags, level", [(["--levels", "1,8"], 8),
+                                              (["--levels=-1,2"], -1)], ids=["above", "below"])
+    def test_convergence_level_out_of_range(self, flags, level, monkeypatch, capsys):
+        """A level past [0, mesh.MAX_LEVEL] is a usage error naming it and
+        the bound, before any solve."""
+        monkeypatch.setattr(pbbem.cli, "_run_one", _no_solve)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["convergence", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pbbem convergence ")
+        assert f"error: argument --levels: level {level} is not in [0, 7]" in err
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("solve", ["--workers", "0"], "workers must be an int >= 1, got 0"),
+        ("solve", ["--tol", "2"], "tolerance must be in (0, 1), got 2.0"),
+        ("convergence", ["--workers", "0"], "workers must be an int >= 1, got 0"),
+        ("convergence", ["--tol", "0"], "tolerance must be in (0, 1), got 0.0"),
+        ("scaling", ["--workers-list", "0,2"], "workers must be an int >= 1, got 0"),
+    ], ids=["solve-workers", "solve-tol", "convergence-workers", "convergence-tol", "scaling"])
+    def test_bad_config_value(self, command, flags, message, charges_file, monkeypatch,
+                              capsys):
+        """A value SolverConfig rejects is a usage error with its message,
+        printed under the subcommand's usage before any mesh is built."""
+        for name in ("icosahedral_sphere", "discretize", "_run_one"):
+            monkeypatch.setattr(pbbem.cli, name, _no_solve)
+        mesh = ["--sphere", "1,2.0", "--charges", charges_file] if command == "solve" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *mesh, *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pbbem {command} ")
+        assert f"pbbem {command}: error: {message}\n" in err
+
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

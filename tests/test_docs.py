@@ -1,7 +1,11 @@
-"""The README's code runs as written and prints what its comments say, and
-the package exports every name it lists."""
+"""The README's code runs as written and prints what its comments say, the
+package exports every name it lists, and every code name it mentions
+exists."""
 
+import importlib
+import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,40 @@ def test_library_use_block_runs_and_prints_its_energy(capsys):
 
 def test_every_listed_name_resolves_on_the_package():
     assert [name for name in pbbem.__all__ if not hasattr(pbbem, name)] == []
+
+
+MODULES = {info.name: importlib.import_module(f"pbbem.{info.name}")
+           for info in pkgutil.iter_modules(pbbem.__path__)}
+FILE_SUFFIXES = (".py", ".toml", ".md", ".json", ".csv")
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a.b.c names something in the package: a is pbbem, one of its
+    modules or a name one of them defines, and each later part an
+    attribute or dataclass field of what precedes it."""
+    head, *rest = dotted.split(".")
+    if head == "pbbem" or head in MODULES:
+        roots = [MODULES.get(head, pbbem)]
+    else:
+        roots = [getattr(m, head) for m in MODULES.values() if hasattr(m, head)]
+    for obj in roots:
+        for part in rest:
+            if part not in getattr(obj, "__dataclass_fields__", ()) and not hasattr(obj, part):
+                break
+            obj = getattr(obj, part, None)
+        else:
+            return True
+    return False
+
+
+def test_every_code_name_in_the_readme_resolves():
+    """Each backticked dotted name (`solver.TILE`, `kernels.kernel_sums`)
+    and bare private name (`_sweep_plan`) in the README names something
+    in the package, so no paragraph describes code that is gone. File
+    names and the standard library's names (`os.fork`) are not checked."""
+    spans = set(re.findall(r"`([^`\n]+)`", README.read_text()))
+    dotted = [s for s in spans if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", s)
+              and not s.endswith(FILE_SUFFIXES) and s.split(".")[0] not in sys.stdlib_module_names]
+    private = [s for s in spans if re.fullmatch(r"_\w+", s)]
+    assert dotted and private
+    assert sorted(s for s in dotted + private if not _resolves(s)) == []

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from reference import flat_area, subdivide
 
 from pbbem.mesh import (
+    MAX_LEVEL,
     ChargeSystem,
     FlatMesh,
     MeshFormatError,
@@ -207,7 +208,10 @@ def test_icosphere_vertices_on_sphere():
 
 @pytest.mark.parametrize("level", [-1, 8])
 def test_icosphere_level_guard(level):
-    with pytest.raises(ValueError):
+    """Levels past [0, MAX_LEVEL] (MAX_LEVEL = 7) are a ValueError naming
+    the bound and the level."""
+    assert MAX_LEVEL == 7
+    with pytest.raises(ValueError, match=rf"^refinement level must be in \[0, 7\], got {level}$"):
         icosahedral_sphere(level)
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,46 @@ def test_report_from_dict_coerces_string_cells():
     report = report_from_dict(record)
     assert report.n_vertices == 162
     assert report.energy_kcal == -81.98131581725495
+
+
+@pytest.mark.parametrize("name, cell, kind", [
+    ("n_faces", "abc", "an int"), ("n_faces", "20.7", "an int"),
+    ("energy_kcal", "abc", "a float"), ("phi_error", "1e-3x", "a float"),
+])
+def test_csv_cell_its_field_cannot_hold_names_row_and_field(name, cell, kind):
+    """A cell that does not spell its field's type is a ValueError naming
+    the row (the header is row 1) and the field, never int()'s bare
+    message or a truncated value."""
+    text = reports_to_csv([sample_report(), sample_report()])
+    rows = list(csv.reader(io.StringIO(text)))
+    rows[2][REPORT_COLUMNS.index(name)] = cell
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    message = f"^CSV row 3 field '{name}' is not {kind}: '{re.escape(cell)}'$"
+    with pytest.raises(ValueError, match=message):
+        reports_from_csv(buf.getvalue())
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("n_faces", 20.7, "an int"), ("n_faces", 20.0, "an int"), ("n_faces", True, "an int"),
+    ("iterations", "abc", "an int"), ("energy_kcal", True, "a float"),
+    ("residual", [1e-7], "a float"),
+])
+def test_json_value_its_field_cannot_hold_names_record_and_field(name, value, kind):
+    """A JSON value that is not its field's type (a bool, a float for an
+    int, a str that does not spell one) is a ValueError
+    naming the record and the field, not read as 1 or truncated."""
+    payload = json.loads(reports_to_json([sample_report(), sample_report()]))
+    payload["reports"][1][name] = value
+    message = f"^reports\\[1\\] field '{name}' is not {kind}: {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        reports_from_json(json.dumps(payload))
+
+
+def test_json_int_reads_as_a_float_field():
+    record = sample_report().to_dict()
+    record["eps1"] = 2
+    assert report_from_dict(record).eps1 == 2.0
 
 
 def test_strip_timings_gives_byte_stable_output():

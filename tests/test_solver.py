@@ -280,25 +280,38 @@ def test_discretize_names_face_past_the_first_near_chunk(monkeypatch):
     assert str(info.value).startswith(f"face {face}: vanishing Jacobian at (r, s) = (")
 
 
-def _near_faces(problem, row):
-    return problem.pair_face[problem.pair_starts[row] : problem.pair_starts[row + 1]]
+def _near_sources(problem):
+    """(T, N) bools: the regular-rule sources each row skips, from the mesh
+    alone: every point of each face holding the row's vertex (hobi), or the
+    row's own centroid (lobi)."""
+    faces = problem.mesh.faces
+    if problem.scheme == "lobi":
+        near = np.eye(len(faces), dtype=bool)
+    else:
+        near = np.stack([(faces == v).any(axis=1) for v in range(problem.n_collocation)])
+    return np.repeat(near, problem.reg_w.shape[1], axis=1)
 
 
-def test_singular_faces_cover_incident_elements():
-    mesh = icosahedral_sphere(0)
-    problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="hobi"))
-    for v in range(mesh.n_vertices):
-        expected = np.nonzero((mesh.faces == v).any(axis=1))[0]
-        got = _near_faces(problem, v)
-        assert np.array_equal(np.sort(got), expected)
-        assert np.array_equal(got, np.sort(got))  # slices come face-ordered
-
-
-def test_lobi_near_list_is_own_face():
-    mesh = icosahedral_sphere(0)
-    problem = discretize(mesh, WATER, NO_CHARGES, SolverConfig(scheme="lobi"))
-    for i in range(mesh.n_faces):
-        assert np.array_equal(_near_faces(problem, i), [i])
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("scheme", ["hobi", "lobi"])
+def test_plan_near_pairs_are_the_singular_sets(scheme, level):
+    """The sweep plan's near pairs, read back from each tile's flat indices,
+    are exactly the pairs of each row with the regular-rule points of its
+    singular elements: hobi's vertex with every face incident to it, lobi's
+    centroid with its own face. Each lies inside its tile's block, each
+    tile's are in face order, and no pair is listed twice."""
+    problem = discretize(icosahedral_sphere(level), WATER, NO_CHARGES, SolverConfig(scheme=scheme))
+    plan = pbbem.solver._sweep_plan(problem)
+    q = problem.reg_w.shape[1]
+    got = np.zeros((problem.n_collocation, problem.reg_w.size), int)
+    for s, e, c, d, a, b in plan.tiles.tolist():
+        flat = plan.near[a:b]
+        assert np.all((0 <= flat) & (flat < (e - s) * (d - c)))
+        i, j = s + flat // (d - c), c + flat % (d - c)
+        assert np.all(np.diff(j // q) >= 0)
+        np.add.at(got, (i, j), 1)
+    assert plan.tiles[-1, 5] == plan.near.size
+    assert np.array_equal(got, _near_sources(problem).astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +426,11 @@ def test_hobi_matvec_against_naive_loop(level):
                 dp = problem.reg_bary[q] @ dphi[verts]
                 o1 -= (k1 * dp + k2 * p) * w
                 o2 -= (k3 * dp + k4 * p) * w
-        for pair in range(problem.pair_starts[i], problem.pair_starts[i + 1]):
+        # the Duffy pairs of row i rotate exactly the faces incident to it
+        pairs = np.flatnonzero(gverts[:, 0] == i)
+        incident = mesh.faces[(mesh.faces == i).any(axis=1)]
+        assert sorted(map(sorted, gverts[pairs].tolist())) == sorted(map(sorted, incident.tolist()))
+        for pair in pairs:
             verts = gverts[pair]
             assert verts[0] == i
             for q in range(duf_w.shape[1]):
@@ -499,16 +516,14 @@ def _node_sum(values, bary):
 def _reference_row_sums(xt, nt, src, snrm, wphi, wdphi, params, skip=None):
     """The sweep as four full kernel arrays per block from kernel_values_d,
     K1 and K4 evaluated even where they are exactly zero. skip, if given,
-    is (starts, cols): row i drops the sources cols[starts[i]:starts[i+1]]."""
+    is (T, N) bools: row i drops the sources j where skip[i, j]."""
     t = xt.shape[0]
     acc1, acc2 = np.empty(t), np.empty(t)
     for s in range(0, t, 8):
         e = min(s + 8, t)
         d = xt[s:e, None, :] - src[None, :, :]
         if skip is not None:
-            starts, cols = skip
-            rows = np.repeat(np.arange(e - s), np.diff(starts[s : e + 1]))
-            pair = (rows, cols[starts[s] : starts[e]])
+            pair = np.nonzero(skip[s:e])
             d[pair] = (1.0, 0.0, 0.0)
         k1, k2, k3, k4 = kernel_values_d(d, nt[s:e, None, :], snrm[None], params)
         if skip is not None:
@@ -533,7 +548,6 @@ def _reference_moment_sums(problem, wphi, wdphi):
     chunk tree. Only the layout is shared with the code."""
     params, t = problem.params, problem.n_collocation
     er, kappa = params.eps2 / params.eps1, params.kappa
-    q = problem.reg_w.shape[1]
     own = problem.scheme == "lobi"  # self-sourced
     src = problem.reg_pos.reshape(-1, 3)
     wphi, wdphi = wphi / FOUR_PI, wdphi / FOUR_PI
@@ -552,8 +566,7 @@ def _reference_moment_sums(problem, wphi, wdphi):
     nr = np.stack([xnx, *(nt / 2)], axis=1)
     yc = np.stack([np.ones(y.shape[1]), *(-2 * y), y[0] * y[0] + y[1] * y[1] + y[2] * y[2]])
     tiles, _, chunks = pbbem.solver._tile_layout(t, None if own else src.shape[0])
-    starts = problem.pair_starts * q
-    near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
+    skip = _near_sources(problem)
 
     def sums(factors, sources, targets, swapped=False):
         """The targets' two sums from the factors, each (sources, targets)."""
@@ -578,10 +591,7 @@ def _reference_moment_sums(problem, wphi, wdphi):
     def chunk_sums(k):
         acc = np.zeros((2, t))
         for s, e, c, d in tiles[chunks[k] : chunks[k + 1]]:
-            rows = np.repeat(np.arange(s, e), np.diff(starts[s : e + 1]))
-            cols = near[starts[s] : starts[e]]
-            inside = (c <= cols) & (cols < d)
-            pair = (rows[inside] - s, cols[inside] - c)
+            pair = np.nonzero(skip[s:e, c:d])
             r2 = xr[s:e] @ yc[:, c:d]
             r2[pair] = 1.0
             g = 1.0 / (r2 * np.sqrt(r2))
@@ -634,15 +644,13 @@ def _reference_matvec(problem, u, moments=False, near_sums=_table_near_sums):
     params = problem.params
     er = params.eps2 / params.eps1
     phi, dphi = u[:t], u[t:]
-    q = problem.reg_w.shape[1]
     w = problem.reg_w
     wphi = (w * _node_sum(phi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
     wdphi = (w * _node_sum(dphi[problem.reg_nodes], problem.reg_bary)).reshape(-1)
-    near = (problem.pair_face[:, None] * q + np.arange(q)).reshape(-1)
     sources = (
         problem.colloc_pos, problem.colloc_nrm,
         problem.reg_pos.reshape(-1, 3), problem.reg_nrm.reshape(-1, 3),
-        wphi, wdphi, params, (problem.pair_starts * q, near),
+        wphi, wdphi, params, _near_sources(problem),
     )
     if moments:
         acc1, acc2 = _reference_moment_sums(problem, wphi, wdphi)
@@ -740,7 +748,7 @@ def test_strip_products_keep_their_digits(monkeypatch, scheme, level):
         assert np.all(np.abs(r2 - (d * d).sum(axis=2)) <= 4 * eps * (xx + yy))
         dnx_d = (d * nx[:, None]).sum(axis=2)
         assert np.all(np.abs(dnx - dnx_d) <= 4 * eps * (np.sqrt(xx) + np.sqrt(yy)))
-        r2[mask] = np.inf
+        r2.reshape(-1)[mask] = np.inf
         assert r2.min() > 0.0
 
 
@@ -1719,8 +1727,7 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, tile):
         mesh=mesh, params=MIXED, charges=NO_CHARGES, scheme="lobi",
         colloc_pos=points, colloc_nrm=normals,
         reg_pos=points[:, None], reg_nrm=normals[:, None], reg_w=np.ones((n, 1)),
-        reg_bary=np.ones((1, 1)), reg_nodes=np.arange(n)[:, None],
-        pair_face=np.arange(n), pair_starts=np.arange(n + 1), origin=points.mean(axis=0),
+        reg_bary=np.ones((1, 1)), reg_nodes=np.arange(n)[:, None], origin=points.mean(axis=0),
     )
     evaluated = np.zeros((n, n), int)
     real_kernel_sums = pbbem.solver.kernel_sums
@@ -1730,7 +1737,7 @@ def test_strips_tile_rows_and_evaluate_each_pair_once(monkeypatch, n, tile):
         i = np.rint(targets[0][:, 1] + problem.origin[0]).astype(int)
         j = np.rint(sources[0][1] * -0.5 + problem.origin[0]).astype(int)
         seen = np.ones((i.size, j.size), int)
-        seen[mask] = 0
+        seen.reshape(-1)[mask] = 0
         evaluated[np.ix_(i, j)] += seen
         return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
 
@@ -1765,7 +1772,7 @@ def test_hobi_strips_evaluate_each_regular_pair_once(monkeypatch):
             i = [row_of[tuple(x)] for x in xs]
             j = [col_of[tuple(y)] for y in ys]
             seen = np.ones((len(i), len(j)), int)
-            seen[mask] = 0
+            seen.reshape(-1)[mask] = 0
             evaluated[np.ix_(i, j)] += seen
         return real_kernel_sums(scratch, targets, sources, *args, mask=mask, **kw)
 
