@@ -236,7 +236,7 @@ def _run_one(mesh, mesh_source, params, charges, config, oracle) -> RunReport:
     t1 = time.monotonic()
     solution = solve(problem, config)
     t2 = time.monotonic()
-    energy = solvation_energy(problem, solution)
+    energy = solvation_energy(problem, solution, config)
     t3 = time.monotonic()
     phi_error = None
     if oracle is not None:

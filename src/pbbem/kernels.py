@@ -63,8 +63,9 @@ FOUR_PI = 4.0 * np.pi
 KCAL_MOL_PER_E2_ANG = 332.0716
 
 # float64 buffers, each one block of pair values, that reaction_terms_at
-# uses: r^2, r and g, and em1 and a where kappa > 0
-REACTION_BUFFERS = 5
+# uses: r^2, r and g at kappa = 0; r^2 (then r and g), 1/r, em1 and a
+# where kappa > 0
+REACTION_BUFFERS = 4
 # and that source_terms_at uses: r^2 (then d.nx), r and g
 SOURCE_BUFFERS = 3
 
@@ -152,8 +153,8 @@ def _green_cube(r2, r, g):
 
 def sweep_buffers(params: PhysicalParams) -> int:
     """Scratch blocks kernel_sums fills: r^2, r and g, and at kappa > 0
-    three more for d.nx and the screening factors."""
-    return 3 if params.kappa == 0.0 else 6
+    two more for the screening factors (d.nx takes r^2's block)."""
+    return 3 if params.kappa == 0.0 else 5
 
 
 def source_moments(cols, nrm, wphi, wdphi, params: PhysicalParams) -> list:
@@ -264,20 +265,28 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     r2 = np.matmul(xr, yc, out=buf[0])
     if mask.size:
         np.put(r2, mask, 1.0)  # a placeholder: g is zeroed there
-    g = _green_cube(r2, buf[1], buf[2])
-    if mask.size:
-        np.put(g, mask, 0.0)
-    factors = [g]
-    if params.kappa != 0.0:
-        dnx = np.matmul(nr, yc[:4], out=buf[3])
-        em1, f4, t = _screening(buf[1], params.kappa, buf[4], buf[5], True)
-        f4 *= g
-        f1 = np.multiply(em1, r2, out=em1)
-        f1 *= g
-        t *= g
-        t /= r2
+    if params.kappa == 0.0:
+        g = _green_cube(r2, buf[1], buf[2])
+        if mask.size:
+            np.put(g, mask, 0.0)
+        factors = [g]
+    else:
+        # ir = 1/r, the one divide a pair: f1 = em1 ir, g = ir ir^2 and
+        # t = b g ir^2 d.nx, zero wherever ir is; d.nx takes r^2's block
+        r = np.sqrt(r2, out=buf[1])
+        ir = np.divide(1.0, r, out=buf[2])
+        if mask.size:
+            np.put(ir, mask, 0.0)
+        dnx = np.matmul(nr, yc[:4], out=buf[0])
+        em1, f4, t = _screening(r, params.kappa, buf[3], buf[4], True)
+        f1 = np.multiply(em1, ir, out=em1)
         t *= dnx
-        factors += [f4, f1, t]
+        ir2 = np.multiply(ir, ir, out=dnx)
+        t *= ir2
+        g = np.multiply(ir2, ir, out=ir2)
+        t *= g
+        f4 *= g
+        factors = [g, f4, f1, t]
     er = params.eps2 / params.eps1
     rows = _moment_products(factors, moments, weights, er)
     if swapped is None:
@@ -320,13 +329,17 @@ def reaction_terms_at(positions, pos, nrm, wphi, wdphi, origin, params: Physical
     for s, e, c, d in tiles.tolist():
         b = scratch[:, : (e - s) * (d - c)].reshape(-1, e - s, d - c)
         r2 = np.matmul(rows[s:e], cols[:, c:d], out=b[0])
-        h = _green_cube(r2, b[1], b[2])
         if screened:
-            em1, a, _ = _screening(b[1], params.kappa, b[4], b[3])
-            k1 = np.multiply(r2, em1, out=b[0])
-            k1 *= h  # em1 r^2 g = -4 pi K1
+            r = np.sqrt(r2, out=r2)
+            ir = np.divide(1.0, r, out=b[1])
+            em1, a, _ = _screening(r, params.kappa, b[2], b[3])
+            k1 = np.multiply(em1, ir, out=em1)  # em1 / r = -4 pi K1
+            g = np.multiply(ir, ir, out=b[0])
+            g *= ir
             a += 1.0 - 1.0 / er
-            h = np.multiply(a, h, out=a)  # h / er: the moments carry er
+            h = np.multiply(a, g, out=a)  # h / er: the moments carry er
+        else:
+            h = _green_cube(r2, b[1], b[2])
         H = np.matmul(h, moments[c:d]).T
         x = rows[s:e, 1:4].T
         row = x[0] * H[0] + x[1] * H[1] + x[2] * H[2] - H[3]

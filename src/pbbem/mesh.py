@@ -149,11 +149,12 @@ class ChargeSystem:
 
 
 def _data_lines(text: str):
-    """Yield (1-based line number, tokens) for non-blank, non-comment lines."""
+    """Yield (1-based line number, tokens, line) for non-blank, non-comment
+    lines."""
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield ln, line.split()
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield ln, tokens, raw
 
 
 def _is_real(tok: str) -> bool:
@@ -172,6 +173,44 @@ def _is_int(tok: str) -> bool:
     return True
 
 
+def _is_face(tok: list) -> bool:
+    """Whether a .face line starts with three integers. int() reads every
+    string of Unicode decimal digits, so those skip its try."""
+    return (tok[0].isdecimal() and tok[1].isdecimal() and tok[2].isdecimal()
+            or all(map(_is_int, tok[:3])))
+
+
+def _records(text: str, width: int, is_record):
+    """(1-based line numbers, lines) of text's data lines of at least width
+    tokens that is_record(tokens) accepts; any other line is a header."""
+    numbers, lines = [], []
+    for ln, tok, raw in _data_lines(text):
+        if len(tok) >= width and is_record(tok):
+            numbers.append(ln)
+            lines.append(raw)
+    return numbers, lines
+
+
+def _table(numbers, lines, width: int, dtype, convert, name: str) -> np.ndarray:
+    """(len(lines), width): the first width tokens of each line, read by
+    NumPy's text reader in one call, or where it fails by convert, a token
+    at a time; a token that convert cannot read either is a
+    MeshFormatError naming its file and line."""
+    if not lines:
+        return np.empty((0, width), dtype)
+    try:
+        return np.loadtxt(lines, dtype, comments="#", usecols=range(width), ndmin=2)
+    except ValueError:
+        pass
+    rows = []
+    for ln, raw in zip(numbers, lines):
+        try:
+            rows.append([convert(t) for t in raw.partition("#")[0].split()[:width]])
+        except ValueError as exc:
+            raise MeshFormatError(f"{name} line {ln}: {exc}") from None
+    return np.array(rows, dtype)
+
+
 def parse_msms(vert_text: str, face_text: str) -> FlatMesh:
     """Parse MSMS .vert/.face contents into a validated FlatMesh.
 
@@ -180,31 +219,24 @@ def parse_msms(vert_text: str, face_text: str) -> FlatMesh:
     integers (1-based vertex indices). Anything else is treated as a header,
     which survives MSMS version drift. A line that starts like a record but
     breaks midway is an error, reported with its line number. Normals are
-    renormalized because MSMS writes them with 3-digit precision.
+    renormalized because MSMS writes them with 3-digit precision. Each
+    file's records are converted in one call of NumPy's text reader
+    (_table).
     """
-    verts = []
-    for ln, tok in _data_lines(vert_text):
-        if len(tok) < 6 or not _is_real(tok[0]):
-            continue  # header / comment
-        try:
-            verts.append([float(t) for t in tok[:6]])
-        except ValueError as exc:
-            raise MeshFormatError(f".vert line {ln}: {exc}") from None
-    faces = []
-    for ln, tok in _data_lines(face_text):
-        if len(tok) < 3 or not all(_is_int(t) for t in tok[:3]):
-            continue  # header / comment (count lines carry a real-valued density)
-        i, j, k = (int(t) for t in tok[:3])
-        if min(i, j, k) < 1:
-            raise MeshFormatError(
-                f".face line {ln}: vertex indices are 1-based, got {(i, j, k)}"
-            )
-        faces.append((i - 1, j - 1, k - 1))
-    if not verts:
+    data = _table(*_records(vert_text, 6, lambda tok: _is_real(tok[0])), 6, float, float, ".vert")
+    # count lines carry a real-valued density, so they are headers
+    numbers, lines = _records(face_text, 3, _is_face)
+    faces = _table(numbers, lines, 3, np.int64, int, ".face")
+    low = np.flatnonzero(faces.min(axis=1, initial=1) < 1)
+    if low.size:
+        raise MeshFormatError(
+            f".face line {numbers[low[0]]}: vertex indices are 1-based,"
+            f" got {tuple(faces[low[0]].tolist())}"
+        )
+    if not len(data):
         raise MeshFormatError("no vertex records found in .vert text")
-    if not faces:
+    if not len(faces):
         raise MeshFormatError("no face records found in .face text")
-    data = np.asarray(verts, dtype=float)
     normals = data[:, 3:6]
     lengths = np.linalg.norm(normals, axis=1)
     zero = np.nonzero(lengths < 1e-300)[0]
@@ -213,7 +245,7 @@ def parse_msms(vert_text: str, face_text: str) -> FlatMesh:
     mesh = FlatMesh(
         vertices=data[:, 0:3],
         normals=normals / lengths[:, None],
-        faces=np.asarray(faces, dtype=np.int64),
+        faces=faces - 1,
     )
     mesh.validate()
     return mesh
@@ -248,7 +280,7 @@ def parse_charges(text: str) -> ChargeSystem:
     comment; blank lines are skipped.
     """
     rows = []
-    for ln, tok in _data_lines(text):
+    for ln, tok, _ in _data_lines(text):
         if len(tok) < 4:
             raise MeshFormatError(
                 f"charge line {ln}: need at least 'x y z q', got {tok!r}"

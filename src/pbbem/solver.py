@@ -542,8 +542,9 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     moments, its contraction and the sums); the (2, T) sums the chunk tree
     holds at once, one per level and two at the leaves; and for hobi's
     near table 6 values an entry (_add_near's gathers and products). The
-    plan's build briefly holds 3 values a near source and 10 a tile more,
-    counted with the per-call part."""
+    plan's build briefly holds 3 values a near source and 10 a tile more;
+    it ends before a call's moments are formed, so the larger of the two
+    transients counts."""
     n, t, params = problem.reg_w.size, problem.n_collocation, problem.params
     own = _self_sourced(problem)
     tiles, pairs, _ = _tile_layout(t, None if own else n)
@@ -554,8 +555,8 @@ def workspace_doubles(problem: DiscretizedProblem) -> int:
     held = (STRIP_CHUNKS - 1).bit_length() + 2
     table = 0 if problem.near_cols is None else 6 * problem.near_cols.size
     per_call = ((10 if params.kappa == 0.0 else 23) * n + 16 * int(reach.max(initial=0))
-                + 3 * near + 10 * len(tiles) + held * 2 * t + table)
-    return plan + per_call
+                + held * 2 * t + table)
+    return plan + max(per_call, 3 * near + 10 * len(tiles))
 
 
 def matvec_hobi(problem: DiscretizedProblem, u: np.ndarray) -> np.ndarray:
@@ -614,33 +615,105 @@ def _worker_part(plan: _SweepPlan, u: np.ndarray, lo: int, hi: int):
     return _apply_chunks(plan, _sweep_moments(plan, u), lo, hi)
 
 
-def _serve(problem: DiscretizedProblem, lo: int, hi: int, requests: int, replies: int):
-    """A forked worker's life; it never returns. It closes every descriptor
-    it inherited but stdio and its own two pipe ends: a sibling or a later
-    operator's worker holding a parent's write end would keep its reader
-    from ever seeing EOF. Then it builds its own plan and answers each
-    request u, 2T raw float64 values, with a 0 byte and the raw (2, T) sums
-    of the chunk-tree nodes of chunks [lo, hi), in order, or with a 1 byte
-    and the pickled exception _worker_part raised, until its requests
-    reach EOF."""
-    code = 1
+def _reply(outbox, task):
+    """Answer one request: a 0 byte and the raw float64 arrays task()
+    returns, or a 1 byte and the pickled exception it raised."""
     try:
-        keep = sorted({0, 1, 2, requests, replies})
-        for a, b in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
-            os.closerange(a + 1, b)
-        plan = _sweep_plan(problem)
-        inbox, outbox = open(requests, "rb"), open(replies, "wb")
-        u = np.empty(problem.n_unknowns)
-        while inbox.readinto(u) == u.nbytes:
+        reply = [b"\0", *task()]
+    except Exception as exc:  # the parent raises it again
+        reply = [b"\1", pickle.dumps(exc)]
+    outbox.writelines(reply)
+    outbox.flush()
+
+
+class _Ranks:
+    """Forked children that answer the parent over plain pipes: the one
+    fork, reply and reap path of the matvec pool and the energy.
+
+    fork(work) starts a child (os.fork, so it inherits the problem and
+    whatever else work reads, unpickled). The child first closes every
+    descriptor it inherited but stdio and its own two pipe ends: a sibling
+    or a later pool's child holding a parent's write end would keep its
+    reader from ever seeing EOF. It then runs work(inbox, outbox) and
+    leaves, with status 0 once work returns, 1 if it raised. A child
+    answers each request through _reply. gather reads one reply from every
+    child, in order, and returns the exceptions they raised for the parent
+    to raise again. A child that ends short of a reply makes send or
+    gather reap every child and raise WorkerDied naming its index and its
+    exit status or signal. close() closes every pipe, so that a child
+    reading requests leaves, and reaps every child."""
+
+    def __init__(self, kind: str):
+        self._kind = kind  # "matvec" or "energy", for WorkerDied
+        self._children = []  # (pid, request pipe, reply pipe)
+
+    def __len__(self) -> int:
+        return len(self._children)
+
+    def fork(self, work) -> None:
+        requests, to_child = os.pipe()
+        from_child, replies = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
             try:
-                reply = [b"\0"] + [sums for _, _, sums in _worker_part(plan, u, lo, hi)]
-            except Exception as exc:  # the parent raises it again
-                reply = [b"\1", pickle.dumps(exc)]
-            outbox.writelines(reply)
-            outbox.flush()
-        code = 0
-    finally:
-        os._exit(code)
+                keep = sorted({0, 1, 2, requests, replies})
+                for a, b in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
+                    os.closerange(a + 1, b)
+                work(open(requests, "rb"), open(replies, "wb"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(replies)
+        self._children.append((pid, open(to_child, "wb", buffering=0), open(from_child, "rb")))
+
+    def send(self, data: memoryview) -> None:
+        """Write one request, the bytes data, to every child."""
+        for index, (_, to_child, _) in enumerate(self._children):
+            try:
+                sent = 0
+                while sent < len(data):
+                    sent += to_child.write(data[sent:])
+            except BrokenPipeError:
+                raise self._died(index) from None
+
+    def gather(self, outs) -> list:
+        """Read every child's reply, its raw values into its array of outs;
+        the exceptions the children raised, in child order."""
+        errors = []
+        for index, ((_, _, from_child), out) in enumerate(zip(self._children, outs)):
+            tag = from_child.read(1)
+            if tag == b"\1":
+                errors.append(pickle.load(from_child))
+            elif tag != b"\0" or from_child.readinto(out) != out.nbytes:
+                raise self._died(index)
+        return errors
+
+    def _died(self, index: int) -> WorkerDied:
+        code = self.close()[index]
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return WorkerDied(f"{self._kind} worker died: worker {index} {how}")
+
+    def close(self) -> list[int]:
+        """Close every child's pipes and reap it; the exit codes in child
+        order, a signal's as its negative number."""
+        children, self._children = self._children, []
+        for _, to_child, from_child in children:
+            to_child.close()
+            from_child.close()
+        return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in children]
+
+
+def _serve(inbox, outbox, problem: DiscretizedProblem, lo: int, hi: int):
+    """A matvec worker's life (_Ranks.fork's work): it builds its own plan
+    and answers each request u, 2T raw float64 values, with the raw (2, T)
+    sums of the chunk-tree nodes of chunks [lo, hi), in order, until its
+    requests reach EOF."""
+    plan = _sweep_plan(problem)
+    u = np.empty(problem.n_unknowns)
+    while inbox.readinto(u) == u.nbytes:
+        _reply(outbox, lambda: [sums for _, _, sums in _worker_part(plan, u, lo, hi)])
 
 
 class _Operator:
@@ -655,17 +728,16 @@ class _Operator:
     sum, in the parent. matvecs counts the applications. A serial operator
     builds its sweep plan at its first call and keeps it.
 
-    A pooled operator forks its workers at its first call (os.fork, so
-    each inherits the problem unpickled) and builds no plan itself. Each
-    worker has two pipes (_serve): the parent writes u to one as 2T raw
-    float64 values and reads the worker's reply from the other, and the
-    worker leaves at EOF on its requests. An exception raised in a worker
-    is raised again in the parent, with its type and message, once every
-    worker has replied. A worker that ends without a reply raises
-    WorkerDied naming its exit status or signal, and so does every later
-    call until close(). A call interrupted mid-exchange ends the workers,
-    and the next call forks new ones. close() ends and reaps every worker;
-    a closed operator answers serially.
+    A pooled operator forks its workers (_Ranks) at its first call and
+    builds no plan itself. The parent writes u to each worker as 2T raw
+    float64 values and reads its reply (_serve); a worker leaves at EOF on
+    its requests. An exception raised in a worker is raised again in the
+    parent, with its type and message, once every worker has replied. A
+    worker that ends without a reply raises WorkerDied naming its exit
+    status or signal, and so does every later call until close(). A call
+    interrupted mid-exchange ends the workers, and the next call forks new
+    ones. close() ends and reaps every worker; a closed operator answers
+    serially.
     """
 
     def __init__(self, problem: DiscretizedProblem, workers: int):
@@ -673,7 +745,7 @@ class _Operator:
         self._plan = None
         self._ranges = [(0, STRIP_CHUNKS)]
         self._pooled = workers > 1 and hasattr(os, "fork") and problem.n_collocation > 0
-        self._workers = []  # (pid, request pipe, reply pipe), once forked
+        self._workers = _Ranks("matvec")
         self._failure = None  # the WorkerDied message, once a worker died
         self.matvecs = 0
         if self._pooled:
@@ -682,57 +754,21 @@ class _Operator:
     def _start(self):
         try:
             for lo, hi in self._ranges:
-                requests, to_worker = os.pipe()
-                from_worker, replies = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _serve(self._problem, lo, hi, requests, replies)
-                os.close(requests)
-                os.close(replies)
-                self._workers.append(
-                    (pid, open(to_worker, "wb", buffering=0), open(from_worker, "rb"))
+                self._workers.fork(
+                    lambda inbox, outbox, lo=lo, hi=hi: _serve(inbox, outbox, self._problem, lo, hi)
                 )
         except OSError:
-            self._stop()
+            self._workers.close()
             raise
-
-    def _stop(self) -> list[int]:
-        """Close every worker's pipes, so that it leaves, and reap it; the
-        wait statuses in worker order."""
-        workers, self._workers = self._workers, []
-        for _, to_worker, from_worker in workers:
-            to_worker.close()
-            from_worker.close()
-        return [os.waitpid(pid, 0)[1] for pid, _, _ in workers]
-
-    def _died(self, index: int) -> WorkerDied:
-        code = os.waitstatus_to_exitcode(self._stop()[index])
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        self._failure = f"matvec worker died: worker {index} {how}"
-        return WorkerDied(self._failure)
 
     def _exchange(self, u: np.ndarray) -> tuple[list, list]:
         """Send u to every worker, then read every reply: (parts, the
         exceptions the workers raised)."""
-        data = memoryview(np.ascontiguousarray(u)).cast("B")
-        for index, (_, to_worker, _) in enumerate(self._workers):
-            try:
-                sent = 0
-                while sent < len(data):
-                    sent += to_worker.write(data[sent:])
-            except BrokenPipeError:
-                raise self._died(index) from None
-        parts, errors = [], []
-        for index, ((lo, hi), (_, _, from_worker)) in enumerate(zip(self._ranges, self._workers)):
-            nodes = _tree_nodes(0, STRIP_CHUNKS, lo, hi)
-            sums = np.empty((len(nodes), 2, self._problem.n_collocation))
-            tag = from_worker.read(1)
-            if tag == b"\0" and from_worker.readinto(sums) == sums.nbytes:
-                parts.append([(a, b, s) for (a, b), s in zip(nodes, sums)])
-            elif tag == b"\1":
-                errors.append(pickle.load(from_worker))
-            else:
-                raise self._died(index)
+        self._workers.send(memoryview(np.ascontiguousarray(u)).cast("B"))
+        nodes = [_tree_nodes(0, STRIP_CHUNKS, lo, hi) for lo, hi in self._ranges]
+        sums = [np.empty((len(n), 2, self._problem.n_collocation)) for n in nodes]
+        errors = self._workers.gather(sums)
+        parts = [[(a, b, s) for (a, b), s in zip(n, part)] for n, part in zip(nodes, sums)]
         return parts, errors
 
     def _parts(self, u: np.ndarray) -> list:
@@ -743,12 +779,15 @@ class _Operator:
                 self._plan = _sweep_plan(self._problem)
             moments = _sweep_moments(self._plan, u)
             return [_apply_chunks(self._plan, moments, lo, hi) for lo, hi in self._ranges]
-        if not self._workers:
+        if not len(self._workers):
             self._start()
         try:
             parts, errors = self._exchange(u)
+        except WorkerDied as exc:  # every worker is reaped
+            self._failure = str(exc)
+            raise
         except BaseException:  # replies left unread would answer the next call
-            self._stop()
+            self._workers.close()
             raise
         if errors:
             raise errors[0]
@@ -771,7 +810,7 @@ class _Operator:
         return np.concatenate([out1, out2])
 
     def close(self):
-        self._stop()
+        self._workers.close()
         self._pooled = False
         self._failure = None
 
@@ -885,8 +924,21 @@ def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:
 # outputs
 
 
+def _row_ranges(tiles: np.ndarray, pairs: np.ndarray, parts: int) -> list[tuple[int, int]]:
+    """Tile ranges [a, b) of a layout of _tile_layout, each whole row
+    tiles: at most parts contiguous ranges of near-equal pair count, none
+    empty. A row tile goes to the range in which the middle of its pairs
+    falls, as a tile goes to its chunk."""
+    firsts = np.flatnonzero(np.diff(tiles[:, 0], prepend=-1))
+    counts = np.add.reduceat(pairs, firsts) if len(firsts) else pairs
+    middles = np.cumsum(counts) - counts / 2
+    cuts = np.arange(parts + 1) * (counts.sum() / parts)
+    bounds = np.append(firsts, len(tiles))[np.searchsorted(middles, cuts)].tolist()
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
 def solvation_energy(
-    problem: DiscretizedProblem, solution: SurfaceSolution
+    problem: DiscretizedProblem, solution: SurfaceSolution, config: SolverConfig | None = None
 ) -> float:
     """Reaction-field energy in kcal/mol from the solved surface traces.
 
@@ -897,9 +949,19 @@ def solvation_energy(
     tiles of _tile_layout (charges over sources), positions taken about
     the problem's origin, so its bits follow the tile layout, a function
     of the charge count and N alone; the charges' q times their rows are
-    added in charge order. Raises ValueError unless both traces have one
-    value per collocation point: another problem's solution would index
-    the wrong unknowns.
+    added in charge order.
+
+    The rows are swept in parallel, by whole row tiles: _row_ranges cuts
+    them into at most config.worker_count() ranges (config None: a default
+    SolverConfig, every CPU), the parent forks one child (_Ranks) per range
+    but the first, which it sweeps itself, and each child replies with its
+    charges' raw rows. A charge's row adds its tiles in order inside one
+    process, so no bit depends on the worker count; one row tile forks
+    nothing. An exception raised in a child is raised again here, a child
+    that ends without its rows raises WorkerDied, and every child is reaped
+    before this returns or raises. Raises ValueError unless both traces
+    have one value per collocation point: another problem's solution would
+    index the wrong unknowns.
     """
     t = problem.n_collocation
     shapes = (np.shape(solution.phi), np.shape(solution.dphi_dn))
@@ -907,18 +969,36 @@ def solvation_energy(
         raise ValueError(f"expected traces of length {t}, got phi of shape {shapes[0]}"
                          f" and dphi_dn of shape {shapes[1]}")
     charges = problem.charges
-    tiles, _, _ = _tile_layout(len(charges), problem.reg_w.size)
+    tiles, pairs, _ = _tile_layout(len(charges), problem.reg_w.size)
+    workers = (SolverConfig() if config is None else config).worker_count()
     # the rule's points are read in place: copies of them, 6 values a
-    # source, would outweigh a one-charge energy's 5-block scratch
-    rows = reaction_terms_at(
-        charges.positions,
+    # source, would outweigh a one-charge energy's scratch blocks
+    sources = (
         problem.reg_pos.reshape(-1, 3).T,
         problem.reg_nrm.reshape(-1, 3).T,
         *_weights(problem, solution.phi, solution.dphi_dn),
         problem.origin,
         problem.params,
-        tiles,
     )
+
+    def sweep(a, b):  # the rows of the charges of tiles [a, b)
+        sums = reaction_terms_at(charges.positions, *sources, tiles[a:b])
+        return sums[tiles[a, 0] : tiles[b - 1, 1]]
+
+    rows = np.empty(len(charges))
+    parts = [(a, b, rows[tiles[a, 0] : tiles[b - 1, 1]])
+             for a, b in _row_ranges(tiles, pairs, workers if hasattr(os, "fork") else 1)]
+    children = _Ranks("energy")
+    try:
+        for a, b, _ in parts[1:]:
+            children.fork(lambda inbox, outbox, a=a, b=b: _reply(outbox, lambda: [sweep(a, b)]))
+        for a, b, out in parts[:1]:  # the parent's own range; none without charges
+            out[:] = sweep(a, b)
+        errors = children.gather([out for _, _, out in parts[1:]])
+    finally:
+        children.close()
+    if errors:
+        raise errors[0]
     total = 0.0
     for q, row in zip(charges.charges, rows):
         total += q * row

@@ -6,10 +6,33 @@ the run, so the PASS/FAIL/SKIP status of every criterion is visible even
 when pytest captures test output.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 ACCEPTANCE_RESULTS = []
+
+
+def _childless() -> bool:
+    """Whether this process has no child, running or unreaped (a zombie
+    found here is reaped)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fail a test that leaves a child process of this one running or
+    unreaped: the solver's forked workers must all be reaped by the call
+    that started them, as a benchmark run that leaves a process running
+    is refused."""
+    yield
+    if hasattr(os, "fork") and not _childless():
+        pytest.fail("a child process outlived the test")
 
 
 def record_criterion(number: int, passed: bool, detail: str,

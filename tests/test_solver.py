@@ -60,6 +60,7 @@ from pbbem.solver import (
     surface_potential_error,
 )
 from pbbem.solver import _partition
+from conftest import _childless
 from reference import duffy_near_sums, duffy_pairs, g0, gmres_givens
 
 WATER = PhysicalParams(eps1=1.0, eps2=80.0, kappa=0.0)
@@ -538,9 +539,9 @@ def _reference_moment_sums(problem, wphi, wdphi):
     """(2, T) regular sums as the moment contraction, written out. Per
     tile of _tile_layout, with positions about the problem's origin,
     r^2 = [|x|^2, x, 1] @ [1, -2 y, |y|^2] and d.nx = [x.nx, nx/2] @ [1, -2 y]:
-    g = 1/r^3 (zero at the skipped pairs) and at kappa > 0
-    f4 = a g, f1 = em1 r^2 g and t = b g d.nx / r^2, with e^(-kr) taken as
-    1 + em1; each factor times the sources' moments, built from wphi and
+    g = 1/r^3 (zero at the skipped pairs), at kappa > 0 as ir^2 ir from
+    ir = 1/r, with f4 = a g, f1 = em1 ir and t = b d.nx ir^2 g, e^(-kr)
+    taken as 1 + em1; each factor times the sources' moments, built from wphi and
     wdphi divided by 4 pi (the kernels' constant), g's and f4's products
     added and contracted with the targets' [x, 1, x.nx, nx] (g's moments
     carry the signs). If self-sourced, each tile off the diagonal also sends the
@@ -594,17 +595,22 @@ def _reference_moment_sums(problem, wphi, wdphi):
             pair = np.nonzero(skip[s:e, c:d])
             r2 = xr[s:e] @ yc[:, c:d]
             r2[pair] = 1.0
-            g = 1.0 / (r2 * np.sqrt(r2))
-            g[pair] = 0.0
-            f = [g]
-            if kappa != 0.0:
+            if kappa == 0.0:
+                g = 1.0 / (r2 * np.sqrt(r2))
+                g[pair] = 0.0
+                f = [g]
+            else:
                 dnx = nr[s:e] @ yc[:4, c:d]
+                ir = 1.0 / np.sqrt(r2)
+                ir[pair] = 0.0
+                ir2 = ir * ir
+                g = ir2 * ir
                 mkr = np.sqrt(r2) * -kappa
                 em1 = np.expm1(mkr)
                 ekr = (em1 + 1.0) * mkr
                 a = em1 - ekr
                 b = mkr * ekr + a + a + a
-                f += [a * g, em1 * r2 * g, b * g / r2 * dnx]
+                f = [g, a * g, em1 * ir, b * dnx * ir2 * g]
             row1, row2 = sums([a.T for a in f], slice(c, d), slice(s, e))
             acc[0, s:e] += row1
             acc[1, s:e] += row2
@@ -1357,9 +1363,95 @@ def _reaped(pid: int) -> bool:
     return False
 
 
-def _childless() -> bool:
-    """Whether this process has no child, running or unreaped."""
-    return _reaped(-1)
+def _energy_case(params):
+    """A level-1 sphere of radius 2 with 400 charges inside radius 1, three
+    row tiles of the energy's layout (192, 192 and 16 charges), and traces
+    that stand for a solution."""
+    rng = np.random.default_rng(23)
+    direction = rng.standard_normal((400, 3))
+    positions = direction / np.linalg.norm(direction, axis=1)[:, None] * rng.uniform(0, 1, (400, 1))
+    charges = ChargeSystem(positions, rng.uniform(-1.0, 1.0, 400))
+    problem = discretize(icosahedral_sphere(1, radius=2.0), params, charges, SolverConfig())
+    t = problem.n_collocation
+    return problem, SurfaceSolution(rng.standard_normal(t), rng.standard_normal(t), 0, 0.0)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+@pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
+def test_forked_energy_has_the_serial_sweeps_bits(monkeypatch, params):
+    """400 charges over three row tiles: on 1, 2 and 4 workers the energy
+    sweeps them in 1, 2 and 3 processes (the parent and 0, 1 and 2 forked
+    children, each reaped by the call), and its bits are those of one
+    reaction_terms_at sweep over every tile, q times the rows added in
+    charge order."""
+    problem, solution = _energy_case(params)
+    charges = problem.charges
+    tiles, _, _ = pbbem.solver._tile_layout(len(charges), problem.reg_w.size)
+    assert sorted(set(tiles[:, 0].tolist())) == [0, 192, 384]
+    rows = reaction_terms_at(
+        charges.positions, problem.reg_pos.reshape(-1, 3).T, problem.reg_nrm.reshape(-1, 3).T,
+        *pbbem.solver._weights(problem, solution.phi, solution.dphi_dn),
+        problem.origin, params, tiles,
+    )
+    total = 0.0
+    for q, row in zip(charges.charges, rows):
+        total += q * row
+    serial = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
+    pids = _counting_forks(monkeypatch)
+    for workers, children in ((1, 0), (2, 1), (4, 2)):
+        start = len(pids)
+        energy = solvation_energy(problem, solution, SolverConfig(workers=workers))
+        assert energy == serial
+        assert len(pids) - start == children
+        assert all(_reaped(pid) for pid in pids) and _childless()
+
+
+def _in_a_child(monkeypatch, act):
+    """Make the energy's reaction_terms_at call act() first in a forked
+    child, and sweep as usual in this process."""
+    parent, real = os.getpid(), pbbem.solver.reaction_terms_at
+
+    def sweep(*args):
+        if os.getpid() != parent:
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(pbbem.solver, "reaction_terms_at", sweep)
+
+
+def _raise_boom():
+    raise ValueError("boom")
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
+@pytest.mark.parametrize(
+    "act, raised",
+    [(lambda: os.kill(os.getpid(), signal.SIGKILL),
+      (WorkerDied, "^energy worker died: worker 0 was killed by signal 9$")),
+     (lambda: os._exit(3), (WorkerDied, "^energy worker died: worker 0 exited with status 3$")),
+     (_raise_boom, (ValueError, "^boom$"))],
+    ids=["killed", "exited", "raised"],
+)
+@pytest.mark.parametrize("params", SCREENED_AND_NOT, ids=["kappa>0", "kappa=0"])
+def test_forked_energy_raises_what_its_children_met(monkeypatch, params, act, raised):
+    """A child killed by a signal or ending without its rows raises
+    WorkerDied naming it, and an exception raised in a child is raised
+    again in the parent; either way every child is reaped by the call,
+    and the next energy, with children that sweep, has the serial bits."""
+    problem, solution = _energy_case(params)
+    serial = solvation_energy(problem, solution, SolverConfig(workers=1))
+    _in_a_child(monkeypatch, act)
+    pids = _counting_forks(monkeypatch)
+    for workers in (2, 4):
+        start = time.monotonic()
+        with pytest.raises(raised[0], match=raised[1]):
+            solvation_energy(problem, solution, SolverConfig(workers=workers))
+        assert time.monotonic() - start < 5.0
+        assert all(_reaped(pid) for pid in pids) and _childless()
+    assert len(pids) == 3
+    monkeypatch.undo()
+    assert solvation_energy(problem, solution, SolverConfig(workers=4)) == serial
+    assert _childless()
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
