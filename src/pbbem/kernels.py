@@ -23,7 +23,9 @@ function of r times a polynomial of degree at most 2 in d = x - y
 products of per-target rows with per-source columns (square_factors,
 target_factors), evaluates a few functions of r over one tile of at most
 TILE x TILE pairs (solver.TILE) in scratch allocated once per sweep
-plan (kernel_scratch), and takes every row sum as a product of such a
+plan (kernel_scratch; sweep_buffers blocks: 3 at kappa = 0, 5 at
+kappa > 0, where one divide a pair, 1/r, gives every factor), and takes
+every row sum as a product of such a
 factor with source_moments, contracted with the target weights; where the
 targets are sources too (lobi), the factors' transposes give the swapped
 pairs' sums, so a tile's products are square in both orientations.
@@ -253,7 +255,9 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     and K4 = f4 nx.ny - t d.ny; the 1/(4 pi) rides on the moments. r^2 and
     d.nx are each one product of the rows with the columns, the factors
     are evaluated pairwise in sweep_buffers blocks of the scratch
-    (kernel_scratch), and each sum is a product with moments
+    (kernel_scratch), at kappa > 0 all from ir = 1/r, one divide a pair
+    (g = ir^2 ir, f1 = em1 ir, t = b d.nx ir^2 g), and each sum is a
+    product with moments
     (_moment_products). swapped, given when the targets are sources too,
     is (the rows' source_moments, the columns' target weights): the
     factors depend on r and the row's normal alone, so the columns' sums
@@ -308,7 +312,8 @@ def reaction_terms_at(positions, pos, nrm, wphi, wdphi, origin, params: Physical
     4 pi K2 = h d.ny, h = g ((er - 1) + er a), a tile's row sums are
     x.H[:3] - H[3] - (em1 r^2 g) @ wdphi with H = h @ moments (h = g and
     no K1 at kappa = 0, where em1 = -0 makes K1 exactly zero), in
-    REACTION_BUFFERS blocks of one kernel_scratch. The products round by
+    REACTION_BUFFERS blocks of one kernel_scratch; at kappa > 0 from
+    ir = 1/r, as em1 r^2 g = em1 ir and g = ir^2 ir. The products round by
     their sizes, so the bits follow the tiles. Charges are strictly
     interior, so no pair is singular; K1 and K2 read no target normal."""
     er = params.eps2 / params.eps1

@@ -180,26 +180,22 @@ def _is_face(tok: list) -> bool:
             or all(map(_is_int, tok[:3])))
 
 
-def _records(text: str, width: int, is_record):
-    """(1-based line numbers, lines) of text's data lines of at least width
-    tokens that is_record(tokens) accepts; any other line is a header."""
+def _records(text: str, width: int, is_record, dtype, convert, name: str):
+    """(1-based line numbers, (n, width) array) of text's records: its data
+    lines of at least width tokens that is_record(tokens) accepts, any
+    other line being a header. NumPy's text reader converts their first
+    width tokens in one call; where it fails, convert takes them a token
+    at a time, and a token it cannot read either is a MeshFormatError
+    naming the file and line."""
     numbers, lines = [], []
     for ln, tok, raw in _data_lines(text):
         if len(tok) >= width and is_record(tok):
             numbers.append(ln)
             lines.append(raw)
-    return numbers, lines
-
-
-def _table(numbers, lines, width: int, dtype, convert, name: str) -> np.ndarray:
-    """(len(lines), width): the first width tokens of each line, read by
-    NumPy's text reader in one call, or where it fails by convert, a token
-    at a time; a token that convert cannot read either is a
-    MeshFormatError naming its file and line."""
     if not lines:
-        return np.empty((0, width), dtype)
+        return numbers, np.empty((0, width), dtype)
     try:
-        return np.loadtxt(lines, dtype, comments="#", usecols=range(width), ndmin=2)
+        return numbers, np.loadtxt(lines, dtype, comments="#", usecols=range(width), ndmin=2)
     except ValueError:
         pass
     rows = []
@@ -208,7 +204,7 @@ def _table(numbers, lines, width: int, dtype, convert, name: str) -> np.ndarray:
             rows.append([convert(t) for t in raw.partition("#")[0].split()[:width]])
         except ValueError as exc:
             raise MeshFormatError(f"{name} line {ln}: {exc}") from None
-    return np.array(rows, dtype)
+    return numbers, np.array(rows, dtype)
 
 
 def parse_msms(vert_text: str, face_text: str) -> FlatMesh:
@@ -221,12 +217,11 @@ def parse_msms(vert_text: str, face_text: str) -> FlatMesh:
     breaks midway is an error, reported with its line number. Normals are
     renormalized because MSMS writes them with 3-digit precision. Each
     file's records are converted in one call of NumPy's text reader
-    (_table).
+    (_records).
     """
-    data = _table(*_records(vert_text, 6, lambda tok: _is_real(tok[0])), 6, float, float, ".vert")
+    _, data = _records(vert_text, 6, lambda tok: _is_real(tok[0]), float, float, ".vert")
     # count lines carry a real-valued density, so they are headers
-    numbers, lines = _records(face_text, 3, _is_face)
-    faces = _table(numbers, lines, 3, np.int64, int, ".face")
+    numbers, faces = _records(face_text, 3, _is_face, np.int64, int, ".face")
     low = np.flatnonzero(faces.min(axis=1, initial=1) < 1)
     if low.size:
         raise MeshFormatError(

@@ -209,10 +209,10 @@ def memory_lower_bound_mb(problem) -> float:
     weights and moments, tile products, near-table gathers and partial
     sums, or the plan build's sort; and the vectors in flight. Python
     objects are not counted. On the smallest meshes they are a large
-    share: for level-0 lobi (20 faces, eps 1/80) the bound is 30.3 KB, and
-    tracemalloc traces a peak of 27.4 KB for a serial matvec that builds
-    its plan and 8.0 KB for one that reuses it at kappa = 0 (bound 42.0 KB;
-    40.7 and 12.0 KB at 0.125). The OS-level peak is higher still; this
+    share: for level-0 lobi (20 faces, eps 1/80) the bound is 29.7 KB, and
+    tracemalloc traces a peak of 28.2 KB for a serial matvec that builds
+    its plan and 7.8 KB for one that reuses it at kappa = 0 (bound 38.2 KB;
+    38.0 and 11.8 KB at 0.125). The OS-level peak is higher still; this
     one is reproducible."""
     mesh = problem.mesh
     arrays = [getattr(problem, f.name) for f in fields(problem)]

@@ -61,6 +61,13 @@ sources, kernels.reaction_terms_at) and the right-hand side (the rows
 over the charges, kernels.source_terms_at) are each one kernels call
 over tiles of the same layout, each row adding its tiles in order, so
 every regular sum rounds by _tile_layout alone.
+
+Both the matvec pool and the energy fork their workers (_Ranks: one
+fork, reply and reap path), which inherit the problem unpickled and
+answer over plain pipes. A pooled operator's workers live until it
+closes; the energy, after the pool has closed, forks one child per
+range of whole charge row tiles but the first, which the parent sweeps
+itself (solvation_energy), and reaps them before it returns.
 """
 
 from __future__ import annotations
@@ -94,7 +101,7 @@ SCHEMES = ("hobi", "lobi")
 
 # The kernel sweep's layout, a function of the number of rows T and of
 # sources N alone (N = T if self-sourced): tiles of at most TILE x TILE
-# pairs, whose six scratch blocks (1.8 MB) stay in a 2 MB L2 cache and
+# pairs, whose five scratch blocks (1.5 MB) stay in a 2 MB L2 cache and
 # whose kernel work outweighs a tile's fixed interpreter cost (30-45 us at
 # kappa > 0 on a 2-CPU Xeon host), in STRIP_CHUNKS chunks of near-equal
 # pair count.
@@ -131,7 +138,7 @@ class GmresBreakdown(GmresNonConvergence):
 
 
 class WorkerDied(RuntimeError):
-    """A matvec worker process ended before it returned its part."""
+    """A forked matvec or energy worker ended before it returned its part."""
 
 
 @dataclass(frozen=True)
@@ -379,9 +386,8 @@ def _tile_layout(t: int, n: int | None = None):
     self-sourced, only the tiles J >= I are listed: a diagonal tile
     evaluates each orientation of its pairs as a row entry of its own, and
     an off-diagonal tile's pair (i, j) also serves (j, i). Chunk c is tiles
-    [chunks[c], chunks[c+1]): a tile goes to the chunk in which the middle
-    of its pairs falls when the running pair count is cut into
-    STRIP_CHUNKS equal parts. Nothing here reads a worker count.
+    [chunks[c], chunks[c+1]), the STRIP_CHUNKS runs of _cuts. Nothing here
+    reads a worker count.
     """
     h = max(min(TILE, t), 1)
     m = t if n is None else n
@@ -394,9 +400,16 @@ def _tile_layout(t: int, n: int | None = None):
         i, j = i[j >= i], j[j >= i]
     tiles = np.column_stack([i, np.minimum(i + h, t), j, np.minimum(j + w, m)])
     pairs = (tiles[:, 1] - tiles[:, 0]) * (tiles[:, 3] - tiles[:, 2])
+    return tiles, pairs, _cuts(pairs, STRIP_CHUNKS)
+
+
+def _cuts(pairs: np.ndarray, parts: int) -> np.ndarray:
+    """The parts + 1 bounds cutting items of pairs[k] pairs into parts
+    contiguous runs of near-equal pair count: an item goes to the run in
+    which the middle of its pairs falls when the running pair count is
+    cut into parts equal parts."""
     middles = np.cumsum(pairs) - pairs / 2
-    cuts = np.arange(STRIP_CHUNKS + 1) * (pairs.sum() / STRIP_CHUNKS)
-    return tiles, pairs, np.searchsorted(middles, cuts)
+    return np.searchsorted(middles, np.arange(parts + 1) * (pairs.sum() / parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,7 +613,8 @@ def assemble_rhs(problem: DiscretizedProblem) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parallel operator: fork workers inherit the problem, write disjoint rows
+# forked workers: they inherit the problem, and return disjoint rows or
+# chunk-tree nodes
 
 
 def _partition(n: int, parts: int) -> list[tuple[int, int]]:
@@ -615,17 +629,6 @@ def _worker_part(plan: _SweepPlan, u: np.ndarray, lo: int, hi: int):
     return _apply_chunks(plan, _sweep_moments(plan, u), lo, hi)
 
 
-def _reply(outbox, task):
-    """Answer one request: a 0 byte and the raw float64 arrays task()
-    returns, or a 1 byte and the pickled exception it raised."""
-    try:
-        reply = [b"\0", *task()]
-    except Exception as exc:  # the parent raises it again
-        reply = [b"\1", pickle.dumps(exc)]
-    outbox.writelines(reply)
-    outbox.flush()
-
-
 class _Ranks:
     """Forked children that answer the parent over plain pipes: the one
     fork, reply and reap path of the matvec pool and the energy.
@@ -636,7 +639,7 @@ class _Ranks:
     or a later pool's child holding a parent's write end would keep its
     reader from ever seeing EOF. It then runs work(inbox, outbox) and
     leaves, with status 0 once work returns, 1 if it raised. A child
-    answers each request through _reply. gather reads one reply from every
+    answers each request through reply. gather reads one reply from every
     child, in order, and returns the exceptions they raised for the parent
     to raise again. A child that ends short of a reply makes send or
     gather reap every child and raise WorkerDied naming its index and its
@@ -653,7 +656,12 @@ class _Ranks:
     def fork(self, work) -> None:
         requests, to_child = os.pipe()
         from_child, replies = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (requests, to_child, from_child, replies):
+                os.close(fd)
+            raise
         if pid == 0:
             code = 1
             try:
@@ -667,6 +675,18 @@ class _Ranks:
         os.close(requests)
         os.close(replies)
         self._children.append((pid, open(to_child, "wb", buffering=0), open(from_child, "rb")))
+
+    @staticmethod
+    def reply(outbox, task) -> None:
+        """A child's answer to one request: a 0 byte and the raw float64
+        arrays task() returns, or a 1 byte and the pickled exception it
+        raised."""
+        try:
+            reply = [b"\0", *task()]
+        except Exception as exc:  # the parent raises it again
+            reply = [b"\1", pickle.dumps(exc)]
+        outbox.writelines(reply)
+        outbox.flush()
 
     def send(self, data: memoryview) -> None:
         """Write one request, the bytes data, to every child."""
@@ -713,7 +733,7 @@ def _serve(inbox, outbox, problem: DiscretizedProblem, lo: int, hi: int):
     plan = _sweep_plan(problem)
     u = np.empty(problem.n_unknowns)
     while inbox.readinto(u) == u.nbytes:
-        _reply(outbox, lambda: [sums for _, _, sums in _worker_part(plan, u, lo, hi)])
+        _Ranks.reply(outbox, lambda: [sums for _, _, sums in _worker_part(plan, u, lo, hi)])
 
 
 class _Operator:
@@ -926,14 +946,11 @@ def solve(problem: DiscretizedProblem, config: SolverConfig) -> SurfaceSolution:
 
 def _row_ranges(tiles: np.ndarray, pairs: np.ndarray, parts: int) -> list[tuple[int, int]]:
     """Tile ranges [a, b) of a layout of _tile_layout, each whole row
-    tiles: at most parts contiguous ranges of near-equal pair count, none
-    empty. A row tile goes to the range in which the middle of its pairs
-    falls, as a tile goes to its chunk."""
+    tiles: the non-empty ones of the parts runs of row tiles that _cuts
+    makes, as it makes the chunks of tiles."""
     firsts = np.flatnonzero(np.diff(tiles[:, 0], prepend=-1))
     counts = np.add.reduceat(pairs, firsts) if len(firsts) else pairs
-    middles = np.cumsum(counts) - counts / 2
-    cuts = np.arange(parts + 1) * (counts.sum() / parts)
-    bounds = np.append(firsts, len(tiles))[np.searchsorted(middles, cuts)].tolist()
+    bounds = np.append(firsts, len(tiles))[_cuts(counts, parts)].tolist()
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
@@ -970,7 +987,8 @@ def solvation_energy(
                          f" and dphi_dn of shape {shapes[1]}")
     charges = problem.charges
     tiles, pairs, _ = _tile_layout(len(charges), problem.reg_w.size)
-    workers = (SolverConfig() if config is None else config).worker_count()
+    config = SolverConfig() if config is None else config
+    workers = config.worker_count() if hasattr(os, "fork") else 1
     # the rule's points are read in place: copies of them, 6 values a
     # source, would outweigh a one-charge energy's scratch blocks
     sources = (
@@ -987,11 +1005,11 @@ def solvation_energy(
 
     rows = np.empty(len(charges))
     parts = [(a, b, rows[tiles[a, 0] : tiles[b - 1, 1]])
-             for a, b in _row_ranges(tiles, pairs, workers if hasattr(os, "fork") else 1)]
+             for a, b in _row_ranges(tiles, pairs, workers)]
     children = _Ranks("energy")
     try:
         for a, b, _ in parts[1:]:
-            children.fork(lambda inbox, outbox, a=a, b=b: _reply(outbox, lambda: [sweep(a, b)]))
+            children.fork(lambda inbox, outbox, a=a, b=b: _Ranks.reply(outbox, lambda: [sweep(a, b)]))
         for a, b, out in parts[:1]:  # the parent's own range; none without charges
             out[:] = sweep(a, b)
         errors = children.gather([out for _, _, out in parts[1:]])

@@ -1714,7 +1714,7 @@ from pbbem.solver import (SolverConfig, SurfaceSolution, assemble_rhs, discretiz
 scheme, kappa, level = sys.argv[1], float(sys.argv[2]), int(sys.argv[3])
 params = PhysicalParams(eps1=2.0, eps2=80.0, kappa=kappa)
 rng = np.random.default_rng(4)
-charges = ChargeSystem(rng.uniform(-0.5, 0.5, (40, 3)), rng.uniform(-1.0, 1.0, 40))
+charges = ChargeSystem(rng.uniform(-0.5, 0.5, (400, 3)), rng.uniform(-1.0, 1.0, 400))
 problem = discretize(icosahedral_sphere(level), params, charges, SolverConfig(scheme=scheme))
 u = np.random.default_rng(5).standard_normal(problem.n_unknowns)
 with make_operator(problem, SolverConfig(workers=1)) as op:
@@ -1724,7 +1724,7 @@ a @ a  # large enough for OpenBLAS to run on every thread it may use
 with make_operator(problem, SolverConfig(workers=2)) as op:
     pooled = op(u)
 t = problem.n_collocation
-energy = solvation_energy(problem, SurfaceSolution(u[:t], u[t:], 0, 0.0))
+energy = solvation_energy(problem, SurfaceSolution(u[:t], u[t:], 0, 0.0), SolverConfig(workers=2))
 rhs = assemble_rhs(problem)
 print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest()
         for x in (serial, pooled, energy, rhs)))
@@ -1734,8 +1734,9 @@ print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest()
 def _blas_thread_digests(scheme: str, kappa: float, level: int) -> list[list[str]]:
     """The digests BLAS_THREADS_SCRIPT prints under OPENBLAS_NUM_THREADS=1
     and =2: discretize on the level-`level` sphere with the serial matvec,
-    the 2-worker one, and the energy and the RHS of 40 scattered charges,
-    each time."""
+    the 2-worker one, and the energy of 400 scattered charges (three row
+    tiles, swept by the parent and a child it forks after the
+    multi-threaded product) and their RHS, each time."""
     package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
