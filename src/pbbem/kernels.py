@@ -268,7 +268,7 @@ def kernel_sums(scratch, targets, sources, params: PhysicalParams, mask, swapped
     buf = scratch[:, : shape[0] * shape[1]].reshape((-1,) + shape)
     r2 = np.matmul(xr, yc, out=buf[0])
     if mask.size:
-        np.put(r2, mask, 1.0)  # a placeholder: g is zeroed there
+        np.put(r2, mask, 1.0)  # a placeholder: g, or 1/r, is zeroed there
     if params.kappa == 0.0:
         g = _green_cube(r2, buf[1], buf[2])
         if mask.size:

@@ -633,12 +633,12 @@ class _Ranks:
     """Forked children that answer the parent over plain pipes: the one
     fork, reply and reap path of the matvec pool and the energy.
 
-    fork(work) starts a child (os.fork, so it inherits the problem and
-    whatever else work reads, unpickled). The child first closes every
+    fork(work, *args) starts a child (os.fork, so it inherits the problem
+    and whatever else work reads, unpickled). The child first closes every
     descriptor it inherited but stdio and its own two pipe ends: a sibling
     or a later pool's child holding a parent's write end would keep its
-    reader from ever seeing EOF. It then runs work(inbox, outbox) and
-    leaves, with status 0 once work returns, 1 if it raised. A child
+    reader from ever seeing EOF. It then runs work(inbox, outbox, *args)
+    and leaves, with status 0 once work returns, 1 if it raised. A child
     answers each request through reply. gather reads one reply from every
     child, in order, and returns the exceptions they raised for the parent
     to raise again. A child that ends short of a reply makes send or
@@ -653,7 +653,7 @@ class _Ranks:
     def __len__(self) -> int:
         return len(self._children)
 
-    def fork(self, work) -> None:
+    def fork(self, work, *args) -> None:
         requests, to_child = os.pipe()
         from_child, replies = os.pipe()
         try:
@@ -668,7 +668,7 @@ class _Ranks:
                 keep = sorted({0, 1, 2, requests, replies})
                 for a, b in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
                     os.closerange(a + 1, b)
-                work(open(requests, "rb"), open(replies, "wb"))
+                work(open(requests, "rb"), open(replies, "wb"), *args)
                 code = 0
             finally:
                 os._exit(code)
@@ -774,9 +774,7 @@ class _Operator:
     def _start(self):
         try:
             for lo, hi in self._ranges:
-                self._workers.fork(
-                    lambda inbox, outbox, lo=lo, hi=hi: _serve(inbox, outbox, self._problem, lo, hi)
-                )
+                self._workers.fork(_serve, self._problem, lo, hi)
         except OSError:
             self._workers.close()
             raise
@@ -1003,13 +1001,16 @@ def solvation_energy(
         sums = reaction_terms_at(charges.positions, *sources, tiles[a:b])
         return sums[tiles[a, 0] : tiles[b - 1, 1]]
 
+    def reply(inbox, outbox, a, b):  # a child's one answer, needing no request
+        _Ranks.reply(outbox, lambda: [sweep(a, b)])
+
     rows = np.empty(len(charges))
     parts = [(a, b, rows[tiles[a, 0] : tiles[b - 1, 1]])
              for a, b in _row_ranges(tiles, pairs, workers)]
     children = _Ranks("energy")
     try:
         for a, b, _ in parts[1:]:
-            children.fork(lambda inbox, outbox, a=a, b=b: _Ranks.reply(outbox, lambda: [sweep(a, b)]))
+            children.fork(reply, a, b)
         for a, b, out in parts[:1]:  # the parent's own range; none without charges
             out[:] = sweep(a, b)
         errors = children.gather([out for _, _, out in parts[1:]])
