@@ -14,10 +14,18 @@ between its edges 1-2 and 1-3. Node layout on the reference triangle
 
 Vertices are nodes 1, 4, 9; node 10 is interior. Positions anywhere on an
 element come from the cubic Lagrange basis on these nodes.
+
+Element arrays are component-major: node_table holds each distinct node
+of the mesh once as a column of (3, columns) positions and normals,
+element_nodes gathers a run of faces' rotations into (3, faces, 3, 10)
+arrays, and frames_at contracts (3, elements, 10) nodes with the basis
+and each of its gradients, one (3 elements, 10) @ (10, points) product
+apiece, into (3, elements, points) frames whose components are contiguous.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,77 +253,144 @@ NODE_SLOTS = np.array([(0, 3, 8, 1, 4, 7, 5, 6, 2, 9), (1, 5, 4, 2, 6, 3, 7, 8, 
                        (2, 7, 6, 0, 8, 5, 3, 4, 1, 11)])
 
 
-def curved_nodes(vertices, normals, faces):
-    """Node positions and normals, a pair of (N_f, 3, 10, 3) arrays, of
-    every face's three vertex rotations (NODE_SLOTS).
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Every distinct curved-element node of a mesh, each fitted once.
+
+    Columns of the component-major (3, N_v + 2E + 3 N_f) positions `pos`
+    and normals `nrm` are the vertices; then each edge's node at 1/3 of its
+    arc, then at 2/3 (arcs run from the lower vertex index to the higher);
+    then the interior node of face f's rotation k at N_v + 2E + 3 f + k.
+    Row f of the (N_f, 12) `slots` holds the columns of face f's 12 slots
+    (NODE_SLOTS).
+    """
+
+    pos: np.ndarray
+    nrm: np.ndarray
+    slots: np.ndarray
+
+
+def node_table(vertices, normals, faces) -> NodeTable:
+    """Fit every arc of the curved surface once and tabulate its nodes.
 
     Each mesh edge is one arc, fitted from its lower- to its higher-index
-    vertex, and the faces that share it take the same two nodes from it.
-    Rotation k's interior node sits at the parameter midpoint of its own
-    cross arc through its nodes 5 and 6. Vertex nodes keep the input
-    positions and normals bitwise. A degenerate arc raises
-    DegenerateArcError for the lowest face it touches, with index (face,).
+    vertex, so the faces that share it take the same two nodes from it; a
+    face that runs it from high to low reads them in reverse. Rotation k's
+    interior node sits at the parameter midpoint of its own cross arc
+    through its nodes 5 and 6. Vertex columns keep the input positions and
+    normals bitwise. A degenerate arc raises DegenerateArcError for the
+    lowest face it touches, over edge and cross arcs together, with index
+    (face,).
     """
     ends, keys, n = half_edges(faces)
     keys, edge_of = np.unique(keys, return_inverse=True)
     lo, hi = np.divmod(keys, n)
+    nv, ne, nf = len(vertices), len(keys), len(faces)
+    pos, nrm = (np.empty((3, nv + 2 * ne + 3 * nf)) for _ in range(2))
+    pos[:, :nv], nrm[:, :nv] = (np.asarray(a, dtype=float).T for a in (vertices, normals))
+    # the arc helpers take (..., 3) points; transposed component-major
+    # gathers make each component they read one contiguous run
+    p0, n0, p1, n1 = (np.take(a, end, axis=1).T for end in (lo, hi) for a in (pos, nrm))
     pending = []
-    arc = fit_arc(vertices[lo], normals[lo], vertices[hi], normals[hi], pending)
-    thirds = (1.0 / 3.0, 2.0 / 3.0)
-    edge_pos = np.stack([arc_point(arc, u) for u in thirds], axis=1)  # (E, 2, 3)
-    edge_nrm = np.stack([arc_normal(arc, u, _blend_reference(
-        normals[lo], normals[hi], u, pending))[0] for u in thirds], axis=1)
+    arc = fit_arc(p0, n0, p1, n1, pending)
+    thirds = np.array([1.0 / 3.0, 2.0 / 3.0])[:, None, None]  # both nodes in one pass
+    for table, on_edge in ((pos, arc_point(arc, thirds)), (nrm, arc_normal(
+            arc, thirds, _blend_reference(n0, n1, thirds, pending))[0])):
+        table[:, nv:nv + 2 * ne] = on_edge.transpose(2, 0, 1).reshape(3, 2 * ne)
+    del arc, p0, n0, p1, n1
     edge_of = edge_of.reshape(faces.shape)
-    pending = [(mask[edge_of], cause) for mask, cause in pending]
+    edge_failures, pending = pending, []
+    # half-edge j's nodes from its start: the edge's 1/3 node, then its
+    # 2/3 node, or the other way round where the face runs it high to low
+    reverse = ends[0] > ends[1]
+    from_start = np.stack([edge_of + ne * reverse, edge_of + ne * ~reverse], axis=2)
+    interior = nv + 2 * ne + np.arange(3 * nf).reshape(nf, 3)
+    slots = np.concatenate([faces, nv + from_start.reshape(-1, 6), interior], axis=1)
 
-    # each half-edge's nodes from its start: rows E on hold every edge's
-    # nodes reversed, for the faces that run it from high to low
-    half = edge_of + len(keys) * (ends[0] > ends[1])
-    slots = []
-    for data, on_edge in ((vertices, edge_pos), (normals, edge_nrm)):
-        from_start = np.concatenate([on_edge, on_edge[:, ::-1]])[half]  # (N_f, 3, 2, 3)
-        slots.append(np.concatenate([data[faces], from_start.reshape(-1, 6, 3)], axis=1))
-    pos, nrm = slots
-    e5, e6, m5, m6 = (a[:, NODE_SLOTS[:, j]] for a in (pos, nrm) for j in (4, 5))
+    # (face, rotation, component) views of the cross arcs' end nodes
+    e5, e6, m5, m6 = (np.take(a, slots[:, NODE_SLOTS[:, j]], axis=1).transpose(1, 2, 0)
+                      for a in (pos, nrm) for j in (4, 5))
     cross = fit_arc(e5, m5, e6, m6, pending)
-    pos = np.concatenate([pos, arc_point(cross, 0.5)], axis=1)
-    nrm = np.concatenate(
-        [nrm, arc_normal(cross, 0.5, _blend_reference(m5, m6, 0.5, pending))[0]], axis=1
-    )
-    try:
-        _check([(mask.any(axis=1), cause) for mask, cause in pending], None)
-    except DegenerateArcError as exc:
-        raise DegenerateArcError(f"face {exc.index[0]}: {exc}", exc.index) from None
-    return np.take(pos, NODE_SLOTS, axis=1), np.take(nrm, NODE_SLOTS, axis=1)
+    pos[:, interior] = arc_point(cross, 0.5).transpose(2, 0, 1)
+    nrm[:, interior] = arc_normal(
+        cross, 0.5, _blend_reference(m5, m6, 0.5, pending))[0].transpose(2, 0, 1)
+    if any(mask.any() for mask, _ in edge_failures + pending):
+        failures = [(mask.reshape(-1, ne).any(axis=0)[edge_of], cause)
+                    for mask, cause in edge_failures] + pending
+        try:
+            _check([(mask.any(axis=1), cause) for mask, cause in failures], None)
+        except DegenerateArcError as exc:
+            raise DegenerateArcError(f"face {exc.index[0]}: {exc}", exc.index) from None
+    return NodeTable(pos, nrm, slots)
+
+
+def element_nodes(table: NodeTable, first: int, last: int):
+    """Node positions and normals of the three vertex rotations of faces
+    [first, last), a pair of component-major (3, n, 3, 10) arrays gathered
+    straight from the node table: entry [c, f, k, j] is component c of node
+    j of face first + f in rotation k (NODE_SLOTS)."""
+    index = table.slots[first:last][:, NODE_SLOTS]  # (n, 3, 10)
+    return np.take(table.pos, index, axis=1), np.take(table.nrm, index, axis=1)
+
+
+def curved_nodes(vertices, normals, faces):
+    """Node positions and normals of every face's three vertex rotations, a
+    pair of component-major (3, N_f, 3, 10) arrays (element_nodes over all
+    faces of node_table)."""
+    return element_nodes(node_table(vertices, normals, faces), 0, len(faces))
+
+
+@functools.lru_cache(maxsize=8)
+def _frame_operators(points: bytes) -> tuple[np.ndarray, ...]:
+    """The basis and its r and s gradients, three read-only (10, m)
+    arrays, at the m reference points whose float64 (r, s) pairs are
+    `points`; frames_at builds them once per point set."""
+    pts = np.frombuffer(points).reshape(-1, 2)
+    operators = tuple(np.ascontiguousarray(a.T)
+                      for a in (shape_matrix(pts), *shape_gradient_matrices(pts)))
+    for a in operators:
+        a.setflags(write=False)
+    return operators
+
+
+def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the first axis, summed in _dot's order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def frames_at(node_pos: np.ndarray, node_nrm: np.ndarray, pts: np.ndarray):
     """Vectorized frames for many elements at the same reference points.
 
-    node_pos, node_nrm: (n_e, 10, 3). pts: (m, 2).
-    Returns positions (n_e, m, 3), oriented unit normals (n_e, m, 3), and
-    Jacobians (n_e, m). Each node contraction is one stacked product of the
-    (m, 10) basis with every element's (10, 3) nodes, and the normal is
-    formed, scaled and oriented in one array. A vanishing Jacobian raises
-    DegenerateElementError for the first such element and point.
+    node_pos, node_nrm: component-major (3, n_e, 10). pts: (m, 2).
+    Returns positions (3, n_e, m), oriented unit normals (3, n_e, m), and
+    Jacobians (n_e, m). The positions and the two tangents are each one
+    product of every element's (3 n_e, 10) node rows with the (10, m)
+    basis or one of its gradients, and the normals' orientation reference
+    one more with the basis, so every component is a contiguous block.
+    Each entry is the same length-10 dot product as an element's own
+    (m, 10) @ (10, 3) product, with the same bits. A vanishing Jacobian
+    raises DegenerateElementError for the first such element and point.
     """
-    basis = shape_matrix(pts)  # (m, 10)
-    g_r, g_s = shape_gradient_matrices(pts)
-    pos = basis @ node_pos
-    xr, xs = g_r @ node_pos, g_s @ node_pos
-    nrm = np.empty_like(xr)
+    pts = np.asarray(pts, dtype=float)
+    operators = _frame_operators(pts.tobytes())
+    m, n = len(pts), node_pos.shape[1]
+    rows = node_pos.reshape(3 * n, 10)
+    pos, xr, xs = ((rows @ op).reshape(3, n, m) for op in operators)
+    nrm = np.empty((3, n, m))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # np.cross's bits, half its time
-        np.subtract(xr[..., j] * xs[..., k], xr[..., k] * xs[..., j], out=nrm[..., i])
+        np.multiply(xr[j], xs[k], out=nrm[i])
+        nrm[i] -= xr[k] * xs[j]
     del xr, xs
-    jac = np.sqrt(_dot(nrm, nrm))  # np.linalg.norm's bits, ~3x faster
-    bad = np.argwhere(jac < 1e-14)
-    if bad.size:
-        e, m = (int(i) for i in bad[0])
-        r, s = (float(c) for c in pts[m])
+    jac = _cdot(nrm, nrm)
+    np.sqrt(jac, out=jac)  # np.linalg.norm's bits, ~3x faster
+    bad = jac < 1e-14
+    if bad.any():
+        e, p = (int(i) for i in np.argwhere(bad)[0])
+        r, s = (float(c) for c in pts[p])
         raise DegenerateElementError(
             f"element {e}: vanishing Jacobian at (r, s) = ({r}, {s})", (e,), (r, s)
         )
-    nrm /= jac[..., None]
-    flip = np.einsum("emi,emi->em", nrm, basis @ node_nrm) < 0.0
-    np.negative(nrm, out=nrm, where=flip[..., None])
+    nrm /= jac
+    reference = (node_nrm.reshape(3 * n, 10) @ operators[0]).reshape(3, n, m)
+    np.negative(nrm, out=nrm, where=_cdot(nrm, reference) < 0.0)
     return pos, nrm, jac

@@ -78,7 +78,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import DegenerateElementError, curved_nodes, frames_at
+from .geometry import DegenerateElementError, element_nodes, frames_at, node_table
 from .kernels import (
     FOUR_PI,
     KCAL_MOL_PER_E2_ANG,
@@ -112,9 +112,10 @@ STRIP_CHUNKS = 16
 # spheres, at most 36 on a Gaussian molecular surface), so one Arnoldi
 # process without restarts suffices
 GMRES_STEPS = 100
-# rotated elements per chunk of _near_table's Duffy frames: a level-3 hobi
-# discretize traces a 4.7 MB peak at 512, 6.0 MB at 1024, 11.7 MB unchunked
-NEAR_CHUNK = 512
+# faces per run of hobi's set-up (_curved_chunk): a run's frames and
+# kernel values, ~0.8 MB, stay in a 2 MB L2 cache, and a level-3
+# discretize traces a 2.45 MB peak (3.3 MB at 256 faces, 5.0 MB at 512)
+NEAR_CHUNK = 128
 
 # hobi's two rules, the paper's: the 4-point rule on every element, and
 # the 16-point Duffy-mapped product rule on each vertex's incident ones;
@@ -239,9 +240,13 @@ def _barycentric(points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - r - s, r, s], axis=1)
 
 
+DUFFY_BARY = _barycentric(DUFFY_RULE.points)  # (D, 3) linear vertex weights
+
+
 def _face_frames(node_pos, node_nrm, rule: TriangleRule, per_face: int, first=0):
     """(positions, normals, rule weight x Jacobian): frames_at at the rule's
-    points on elements numbered from first, per_face a face; errors name it."""
+    points on component-major elements numbered from first, per_face a
+    face; errors name the face."""
     try:
         pos, nrm, jac = frames_at(node_pos, node_nrm, rule.points)
     except DegenerateElementError as exc:
@@ -252,30 +257,64 @@ def _face_frames(node_pos, node_nrm, rule: TriangleRule, per_face: int, first=0)
     return pos, nrm, rule.weights * jac
 
 
-def _near_table(mesh: FlatMesh, params: PhysicalParams, rotations, node_pos, node_nrm):
-    """The near table's fields of DiscretizedProblem, built once since the near
-    values are linear in the vertex traces (Canino et al., J. Comput. Phys. 146,
-    1998). Element e (face e // 3, vertex x = rotations[e, 0] at node 1) gets
-    sum_d K(x, y_d) w_d bary_dj over DUFFY_RULE's points d per kernel K1..K4
-    and node j; entry (x, rotations[e, j]) adds these in element (face) order."""
-    n = len(node_pos)
-    bary = _barycentric(DUFFY_RULE.points)
-    duf_w = np.empty((n, len(DUFFY_RULE)))
-    coef = np.empty((4, n, 3))
-    x, nx = (a[rotations[:, 0], None] for a in (mesh.vertices, mesh.normals))
-    for s in range(0, n, NEAR_CHUNK):
-        e = min(s + NEAR_CHUNK, n)
-        pos, nrm, duf_w[s:e] = _face_frames(node_pos[s:e], node_nrm[s:e], DUFFY_RULE, 3, s)
-        for part, k in enumerate(kernel_values_d(x[s:e] - pos, nx[s:e], nrm, params)):
-            k *= duf_w[s:e]
-            coef[part, s:e] = k @ bary
-    # entry keys t N_v + v, in element order; bincount sums in that order
+def _near_coefficients(x, nx, pos, nrm, w, params: PhysicalParams, near_coef, entry):
+    """Add the near coefficients of n rotated elements into near_coef
+    (4, nnz). Element e has vertex x[e] with normal nx[e] at node 1, (n, 3)
+    each, and Duffy frames pos, nrm (3, n, D) with weights w (n, D); it
+    adds sum_d K(x, y_d) w_d bary_dj over DUFFY_RULE's points d per kernel
+    K1..K4 into entry[3 e + j] for node j. pos is overwritten.
+
+    Each kernel's weighted values are one (n, D) @ (D, 3) product.
+    OpenBLAS (0.3.31, measured) rounds the rows of a last group of fewer
+    than four otherwise than those of a full group, so they sit in a buffer
+    padded with zero rows to a multiple of four, and no element's bits
+    follow its run or its place in it. np.add.at adds in element order, as
+    one bincount over every element would.
+    """
+    n = len(w)
+    d = np.subtract(x.T[:, :, None], pos, out=pos)
+    rows = np.zeros((-(-n // 4) * 4, w.shape[1]))
+    kernels = kernel_values_d(d.transpose(1, 2, 0), nx[:, None], nrm.transpose(1, 2, 0), params)
+    # at kappa = 0, K1 and K4 are exact zeros and their coefficients stay so
+    for part in range(4) if params.kappa else (1, 2):
+        np.multiply(kernels[part], w, out=rows[:n])
+        np.add.at(near_coef[part], entry, (rows @ DUFFY_BARY)[:n].reshape(-1))
+
+
+def _curved_chunk(mesh: FlatMesh, params: PhysicalParams, table, entry, a: int, b: int,
+                  reg_pos, reg_nrm, reg_w, duf_w, near_coef) -> None:
+    """Fill hobi's caches for faces [a, b): gather their three rotations'
+    nodes (element_nodes), form rotation 0's regular-rule frames and all
+    three rotations' Duffy frames, and add the rotations' near coefficients
+    (_near_coefficients). Element 3 f + k is face f in rotation k."""
+    node_pos, node_nrm = element_nodes(table, a, b)
+    pos, nrm, reg_w[a:b] = _face_frames(node_pos[:, :, 0], node_nrm[:, :, 0],
+                                        REGULAR_RULE, 1, a)
+    reg_pos[a:b], reg_nrm[a:b] = pos.transpose(1, 2, 0), nrm.transpose(1, 2, 0)
+    n = 3 * (b - a)
+    pos, nrm, duf_w[3 * a:3 * b] = _face_frames(
+        node_pos.reshape(3, n, 10), node_nrm.reshape(3, n, 10), DUFFY_RULE, 3, 3 * a
+    )
+    del node_pos, node_nrm
+    x, nx = (v[mesh.faces[a:b]].reshape(n, 3) for v in (mesh.vertices, mesh.normals))
+    _near_coefficients(x, nx, pos, nrm, duf_w[3 * a:3 * b], params, near_coef,
+                       entry[9 * a:9 * b])
+
+
+def _near_table(mesh: FlatMesh):
+    """The near table's rows (near_starts, near_cols) and entry, the table
+    entry that node j of rotated element e adds into, at 3 e + j. The near
+    values are linear in the vertex traces, so they are built once (Canino
+    et al., J. Comput. Phys. 146, 1998). Element 3 f + k is face f rotated
+    so that its local vertex k is node 1; entry (x, v) takes the elements
+    that put vertex x at node 1 and v at node j."""
     nv = mesh.n_vertices
+    # row 3 f + k: face f's vertices from its local vertex k on
+    rotations = mesh.faces[:, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]].reshape(-1, 3)
+    # entry keys t N_v + v, sorted by row, then by column
     keys, entry = np.unique((rotations[:, :1] * nv + rotations).reshape(-1),
                             return_inverse=True)
-    near_coef = np.stack([np.bincount(entry, c.reshape(-1)) for c in coef])
-    return dict(near_starts=np.searchsorted(keys // nv, np.arange(nv + 1)),
-                near_cols=keys % nv, near_coef=near_coef, duf_w=duf_w)
+    return np.searchsorted(keys // nv, np.arange(nv + 1)), keys % nv, entry
 
 
 def discretize(
@@ -284,7 +323,17 @@ def discretize(
     charges: ChargeSystem,
     config: SolverConfig,
 ) -> DiscretizedProblem:
-    """Build every geometric and quadrature cache a matvec will read."""
+    """Build every geometric and quadrature cache a matvec will read.
+
+    hobi fits every arc of the curved surface once into a node table
+    (node_table), which raises a degenerate arc for the lowest face over
+    edge and cross arcs. It lays out the near table (_near_table), then
+    makes one pass over runs of NEAR_CHUNK faces (_curved_chunk). Each run
+    forms rotation 0's regular-rule frames, then all three rotations' Duffy
+    frames, and adds their near coefficients into the table. A vanishing
+    Jacobian is raised by the first run that meets one, for the lowest such
+    face of the run's regular frames, else of its Duffy frames.
+    """
     mesh.validate()
     origin = mesh.vertices.mean(axis=0)
     if config.scheme == "lobi":
@@ -308,15 +357,18 @@ def discretize(
             origin=origin,
         )
 
-    faces = mesh.faces
-
-    # rotation k of face f, row 3 f + k, puts local vertex k at reference node 1
-    rotations = np.stack([np.roll(faces, -k, axis=1) for k in range(3)], 1).reshape(-1, 3)
-    node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, faces)
-
-    reg_pos, reg_nrm, reg_w = _face_frames(node_pos[:, 0], node_nrm[:, 0], REGULAR_RULE, 1)
-    near = _near_table(mesh, params, rotations,
-                       *(a.reshape(-1, 10, 3) for a in (node_pos, node_nrm)))
+    n = mesh.n_faces
+    table = node_table(mesh.vertices, mesh.normals, mesh.faces)
+    near_starts, near_cols, entry = _near_table(mesh)
+    caches = dict(
+        reg_pos=np.empty((n, len(REGULAR_RULE), 3)),
+        reg_nrm=np.empty((n, len(REGULAR_RULE), 3)),
+        reg_w=np.empty((n, len(REGULAR_RULE))),
+        duf_w=np.empty((3 * n, len(DUFFY_RULE))),
+        near_coef=np.zeros((4, len(near_cols))),
+    )
+    for a in range(0, n, NEAR_CHUNK):
+        _curved_chunk(mesh, params, table, entry, a, min(a + NEAR_CHUNK, n), **caches)
 
     return DiscretizedProblem(
         mesh=mesh,
@@ -325,13 +377,12 @@ def discretize(
         scheme="hobi",
         colloc_pos=mesh.vertices,
         colloc_nrm=mesh.normals,
-        reg_pos=reg_pos,
-        reg_nrm=reg_nrm,
-        reg_w=reg_w,
         reg_bary=_barycentric(REGULAR_RULE.points),
-        reg_nodes=faces,
+        reg_nodes=mesh.faces,
         origin=origin,
-        **near,
+        near_starts=near_starts,
+        near_cols=near_cols,
+        **caches,
     )
 
 

@@ -60,11 +60,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def curved_nodes(mesh):
-    """(N_f, 10, 3) node positions and normals of every face's curved element,
-    vertices in `mesh.faces` order: rotation 0 of the fit discretize runs."""
+    """Component-major (3, N_f, 10) node positions and normals of every
+    face's curved element, vertices in `mesh.faces` order: rotation 0 of the
+    fit discretize runs."""
     from pbbem.geometry import curved_nodes as fit
 
-    return tuple(a[:, 0] for a in fit(mesh.vertices, mesh.normals, mesh.faces))
+    return tuple(a[:, :, 0] for a in fit(mesh.vertices, mesh.normals, mesh.faces))
 
 
 @pytest.fixture(scope="session")

@@ -228,9 +228,10 @@ def duffy_pairs(problem):
     mesh = problem.mesh
     rule = DUFFY_RULE
     node_pos, node_nrm = curved_nodes(mesh.vertices, mesh.normals, mesh.faces)
-    pos, nrm, jac = frames_at(
-        node_pos.reshape(-1, 10, 3), node_nrm.reshape(-1, 10, 3), rule.points
-    )
+    n = 3 * mesh.n_faces
+    pos, nrm, jac = frames_at(node_pos.reshape(3, n, 10), node_nrm.reshape(3, n, 10),
+                              rule.points)
+    pos, nrm = (a.transpose(1, 2, 0) for a in (pos, nrm))
     gverts = np.stack([np.roll(mesh.faces, -k, axis=1) for k in range(3)], axis=1)
     gverts = gverts.reshape(-1, 3)
     order = np.argsort(gverts[:, 0], kind="stable")

@@ -222,7 +222,8 @@ def test_arc_normal_sign_follows_reference():
 
 def lone_faces(*corners):
     """geometry.curved_nodes on faces that share no vertex, each given as
-    its (x1, n1, x2, n2, x3, n3): the (N_f, 3, 10, 3) positions and normals."""
+    its (x1, n1, x2, n2, x3, n3): the component-major (3, N_f, 3, 10)
+    positions and normals."""
     x = np.array([c[0::2] for c in corners], dtype=float).reshape(-1, 3)
     n = np.array([c[1::2] for c in corners], dtype=float).reshape(-1, 3)
     return geometry.curved_nodes(x, n, np.arange(len(x)).reshape(-1, 3))
@@ -232,8 +233,8 @@ def test_element_vertex_nodes_bitwise(tetrahedron_mesh):
     nodes, normals = curved_nodes(tetrahedron_mesh)
     for f, verts in enumerate(tetrahedron_mesh.faces):
         for local, gid in zip((0, 3, 8), verts):
-            assert np.array_equal(nodes[f, local], tetrahedron_mesh.vertices[gid])
-            assert np.array_equal(normals[f, local], tetrahedron_mesh.normals[gid])
+            assert np.array_equal(nodes[:, f, local], tetrahedron_mesh.vertices[gid])
+            assert np.array_equal(normals[:, f, local], tetrahedron_mesh.normals[gid])
 
 
 def test_flat_element_is_affine():
@@ -242,7 +243,7 @@ def test_flat_element_is_affine():
     x2 = np.array([1.0, 0.0, 0.0])
     x3 = np.array([0.0, 1.0, 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    nodes, normals = (a[0, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
+    nodes, normals = (a[:, 0, 0].T for a in lone_faces((x1, up, x2, up, x3, up)))
     affine = (
         x1[None, :]
         + REFERENCE_NODES[:, 0:1] * (x2 - x1)[None, :]
@@ -254,7 +255,7 @@ def test_flat_element_is_affine():
 
 def node_radius_error(level):
     nodes, _ = curved_nodes(icosahedral_sphere(level))
-    return float(np.abs(np.linalg.norm(nodes, axis=-1) - 1.0).max())
+    return float(np.abs(np.linalg.norm(nodes, axis=0) - 1.0).max())
 
 
 def test_sphere_element_nodes_near_sphere():
@@ -282,7 +283,7 @@ def test_shared_edges_fit_the_same_nodes_on_an_ellipsoid():
     for f, (a, b, c) in enumerate(mesh.faces):
         # the nodes at 1/3 and 2/3 along edges 1-2, 1-3 and 2-3
         for (p, q), (i, j) in (((a, b), (1, 4)), ((a, c), (2, 5)), ((b, c), (6, 7))):
-            pair = nodes[f, [i, j]] if p < q else nodes[f, [j, i]]
+            pair = nodes[:, f, [i, j]] if p < q else nodes[:, f, [j, i]]
             edges.setdefault((min(p, q), max(p, q)), []).append(pair)
     assert len(edges) == 3 * mesh.n_faces // 2
     gaps = [np.abs(one - other).max() for one, other in edges.values()]
@@ -301,7 +302,8 @@ def test_curved_nodes_match_the_per_rotation_fit(level):
     rotations = np.stack([np.roll(mesh.faces, -k, axis=1) for k in range(3)], axis=1)
     x, n = mesh.vertices[rotations], mesh.normals[rotations]
     old = nodes_from_vertex_data(*(a[..., k, :] for k in range(3) for a in (x, n)))
-    new = geometry.curved_nodes(mesh.vertices, mesh.normals, mesh.faces)
+    new = [np.moveaxis(a, 0, -1)  # as (N_f, 3, 10, 3)
+           for a in geometry.curved_nodes(mesh.vertices, mesh.normals, mesh.faces)]
     same = np.zeros(rotations.shape[:2] + (10,), dtype=bool)
     same[..., [0, 3, 8]] = True
     for (start, end), local in (((0, 1), [1, 4]), ((0, 2), [2, 5]), ((1, 2), [6, 7])):
@@ -351,13 +353,13 @@ def test_batched_nodes_equal_stacked_single_calls():
     nrm = mesh.normals + 0.1 * rng.standard_normal(mesh.normals.shape)
     nrm /= np.linalg.norm(nrm, axis=1)[:, None]
     nodes, normals = geometry.curved_nodes(mesh.vertices, nrm, mesh.faces)
-    assert nodes.shape == normals.shape == (mesh.n_faces, 3, 10, 3)
+    assert nodes.shape == normals.shape == (3, mesh.n_faces, 3, 10)
     for f in range(mesh.n_faces):
         one_nodes, one_normals = geometry.curved_nodes(
             mesh.vertices, nrm, mesh.faces[f : f + 1]
         )
-        assert np.array_equal(nodes[f], one_nodes[0])
-        assert np.array_equal(normals[f], one_normals[0])
+        assert np.array_equal(nodes[:, f], one_nodes[:, 0])
+        assert np.array_equal(normals[:, f], one_normals[:, 0])
 
 
 def test_batched_error_names_first_failing_member():
@@ -386,24 +388,24 @@ def test_element_frame_flat_jacobian():
     x2 = np.array([2.0, 0.0, 0.0])
     x3 = np.array([0.0, 1.0, 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    nodes, normals = (a[:, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
+    nodes, normals = (a[:, :, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
     _, nrm, jac = frames_at(nodes, normals, np.array([(0.2, 0.3)]))
     assert jac[0, 0] == pytest.approx(2.0, rel=1e-10)  # 2 x triangle area
-    assert np.abs(nrm[0, 0] - up).max() <= 1e-12
+    assert np.abs(nrm[:, 0, 0] - up).max() <= 1e-12
 
 
 def test_element_frame_at_origin_is_first_node(tetrahedron_mesh):
     nodes, normals = curved_nodes(tetrahedron_mesh)
-    pos, _, _ = frames_at(nodes[:1], normals[:1], np.array([(0.0, 0.0)]))
-    assert np.abs(pos[0, 0] - nodes[0, 0]).max() <= 1e-13
+    pos, _, _ = frames_at(nodes[:, :1], normals[:, :1], np.array([(0.0, 0.0)]))
+    assert np.abs(pos[:, 0, 0] - nodes[:, 0, 0]).max() <= 1e-13
 
 
 def test_element_frame_normals_near_radial_on_sphere():
     nodes, normals = curved_nodes(icosahedral_sphere(2))
     pts = np.array([(0.2, 0.3), (0.05, 0.05), (0.6, 0.3), (1 / 3, 1 / 3)])
     pos, nrm, _ = frames_at(nodes, normals, pts)
-    radial = pos / np.linalg.norm(pos, axis=-1)[..., None]
-    angle = np.arccos(np.clip(np.sum(nrm * radial, axis=-1), -1.0, 1.0))
+    radial = pos / np.linalg.norm(pos, axis=0)
+    angle = np.arccos(np.clip(np.sum(nrm * radial, axis=0), -1.0, 1.0))
     assert angle.max() <= 1e-2  # radians
 
 
@@ -412,17 +414,17 @@ def test_element_frame_degenerate_collinear():
     x2 = np.array([1.0, 0.0, 0.0])
     x3 = np.array([2.0, 1e-18, 0.0])
     up = np.array([0.0, 0.0, 1.0])
-    nodes, normals = (a[:, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
+    nodes, normals = (a[:, :, 0] for a in lone_faces((x1, up, x2, up, x3, up)))
     with pytest.raises(DegenerateElementError):
         frames_at(nodes, normals, np.array([(0.3, 0.3)]))
 
 
 def test_frames_at_collapsed_element_raises_not_warns():
-    """A (1, 10, 3) node set collapsed to one point has a zero Jacobian
+    """A (3, 1, 10) node set collapsed to one point has a zero Jacobian
     everywhere: frames_at names the element and the first reference point
     instead of dividing by zero."""
-    node_pos = np.zeros((1, 10, 3)) + [0.5, -1.0, 2.0]
-    node_nrm = np.zeros((1, 10, 3)) + [0.0, 0.0, 1.0]
+    node_pos = np.zeros((3, 1, 10)) + np.array([0.5, -1.0, 2.0])[:, None, None]
+    node_nrm = np.zeros((3, 1, 10)) + np.array([0.0, 0.0, 1.0])[:, None, None]
     pts = np.array([(0.25, 0.5), (0.1, 0.1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would fail here
@@ -434,9 +436,9 @@ def test_frames_at_collapsed_element_raises_not_warns():
 
 
 def test_frames_at_names_first_degenerate_element():
-    node_pos, node_nrm = (a[:3] for a in curved_nodes(icosahedral_sphere(0)))
-    node_pos[1] = node_pos[1, 0]
-    node_pos[2] = node_pos[2, 0]
+    node_pos, node_nrm = (a[:, :3] for a in curved_nodes(icosahedral_sphere(0)))
+    node_pos[:, 1] = node_pos[:, 1, :1]
+    node_pos[:, 2] = node_pos[:, 2, :1]
     with pytest.raises(DegenerateElementError, match="^element 1: "):
         frames_at(node_pos, node_nrm, np.array([(0.2, 0.3)]))
 
@@ -445,7 +447,7 @@ def test_frames_at_matches_nodes_and_finite_differences():
     """Positions at the 10 reference nodes are the node values; the
     Jacobian and the normal are those of a central difference of the
     positions frames_at returns (outward on this outward-wound sphere)."""
-    node_pos, node_nrm = (a[[0, 17, 53]] for a in curved_nodes(icosahedral_sphere(1)))
+    node_pos, node_nrm = (a[:, [0, 17, 53]] for a in curved_nodes(icosahedral_sphere(1)))
     pos, _, _ = frames_at(node_pos, node_nrm, REFERENCE_NODES)
     assert np.abs(pos - node_pos).max() <= 1e-13
 
@@ -456,11 +458,11 @@ def test_frames_at_matches_nodes_and_finite_differences():
     h = 1e-6
     d_dr = (position(pts + (h, 0.0)) - position(pts - (h, 0.0))) / (2 * h)
     d_ds = (position(pts + (0.0, h)) - position(pts - (0.0, h))) / (2 * h)
-    cross = np.cross(d_dr, d_ds)
-    fd_jac = np.linalg.norm(cross, axis=-1)
+    cross = np.cross(d_dr, d_ds, axis=0)
+    fd_jac = np.linalg.norm(cross, axis=0)
     _, nrm, jac = frames_at(node_pos, node_nrm, pts)
     assert np.abs(jac - fd_jac).max() <= 1e-8 * jac.max()
-    assert np.abs(nrm - cross / fd_jac[..., None]).max() <= 1e-8
+    assert np.abs(nrm - cross / fd_jac).max() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +478,7 @@ def sphere_area_error(level, curved):
         a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
         up = np.cross(b - a, c - a)
         up /= np.linalg.norm(up, axis=1)[:, None]
-        nodes, normals = (q[:, 0] for q in lone_faces(*zip(a, up, b, up, c, up)))
+        nodes, normals = (q[:, :, 0] for q in lone_faces(*zip(a, up, b, up, c, up)))
     rule = gauss_radau_rule()
     _, _, jac = frames_at(nodes, normals, rule.points)
     return abs((jac * rule.weights).sum() - 4.0 * np.pi)

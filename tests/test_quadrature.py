@@ -31,7 +31,7 @@ def element_integrals(mesh, integrand, rule):
     """Per-face integrals of integrand(positions) over the curved elements,
     with the frames and weights (rule weight x Jacobian) discretize caches."""
     pos, _, jac = frames_at(*curved_nodes(mesh), rule.points)
-    return (integrand(pos) * rule.weights * jac).sum(axis=1)
+    return (integrand(pos.transpose(1, 2, 0)) * rule.weights * jac).sum(axis=1)
 
 
 def test_monomial_integral_values():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbbem.geometry
 import pbbem.mesh
 import pbbem.solver
 from pbbem.kernels import (
@@ -247,7 +248,7 @@ def test_discretize_names_face_of_vanishing_jacobian(monkeypatch, which, per_fac
     def collapse_face_5(node_pos, node_nrm, pts):
         if len(calls) == which:
             node_pos = node_pos.copy()
-            node_pos[5 * per_face] = node_pos[5 * per_face, 0]
+            node_pos[:, 5 * per_face] = node_pos[:, 5 * per_face, :1]
         calls.append(None)
         return frames_at(node_pos, node_nrm, pts)
 
@@ -258,27 +259,124 @@ def test_discretize_names_face_of_vanishing_jacobian(monkeypatch, which, per_fac
     assert str(info.value).startswith("face 5: vanishing Jacobian at (r, s) = (")
 
 
-def test_discretize_names_face_past_the_first_near_chunk(monkeypatch):
-    """The near table's Duffy frames are built NEAR_CHUNK rotated elements
-    at a time; a face whose elements lie in the second chunk is named by
-    its mesh index, not by its place in the chunk."""
+def _collapse_in_call(monkeypatch, call: int, element: int) -> list:
+    """Make the solver's frames_at call number `call` (from 0) see element
+    `element` of its nodes collapsed onto that element's node 1; returns the
+    list that records the calls."""
     calls = []
-    chunk = pbbem.solver.NEAR_CHUNK
-    face = chunk // 3 + 20  # its elements 3 face + k lie in [chunk, 2 chunk)
 
-    def collapse_in_second_chunk(node_pos, node_nrm, pts):
-        if len(calls) == 2:  # the regular frames, then one call per chunk
+    def collapsing(node_pos, node_nrm, pts):
+        if len(calls) == call:
             node_pos = node_pos.copy()
-            node_pos[3 * face - chunk + 1] = node_pos[3 * face - chunk + 1, 0]
+            node_pos[:, element] = node_pos[:, element, :1]
         calls.append(None)
         return frames_at(node_pos, node_nrm, pts)
 
-    monkeypatch.setattr(pbbem.solver, "frames_at", collapse_in_second_chunk)
-    mesh = icosahedral_sphere(2)  # 320 faces: 960 elements, two chunks
+    monkeypatch.setattr(pbbem.solver, "frames_at", collapsing)
+    return calls
+
+
+def test_discretize_names_face_past_the_first_near_chunk(monkeypatch):
+    """hobi's set-up runs NEAR_CHUNK faces at a time, each run forming its
+    regular frames, then its rotations' Duffy frames; a face whose rotated
+    element lies in the second run is named by its mesh index, not by its
+    place in the run."""
+    chunk = pbbem.solver.NEAR_CHUNK
+    face = chunk + 20
+    calls = _collapse_in_call(monkeypatch, 3, 3 * (face - chunk) + 1)
+    mesh = icosahedral_sphere(2)  # 320 faces: three runs
     with pytest.raises(DegenerateElementError) as info:
         discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
-    assert len(calls) == 3
+    assert len(calls) == 4
     assert str(info.value).startswith(f"face {face}: vanishing Jacobian at (r, s) = (")
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("duffy", [False, True])
+def test_degenerate_element_names_its_face_across_chunk_edges(monkeypatch, chunk, duffy):
+    """With runs of 1 or 7 faces, a collapsed element of face 45, in the
+    regular frames or in rotation 1's Duffy frames, is named by that face
+    and the rule's first point, where a collapsed element's Jacobian
+    vanishes first: the message a whole-mesh set-up gives."""
+    monkeypatch.setattr(pbbem.solver, "NEAR_CHUNK", chunk)
+    face = 45
+    run, offset = divmod(face, chunk)
+    _collapse_in_call(monkeypatch, 2 * run + duffy, 3 * offset + 1 if duffy else offset)
+    rule = pbbem.solver.DUFFY_RULE if duffy else pbbem.solver.REGULAR_RULE
+    r, s = (float(c) for c in rule.points[0])
+    with pytest.raises(DegenerateElementError) as info:
+        discretize(icosahedral_sphere(1), WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    assert str(info.value) == f"face {face}: vanishing Jacobian at (r, s) = ({r}, {s})"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+@pytest.mark.parametrize("edge_face", [None, 44, 46])
+def test_degenerate_arc_names_lowest_face_over_edge_and_cross_arcs(
+        monkeypatch, chunk, edge_face):
+    """A degenerate cross arc of face 45's rotation 1, alone or beside a
+    degenerate edge arc whose lower face is 44 or 46, raises
+    DegenerateArcError for the lowest face over both kinds of arc, with
+    that arc's cause, whatever the run length: every arc is fitted before
+    the first run."""
+    mesh = icosahedral_sphere(1)
+    face = 45
+    monkeypatch.setattr(pbbem.solver, "NEAR_CHUNK", chunk)
+    real = pbbem.geometry.fit_arc
+    lo = hi = None
+    if edge_face is not None:
+        # the face's first edge, whose other face lies past both 44 and 46
+        for j in range(3):
+            lo, hi = sorted(mesh.faces[edge_face, [j, (j + 1) % 3]])
+            others = [f for f in range(mesh.n_faces)
+                      if {lo, hi} <= set(mesh.faces[f]) and f != edge_face]
+            if others[0] > 46:
+                break
+        assert others[0] > 46
+
+    def failing(p0, n0, p1, n1, pending=None):
+        arc = real(p0, n0, p1, n1, pending)
+        if np.ndim(p0) == 3:  # the cross arcs, (N_f, 3 rotations, 3)
+            mask = np.zeros(np.shape(p0)[:2], dtype=bool)
+            mask[face, 1] = True
+            pending.append((mask, "arc endpoints coincide"))
+        elif lo is not None:  # the edge arcs, by ascending (low, high) key
+            keys = np.unique([min(a, b) * mesh.n_vertices + max(a, b) for f in mesh.faces
+                              for a, b in zip(f, np.roll(f, -1))])
+            pending.append((keys == lo * mesh.n_vertices + hi,
+                            "endpoint normal is nearly parallel to the chord"))
+        return arc
+
+    monkeypatch.setattr(pbbem.geometry, "fit_arc", failing)
+    with pytest.raises(DegenerateArcError) as info:
+        discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+    if edge_face == 44:
+        assert str(info.value) == "face 44: endpoint normal is nearly parallel to the chord"
+    else:
+        assert str(info.value) == "face 45: arc endpoints coincide"
+    assert info.value.index == (min(face, edge_face or face),)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("kappa", [0.0, 0.125])
+def test_discretize_arrays_do_not_follow_the_chunk(monkeypatch, level, kappa):
+    """Runs of 1, 7 or all faces give every DiscretizedProblem array the
+    bits of the default runs: each element's frames and near coefficients
+    follow neither its run nor its place in it, and the near table adds
+    every coefficient in element order."""
+    mesh = icosahedral_sphere(level)
+    params = PhysicalParams(eps1=1.0, eps2=80.0, kappa=kappa)
+
+    def arrays(problem):
+        return {f.name: getattr(problem, f.name) for f in fields(problem)
+                if isinstance(getattr(problem, f.name), np.ndarray)}
+
+    default = arrays(discretize(mesh, params, CENTERED_UNIT, SolverConfig()))
+    assert len(default) == 12
+    for chunk in (1, 7, 3 * mesh.n_faces):
+        monkeypatch.setattr(pbbem.solver, "NEAR_CHUNK", chunk)
+        other = arrays(discretize(mesh, params, CENTERED_UNIT, SolverConfig()))
+        for name, value in default.items():
+            assert np.array_equal(other[name], value), (chunk, name)
 
 
 def _near_sources(problem):
@@ -785,6 +883,25 @@ def test_first_sum_only_energy_equals_full_sweep_energy(scheme, params):
     expected = 0.5 * FOUR_PI * KCAL_MOL_PER_E2_ANG * total
     got = solvation_energy(problem, SurfaceSolution(phi, dphi, 0, 0.0))
     assert got == pytest.approx(expected, rel=1e-13)
+
+
+def test_hobi_discretize_traced_peak_stays_bounded():
+    """hobi's set-up holds one node table and one run of NEAR_CHUNK faces
+    beside the problem's own arrays. A level-4 discretize traced a peak of
+    8.93 MB, 3.85 MB of it the arrays the problem keeps (2-CPU Xeon host,
+    NumPy 2.4); building every face's three rotations whole traced
+    18.49 MB. The bound leaves a quarter for allocator and NumPy drift."""
+    mesh = icosahedral_sphere(4)
+    tracemalloc.start()
+    try:
+        problem = discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(problem, name).nbytes for name in (
+        "reg_pos", "reg_nrm", "reg_w", "near_starts", "near_cols", "near_coef", "duf_w"))
+    assert kept == pytest.approx(3.85e6, rel=0.01)
+    assert peak <= 11.2e6
 
 
 @pytest.mark.parametrize("scheme", ["hobi", "lobi"])
@@ -1726,8 +1843,9 @@ with make_operator(problem, SolverConfig(workers=2)) as op:
 t = problem.n_collocation
 energy = solvation_energy(problem, SurfaceSolution(u[:t], u[t:], 0, 0.0), SolverConfig(workers=2))
 rhs = assemble_rhs(problem)
-print(*(hashlib.sha256(np.asarray(x).tobytes()).hexdigest()
-        for x in (serial, pooled, energy, rhs)))
+print(*(hashlib.sha256(np.asarray([] if x is None else x).tobytes()).hexdigest()
+        for x in (serial, pooled, energy, rhs, problem.reg_pos, problem.reg_nrm,
+                  problem.reg_w, problem.near_coef)))
 """
 
 
@@ -1736,7 +1854,8 @@ def _blas_thread_digests(scheme: str, kappa: float, level: int) -> list[list[str
     and =2: discretize on the level-`level` sphere with the serial matvec,
     the 2-worker one, and the energy of 400 scattered charges (three row
     tiles, swept by the parent and a child it forks after the
-    multi-threaded product) and their RHS, each time."""
+    multi-threaded product) and their RHS, each time, then discretize's own
+    frames, weights and near coefficients (lobi's near_coef is None)."""
     package_root = str(Path(pbbem.solver.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -1753,7 +1872,7 @@ def _blas_thread_digests(scheme: str, kappa: float, level: int) -> list[list[str
 
 def _assert_blas_thread_digests_agree(scheme: str, kappa: float, level: int = 2):
     one, two = _blas_thread_digests(scheme, kappa, level)
-    assert one == two and one[0] == one[1] and len(one) == 4
+    assert one == two and one[0] == one[1] and len(one) == 8
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
@@ -1768,11 +1887,13 @@ def test_unscreened_hobi_matvec_bits_do_not_follow_blas_threads():
 @pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
 def test_screened_hobi_matvec_bits_do_not_follow_blas_threads():
     """At kappa > 0 the near table's K1 and K4 coefficients are nonzero,
-    and discretize forms every near coefficient with a BLAS product: the
-    level-2 matvec, serial and pooled, the energy, whose K1 product runs
-    only here, and the RHS have the same bits under OPENBLAS_NUM_THREADS=1 and
-    =2."""
-    _assert_blas_thread_digests_agree("hobi", 0.125)
+    and discretize forms every frame and near coefficient with BLAS
+    products: on the level-2 and level-3 spheres the matvec, serial and
+    pooled, the energy, whose K1 product runs only here, the RHS and
+    discretize's own arrays have the same bits under OPENBLAS_NUM_THREADS=1
+    and =2."""
+    for level in (2, 3):
+        _assert_blas_thread_digests_agree("hobi", 0.125, level)
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="os.fork unavailable")
