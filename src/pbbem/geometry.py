@@ -324,12 +324,13 @@ def node_table(vertices, normals, faces) -> NodeTable:
     return NodeTable(pos, nrm, slots)
 
 
-def element_nodes(table: NodeTable, first: int, last: int):
+def element_nodes(table: NodeTable, first: int, last: int, rotation=None):
     """Node positions and normals of the three vertex rotations of faces
     [first, last), a pair of component-major (3, n, 3, 10) arrays gathered
     straight from the node table: entry [c, f, k, j] is component c of node
-    j of face first + f in rotation k (NODE_SLOTS)."""
-    index = table.slots[first:last][:, NODE_SLOTS]  # (n, 3, 10)
+    j of face first + f in rotation k (NODE_SLOTS). With a rotation, that
+    rotation's (3, n, 10) nodes alone."""
+    index = table.slots[first:last][:, NODE_SLOTS if rotation is None else NODE_SLOTS[rotation]]
     return np.take(table.pos, index, axis=1), np.take(table.nrm, index, axis=1)
 
 

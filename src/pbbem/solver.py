@@ -114,7 +114,7 @@ STRIP_CHUNKS = 16
 GMRES_STEPS = 100
 # faces per run of hobi's set-up (_curved_chunk): a run's frames and
 # kernel values, ~0.8 MB, stay in a 2 MB L2 cache, and a level-3
-# discretize traces a 2.45 MB peak (3.3 MB at 256 faces, 5.0 MB at 512)
+# discretize traces a 2.42 MB peak (3.24 MB at 256 faces, 4.90 MB at 512)
 NEAR_CHUNK = 128
 
 # hobi's two rules, the paper's: the 4-point rule on every element, and
@@ -282,20 +282,15 @@ def _near_coefficients(x, nx, pos, nrm, w, params: PhysicalParams, near_coef, en
 
 
 def _curved_chunk(mesh: FlatMesh, params: PhysicalParams, table, entry, a: int, b: int,
-                  reg_pos, reg_nrm, reg_w, duf_w, near_coef) -> None:
-    """Fill hobi's caches for faces [a, b): gather their three rotations'
-    nodes (element_nodes), form rotation 0's regular-rule frames and all
-    three rotations' Duffy frames, and add the rotations' near coefficients
-    (_near_coefficients). Element 3 f + k is face f in rotation k."""
-    node_pos, node_nrm = element_nodes(table, a, b)
-    pos, nrm, reg_w[a:b] = _face_frames(node_pos[:, :, 0], node_nrm[:, :, 0],
-                                        REGULAR_RULE, 1, a)
-    reg_pos[a:b], reg_nrm[a:b] = pos.transpose(1, 2, 0), nrm.transpose(1, 2, 0)
+                  duf_w, near_coef) -> None:
+    """Form the Duffy frames of the three rotations of faces [a, b),
+    gathered from the node table (element_nodes), and add their near
+    coefficients (_near_coefficients). Element 3 f + k is face f in
+    rotation k."""
     n = 3 * (b - a)
     pos, nrm, duf_w[3 * a:3 * b] = _face_frames(
-        node_pos.reshape(3, n, 10), node_nrm.reshape(3, n, 10), DUFFY_RULE, 3, 3 * a
+        *(nodes.reshape(3, n, 10) for nodes in element_nodes(table, a, b)), DUFFY_RULE, 3, 3 * a
     )
-    del node_pos, node_nrm
     x, nx = (v[mesh.faces[a:b]].reshape(n, 3) for v in (mesh.vertices, mesh.normals))
     _near_coefficients(x, nx, pos, nrm, duf_w[3 * a:3 * b], params, near_coef,
                        entry[9 * a:9 * b])
@@ -327,12 +322,13 @@ def discretize(
 
     hobi fits every arc of the curved surface once into a node table
     (node_table), which raises a degenerate arc for the lowest face over
-    edge and cross arcs. It lays out the near table (_near_table), then
-    makes one pass over runs of NEAR_CHUNK faces (_curved_chunk). Each run
-    forms rotation 0's regular-rule frames, then all three rotations' Duffy
-    frames, and adds their near coefficients into the table. A vanishing
-    Jacobian is raised by the first run that meets one, for the lowest such
-    face of the run's regular frames, else of its Duffy frames.
+    edge and cross arcs. It forms every face's regular-rule frames on
+    rotation 0 in one call, lays out the near table (_near_table), then
+    makes one pass over runs of NEAR_CHUNK faces (_curved_chunk), each
+    forming its three rotations' Duffy frames and adding their near
+    coefficients into the table. A vanishing Jacobian is raised for the
+    lowest such face of the regular frames, else of the first run that
+    meets one.
     """
     mesh.validate()
     origin = mesh.vertices.mean(axis=0)
@@ -359,14 +355,11 @@ def discretize(
 
     n = mesh.n_faces
     table = node_table(mesh.vertices, mesh.normals, mesh.faces)
+    reg_pos, reg_nrm, reg_w = _face_frames(*element_nodes(table, 0, n, 0), REGULAR_RULE, 1)
+    reg_pos, reg_nrm = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (reg_pos, reg_nrm))
     near_starts, near_cols, entry = _near_table(mesh)
-    caches = dict(
-        reg_pos=np.empty((n, len(REGULAR_RULE), 3)),
-        reg_nrm=np.empty((n, len(REGULAR_RULE), 3)),
-        reg_w=np.empty((n, len(REGULAR_RULE))),
-        duf_w=np.empty((3 * n, len(DUFFY_RULE))),
-        near_coef=np.zeros((4, len(near_cols))),
-    )
+    caches = dict(duf_w=np.empty((3 * n, len(DUFFY_RULE))),
+                  near_coef=np.zeros((4, len(near_cols))))
     for a in range(0, n, NEAR_CHUNK):
         _curved_chunk(mesh, params, table, entry, a, min(a + NEAR_CHUNK, n), **caches)
 
@@ -377,6 +370,9 @@ def discretize(
         scheme="hobi",
         colloc_pos=mesh.vertices,
         colloc_nrm=mesh.normals,
+        reg_pos=reg_pos,
+        reg_nrm=reg_nrm,
+        reg_w=reg_w,
         reg_bary=_barycentric(REGULAR_RULE.points),
         reg_nodes=mesh.faces,
         origin=origin,

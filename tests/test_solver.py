@@ -277,17 +277,17 @@ def _collapse_in_call(monkeypatch, call: int, element: int) -> list:
 
 
 def test_discretize_names_face_past_the_first_near_chunk(monkeypatch):
-    """hobi's set-up runs NEAR_CHUNK faces at a time, each run forming its
-    regular frames, then its rotations' Duffy frames; a face whose rotated
-    element lies in the second run is named by its mesh index, not by its
-    place in the run."""
+    """hobi's set-up forms every face's regular frames in one call, then
+    its rotations' Duffy frames NEAR_CHUNK faces at a time; a face whose
+    rotated element lies in the second run is named by its mesh index, not
+    by its place in the run."""
     chunk = pbbem.solver.NEAR_CHUNK
     face = chunk + 20
-    calls = _collapse_in_call(monkeypatch, 3, 3 * (face - chunk) + 1)
+    calls = _collapse_in_call(monkeypatch, 2, 3 * (face - chunk) + 1)
     mesh = icosahedral_sphere(2)  # 320 faces: three runs
     with pytest.raises(DegenerateElementError) as info:
         discretize(mesh, WATER, CENTERED_UNIT, SolverConfig(scheme="hobi"))
-    assert len(calls) == 4
+    assert len(calls) == 3  # the regular frames, then one call per run
     assert str(info.value).startswith(f"face {face}: vanishing Jacobian at (r, s) = (")
 
 
@@ -301,7 +301,7 @@ def test_degenerate_element_names_its_face_across_chunk_edges(monkeypatch, chunk
     monkeypatch.setattr(pbbem.solver, "NEAR_CHUNK", chunk)
     face = 45
     run, offset = divmod(face, chunk)
-    _collapse_in_call(monkeypatch, 2 * run + duffy, 3 * offset + 1 if duffy else offset)
+    _collapse_in_call(monkeypatch, 1 + run if duffy else 0, 3 * offset + 1 if duffy else face)
     rule = pbbem.solver.DUFFY_RULE if duffy else pbbem.solver.REGULAR_RULE
     r, s = (float(c) for c in rule.points[0])
     with pytest.raises(DegenerateElementError) as info:
