@@ -358,10 +358,10 @@ def discretize(
     reg_pos, reg_nrm, reg_w = _face_frames(*element_nodes(table, 0, n, 0), REGULAR_RULE, 1)
     reg_pos, reg_nrm = (np.ascontiguousarray(a.transpose(1, 2, 0)) for a in (reg_pos, reg_nrm))
     near_starts, near_cols, entry = _near_table(mesh)
-    caches = dict(duf_w=np.empty((3 * n, len(DUFFY_RULE))),
-                  near_coef=np.zeros((4, len(near_cols))))
+    duf_w = np.empty((3 * n, len(DUFFY_RULE)))
+    near_coef = np.zeros((4, len(near_cols)))
     for a in range(0, n, NEAR_CHUNK):
-        _curved_chunk(mesh, params, table, entry, a, min(a + NEAR_CHUNK, n), **caches)
+        _curved_chunk(mesh, params, table, entry, a, min(a + NEAR_CHUNK, n), duf_w, near_coef)
 
     return DiscretizedProblem(
         mesh=mesh,
@@ -378,7 +378,8 @@ def discretize(
         origin=origin,
         near_starts=near_starts,
         near_cols=near_cols,
-        **caches,
+        near_coef=near_coef,
+        duf_w=duf_w,
     )
 
 
